@@ -1,8 +1,11 @@
 """Optimal transport on fibered shifts and the contraction machinery.
 
-Wasserstein distances between atomic measures are solved as exact finite
-transportation programs (HiGHS), certified by complementary slackness against
-the dual; the Kantorovich-Rubinstein side is an independent second program.
+The shift metric d_r and its capped rescaling depend only on the first index
+of disagreement, so both are ultrametrics and the Wasserstein distance between
+atomic measures has a closed form on the cylinder tree.  The closed form comes
+with a greedy optimal plan and an explicit dual, and is certified by dual
+feasibility and complementary slackness; the Kantorovich-Rubinstein side is an
+independent linear program (HiGHS).
 
 On top sit the coupling constants: per-fiber distortion products B and scales
 alpha = B/beta, metric-settling exponents n, big-preimage passage lengths m
@@ -11,7 +14,7 @@ contraction factors t = max(beta, 1 - (1 - r^n alpha) C'/B'), the certified
 event (B_omega <= B, C_omega >= C) with its envelope rate 1 - C/2B, and the
 forward/backward return-time sequences along which the dual operator
 contracts.  The explicit near-diagonal coupling is built literally and its
-cost checked against both the LP optimum and the certified factor.
+cost checked against both the optimal transport cost and the certified factor.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ from .transfer import (
 )
 
 LP_CAP = 4096
-_LP_TOL = 1e-9
+_CERT_TOL = 1e-9  # transport certificate: dual feasibility, support, plan cost
 # degenerate cost matrices (few distinct metric values) need tighter pivoting
-# tolerances than the HiGHS defaults to keep plans nonnegative to 1e-10
+# tolerances than the HiGHS defaults in the Kantorovich-Rubinstein program
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
@@ -64,12 +67,22 @@ class Metric:
     def __post_init__(self):
         if self.kind not in ("raw", "adjusted"):
             raise ConfigError(f"unknown metric kind {self.kind!r}")
+        if not 0 < self.r < 1:
+            raise ConfigError("metric parameter r must lie in (0, 1)")
         if self.kind == "adjusted" and self.alpha < 1.0:
             raise ConfigError("adjusted metric needs alpha >= 1")
 
-    def dist(self, x: Point, y: Point) -> float:
-        d = shift_metric(x, y, self.r)
+    def from_shift(self, d: float) -> float:
+        """The metric value at shift distance d = d_r(x, y)."""
         return d if self.kind == "raw" else min(1.0, self.alpha * d)
+
+    def dist(self, x: Point, y: Point) -> float:
+        return self.from_shift(shift_metric(x, y, self.r))
+
+    def levels(self, depth: int) -> np.ndarray:
+        """g(k) for k = 0..depth: the distance of two points that first differ at
+        index k, with g(depth) = 0 for points equal through `depth` letters."""
+        return np.array([self.from_shift(self.r ** k) for k in range(depth)] + [0.0])
 
 
 @dataclass(eq=False)
@@ -94,74 +107,147 @@ class TransportPlan:
             raise InvariantViolation("negative transport mass")
 
 
-def _atoms(mu: AtomicMeasure) -> tuple[list, np.ndarray, list]:
-    words = sorted(mu.weights)
-    weights = np.array([mu.weights[w] for w in words])
-    points = [
-        canonical_representative(w, mu.fibers, mu.path, anchor=mu.anchor) for w in words
-    ]
-    return words, weights, points
+def _prefixes(measure: AtomicMeasure, words, depth: int) -> np.ndarray:
+    """Depth-`depth` prefixes of the canonical representatives of `words`, one row each.
+
+    Two rows are equal exactly when the points are: every head is at most
+    `depth` letters long and the canonical tails continue identically.
+    """
+    out = np.empty((len(words), depth), dtype=np.int64)
+    for i, w in enumerate(words):
+        rep = canonical_representative(w, measure.fibers, measure.path, anchor=measure.anchor)
+        out[i] = rep.prefix(depth)
+    return out
+
+
+def _common_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Length of the longest common prefix of prefix rows a and b (last axis, broadcast)."""
+    eq = a == b
+    return np.where(eq.all(axis=-1), eq.shape[-1], eq.argmin(axis=-1))
+
+
+def _cost_matrix(metric: Metric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """metric.dist between every point of prefix rows a and every point of b, bitwise."""
+    return metric.levels(a.shape[1])[_common_prefix(a[:, None], b[None, :])]
+
+
+def _match(src: list, tgt: list, plan: np.ndarray) -> tuple[list, list]:
+    """Couple two queues of (atom, mass) greedily in order; return the unmatched rests."""
+    i = j = 0
+    while i < len(src) and j < len(tgt):
+        a, ma = src[i]
+        b, mb = tgt[j]
+        plan[a, b] += min(ma, mb)
+        if ma < mb:
+            tgt[j] = (b, mb - ma)
+            i += 1
+        elif mb < ma:
+            src[i] = (a, ma - mb)
+            j += 1
+        else:
+            i += 1
+            j += 1
+    return src[i:], tgt[j:]
+
+
+def _ultrametric_plan(order: np.ndarray, lcp: np.ndarray, depth: int,
+                      weights: list, n: int, m: int) -> np.ndarray:
+    """Optimal plan for an ultrametric: match inside each cylinder, bottom-up.
+
+    Atoms 0..n-1 are sources and n..n+m-1 targets; `order` sorts their
+    depth-`depth` prefixes lexicographically and lcp[p] is the common prefix
+    length of sorted atoms p-1 and p (-1 at p = 0).  At each length, from
+    the full depth down to the root, the unmatched mass of sibling cylinders
+    is merged in lexicographic order and matched; what is left is all on one
+    side and moves up a level.
+    """
+    plan = np.zeros((n, m))
+    starts = list(range(len(order)))
+    groups = [([(a, weights[a])], []) if a < n else ([], [(a - n, weights[a])])
+              for a in order.tolist()]
+    for length in range(depth, -1, -1):
+        merged, merged_starts = [], []
+        for p, (src, tgt) in zip(starts, groups):
+            if merged and lcp[p] >= length:  # same length-`length` cylinder as the last group
+                merged[-1][0].extend(src)
+                merged[-1][1].extend(tgt)
+            else:
+                merged.append((src, tgt))
+                merged_starts.append(p)
+        groups = [_match(src, tgt, plan) for src, tgt in merged]
+        starts = merged_starts
+    return plan
 
 
 def wasserstein(
     mu: AtomicMeasure,
     nu: AtomicMeasure,
     metric: Metric,
-    lp_cap: int = LP_CAP,
 ) -> tuple[float, TransportPlan]:
-    """Exact optimum of the transportation program between two atomic measures.
+    """Exact W1 between two atomic measures, by the closed form on the cylinder tree.
 
-    Optimality is certified against the equality duals: dual feasibility
-    u_i + v_j <= c_ij, complementary slackness on the support, and a primal-dual
-    gap below 1e-9 (scaled).
+    d_r and min(1, alpha d_r) depend only on the first index of disagreement,
+    so both are ultrametrics.  With g(k) the distance of points first
+    differing at index k and D the longest word over both measures,
+
+        W1 = sum_{k<D} (g(k) - g(k+1))/2 * sum_{|C| = k+1} |mu(C) - nu(C)|.
+
+    The plan matches greedily inside each cylinder, bottom-up; the duals are
+    u_i = f(x_i), v_j = -f(y_j) with f the sum of the signed half level steps
+    sign(mu(C) - nu(C)) (g(k) - g(k+1))/2 along each root-to-atom path.
+    Optimality is certified against them: dual feasibility u_i + v_j <= c_ij
+    over all pairs, complementary slackness on the support, a primal-dual gap
+    below 1e-7 (scaled), and the plan cost equal to the closed-form value.
     """
     if mu.anchor != nu.anchor:
         raise AdmissibilityError("measures on different fibers")
     if abs(mu.mass() - nu.mass()) > 1e-10:
         raise ConfigError(f"unequal total masses {mu.mass()} vs {nu.mass()}")
-    sw, swt, sp = _atoms(mu)
-    tw, twt, tp = _atoms(nu)
+    sw, tw = sorted(mu.weights), sorted(nu.weights)
+    swt = np.array([mu.weights[w] for w in sw])
+    twt = np.array([nu.weights[w] for w in tw])
     n, m = len(sw), len(tw)
-    if n > lp_cap or m > lp_cap:
-        raise ConfigError(f"atom count {max(n, m)} beyond the LP cap {lp_cap}")
-    cost_mat = np.empty((n, m))
-    for i, x in enumerate(sp):
-        for j, y in enumerate(tp):
-            cost_mat[i, j] = metric.dist(x, y)
+    depth = max(len(w) for w in sw + tw)
+    src, tgt = _prefixes(mu, sw, depth), _prefixes(nu, tw, depth)
+    cost_mat = _cost_matrix(metric, src, tgt)
 
-    rows, cols, data = [], [], []
-    for i in range(n):
-        for j in range(m):
-            k = i * m + j
-            rows += [i, n + j]
-            cols += [k, k]
-            data += [1.0, 1.0]
-    a_eq = sparse.csc_matrix((data, (rows, cols)), shape=(n + m, n * m))
-    b_eq = np.concatenate([swt, twt])
-    res = linprog(cost_mat.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs", options=_LP_OPTIONS)
-    if not res.success:
-        raise ConvergenceError(f"transport LP failed: {res.message}")
-    plan = res.x.reshape(n, m)
-    value = float(res.fun)
+    prefix = np.vstack([src, tgt])
+    signed = np.concatenate([swt, -twt])
+    order = np.lexsort(prefix.T[::-1])
+    lcp = np.concatenate([[-1], _common_prefix(prefix[order[:-1]], prefix[order[1:]])])
+    g = metric.levels(depth)
+    value = 0.0
+    f = np.zeros(n + m)
+    for k in range(depth):
+        step = float(g[k] - g[k + 1]) / 2.0
+        if step == 0.0:
+            continue
+        # cylinders of length k+1, numbered along the sorted atoms
+        cyl = np.cumsum(lcp < k + 1) - 1
+        excess = np.bincount(cyl, weights=signed[order])
+        value += step * float(np.abs(excess).sum())
+        f[order] += step * np.sign(excess)[cyl]
+    plan = _ultrametric_plan(order, lcp, depth, swt.tolist() + twt.tolist(), n, m)
 
-    u = np.asarray(res.eqlin.marginals[:n])
-    v = np.asarray(res.eqlin.marginals[n:])
+    u, v = f[:n], -f[n:]
     scale = max(1.0, np.abs(cost_mat).max())
     slack = cost_mat - u[:, None] - v[None, :]
-    if slack.min() < -_LP_TOL * scale:
+    if slack.min() < -_CERT_TOL * scale:
         raise InvariantViolation("dual infeasibility in the transport certificate")
-    support_gap = float(np.max(np.abs(slack)[plan > _LP_TOL])) if (plan > _LP_TOL).any() else 0.0
+    support = plan > _CERT_TOL
+    support_gap = float(np.max(np.abs(slack)[support])) if support.any() else 0.0
     dual_value = float(u @ swt + v @ twt)
     gap = abs(value - dual_value)
     if max(gap, support_gap) > 1e-7 * scale:
         raise InvariantViolation("complementary slackness fails on the computed plan")
-    depth = min(mu.depth, nu.depth)
+    if abs(float((plan * cost_mat).sum()) - value) > _CERT_TOL * scale:
+        raise InvariantViolation("transport plan cost differs from the closed-form value")
+    depth_min = min(mu.depth, nu.depth)
     out = TransportPlan(
         source_labels=sw, target_labels=tw, plan=plan, cost=value,
         dual_source=u, dual_target=v, dual_gap=gap,
-        resolution=metric.alpha * metric.r ** depth if metric.kind == "adjusted"
-        else metric.r ** depth,
+        resolution=metric.alpha * metric.r ** depth_min if metric.kind == "adjusted"
+        else metric.r ** depth_min,
     )
     out.check_marginals(swt, twt)
     return value, out
@@ -175,59 +261,53 @@ def lipschitz_dual(
 ) -> tuple[float, CylinderFunction]:
     """Kantorovich-Rubinstein program: maximize int f dmu - int f dnu over 1-Lipschitz f.
 
-    Solved as an independent LP on the union of supports; the witness is
-    extended to a cylinder function by the minimal 1-Lipschitz extension.
+    Solved as an independent LP (HiGHS) on the union of supports; the witness
+    is extended to a cylinder function by the minimal 1-Lipschitz extension.
     """
     if mu.anchor != nu.anchor:
         raise AdmissibilityError("measures on different fibers")
     depth = max(mu.depth, nu.depth)
     net: dict = {}
-    reps: dict = {}
     for measure, sign in ((mu, 1.0), (nu, -1.0)):
-        for w, m in measure.weights.items():
-            rep = canonical_representative(w, measure.fibers, measure.path,
-                                           anchor=measure.anchor)
-            key = rep.prefix(depth)
-            net[key] = net.get(key, 0.0) + sign * m
-            reps[key] = rep
+        words = list(measure.weights)
+        for w, key in zip(words, map(tuple, _prefixes(measure, words, depth).tolist())):
+            net[key] = net.get(key, 0.0) + sign * measure.weights[w]
     keys = sorted(net)
-    pts = [reps[k] for k in keys]
     k = len(keys)
     if k > lp_cap:
         raise ConfigError(f"atom count {k} beyond the LP cap {lp_cap}")
+    key_rows = np.array(keys, dtype=np.int64).reshape(k, depth)
+    cost = _cost_matrix(metric, key_rows, key_rows)
     c_obj = -np.array([net[key] for key in keys])
-    rows, cols, data, ub = [], [], [], []
-    row = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = metric.dist(pts[i], pts[j])
-            for a, b in ((i, j), (j, i)):
-                rows += [row, row]
-                cols += [a, b]
-                data += [1.0, -1.0]
-                ub.append(d)
-                row += 1
+    # rows x_i - x_j <= d_ij and x_j - x_i <= d_ij, interleaved pair by pair
+    iu, ju = np.triu_indices(k, 1)
+    pos = np.stack([iu, ju], axis=1).ravel()
+    neg = np.stack([ju, iu], axis=1).ravel()
+    row = len(pos)
     bounds = [(0.0, 0.0)] + [(None, None)] * (k - 1)  # pin one value, the rest free
     if row:
-        a_ub = sparse.csc_matrix((data, (rows, cols)), shape=(row, k))
-        res = linprog(c_obj, A_ub=a_ub, b_ub=np.array(ub), bounds=bounds,
+        a_ub = sparse.csc_matrix(
+            (np.tile([1.0, -1.0], row),
+             (np.repeat(np.arange(row), 2), np.stack([pos, neg], axis=1).ravel())),
+            shape=(row, k),
+        )
+        res = linprog(c_obj, A_ub=a_ub, b_ub=np.repeat(cost[iu, ju], 2), bounds=bounds,
                       method="highs", options=_LP_OPTIONS)
     else:
         res = linprog(c_obj, bounds=bounds, method="highs", options=_LP_OPTIONS)
     if not res.success:
         raise ConvergenceError(f"dual LP failed: {res.message}")
     value = -float(res.fun)
-    f_on_atoms = dict(zip(keys, res.x))
     fibers, path, anchor = mu.fibers, mu.path, mu.anchor
-    values = {}
-    for w in admissible_words(fibers, path, anchor, depth):
-        if w in f_on_atoms:
-            values[w] = float(f_on_atoms[w])
-        else:
-            x = canonical_representative(w, fibers, path, anchor=anchor)
-            values[w] = min(
-                f_on_atoms[key] + metric.dist(x, reps[key]) for key in keys
-            )
+    words = admissible_words(fibers, path, anchor, depth)
+    word_rows = np.array(words, dtype=np.int64).reshape(len(words), depth)
+    # minimal 1-Lipschitz extension; on the atoms themselves it is the LP value
+    extension = (res.x[None, :] + _cost_matrix(metric, word_rows, key_rows)).min(axis=1)
+    f_on_atoms = dict(zip(keys, res.x))
+    values = {
+        w: float(f_on_atoms[w]) if w in f_on_atoms else float(ext)
+        for w, ext in zip(words, extension)
+    }
     witness = CylinderFunction(fibers, path, anchor, depth, values)
     return value, witness
 

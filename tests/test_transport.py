@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
 from rtmclab.driver import sample_path
 from rtmclab.errors import ConfigError, InvariantViolation
@@ -116,6 +118,33 @@ def spanning_tree_transport_oracle(mu_w, nu_w, cost):
     return best
 
 
+def lp_transport_oracle(mu, nu, metric):
+    """The transportation program solved by HiGHS on a cost matrix of metric.dist calls.
+
+    Returns the optimal value and the cost matrix, rows and columns in sorted
+    word order as in wasserstein's plan.
+    """
+    sw, tw = sorted(mu.weights), sorted(nu.weights)
+    swt = np.array([mu.weights[w] for w in sw])
+    twt = np.array([nu.weights[w] for w in tw])
+    sp = [canonical_representative(w, mu.fibers, mu.path, anchor=mu.anchor) for w in sw]
+    tp = [canonical_representative(w, nu.fibers, nu.path, anchor=nu.anchor) for w in tw]
+    n, m = len(sw), len(tw)
+    cost = np.array([[metric.dist(x, y) for y in tp] for x in sp]).reshape(n, m)
+    rows, cols = [], []
+    for i in range(n):
+        for j in range(m):
+            rows += [i, n + j]
+            cols += [i * m + j] * 2
+    a_eq = sparse.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + m, n * m))
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([swt, twt]),
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    return float(res.fun), cost
+
+
 def make_measure(fibers, path, anchor, depth, weights):
     words = admissible_words(fibers, path, anchor, depth)
     assert len(words) == len(weights)
@@ -166,6 +195,90 @@ class TestWasserstein:
                             probability=False)
         with pytest.raises(ConfigError):
             wasserstein(mu, bad, Metric("raw", 0.5))
+
+
+class TestMetric:
+    @pytest.mark.parametrize("r", [0.0, 1.0, 1.5, -0.2])
+    def test_r_outside_unit_interval_rejected(self, r):
+        with pytest.raises(ConfigError):
+            Metric("raw", r)
+        with pytest.raises(ConfigError):
+            Metric("adjusted", r, alpha=2.0)
+
+    def test_levels_match_dist(self, full2):
+        fibers, path = full2
+        x = canonical_representative((1, 2, 1), fibers, path)
+        for k, y_word in enumerate([(2,), (1, 1), (1, 2, 2)]):
+            y = canonical_representative(y_word, fibers, path)
+            for metric in (Metric("raw", 0.3), Metric("adjusted", 0.3, alpha=4.0)):
+                assert metric.levels(3)[k] == metric.dist(x, y)
+                assert metric.levels(3)[3] == metric.dist(x, x) == 0.0
+
+
+def _parity_pairs():
+    """pytest params (mu, nu, metric) over the instances the closed form must handle."""
+    rng = np.random.default_rng(11)
+    system = stationary_system()
+    path = sample_path(system, radius=64, seed=4)
+    shifts = {"full3": full_shift(system, 3), "golden": golden_mean_shift(system)}
+    metrics = (Metric("raw", 0.4), Metric("adjusted", 0.4, alpha=3.0))
+    out = []
+    for metric in metrics:
+        for depth in range(1, 6):
+            mu, nu = (AtomicMeasure.random(shifts["full3"], path, 0, depth, rng) for _ in "ab")
+            out.append(pytest.param(mu, nu, metric, id=f"full3-d{depth}-{metric.kind}"))
+        for depth in range(1, 5):
+            mu, nu = (AtomicMeasure.random(shifts["golden"], path, 3, depth, rng) for _ in "ab")
+            out.append(pytest.param(mu, nu, metric, id=f"golden-d{depth}-{metric.kind}"))
+        for name, fibers in shifts.items():
+            deep = AtomicMeasure.random(fibers, path, 0, 3, rng)
+            dirac = AtomicMeasure.dirac(fibers, path, 0, (2,))
+            out.append(pytest.param(dirac, deep, metric, id=f"{name}-dirac-d3-{metric.kind}"))
+            # one support mixing word lengths; on the golden mean (2,) and
+            # (2, 1) are the same point through the canonical tail
+            mixed = {(1,): 0.25, (2,): 0.25, (2, 1): 0.2, (1, 2, 1): 0.3}
+            mixed = AtomicMeasure(fibers, path, 0, 3, mixed)
+            out.append(pytest.param(mixed, deep, metric, id=f"{name}-mixed-{metric.kind}"))
+    return out
+
+
+class TestClosedFormParity:
+    def check_certificate(self, mu, nu, metric):
+        value, plan = wasserstein(mu, nu, metric)
+        lp_value, cost = lp_transport_oracle(mu, nu, metric)
+        assert abs(value - lp_value) <= 1e-9
+        swt = np.array([mu.weights[w] for w in plan.source_labels])
+        twt = np.array([nu.weights[w] for w in plan.target_labels])
+        assert np.abs(plan.plan.sum(axis=1) - swt).max() <= 1e-12
+        assert np.abs(plan.plan.sum(axis=0) - twt).max() <= 1e-12
+        assert plan.plan.min() >= 0.0
+        assert float((plan.plan * cost).sum()) == pytest.approx(value, abs=1e-12)
+        slack = cost - plan.dual_source[:, None] - plan.dual_target[None, :]
+        assert slack.min() >= -1e-12
+        assert np.abs(slack[plan.plan > 1e-12]).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("mu,nu,metric", _parity_pairs())
+    def test_matches_lp_oracle(self, mu, nu, metric):
+        self.check_certificate(mu, nu, metric)
+
+    def test_normalized_dual_apply_outputs(self, full2_cert):
+        fibers, path, phi, triple, tilde, cert = full2_cert
+        rng = np.random.default_rng(8)
+        for k in (-3, 0, 5):
+            block = cert.block[k]
+            top = [AtomicMeasure.random(fibers, path, k + block, 3, rng) for _ in range(2)]
+            mu, nu = (dual_apply(tilde, x, block).normalize() for x in top)
+            self.check_certificate(mu, nu, cert.metric_at(k))
+
+    def test_rerun_identical(self, full2):
+        fibers, path = full2
+        rng = np.random.default_rng(2)
+        mu = AtomicMeasure.random(fibers, path, 0, 4, rng)
+        nu = AtomicMeasure.random(fibers, path, 0, 4, rng)
+        metric = Metric("adjusted", 0.5, alpha=2.0)
+        (v1, p1), (v2, p2) = wasserstein(mu, nu, metric), wasserstein(mu, nu, metric)
+        assert v1 == v2
+        assert p1.plan.tobytes() == p2.plan.tobytes()
 
 
 class TestDuality:
