@@ -31,10 +31,8 @@ from .errors import (
 from .shifts import (
     BipStructure,
     FiberStructure,
-    MetricSpec,
     Point,
     Word,
-    adjusted_metric,
     admissible_words,
     canonical_representative,
     shift_metric,

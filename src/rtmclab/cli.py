@@ -1,8 +1,9 @@
 """Batch front-end: validate configs, run experiments, emit JSON + CSV artifacts.
 
-Exit codes: 0 all invariants passed, 1 an invariant or bound failed,
-2 the config did not validate.  Outputs are a pure function of (config, seed);
-every table carries the config hash and seed in a comment header.
+Exit codes: 0 all invariants passed, 1 an experiment failed (its report entry
+names the error class), 2 the config, with the overrides applied, did not load
+or validate.  Outputs are a pure function of (config, seed); every table
+carries the config hash and seed in a comment header.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .config import load_config, validate_config
-from .errors import ConfigError, ConvergenceError, InvariantViolation
-from .experiments import EXPERIMENTS, RUNNERS
+from .config import ExperimentConfig, load_config, validate_config
+from .driver import DEFAULT_MAX_RADIUS
+from .errors import ConfigError, RtmcError
+from .experiments import EXPERIMENTS, RUNNERS, SeedPipeline
 
 
 def _write_csv(path: Path, header_note: str, columns, rows) -> None:
@@ -34,14 +36,21 @@ def _json_default(obj):
     return str(obj)
 
 
-def _run_one(args_tuple):
-    config_path, experiment, seed, out_dir, overrides = args_tuple
+def _load(config_path, overrides: dict) -> ExperimentConfig:
+    """The config with the --depth and --horizon overrides applied."""
     cfg = load_config(config_path)
     if overrides.get("depth") is not None:
         cfg.depths["working"] = overrides["depth"]
     if overrides.get("horizon") is not None:
         cfg.horizons["solve"] = overrides["horizon"]
+    return cfg
+
+
+def _run_one(args_tuple):
+    config_path, experiment, seed, out_dir, overrides, max_radius = args_tuple
+    cfg = _load(config_path, overrides)
     names = EXPERIMENTS if experiment == "all" else (experiment,)
+    pipeline = SeedPipeline(cfg, seed, names, max_radius=max_radius)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     note = f"# config={cfg.config_hash} seed={seed}"
@@ -49,14 +58,15 @@ def _run_one(args_tuple):
     failed = False
     for name in names:
         try:
-            report, tables = RUNNERS[name](cfg, seed)
-        except (InvariantViolation, ConvergenceError) as exc:
-            summary[name] = {"passed": False, "error": str(exc)}
-            failed = True
-            continue
+            report, tables = RUNNERS[name](pipeline)
         except ConfigError as exc:
             # the experiment's preconditions do not apply to this instance
             summary[name] = {"skipped": str(exc)}
+            continue
+        except RtmcError as exc:
+            summary[name] = {"passed": False, "error": str(exc),
+                             "error_class": type(exc).__name__}
+            failed = True
             continue
         summary[name] = report
         failed = failed or not report.get("passed", True)
@@ -99,33 +109,32 @@ def main(argv=None) -> int:
     if not config_path:
         parser.error("a config path is required (positional or --config)")
 
-    if "RR_MAX_WINDOW" in os.environ:
-        import rtmclab.driver as _driver
-
-        _driver.DEFAULT_MAX_RADIUS = int(os.environ["RR_MAX_WINDOW"])
-
+    overrides = {"depth": vars(args).get("depth"), "horizon": vars(args).get("horizon")}
     try:
-        cfg = load_config(config_path)
-    except ConfigError as exc:
+        cfg = _load(config_path, overrides)
+        report = validate_config(cfg)
+    except (RtmcError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     if args.command == "validate":
-        report = validate_config(cfg)
         print(json.dumps(report, sort_keys=True, indent=2, default=_json_default))
         return 0 if report["ok"] else 2
 
-    report = validate_config(cfg)
     if not report["ok"]:
         for v in report["violations"]:
             print(f"config violation: {v}", file=sys.stderr)
         return 2
 
+    max_radius = os.environ.get("RR_MAX_WINDOW", str(DEFAULT_MAX_RADIUS))
+    if not max_radius.isdigit() or int(max_radius) < 1:
+        print(f"config error: RR_MAX_WINDOW must be a positive integer, got {max_radius!r}",
+              file=sys.stderr)
+        return 2
+
     seeds = [args.seed] if args.seed is not None else cfg.seeds
-    overrides = {"depth": args.depth, "horizon": args.horizon}
-    work = [(config_path, args.experiment, s, args.out_dir, overrides) for s in seeds]
-    failed = False
-    results = []
+    work = [(config_path, args.experiment, s, args.out_dir, overrides, int(max_radius))
+            for s in seeds]
     if args.jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_one, work))

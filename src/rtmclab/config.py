@@ -3,8 +3,8 @@
 One file declares the driver law, the fiber structure with its mediator data,
 the potential, metric parameters, depths, horizons and seeds.  validate()
 performs the structural checks (stochasticity, row/column positivity, big
-images/preimages, empirical summability and event frequency) without running
-any experiment.
+images/preimages, empirical summability, stationary event frequency, depth
+cap and positive horizons) without running any experiment.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .driver import DriverSystem, EventSpec, event_frequency, sample_path
+from .driver import DEFAULT_MAX_RADIUS, DriverSystem, EventSpec, sample_path
 from .errors import ConfigError
 from .potentials import (
     Potential,
@@ -61,12 +61,9 @@ class ExperimentConfig:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
-    def sample(self, seed: int, radius: int = 4096, max_radius: int | None = None):
-        from . import driver as _driver
-
-        cap = _driver.DEFAULT_MAX_RADIUS if max_radius is None else max_radius
-        return sample_path(self.system, radius=min(radius, cap), seed=seed,
-                           max_radius=cap)
+    def sample(self, seed: int, radius: int = 4096, max_radius: int = DEFAULT_MAX_RADIUS):
+        return sample_path(self.system, radius=min(radius, max_radius), seed=seed,
+                           max_radius=max_radius)
 
 
 def _parse_word(key: str) -> tuple[int, ...]:
@@ -152,7 +149,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     )
 
 
-def validate_config(cfg: ExperimentConfig, frequency_span: int = 100_000) -> dict:
+def validate_config(cfg: ExperimentConfig) -> dict:
     """Structural validation report: violations block runs, warnings do not."""
     violations = list(cfg.fibers.validate_rows_columns(cfg.system))
     warnings = []
@@ -160,18 +157,19 @@ def validate_config(cfg: ExperimentConfig, frequency_span: int = 100_000) -> dic
         warnings.append("no b.i.p. structure declared; contraction experiments unavailable")
     else:
         violations.extend(cfg.fibers.validate_bip(cfg.system))
-        probe = cfg.sample(cfg.system.seed, radius=1, max_radius=frequency_span + 10)
+        pi = cfg.system.stationary()
         for ev in (cfg.fibers.bip.omega_bp, cfg.fibers.bip.omega_bi):
-            freq = event_frequency(probe, ev, frequency_span)
-            if freq == 0.0:
-                warnings.append(f"event {ev.name} has empirical frequency 0 "
-                                f"over {frequency_span} steps")
+            # radius-0 events: the frequency is the stationary mass of their states
+            if sum(pi[s] for s in range(cfg.system.n_states) if ev.fn((s,))) == 0.0:
+                warnings.append(f"event {ev.name} has frequency 0 under the stationary law")
     probe = cfg.sample(cfg.system.seed, radius=128)
     s_value = summability_value(cfg.potential, cfg.fibers, probe, span=64)
     if not math.isfinite(s_value):
         violations.append("summability probe diverged")
     if cfg.depths["working"] > cfg.depths["cap"]:
         violations.append("working depth exceeds the configured cap")
+    violations.extend(f"horizon {key} must be positive, got {value}"
+                      for key, value in sorted(cfg.horizons.items()) if value < 1)
     return {
         "name": cfg.name,
         "hash": cfg.config_hash,

@@ -271,6 +271,6 @@ def return_times(
 
 
 def event_frequency(path: DriverPath, event: EventSpec, span: int) -> float:
-    """Empirical frequency of the event over indices 1..span (a Monte Carlo pre-check)."""
+    """Empirical frequency of the event over indices 1..span."""
     hits = sum(event.evaluate(path, i) for i in range(1, span + 1))
     return hits / span

@@ -1,7 +1,9 @@
 """Experiment runners: one function per CLI subcommand, pure in (config, seed).
 
-Each runner returns (report dict, named CSV tables); the CLI serializes them.
-Hard bound violations surface as exceptions and become exit code 1.
+Every runner reads a SeedPipeline, which builds the path, the eigen-triple
+(on the hull of the requested experiments' solve windows), the normalized
+potential, the certificate and nu at most once each.  Runners return (report
+dict, named CSV tables); hard bound violations raise and become exit code 1.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ import math
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import ConfigError
+from .driver import DEFAULT_MAX_RADIUS
+from .errors import ConfigError, RtmcError
 from .matrices import (
     RandomMatrixFamily,
     cross_check_with_solver,
@@ -19,58 +22,98 @@ from .matrices import (
 )
 from .mixing import correlation_decay, equilibrium_gap, pattern_function, psi_mixing
 from .potentials import summability_value
-from .transfer import (
-    gurevich_pressure,
-    invariant_measures,
-    normalize_potential,
-    gibbs_check,
-    rpf_solve,
-)
+from .transfer import gurevich_pressure, invariant_measures, normalize_potential, rpf_solve
 from .transport import (
     certify_event,
     contraction_constants,
     k_factor,
     return_sequences,
+    settle_exponent,
     verify_decay,
     verify_main_lemma,
 )
 
 EXPERIMENTS = ("rpf", "contract", "matrices", "mixing", "correlations", "equilibrium")
+CERT_SPAN = 80  # the certificate covers fibers -80..80
 
 
-def _solve(cfg: ExperimentConfig, seed: int, window: tuple[int, int]):
-    path = cfg.sample(seed)
-    triple = rpf_solve(
-        cfg.potential, cfg.fibers, path,
-        depth=cfg.depths["working"], horizon=cfg.horizons["solve"],
-        window=window, depth_cap=cfg.depths["cap"], seed=seed,
-    )
-    return path, triple
+def solve_window(experiment: str, cfg: ExperimentConfig) -> tuple[int, int]:
+    """The fiber window an experiment needs the eigen-triple on."""
+    if experiment == "rpf":
+        return (0, 24)
+    if experiment == "matrices":
+        return (0, 10)
+    if experiment == "equilibrium":
+        span = cfg.depths["entropy"] + cfg.depths["working"] + 8
+    else:  # contract, mixing, correlations: the certificate plus the solve padding
+        span = CERT_SPAN + cfg.horizons["solve"]
+    return (-span, span)
 
 
-def _certified(cfg: ExperimentConfig, seed: int, span: int):
-    """Solve, normalize and certify on a window wide enough for `span` fibers."""
-    pad = cfg.horizons["solve"]
-    window = (-span - pad, span + pad)
-    path, triple = _solve(cfg, seed, window)
-    tilde = normalize_potential(cfg.potential, triple)
-    cert = contraction_constants(tilde, cfg.fibers, path, beta=cfg.beta,
-                                 window=(-span, span))
-    b_thr = cfg.sequences["B"]
-    c_thr = cfg.sequences["C"]
-    if b_thr is None:
-        b_thr = max(cert.B[k] for k in cert.B)
-    if c_thr is None:
-        c_thr = min(cert.C[q] for q in cert.C)
-    cert = certify_event(cert, B=b_thr, C=c_thr)
-    cert = return_sequences(cert, count=int(cfg.sequences["count"]),
-                            mode=cfg.sequences["mode"])
-    return path, triple, tilde, cert
+def _once(build):
+    """Pipeline property built on first use; an RtmcError it raises is kept and re-raised."""
+    def get(self):
+        if build.__name__ not in self._built:
+            try:
+                self._built[build.__name__] = build(self)
+            except RtmcError as exc:
+                self._built[build.__name__] = exc
+        if isinstance(self._built[build.__name__], RtmcError):
+            raise self._built[build.__name__]
+        return self._built[build.__name__]
+    return property(get)
 
 
-def run_rpf(cfg: ExperimentConfig, seed: int):
-    span = 24
-    path, triple = _solve(cfg, seed, (0, span))
+class SeedPipeline:
+    """Path, triple, normalized potential, certificate and nu for one (config, seed)."""
+
+    def __init__(self, cfg: ExperimentConfig, seed: int, experiments=EXPERIMENTS,
+                 max_radius: int = DEFAULT_MAX_RADIUS):
+        self.cfg, self.seed, self.max_radius = cfg, seed, max_radius
+        windows = [solve_window(name, cfg) for name in experiments]
+        self.window = (min(lo for lo, _ in windows), max(hi for _, hi in windows))
+        self._built = {}
+
+    @_once
+    def path(self):
+        return self.cfg.sample(self.seed, max_radius=self.max_radius)
+
+    @_once
+    def triple(self):
+        cfg = self.cfg
+        return rpf_solve(
+            cfg.potential, cfg.fibers, self.path,
+            depth=cfg.depths["working"], horizon=cfg.horizons["solve"],
+            window=self.window, depth_cap=cfg.depths["cap"], seed=self.seed,
+        )
+
+    def triple_for(self, experiment: str):
+        """The triple restricted to the solve window of one experiment."""
+        return self.triple.restrict(*solve_window(experiment, self.cfg))
+
+    @_once
+    def tilde(self):
+        return normalize_potential(self.cfg.potential, self.triple)
+
+    @_once
+    def cert(self):
+        """Contraction constants, the certified event and the return sequences."""
+        cfg, seq = self.cfg, self.cfg.sequences
+        cert = contraction_constants(self.tilde, cfg.fibers, self.path, beta=cfg.beta,
+                                     window=(-CERT_SPAN, CERT_SPAN))
+        b_thr = max(cert.B.values()) if seq["B"] is None else seq["B"]
+        c_thr = min(cert.C.values()) if seq["C"] is None else seq["C"]
+        cert = certify_event(cert, B=b_thr, C=c_thr)
+        return return_sequences(cert, count=int(seq["count"]), mode=seq["mode"])
+
+    @_once
+    def nu(self):
+        return invariant_measures(self.triple)
+
+
+def run_rpf(p: SeedPipeline):
+    cfg, path, triple = p.cfg, p.path, p.triple_for("rpf")
+    span = triple.hi
     residuals = {j: triple.residual(cfg.potential, j) for j in range(0, span)}
     h_mass = {j: triple.mu[j].integrate(triple.h[j]) for j in range(0, span + 1)}
     pressure = gurevich_pressure(cfg.potential, cfg.fibers, path,
@@ -99,19 +142,18 @@ def run_rpf(cfg: ExperimentConfig, seed: int):
     }
 
 
-def run_contract(cfg: ExperimentConfig, seed: int):
-    path, triple, tilde, cert = _certified(cfg, seed, span=80)
+def run_contract(p: SeedPipeline):
+    cfg, path, tilde, cert = p.cfg, p.path, p.tilde, p.cert
     lemma = verify_main_lemma(tilde, cfg.fibers, path, cert,
-                              trials=int(cfg.trials["lemma"]), seed=seed,
+                              trials=int(cfg.trials["lemma"]), seed=p.seed,
                               depth=min(3, cfg.depths["working"]))
-    nu = invariant_measures(triple)
-    decay = verify_decay(tilde, cfg.fibers, path, cert, nu,
-                         horizon=cfg.horizons["decay"], seed=seed)
+    decay = verify_decay(tilde, cfg.fibers, path, cert, p.nu,
+                         horizon=cfg.horizons["decay"], seed=p.seed)
     # experiment output, not a guarantee: all-n rate predicted from the block
     # geometry t^(1 / ((M + K) freq)) against the fitted empirical rate
     event_fibers = [k for k, ok in cert.event_member.items() if ok]
     m_max = max(cert.m_step[k] for k in event_fibers if k in cert.m_step)
-    k_exp = int(math.floor(-math.log(2.0 * cert.B_threshold) / math.log(cert.r))) + 1
+    k_exp = settle_exponent(2.0 * cert.B_threshold, cert.r)
     freq = len(event_fibers) / len(cert.B)
     predicted_s = cert.t ** (1.0 / ((m_max + max(k_exp, 1)) * freq))
     report = {
@@ -120,7 +162,7 @@ def run_contract(cfg: ExperimentConfig, seed: int):
         "c": cert.c,
         "B_threshold": cert.B_threshold,
         "C_threshold": cert.C_threshold,
-        "K_factor_fiber0": k_factor(triple, cert.B, 0),
+        "K_factor_fiber0": k_factor(p.triple, cert.B, 0),
         "sequence_mode": cert.sequence_mode,
         "l_seq": list(cert.l_seq),
         "k_seq": list(cert.k_seq),
@@ -148,10 +190,10 @@ def run_contract(cfg: ExperimentConfig, seed: int):
     }
 
 
-def run_matrices(cfg: ExperimentConfig, seed: int):
+def run_matrices(p: SeedPipeline):
+    cfg, path = p.cfg, p.path
     if cfg.potential.depth != 2:
         raise ConfigError("the matrix experiment needs a depth-2 (log_matrix) potential")
-    path = cfg.sample(seed)
     weights = tuple(
         np.exp(np.where(cfg.fibers.matrices[s],
                         [[cfg.potential.tables[s].get((a, b), -math.inf)
@@ -166,8 +208,7 @@ def run_matrices(cfg: ExperimentConfig, seed: int):
                      window=(-span, span))
     decay = matrix_decay_bounds(family, path, res,
                                 count=int(cfg.sequences["count"]))
-    _, triple = _solve(cfg, seed, (0, 10))
-    gap = cross_check_with_solver(res, triple, path, cfg.fibers)
+    gap = cross_check_with_solver(res, p.triple_for("matrices"), path, cfg.fibers)
     report = {
         "lambda_log_mean": float(np.mean([res.log_lambda[j] for j in range(0, 10)])),
         "rank_one_rate": None if res.fit is None else res.fit["rate"],
@@ -203,13 +244,12 @@ def _observable(cfg: ExperimentConfig, path, key: str, default_depth: int = 1):
                             default=spec.get("default"))
 
 
-def run_correlations(cfg: ExperimentConfig, seed: int):
-    path, triple, tilde, cert = _certified(cfg, seed, span=80)
-    nu = invariant_measures(triple)
+def run_correlations(p: SeedPipeline):
+    cfg, path = p.cfg, p.path
     f_at = _observable(cfg, path, "f")
     g_at = _observable(cfg, path, "g")
-    rep = correlation_decay(f_at, g_at, tilde, nu, cfg.fibers, path,
-                            horizon=cfg.horizons["decay"], cert=cert)
+    rep = correlation_decay(f_at, g_at, p.tilde, p.nu, cfg.fibers, path,
+                            horizon=cfg.horizons["decay"], cert=p.cert)
     report = {
         "fit_rate": None if rep.fit is None else rep.fit["rate"],
         "direct_check_max_gap": max(
@@ -225,11 +265,10 @@ def run_correlations(cfg: ExperimentConfig, seed: int):
     }
 
 
-def run_mixing(cfg: ExperimentConfig, seed: int):
-    path, triple, tilde, cert = _certified(cfg, seed, span=80)
-    nu = invariant_measures(triple)
-    rep = psi_mixing(tilde, nu, cfg.fibers, path, depth=cfg.depths["algebra"],
-                     horizon=cfg.horizons["mixing"], cert=cert)
+def run_mixing(p: SeedPipeline):
+    cfg = p.cfg
+    rep = psi_mixing(p.tilde, p.nu, cfg.fibers, p.path, depth=cfg.depths["algebra"],
+                     horizon=cfg.horizons["mixing"], cert=p.cert)
     report = {
         "fitted_rate": rep.fitted_rate,
         "C_derived": rep.C_derived,
@@ -248,13 +287,11 @@ def run_mixing(cfg: ExperimentConfig, seed: int):
     }
 
 
-def run_equilibrium(cfg: ExperimentConfig, seed: int):
-    span = cfg.depths["entropy"] + cfg.depths["working"] + 8
-    path, triple = _solve(cfg, seed, (-span, span))
-    event = None
-    if cfg.fibers.bip is not None:
-        event = cfg.fibers.bip.omega_bi
-    rep = equilibrium_gap(cfg.potential, triple, depth=cfg.depths["entropy"],
+def run_equilibrium(p: SeedPipeline):
+    cfg = p.cfg
+    event = None if cfg.fibers.bip is None else cfg.fibers.bip.omega_bi
+    rep = equilibrium_gap(cfg.potential, p.triple_for("equilibrium"),
+                          depth=cfg.depths["entropy"],
                           event=event, pressure_letter=cfg.pressure_letter,
                           pressure_horizon=cfg.horizons["pressure"],
                           comparison_kernel=cfg.comparison_kernel)

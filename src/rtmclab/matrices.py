@@ -22,6 +22,7 @@ from .fitting import fit_rate
 from .potentials import Potential, log_matrix_potential, summability_value
 from .shifts import FiberStructure
 from .transfer import RpfTriple
+from .transport import big_preimage_sequences
 
 _norm_inf = lambda m: float(np.max(np.abs(m)))
 
@@ -240,31 +241,7 @@ def matrix_decay_bounds(
         raise ConvergenceError("no big-preimage fibers in the window")
     t = 1.0 - c_val / 2.0
 
-    def fwd(j: int) -> int:
-        n = 2
-        while not bip.omega_bp.evaluate(path, j + n):
-            n += 1
-            if j + n > res.hi:
-                raise ConvergenceError("no forward big-preimage return in the window")
-        return n
-
-    def bwd(j: int) -> int:
-        n = 2
-        while not bip.omega_bp.evaluate(path, j - n):
-            n += 1
-            if j - n < res.lo:
-                raise ConvergenceError("no backward big-preimage return in the window")
-        return n
-
-    l_seq, k_seq = [], []
-    cur = 0
-    for _ in range(count):
-        cur += fwd(cur)
-        l_seq.append(cur)
-    cur = 0
-    for _ in range(count):
-        cur += bwd(-cur)
-        k_seq.append(cur)
+    l_seq, k_seq = big_preimage_sequences(bip.omega_bp, path, count, (res.lo, res.hi))
 
     forward_rows = []
     prod = np.eye(len(family.fibers.alphabets[path.state(0)]))

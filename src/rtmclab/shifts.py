@@ -11,7 +11,7 @@ exactly computable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -298,40 +298,3 @@ def shift_metric(x: Point, y: Point, r: float) -> float:
             return r ** i
     # identical through both heads: the canonical tails continue identically
     return 0.0
-
-
-@dataclass(frozen=True)
-class MetricSpec:
-    """Adjusted-metric data: Hoelder parameter, diagonal scale beta, per-fiber alpha."""
-
-    r: float
-    beta: float
-    alpha: Callable[[int], float]
-
-    def __post_init__(self):
-        if not 0 < self.r < 1:
-            raise ConfigError("r must lie in (0, 1)")
-        if not 0 < self.beta < 1:
-            raise ConfigError("beta must lie in (0, 1)")
-
-    @staticmethod
-    def from_values(r: float, beta: float, alphas: Mapping[int, float]) -> "MetricSpec":
-        return MetricSpec(r=r, beta=beta, alpha=lambda i, _a=dict(alphas): _a[i])
-
-    @staticmethod
-    def constant(r: float, beta: float, alpha: float) -> "MetricSpec":
-        return MetricSpec(r=r, beta=beta, alpha=lambda i, _a=float(alpha): _a)
-
-
-def adjusted_metric(x: Point, y: Point, spec: MetricSpec, fiber: int) -> float:
-    """min{1, alpha_fiber * d_r(x, y)} -- the capped rescaling of the shift metric."""
-    alpha = spec.alpha(fiber)
-    if alpha < 1:
-        raise ConfigError(f"alpha at fiber {fiber} is {alpha} < 1")
-    return min(1.0, alpha * shift_metric(x, y, spec.r))
-
-
-def adjusted_from_raw(d: float, alpha: float) -> float:
-    if alpha < 1:
-        raise ConfigError(f"alpha {alpha} < 1")
-    return min(1.0, alpha * d)

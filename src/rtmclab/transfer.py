@@ -340,6 +340,22 @@ class RpfTriple:
         gap = max(abs(lh.values[w] - self.lam(j) * target.values[w]) for w in lh.values)
         return gap / target.sup_norm()
 
+    def restrict(self, lo: int, hi: int) -> "RpfTriple":
+        """The same eigendata and gap curves on the sub-window [lo, hi]."""
+        if not self.lo <= lo <= hi <= self.hi:
+            raise ConfigError(f"window ({lo}, {hi}) not inside ({self.lo}, {self.hi})")
+        diagnostics = dict(self.diagnostics)
+        for key, top in (("h_gap", hi), ("mu_gap", hi), ("lambda_gap", hi - 1)):
+            if key in diagnostics:
+                diagnostics[key] = {j: v for j, v in diagnostics[key].items() if lo <= j <= top}
+        return RpfTriple(
+            fibers=self.fibers, path=self.path, lo=lo, hi=hi,
+            log_lambda={j: self.log_lambda[j] for j in range(lo, hi)},
+            h={j: self.h[j] for j in range(lo, hi + 1)},
+            mu={j: self.mu[j] for j in range(lo, hi + 1)},
+            tolerance=self.tolerance, diagnostics=diagnostics,
+        )
+
     def check(self, phi: Potential) -> None:
         for j in range(self.lo, self.hi + 1):
             if self.h[j].inf() <= 0:

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .driver import DriverPath
+from .driver import DriverPath, EventSpec
 from .errors import (
     AdmissibilityError,
     ConfigError,
@@ -365,6 +365,34 @@ def k_factor(triple: RpfTriple, B: dict, fiber: int) -> float:
     return 2.0 * inv_sup * max(h.sup() * inv_sup - 1.0, B[fiber] - 1.0, 1.0)
 
 
+def settle_exponent(scale: float, r: float) -> int:
+    """Least integer n with r^n * scale < 1."""
+    return int(math.floor(-math.log(scale) / math.log(r))) + 1
+
+
+def big_preimage_sequences(event: EventSpec, path: DriverPath, count: int,
+                           window: tuple[int, int]) -> tuple[list, list]:
+    """Forward and backward big-preimage return sequences (2, 4, 6, ... on a full shift)."""
+    lo, hi = window
+
+    def step(j: int, sign: int) -> int:
+        n = 2
+        while not event.evaluate(path, j + sign * n):
+            n += 1
+            if not lo <= j + sign * n <= hi:
+                direction = "forward" if sign > 0 else "backward"
+                raise ConvergenceError(f"no {direction} big-preimage return in the window")
+        return n
+
+    seqs = ([], [])
+    for seq, sign in zip(seqs, (1, -1)):
+        cur = 0
+        for _ in range(count):
+            cur += step(sign * cur, sign)
+            seq.append(cur)
+    return seqs
+
+
 def _passage(
     fibers: FiberStructure,
     path: DriverPath,
@@ -451,7 +479,7 @@ def contraction_constants(
     for k in range(lo, hi + 1):
         cert.B[k] = distortion_constant(phi, path, k, horizon=b_horizon).value
         cert.alpha[k] = cert.B[k] / beta
-        cert.n_step[k] = int(math.floor(-math.log(cert.alpha[k]) / math.log(r))) + 1
+        cert.n_step[k] = settle_exponent(cert.alpha[k], r)
         cert.o_letter[k] = (
             o_letter[k] if o_letter and k in o_letter else min(fibers.alphabet(path, k))
         )
@@ -495,8 +523,7 @@ def certify_event(cert: ContractionCertificate, B: float, C: float) -> Contracti
 
 def _markov_n(cert: ContractionCertificate, k: int) -> int:
     """First certified-event return past the strengthened settling bound."""
-    bound = int(math.floor(-math.log(2.0 * cert.alpha[k]) / math.log(cert.r))) + 1
-    n = max(1, bound)
+    n = max(1, settle_exponent(2.0 * cert.alpha[k], cert.r))
     while True:
         if k + n > cert.hi:
             raise ConvergenceError(f"no certified-event return above fiber {k} in the window")
@@ -513,12 +540,10 @@ def return_sequences(
     """Forward and backward certified return sequences.
 
     markov mode follows the general construction (settle to the certified event
-    past the strengthened bound, then pass); matrix mode follows the simplified
-    full-shift-style construction along big-preimage returns (both sequences
-    reduce to 2, 4, 6, ... on a full shift).
+    past the strengthened bound, then pass); matrix mode takes the simplified
+    construction of big_preimage_sequences.
     """
     cert.require_event()
-    path = cert.path
     t_obs = cert.beta
     if mode == "markov":
         # the seed l_0 = first certified return carries no completed block; the
@@ -553,9 +578,7 @@ def return_sequences(
                     raise ConvergenceError("backward sequence leaves the window")
                 tgt = j - n
                 if tgt in pass_end:
-                    bound = int(math.floor(
-                        -math.log(2.0 * cert.alpha[tgt]) / math.log(cert.r))) + 1
-                    if n >= max(1, bound):
+                    if n >= max(1, settle_exponent(2.0 * cert.alpha[tgt], cert.r)):
                         return n
                 n += 1
 
@@ -576,33 +599,8 @@ def return_sequences(
             ks.append(k_new)
             k_prev = k_new
     elif mode == "matrix":
-        bp = cert.fibers.bip.omega_bp
-
-        def fwd(j: int) -> int:
-            n = 2
-            while not bp.evaluate(path, j + n):
-                n += 1
-                if j + n > cert.hi:
-                    raise ConvergenceError("no forward big-preimage return in the window")
-            return n
-
-        def bwd(j: int) -> int:
-            n = 2
-            while not bp.evaluate(path, j - n):
-                n += 1
-                if j - n < cert.lo:
-                    raise ConvergenceError("no backward big-preimage return in the window")
-            return n
-
-        ls, ks = [], []
-        cur = 0
-        for _ in range(count):
-            cur += fwd(cur)
-            ls.append(cur)
-        cur = 0
-        for _ in range(count):
-            cur += bwd(-cur)
-            ks.append(cur)
+        ls, ks = big_preimage_sequences(cert.fibers.bip.omega_bp, cert.path, count,
+                                        (cert.lo, cert.hi))
         t_obs = max((cert.t_fiber[k] for k in cert.t_fiber), default=cert.beta)
     else:
         raise ConfigError(f"unknown sequence mode {mode!r}")

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from rtmclab import errors
 from rtmclab.cli import main
 from rtmclab.config import load_config, validate_config
+from rtmclab.experiments import RUNNERS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -108,7 +110,7 @@ class TestConfigLoading:
 
     def test_validation_report_fields(self):
         cfg = load_config(CONFIGS / "random_3letter.json")
-        rep = validate_config(cfg, frequency_span=2000)
+        rep = validate_config(cfg)
         assert rep["ok"]
         assert rep["hash"] == cfg.config_hash
 
@@ -147,5 +149,79 @@ def test_table_potential_config_with_fitted_kappa(tmp_path):
     cfg = load_config(p)
     assert cfg.potential.depth == 3
     assert cfg.potential.kappa[0] > 0  # fitted from the table's 2-variation
-    rep = validate_config(cfg, frequency_span=1000)
+    rep = validate_config(cfg)
     assert rep["ok"]
+
+
+def _golden(tmp_path, **sections):
+    raw = json.loads((CONFIGS / "golden_mean.json").read_text())
+    raw.update(sections)
+    p = tmp_path / "golden.json"
+    p.write_text(json.dumps(raw))
+    return p
+
+
+# error class -> how a run reaches it, exit code; "raise" swaps in a runner that
+# raises the class, for classes no shipped-style config reaches
+EXIT_CASES = [
+    ("ConfigError", {"experiment": "matrices",
+                     "config": {"potential": {"kind": "constant", "value": -0.5, "r": 0.2}}}, 0),
+    ("WindowExhausted", {"env": {"RR_MAX_WINDOW": "50"}}, 1),
+    ("InsufficientReturns", {"raise": True}, 1),
+    ("AdmissibilityError", {"config": {"pressure": {"letter": 7}}}, 1),
+    ("DepthOverflow", {"raise": True}, 1),
+    ("ConvergenceError", {"args": ["--horizon", "1"]}, 1),
+    ("InvariantViolation", {"raise": True}, 1),
+    ("RtmcError", {"raise": True}, 1),
+]
+
+
+@pytest.mark.parametrize("error, how, code", EXIT_CASES, ids=[c[0] for c in EXIT_CASES])
+def test_error_class_outcomes(error, how, code, tmp_path, monkeypatch):
+    experiment = how.get("experiment", "rpf")
+    for key, value in how.get("env", {}).items():
+        monkeypatch.setenv(key, value)
+    if how.get("raise"):
+        def runner(pipeline, cls=getattr(errors, error)):
+            raise cls("forced")
+
+        monkeypatch.setitem(RUNNERS, experiment, runner)
+    out = tmp_path / "out"
+    argv = ["run", str(_golden(tmp_path, **how.get("config", {}))), experiment,
+            "--out-dir", str(out), *how.get("args", [])]
+    assert main(argv) == code
+    entry = json.loads((out / "report_seed3.json").read_text())[experiment]
+    if error == "ConfigError":
+        assert set(entry) == {"skipped"}
+    else:
+        assert entry["error_class"] == error and entry["passed"] is False
+        assert entry["error"]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--depth", "40", "working depth exceeds the configured cap"),
+    ("--horizon", "0", "horizon solve must be positive"),
+])
+def test_overrides_are_validated(flag, value, message, tmp_path, capsys):
+    assert main(["run", str(CONFIGS / "golden_mean.json"), "rpf", flag, value,
+                 "--out-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_config_horizon_must_be_positive(tmp_path):
+    rep = validate_config(load_config(_golden(tmp_path, horizons={"decay": -3})))
+    assert not rep["ok"]
+    assert rep["violations"] == ["horizon decay must be positive, got -3"]
+
+
+@pytest.mark.parametrize("value", ["0", "many"])
+def test_bad_window_cap_exits_2(value, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RR_MAX_WINDOW", value)
+    assert main(["run", str(CONFIGS / "golden_mean.json"), "rpf",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "RR_MAX_WINDOW" in capsys.readouterr().err
+
+
+def test_missing_config_exits_2(tmp_path):
+    assert main(["run", str(tmp_path / "none.json"), "rpf"]) == 2

@@ -9,14 +9,13 @@ from rtmclab.driver import sample_path
 from rtmclab.errors import AdmissibilityError, ConfigError
 from rtmclab.shifts import (
     FiberStructure,
-    MetricSpec,
     Point,
     Word,
-    adjusted_metric,
     admissible_words,
     canonical_representative,
     shift_metric,
 )
+from rtmclab.transport import Metric
 
 from conftest import full_shift, golden_mean_shift, stationary_system, two_state_iid
 
@@ -199,41 +198,37 @@ class TestAdjustedMetric:
         fibers, path = full2
         x = canonical_representative((1, 1), fibers, path)
         y = canonical_representative((1, 2), fibers, path)
-        spec = MetricSpec.constant(r=0.5, beta=0.5, alpha=4.0)
         assert shift_metric(x, y, 0.5) == 0.5
-        assert adjusted_metric(x, y, spec, 0) == 1.0
+        assert Metric("adjusted", 0.5, 4.0).dist(x, y) == 1.0
 
     def test_alpha_one_identity(self, full2):
         fibers, path = full2
         x = canonical_representative((1, 1), fibers, path)
         y = canonical_representative((1, 2), fibers, path)
-        spec = MetricSpec.constant(r=0.5, beta=0.5, alpha=1.0)
-        assert adjusted_metric(x, y, spec, 0) == shift_metric(x, y, 0.5)
+        assert Metric("adjusted", 0.5, 1.0).dist(x, y) == shift_metric(x, y, 0.5)
 
     def test_scaling(self, full2):
         fibers, path = full2
         x = canonical_representative((1, 1, 1), fibers, path)
         y = canonical_representative((1, 1, 2), fibers, path)
-        spec = MetricSpec.constant(r=0.5, beta=0.5, alpha=2.0)
-        assert adjusted_metric(x, y, spec, 0) == 0.5
+        assert Metric("adjusted", 0.5, 2.0).dist(x, y) == 0.5
 
     def test_alpha_below_one_rejected(self, full2):
         fibers, path = full2
         x = canonical_representative((1,), fibers, path)
         y = canonical_representative((2,), fibers, path)
-        spec = MetricSpec.constant(r=0.5, beta=0.5, alpha=0.5)
         with pytest.raises(ConfigError):
-            adjusted_metric(x, y, spec, 0)
+            Metric("adjusted", 0.5, 0.5).dist(x, y)
 
     def test_sandwich(self, gm):
         fibers, path = gm
-        spec = MetricSpec.constant(r=0.5, beta=0.5, alpha=3.0)
+        metric = Metric("adjusted", 0.5, 3.0)
         words = admissible_words(fibers, path, 0, 4)
         for wx, wy in itertools.combinations(words, 2):
             x = canonical_representative(wx, fibers, path)
             y = canonical_representative(wy, fibers, path)
             d = shift_metric(x, y, 0.5)
-            dbar = adjusted_metric(x, y, spec, 0)
+            dbar = metric.dist(x, y)
             assert d - 1e-15 <= dbar <= 3.0 * d + 1e-15
 
 
