@@ -11,7 +11,7 @@ restricting it reproduces the original window bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -169,7 +169,6 @@ class DriverPath:
     core: _PathCore
     origin: int = 0
     radius: int = 0
-    word_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def system(self) -> DriverSystem:

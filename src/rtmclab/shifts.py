@@ -6,6 +6,11 @@ allowed by the matrices of consecutive fiber states.  Points are finite heads
 extended with the letter-wise lexicographically minimal admissible tail, which
 makes equality and the shift metric d_r(x, y) = r^(first disagreement)
 exactly computable.
+
+The admissible length-n words from fiber i depend only on the driver states
+at i .. i+n-1, so the word index (sorted words plus a word -> row dict) is
+cached on the FiberStructure under that state window: fibers with the same
+window, on any shift of the path, share one index.
 """
 
 from __future__ import annotations
@@ -40,6 +45,10 @@ class FiberStructure:
     bip: BipStructure | None = None
     _row: tuple[dict, ...] = field(default=(), repr=False)
     _col: dict = field(default_factory=dict, repr=False)
+    # derived tables keyed by driver-state windows: word indices here, dual
+    # step tables in transfer; both live and die with this structure
+    _words: dict = field(default_factory=dict, repr=False)
+    _steps: dict = field(default_factory=dict, repr=False)
 
     @staticmethod
     def build(
@@ -97,12 +106,33 @@ class FiberStructure:
 
     def successors(self, path: DriverPath, i: int, a: int) -> tuple[int, ...]:
         """Admissible letters at fiber i+1 following letter a at fiber i (sorted)."""
-        s, s_next = path.state(i), path.state(i + 1)
+        s = path.state(i)
         row = self._row[s].get(a)
         if row is None:
             raise AdmissibilityError(f"letter {a} not in the fiber-{i} alphabet")
+        return self._next_letters(s, path.state(i + 1), row)
+
+    def _next_letters(self, s: int, s_next: int, row: int) -> tuple[int, ...]:
         mask = self.matrices[s][row]
         return tuple(b for b in self.alphabets[s_next] if mask[self._col[b]])
+
+    def words_over(self, states: tuple[int, ...]) -> "WordIndex":
+        """The word index of the admissible words read along a driver-state window."""
+        index = self._words.get(states)
+        if index is None:
+            if len(states) == 1:
+                words = tuple((a,) for a in self.alphabets[states[0]])
+            else:
+                s, s_next = states[-2], states[-1]
+                rows = self._row[s]
+                words = tuple(
+                    p + (b,)
+                    for p in self.words_over(states[:-1]).words
+                    for b in self._next_letters(s, s_next, rows[p[-1]])
+                )
+            index = WordIndex(words, {w: i for i, w in enumerate(words)})
+            self._words[states] = index
+        return index
 
     def predecessors(self, path: DriverPath, i: int, b: int) -> tuple[int, ...]:
         """Letters at fiber i-1 that may precede letter b at fiber i (sorted)."""
@@ -196,27 +226,26 @@ class Word:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class WordIndex:
+    """Admissible words of one length over one state window, sorted, with their rows."""
+
+    words: tuple[tuple[int, ...], ...]
+    rows: dict  # word -> position in `words`
+
+
+def word_index(fibers: FiberStructure, path: DriverPath, start: int, n: int) -> WordIndex:
+    """The cached index of the admissible length-n words from fiber `start`."""
+    if n < 1:
+        raise ConfigError("word length must be >= 1")
+    return fibers.words_over(path.states(start, start + n - 1))
+
+
 def admissible_words(
     fibers: FiberStructure, path: DriverPath, start: int, n: int
 ) -> tuple[tuple[int, ...], ...]:
     """All admissible length-n letter blocks from fiber `start`, lexicographically sorted."""
-    if n < 1:
-        raise ConfigError("word length must be >= 1")
-    key = (id(fibers), start, n)
-    cached = path.word_cache.get(key)
-    if cached is not None:
-        return cached
-    if n == 1:
-        out = tuple((a,) for a in fibers.alphabet(path, start))
-    else:
-        prefixes = admissible_words(fibers, path, start, n - 1)
-        out = tuple(
-            p + (b,)
-            for p in prefixes
-            for b in fibers.successors(path, start + n - 2, p[-1])
-        )
-    path.word_cache[key] = out
-    return out
+    return word_index(fibers, path, start, n).words
 
 
 class Point:

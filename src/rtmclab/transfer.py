@@ -7,6 +7,20 @@ on depth-m cylinders and measures are atomic at canonical representatives,
 both actions are exact finite sums, and the adjoint identity holds to float
 accumulation error.
 
+One dual step is a fixed sparse map between word sets (higher-block recoding):
+for a depth-d source word w at fiber j it lists the predecessor letters a in
+ascending order, the branch weight exp(phi) at aw and the row of aw's depth-d
+prefix at fiber j-1.  That step table is built once per (potential, d, driver
+states j-1 .. j-1+d) for state-keyed potentials and cached on the
+FiberStructure next to the word index; fiber-keyed potentials build it per
+fiber.  `dual_apply` uses it at the potential's locality d = max(p-1, 1)
+(a short atom is looked up by its canonical depth-d prefix), the measure sweep
+of `rpf_solve` at the working depth.  Both run on (row, weight) vectors and
+keep the atom order of the per-atom definition: source atoms in insertion
+order, predecessors ascending; masses are sequential sums in that order, and
+coarsening sums onto output atoms in first-occurrence order.  The floats are
+therefore bit for bit those of the dict loop kept as the test oracle.
+
 The eigenproblem solver recovers the eigenvalue cocycle from the masses of
 successive dual steps, the eigenfunction from backward-started forward sweeps,
 and certifies convergence by the agreement of two independently started runs.
@@ -30,7 +44,7 @@ from .errors import (
     InvariantViolation,
 )
 from .potentials import Potential, birkhoff_sum, fitted_kappa, word_birkhoff
-from .shifts import FiberStructure, canonical_representative, admissible_words
+from .shifts import FiberStructure, admissible_words, canonical_representative, word_index
 
 DEFAULT_DEPTH_CAP = 16
 
@@ -50,8 +64,8 @@ class CylinderFunction:
     values: dict
 
     def __post_init__(self):
-        words = admissible_words(self.fibers, self.path, self.anchor, self.depth)
-        if set(self.values) != set(words):
+        rows = word_index(self.fibers, self.path, self.anchor, self.depth).rows
+        if self.values.keys() != rows.keys():
             raise AdmissibilityError(
                 f"cylinder function keys at fiber {self.anchor} are not exactly "
                 f"the admissible depth-{self.depth} words"
@@ -154,6 +168,19 @@ def random_lipschitz(fibers, path, anchor: int, depth: int, rng,
 # atomic measures
 
 
+def _mass(weights: np.ndarray) -> float:
+    """Left-to-right sum, the order and rounding of `sum` over the atoms."""
+    return float(np.add.accumulate(weights)[-1]) if len(weights) else 0.0
+
+
+def _check_weights(weights: np.ndarray, probability: bool = False) -> None:
+    """Nonnegative atoms and, for a probability measure, unit mass."""
+    if (weights < -1e-15).any():
+        raise ConfigError("negative atom weight")
+    if probability and abs(_mass(weights) - 1.0) > 1e-10:
+        raise ConfigError(f"atom weights sum to {_mass(weights)!r}, not 1")
+
+
 @dataclass(eq=False)
 class AtomicMeasure:
     """Probability measure as weighted atoms at canonical depth-m representatives."""
@@ -166,10 +193,8 @@ class AtomicMeasure:
     probability: bool = True
 
     def __post_init__(self):
-        if any(v < -1e-15 for v in self.weights.values()):
-            raise ConfigError("negative atom weight")
-        if self.probability and abs(self.mass() - 1.0) > 1e-10:
-            raise ConfigError(f"atom weights sum to {self.mass()!r}, not 1")
+        _check_weights(np.fromiter(self.weights.values(), dtype=float, count=len(self.weights)),
+                       self.probability)
 
     @staticmethod
     def uniform(fibers, path, anchor: int, depth: int) -> "AtomicMeasure":
@@ -280,6 +305,69 @@ def transfer_power(phi: Potential, f: CylinderFunction, n: int,
     return CylinderFunction(fibers, path, j + n, out_depth, out)
 
 
+@dataclass(frozen=True)
+class _Step:
+    """One dual step from fiber j to fiber j-1 over every admissible depth-d word at j.
+
+    Source row r owns the entries ptr[r] <= e < ptr[r+1], one per predecessor
+    letter in ascending order: the new atom starts with letter[e], weight[e]
+    is exp(phi) at it, and coarse[e] is the row of its depth-d prefix among
+    the depth-d words at fiber j-1.
+    """
+
+    ptr: np.ndarray
+    letter: np.ndarray
+    weight: np.ndarray
+    coarse: np.ndarray
+
+
+def _step_table(phi: Potential, fibers: FiberStructure, path: DriverPath,
+                j: int, d: int) -> _Step:
+    """The step table at fiber j for depth-d sources; needs d >= phi.depth - 1.
+
+    A state-keyed potential's table depends only on the driver states at
+    j-1 .. j-1+d, so it is cached on the fibers under (phi, d, those states).
+    """
+    key = None
+    if phi.state_keyed:
+        key = (phi, d, path.states(j - 1, j - 1 + d))
+        cached = fibers._steps.get(key)
+        if cached is not None:
+            return cached
+    target = word_index(fibers, path, j - 1, d).rows
+    ptr, letter, weight, coarse = [0], [], [], []
+    for w in word_index(fibers, path, j, d).words:
+        for a in fibers.predecessors(path, j, w[0]):
+            full = (a,) + w
+            letter.append(a)
+            weight.append(math.exp(phi.value(path, j - 1, full)))
+            coarse.append(target[full[:d]])
+        ptr.append(len(letter))
+    step = _Step(np.array(ptr, dtype=np.intp), np.array(letter, dtype=np.int64),
+                 np.array(weight, dtype=float), np.array(coarse, dtype=np.intp))
+    if key is not None:
+        fibers._steps[key] = step
+    return step
+
+
+def _pull(step: _Step, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(table entries, source positions) of the atoms at `rows`, in atom order."""
+    starts = step.ptr[rows]
+    counts = step.ptr[rows + 1] - starts
+    src = np.repeat(np.arange(len(rows)), counts)
+    offsets = np.arange(len(src)) - (np.cumsum(counts) - counts)[src]
+    return starts[src] + offsets, src
+
+
+def _coarsen(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum weights onto their rows: rows in first-occurrence order, sums in input order."""
+    uniq, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return uniq[order], np.bincount(rank[inverse], weights=weights, minlength=len(order))
+
+
 def dual_apply(phi: Potential, mu: AtomicMeasure, n: int = 1,
                max_depth: int = DEFAULT_DEPTH_CAP + 16) -> AtomicMeasure:
     """Dual pull-back: the atom at word w spawns atoms at aw weighted by e^phi at the new atom.
@@ -289,22 +377,35 @@ def dual_apply(phi: Potential, mu: AtomicMeasure, n: int = 1,
     """
     if n < 0:
         raise ConfigError("dual power must be >= 0")
-    out = mu
-    for _ in range(n):
-        if out.depth + 1 > max_depth:
-            raise DepthOverflow(f"dual pull-back beyond depth cap {max_depth}")
-        fibers, path, j = out.fibers, out.path, out.anchor
-        nxt: dict = {}
-        for w, m in out.weights.items():
-            for a in fibers.predecessors(path, j, w[0]):
-                full = (a,) + w
-                look = full
-                if len(look) < phi.depth:
-                    rep = canonical_representative(full, fibers, path, anchor=j - 1)
-                    look = rep.prefix(phi.depth)
-                nxt[full] = nxt.get(full, 0.0) + math.exp(phi.value(path, j - 1, look)) * m
-        out = AtomicMeasure(fibers, path, j - 1, out.depth + 1, nxt, probability=False)
-    return out
+    if n == 0:
+        return mu
+    if mu.depth + n > max_depth:
+        raise DepthOverflow(f"dual pull-back beyond depth cap {max_depth}")
+    fibers, path, j = mu.fibers, mu.path, mu.anchor
+    d = max(phi.depth - 1, 1)
+    rows = word_index(fibers, path, j, d).rows
+    atoms = list(mu.weights)
+    keys = np.empty(len(atoms), dtype=np.intp)
+    for i, w in enumerate(atoms):
+        u = w[:d] if len(w) >= d else canonical_representative(w, fibers, path, anchor=j).prefix(d)
+        if u not in rows:
+            raise AdmissibilityError(f"atom {w} not admissible at fiber {j}")
+        keys[i] = rows[u]
+    weights = np.fromiter(mu.weights.values(), dtype=float, count=len(atoms))
+    origin = np.arange(len(atoms))
+    lead = np.empty((len(atoms), 0), dtype=np.int64)  # letters pulled so far, newest first
+    for i in range(n):
+        step = _step_table(phi, fibers, path, j - i, d)
+        e, src = _pull(step, keys)
+        weights = step.weight[e] * weights[src]
+        _check_weights(weights)
+        keys, origin = step.coarse[e], origin[src]
+        lead = np.column_stack((step.letter[e], lead[src]))
+    pulled = {
+        tuple(head) + atoms[o]: v
+        for head, o, v in zip(lead.tolist(), origin.tolist(), weights.tolist())
+    }
+    return AtomicMeasure(fibers, path, j - n, mu.depth + n, pulled, probability=False)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +513,37 @@ class RpfTriple:
         )
 
 
+def _mu_sweep(phi: Potential, start: AtomicMeasure, bottom: int, depth: int,
+              window: tuple[int, int]) -> tuple[dict, dict]:
+    """Pull, renormalize and coarsen from start.anchor down to `bottom`.
+
+    Returns the log masses at every fiber passed and the depth-`depth`
+    measures on the window only.
+    """
+    fibers, path, top = start.fibers, start.path, start.anchor
+    lo, hi = window
+    start_rows = word_index(fibers, path, top, depth).rows
+    rows = np.array([start_rows[w] for w in start.weights], dtype=np.intp)
+    weights = np.fromiter(start.weights.values(), dtype=float, count=len(rows))
+    lams, mus = {}, {}
+    for j in range(top - 1, bottom - 1, -1):
+        step = _step_table(phi, fibers, path, j + 1, depth)
+        e, src = _pull(step, rows)
+        pulled = step.weight[e] * weights[src]
+        _check_weights(pulled)
+        mass = _mass(pulled)
+        lams[j] = math.log(mass)
+        pulled /= mass
+        _check_weights(pulled, probability=True)
+        rows, weights = _coarsen(step.coarse[e], pulled)
+        _check_weights(weights, probability=True)
+        if lo <= j <= hi:
+            words = word_index(fibers, path, j, depth).words
+            mus[j] = AtomicMeasure(fibers, path, j, depth, dict(
+                zip([words[r] for r in rows.tolist()], weights.tolist())))
+    return lams, mus
+
+
 def _event_true_at_or_below(path: DriverPath, event: EventSpec, j: int, floor: int) -> int:
     for i in range(j, floor - 1, -1):
         if event.evaluate(path, i):
@@ -458,20 +590,10 @@ def rpf_solve(
     mu_top1 = hi + horizon
     mu_top2 = hi + horizon + max(1, horizon // 4)
 
-    def mu_sweep(top: int, start: AtomicMeasure):
-        lams, mus = {}, {}
-        cur = start
-        for j in range(top - 1, h_start2 - 1, -1):
-            pulled = dual_apply(phi, cur, 1, max_depth=depth + 1)
-            mass = pulled.mass()
-            lams[j] = math.log(mass)
-            cur = AtomicMeasure(fibers, path, j, pulled.depth,
-                                {w: v / mass for w, v in pulled.weights.items()}).coarsen(depth)
-            mus[j] = cur
-        return lams, mus
-
-    lam1, mus1 = mu_sweep(mu_top1, AtomicMeasure.uniform(fibers, path, mu_top1, depth))
-    lam2, mus2 = mu_sweep(mu_top2, AtomicMeasure.random(fibers, path, mu_top2, depth, rng))
+    lam1, mus1 = _mu_sweep(phi, AtomicMeasure.uniform(fibers, path, mu_top1, depth),
+                           h_start2, depth, window)
+    lam2, mus2 = _mu_sweep(phi, AtomicMeasure.random(fibers, path, mu_top2, depth, rng),
+                           h_start2, depth, window)
 
     mu_gaps = {}
     for j in range(lo, hi + 1):
@@ -534,15 +656,24 @@ def rpf_solve(
 
 def invariant_measures(triple: RpfTriple) -> dict:
     """The shift-invariant family of the normalized operator: d nu = h d mu, per fiber."""
+    fibers, path = triple.fibers, triple.path
     out = {}
     for j in range(triple.lo, triple.hi + 1):
         mu, h = triple.mu[j], triple.h[j]
+        rows_by_length: dict = {}
         weights = {}
         for w, m in mu.weights.items():
-            rep = canonical_representative(w, triple.fibers, triple.path, anchor=j)
-            weights[w] = m * h.value_at(rep.prefix(max(h.depth, len(w))))
+            rows = rows_by_length.get(len(w))
+            if rows is None:
+                rows = rows_by_length[len(w)] = word_index(fibers, path, j, len(w)).rows
+            if w not in rows:
+                raise AdmissibilityError(f"word {w} not admissible at fiber {j}")
+            key = w
+            if len(w) < h.depth:
+                key = canonical_representative(w, fibers, path, anchor=j).prefix(h.depth)
+            weights[w] = m * h.value_at(key)
         total = sum(weights.values())
-        out[j] = AtomicMeasure(triple.fibers, triple.path, j, mu.depth,
+        out[j] = AtomicMeasure(fibers, path, j, mu.depth,
                                {w: v / total for w, v in weights.items()})
     return out
 

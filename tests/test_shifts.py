@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtmclab.driver import sample_path
+from rtmclab.driver import sample_path, shift_path
 from rtmclab.errors import AdmissibilityError, ConfigError
 from rtmclab.shifts import (
     FiberStructure,
@@ -14,6 +14,7 @@ from rtmclab.shifts import (
     admissible_words,
     canonical_representative,
     shift_metric,
+    word_index,
 )
 from rtmclab.transport import Metric
 
@@ -92,6 +93,48 @@ class TestAdmissibleWords:
         fibers, path = full2
         assert len(admissible_words(fibers, path, 0, 5)) == \
             len(admissible_words(fibers, path, 0, 2)) * len(admissible_words(fibers, path, 2, 3))
+
+
+class TestWordIndex:
+    def test_same_state_window_shares_one_index(self, full2):
+        fibers, path = full2
+        assert word_index(fibers, path, 0, 3) is word_index(fibers, path, 5, 3)
+        assert admissible_words(fibers, path, -7, 4) is admissible_words(fibers, path, 2, 4)
+        index = word_index(fibers, path, 0, 3)
+        assert all(index.words[row] == w for w, row in index.rows.items())
+        assert len(index.rows) == len(index.words)
+
+    def test_two_state_iid_matches_bruteforce(self):
+        system = two_state_iid(seed=9)
+        path = sample_path(system, radius=64, seed=9)
+        fibers = FiberStructure.build(
+            system,
+            alphabets={"a": [1, 2, 3], "b": [1, 2]},
+            matrices={"a": [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+                      "b": [[0, 1, 1], [1, 1, 0]]},
+        )
+        for start in range(-25, 25):
+            for n in (1, 3, 4):
+                brute = [w for w in itertools.product(fibers.universe, repeat=n)
+                         if Word(start, w).is_admissible(fibers, path)]
+                assert list(admissible_words(fibers, path, start, n)) == brute
+
+    def test_structures_over_one_path_do_not_share(self, full2):
+        full, path = full2
+        golden = golden_mean_shift(path.system)
+        a = admissible_words(full, path, 0, 3)
+        b = admissible_words(golden, path, 0, 3)
+        assert len(a) == 8 and len(b) == 5
+        assert a is not b
+        assert not set(map(id, full._words.values())) & set(map(id, golden._words.values()))
+
+    def test_shifted_path_reuses_entries(self):
+        system = two_state_iid(seed=4)
+        path = sample_path(system, radius=64, seed=4)
+        fibers = full_shift(system, 3)
+        shifted = shift_path(path, 11)
+        for start in (-5, 0, 7):
+            assert word_index(fibers, shifted, start, 4) is word_index(fibers, path, start + 11, 4)
 
 
 class TestCanonicalRepresentative:

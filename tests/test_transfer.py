@@ -1,11 +1,14 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rtmclab import transfer
+from rtmclab.config import load_config
 from rtmclab.driver import DriverSystem, EventSpec, sample_path
-from rtmclab.errors import ConvergenceError, InvariantViolation
+from rtmclab.errors import AdmissibilityError, ConvergenceError, DepthOverflow, InvariantViolation
 from rtmclab.potentials import (
     Potential,
     constant_potential,
@@ -13,7 +16,7 @@ from rtmclab.potentials import (
     log_matrix_potential,
     table_potential,
 )
-from rtmclab.shifts import admissible_words, canonical_representative
+from rtmclab.shifts import FiberStructure, admissible_words, canonical_representative
 from rtmclab.transfer import (
     AtomicMeasure,
     CylinderFunction,
@@ -22,6 +25,7 @@ from rtmclab.transfer import (
     eigenvalue_ratio_curve,
     gibbs_check,
     gurevich_pressure,
+    invariant_measures,
     normalize_potential,
     random_lipschitz,
     rpf_solve,
@@ -37,6 +41,7 @@ from conftest import (
 )
 
 RADIUS = 2048
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +179,168 @@ def spread_at(f, k):
     for w, v in f.values.items():
         groups.setdefault(w[:k], []).append(v)
     return max(max(g) - min(g) for g in groups.values())
+
+
+def dict_dual_oracle(phi, mu, n=1, max_depth=transfer.DEFAULT_DEPTH_CAP + 16):
+    """The per-atom definition of the dual pull-back, one dict entry per new atom."""
+    out = mu
+    for _ in range(n):
+        if out.depth + 1 > max_depth:
+            raise DepthOverflow(f"dual pull-back beyond depth cap {max_depth}")
+        fibers, path, j = out.fibers, out.path, out.anchor
+        nxt: dict = {}
+        for w, m in out.weights.items():
+            for a in fibers.predecessors(path, j, w[0]):
+                full = (a,) + w
+                look = full
+                if len(look) < phi.depth:
+                    rep = canonical_representative(full, fibers, path, anchor=j - 1)
+                    look = rep.prefix(phi.depth)
+                nxt[full] = nxt.get(full, 0.0) + math.exp(phi.value(path, j - 1, look)) * m
+        out = AtomicMeasure(fibers, path, j - 1, out.depth + 1, nxt, probability=False)
+    return out
+
+
+def dict_mu_sweep(phi, start, bottom, depth, window):
+    """The per-atom measure sweep of rpf_solve: oracle pull, renormalize, coarsen."""
+    lams, mus = {}, {}
+    cur = start
+    for j in range(start.anchor - 1, bottom - 1, -1):
+        pulled = dict_dual_oracle(phi, cur, 1, max_depth=depth + 1)
+        mass = pulled.mass()
+        lams[j] = math.log(mass)
+        cur = AtomicMeasure(cur.fibers, cur.path, j, pulled.depth,
+                            {w: v / mass for w, v in pulled.weights.items()}).coarsen(depth)
+        mus[j] = cur
+    return lams, mus
+
+
+def random_pattern3():
+    """Three letters, a different sparse pattern per state of a two-state i.i.d. driver."""
+    system = two_state_iid(seed=3)
+    path = sample_path(system, radius=RADIUS, seed=3, max_radius=2 ** 16)
+    fibers = FiberStructure.build(
+        system,
+        alphabets={"a": [1, 2, 3], "b": [1, 2, 3]},
+        matrices={"a": [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+                  "b": [[1, 0, 1], [1, 1, 1], [0, 1, 0]]},
+    )
+    return fibers, path
+
+
+def two_state_full():
+    system = two_state_iid(seed=5)
+    path = sample_path(system, radius=RADIUS, seed=5, max_radius=2 ** 16)
+    return full_shift(system, 2), path
+
+
+def random_log_matrix(fibers, rng):
+    """A log_matrix potential with random positive weights on each state's pattern."""
+    return log_matrix_potential(
+        fibers, [pattern * rng.uniform(0.2, 1.5, pattern.shape) for pattern in fibers.matrices])
+
+
+def parity_measures(fibers, path, anchor, rng):
+    """Uniform, random, Dirac and sparse-support measures, plus a Dirac of a single letter."""
+    words = admissible_words(fibers, path, anchor, 3)
+    keep = sorted(rng.choice(len(words), size=max(1, len(words) // 3), replace=False))
+    raw = rng.random(len(keep))
+    sparse = {words[i]: float(x) for i, x in zip(keep, raw / raw.sum())}
+    return {
+        "uniform": AtomicMeasure.uniform(fibers, path, anchor, 3),
+        "random": AtomicMeasure.random(fibers, path, anchor, 3, rng),
+        "dirac": AtomicMeasure.dirac(fibers, path, anchor, words[len(words) // 2]),
+        "sparse": AtomicMeasure(fibers, path, anchor, 3, sparse),
+        "letter": AtomicMeasure.dirac(fibers, path, anchor, words[-1][:1]),
+    }
+
+
+@pytest.mark.parametrize("instance", ["full2", "gm", "pattern3", "two_state"])
+class TestDualParity:
+    """dual_apply against the per-atom oracle: the same atoms, order and bits."""
+
+    def build(self, instance, request):
+        if instance in ("full2", "gm"):
+            return request.getfixturevalue(instance)
+        return random_pattern3() if instance == "pattern3" else two_state_full()
+
+    def assert_parity(self, phi, measures, n):
+        for name, mu in measures.items():
+            new = dual_apply(phi, mu, n)
+            oracle = dict_dual_oracle(phi, mu, n)
+            assert list(new.weights.items()) == list(oracle.weights.items()), (name, n)
+            assert (new.anchor, new.depth) == (oracle.anchor, oracle.depth)
+
+    def test_state_keyed(self, instance, request):
+        fibers, path = self.build(instance, request)
+        rng = np.random.default_rng(11)
+        phi = random_log_matrix(fibers, rng)
+        for n in range(1, 5):
+            self.assert_parity(phi, parity_measures(fibers, path, 7, rng), n)
+
+    def test_short_atoms_read_the_canonical_tail(self, instance, request):
+        # depth-4 potential: a pulled one- or two-letter atom is shorter than the table
+        fibers, path = self.build(instance, request)
+        rng = np.random.default_rng(12)
+        tables = [{w: float(rng.normal(scale=0.4))
+                   for w in itertools.product(fibers.universe, repeat=4)}
+                  for _ in fibers.alphabets]
+        phi = table_potential(tables, depth=4, r=0.5)
+        measures = parity_measures(fibers, path, 9, rng)
+        assert len(next(iter(measures["letter"].weights))) + 1 < phi.depth
+        for n in range(1, 5):
+            self.assert_parity(phi, measures, n)
+
+    def test_fiber_keyed(self, instance, request):
+        fibers, path = self.build(instance, request)
+        rng = np.random.default_rng(13)
+        phi = random_log_matrix(fibers, rng)
+        triple = rpf_solve(phi, fibers, path, depth=4, horizon=40, window=(0, 12))
+        tilde = normalize_potential(phi, triple)
+        for n in range(1, 5):
+            self.assert_parity(tilde, parity_measures(fibers, path, 10, rng), n)
+
+
+def test_dual_apply_depth_overflow(full2):
+    fibers, path = full2
+    phi = constant_potential(fibers, -math.log(2))
+    mu = AtomicMeasure.uniform(fibers, path, 3, 2)
+    with pytest.raises(DepthOverflow):
+        dual_apply(phi, mu, 3, max_depth=4)
+    with pytest.raises(DepthOverflow):
+        dict_dual_oracle(phi, mu, 3, max_depth=4)
+
+
+class TestSolveParity:
+    """rpf_solve with the vectorized sweep against the per-atom sweep, exactly."""
+
+    @pytest.mark.parametrize("name", ["golden_mean", "random_3letter", "full_shift_iid"])
+    def test_solve_matches_dict_sweep(self, name, monkeypatch):
+        cfg = load_config(CONFIGS / f"{name}.json")
+        path = cfg.sample(cfg.seeds[0])
+        kwargs = dict(depth=cfg.depths["working"], horizon=32, window=(-3, 4), seed=2)
+        new = rpf_solve(cfg.potential, cfg.fibers, path, **kwargs)
+        monkeypatch.setattr(transfer, "_mu_sweep", dict_mu_sweep)
+        old = rpf_solve(cfg.potential, cfg.fibers, path, **kwargs)
+        assert new.to_json() == old.to_json()
+        assert list(new.log_lambda.items()) == list(old.log_lambda.items())
+        for key in ("mu_gap", "h_gap", "lambda_gap"):
+            assert list(new.diagnostics[key].items()) == list(old.diagnostics[key].items())
+        for j in range(-3, 5):
+            assert list(new.mu[j].weights.items()) == list(old.mu[j].weights.items())
+
+
+def test_invariant_measures_rejects_inadmissible_atom(gm):
+    # golden mean: 2 may not follow 2, so a (2, 2, ...) atom is not a point
+    fibers, path = gm
+    phi = positive_matrix_potential(fibers, [[0.5, 0.8], [1.2, 0.0]])
+    triple = rpf_solve(phi, fibers, path, depth=4, horizon=40, window=(0, 3))
+    weights = dict(triple.mu[2].weights)
+    good = next(w for w in weights if w[0] == 1)
+    weights[(2, 2) + good[2:]] = weights.pop(good)
+    triple.mu[2] = AtomicMeasure(fibers, path, 2, 4, weights)
+    with pytest.raises(AdmissibilityError):
+        invariant_measures(triple)
 
 
 class TestDualApply:
