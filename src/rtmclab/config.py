@@ -1,7 +1,9 @@
 """Experiment configuration: a versioned JSON schema and its validation.
 
 One file declares the driver law, the fiber structure with its mediator data,
-the potential, metric parameters, depths, horizons and seeds.  validate()
+the potential, metric parameters, depths, horizons and seeds; a key of the
+depths, horizons, trials or sequences section that nothing reads is rejected
+on load.  validate()
 performs the structural checks (stochasticity, row/column positivity, big
 images/preimages, empirical summability, stationary event frequency, depth
 cap and positive horizons) without running any experiment.
@@ -31,11 +33,12 @@ from .shifts import BipStructure, FiberStructure
 
 SCHEMA_VERSION = 1
 
-_DEPTH_DEFAULTS = {"working": 6, "algebra": 2, "entropy": 10, "gibbs": 4, "cap": 16}
+_DEPTH_DEFAULTS = {"working": 6, "algebra": 2, "entropy": 10, "cap": 16}
 _HORIZON_DEFAULTS = {
     "solve": 100, "pressure": 400, "decay": 40, "mixing": 14, "matrix": 60,
 }
-_TRIAL_DEFAULTS = {"lemma": 50, "gibbs": 2000}
+_TRIAL_DEFAULTS = {"lemma": 50}
+_SEQUENCE_DEFAULTS = {"mode": "markov", "count": 10, "B": None, "C": None}
 
 
 @dataclass(eq=False)
@@ -61,9 +64,18 @@ class ExperimentConfig:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
-    def sample(self, seed: int, radius: int = 4096, max_radius: int = DEFAULT_MAX_RADIUS):
-        return sample_path(self.system, radius=min(radius, max_radius), seed=seed,
-                           max_radius=max_radius)
+    def sample(self, seed: int, max_radius: int = DEFAULT_MAX_RADIUS):
+        return sample_path(self.system, seed=seed, max_radius=max_radius)
+
+
+def _section(raw: dict, name: str, defaults: dict) -> dict:
+    """A config section over its defaults; a key nothing reads is a ConfigError."""
+    values = raw.get(name, {})
+    unknown = sorted(set(values) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown {name} key(s) {', '.join(unknown)}; "
+                          f"known: {', '.join(sorted(defaults))}")
+    return {**defaults, **values}
 
 
 def _parse_word(key: str) -> tuple[int, ...]:
@@ -117,7 +129,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
                                     index=int(pot.get("index", 2)),
                                     kappa=pot.get("kappa"))
         if "kappa" not in pot:
-            probe = sample_path(system, radius=64, seed=system.seed)
+            probe = sample_path(system, seed=system.seed)
             kappas = [0.0] * system.n_states
             for i in range(-32, 32):
                 s = probe.state(i)
@@ -132,12 +144,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("beta must lie in (0, 1)")
     if not 0 < r < 1:
         raise ConfigError("r must lie in (0, 1)")
-    depths = {**_DEPTH_DEFAULTS, **raw.get("depths", {})}
-    horizons = {**_HORIZON_DEFAULTS, **raw.get("horizons", {})}
-    trials = {**_TRIAL_DEFAULTS, **raw.get("trials", {})}
+    depths = _section(raw, "depths", _DEPTH_DEFAULTS)
+    horizons = _section(raw, "horizons", _HORIZON_DEFAULTS)
+    trials = _section(raw, "trials", _TRIAL_DEFAULTS)
     seeds = [int(s) for s in raw.get("seeds", [system.seed])]
-    sequences = {"mode": "markov", "count": 10, "B": None, "C": None,
-                 **raw.get("sequences", {})}
+    sequences = _section(raw, "sequences", _SEQUENCE_DEFAULTS)
     observables = raw.get("observables", {})
     return ExperimentConfig(
         raw=raw, path=str(path), system=system, fibers=fibers, potential=potential,
@@ -162,7 +173,7 @@ def validate_config(cfg: ExperimentConfig) -> dict:
             # radius-0 events: the frequency is the stationary mass of their states
             if sum(pi[s] for s in range(cfg.system.n_states) if ev.fn((s,))) == 0.0:
                 warnings.append(f"event {ev.name} has frequency 0 under the stationary law")
-    probe = cfg.sample(cfg.system.seed, radius=128)
+    probe = cfg.sample(cfg.system.seed)
     s_value = summability_value(cfg.potential, cfg.fibers, probe, span=64)
     if not math.isfinite(s_value):
         violations.append("summability probe diverged")

@@ -4,9 +4,10 @@ The abstract ergodic base is realised as a two-sided stationary chain over a
 finite state set.  Every state along a path is a pure function of
 (system, seed, index): uniforms come from a counter-based RNG keyed by
 (seed, block), positive indices are grown forward with the transition law and
-negative indices backward with its time reversal.  Shifting the base map by k
-is therefore just an index translation, and extending a window then
-restricting it reproduces the original window bit for bit.
+negative indices backward with its time reversal.  A path is lazy: a state is
+drawn the first time it is read, so the order of reads never changes a state,
+and its only bound is `max_radius` (reading beyond it raises WindowExhausted).
+Shifting the base map by k is therefore just an index translation.
 """
 
 from __future__ import annotations
@@ -168,7 +169,6 @@ class DriverPath:
 
     core: _PathCore
     origin: int = 0
-    radius: int = 0
 
     @property
     def system(self) -> DriverSystem:
@@ -186,39 +186,28 @@ class DriverPath:
         """Driver state index at path index i (lazily sampled)."""
         return self.core.state(self.origin + i)
 
-    def state_label(self, i: int) -> str:
-        return self.system.states[self.state(i)]
-
     def states(self, lo: int, hi: int) -> tuple[int, ...]:
         """States at indices lo..hi inclusive."""
         return tuple(self.state(i) for i in range(lo, hi + 1))
 
-    def window(self) -> tuple[int, ...]:
-        return self.states(-self.radius, self.radius)
-
 
 def sample_path(
     system: DriverSystem,
-    radius: int,
     seed: int | None = None,
     max_radius: int = DEFAULT_MAX_RADIUS,
 ) -> DriverPath:
-    """Sample a two-sided driver window of length 2*radius + 1, deterministic in the seed."""
-    if radius < 1:
-        raise ConfigError("radius must be >= 1")
-    if radius > max_radius:
-        raise ConfigError(f"radius {radius} exceeds maximum window radius {max_radius}")
+    """The lazy two-sided driver path of the seed, readable at indices |i| <= max_radius."""
+    if max_radius < 1:
+        raise ConfigError(f"maximum window radius must be >= 1, got {max_radius}")
     core = _PathCore(system, system.seed if seed is None else seed, max_radius)
-    path = DriverPath(core=core, origin=0, radius=radius)
-    path.window()  # materialize eagerly so the nominal window is concrete
-    return path
+    return DriverPath(core=core, origin=0)
 
 
 def shift_path(path: DriverPath, k: int) -> DriverPath:
     """Translate the base point by k: the result at index j reads the input at index j + k."""
     if abs(path.origin + k) > path.max_radius:
         raise WindowExhausted(f"shift by {k} leaves the configured maximum radius")
-    return DriverPath(core=path.core, origin=path.origin + k, radius=path.radius)
+    return DriverPath(core=path.core, origin=path.origin + k)
 
 
 @dataclass(frozen=True)

@@ -290,7 +290,7 @@ def run_mixing(p: SeedPipeline):
 def run_equilibrium(p: SeedPipeline):
     cfg = p.cfg
     event = None if cfg.fibers.bip is None else cfg.fibers.bip.omega_bi
-    rep = equilibrium_gap(cfg.potential, p.triple_for("equilibrium"),
+    rep = equilibrium_gap(cfg.potential, p.triple_for("equilibrium"), p.tilde, p.nu,
                           depth=cfg.depths["entropy"],
                           event=event, pressure_letter=cfg.pressure_letter,
                           pressure_horizon=cfg.horizons["pressure"],

@@ -9,18 +9,19 @@ import numpy as np
 from .errors import ConvergenceError
 
 FLOOR = 1e-14
+MIN_POINTS = 6
 
 
-def fit_rate(ns, gaps, min_points: int = 6, floor: float = FLOOR) -> dict:
+def fit_rate(ns, gaps) -> dict:
     """Least-squares slope of log(gap) against n, ignoring values at the float floor.
 
     Returns rate (exp of the slope), the log-space intercept, the residual rms
-    and the points used; raises when fewer than `min_points` usable points remain.
+    and the points used; raises when fewer than MIN_POINTS usable points remain.
     """
-    pts = [(n, g) for n, g in zip(ns, gaps) if g > floor]
-    if len(pts) < min_points:
+    pts = [(n, g) for n, g in zip(ns, gaps) if g > FLOOR]
+    if len(pts) < MIN_POINTS:
         raise ConvergenceError(
-            f"only {len(pts)} usable points above the float floor; need {min_points}"
+            f"only {len(pts)} usable points above the float floor; need {MIN_POINTS}"
         )
     xs = np.array([p[0] for p in pts], dtype=float)
     ys = np.log([p[1] for p in pts])

@@ -204,7 +204,6 @@ def matrix_decay_bounds(
     path: DriverPath,
     res: MatrixRpf,
     count: int = 10,
-    o_letter: int | None = None,
 ) -> MatrixDecayReport:
     """Deviation of normalized-product entries from the limit vector, against 4 t^n.
 
@@ -229,7 +228,7 @@ def matrix_decay_bounds(
         if not bip.omega_bp.evaluate(path, j + 1):
             continue
         letters = family.fibers.alphabets[path.state(j)]
-        o = o_letter if o_letter is not None else min(letters)
+        o = min(letters)
         row = tilde[j][letters.index(o)]
         if np.any(row <= 0):
             raise InvariantViolation(

@@ -25,8 +25,6 @@ from .transfer import (
     RpfTriple,
     dual_apply,
     gurevich_pressure,
-    invariant_measures,
-    normalize_potential,
     transfer_apply,
     transfer_power,
 )
@@ -161,7 +159,6 @@ def correlation_decay(
 class MixingReport:
     grid: list  # (n, psi_n) over the restricted cylinder algebra
     algebra_depth: int
-    word_depth: int
     fitted_rate: float | None
     envelope_rows: list  # (i, l_i, psi, C t^i)
     C_derived: float | None
@@ -206,31 +203,28 @@ def psi_mixing(
                 fibers, path, -k, a), k)))
     if not past:
         raise ConvergenceError("no past cylinders with positive mass")
+    first = nu[0].marginal(1)
+    min_image = min(
+        sum(first.get((c,), 0.0) for c in fibers.successors(path, -1, a[-1]))
+        for _, a, _, _ in past
+    )
     grid = []
-    min_image = math.inf
-    for k, a, mass, _g in past:
-        image = sum(
-            nu[0].marginal(1).get((c,), 0.0)
-            for c in fibers.successors(path, -1, a[-1])
-        )
-        min_image = min(min_image, image)
-    state = [(k, a, mass, g) for k, a, mass, g in past]
+    state = past
     for n in range(1, horizon + 1):
         best = 0.0
         nxt = []
+        refined = nu[n]
+        # the depth check below raises before a missing marginal is read
+        marg = refined.marginal(depth) if refined.depth >= depth else None
         for k, a, mass, g in state:
             g = transfer_apply(phi, g)
             nxt.append((k, a, mass, g))
-            d_eff = max(depth, g.depth)
-            refined = nu[n] if nu[n].depth >= d_eff else None
-            if refined is None:
+            if refined.depth < max(depth, g.depth):
                 raise ConfigError("working depth of the invariant measures too small")
             joint: dict = {}
-            marg: dict = {}
             for w, m in refined.weights.items():
                 key = w[:depth]
                 joint[key] = joint.get(key, 0.0) + m * g.value_at(w)
-                marg[key] = marg.get(key, 0.0) + m
             for key, m_w in marg.items():
                 if m_w <= 0:
                     continue
@@ -270,7 +264,7 @@ def psi_mixing(
             for n, v in grid:
                 if n >= k_hat:
                     upgrade_rows.append((n, v, c_tilde * t_tilde ** n))
-    return MixingReport(grid=grid, algebra_depth=depth, word_depth=depth,
+    return MixingReport(grid=grid, algebra_depth=depth,
                         fitted_rate=fitted, envelope_rows=envelope_rows,
                         C_derived=c_derived, K_hat=k_hat, t_tilde=t_tilde,
                         C_tilde=c_tilde, upgrade_rows=upgrade_rows)
@@ -291,6 +285,8 @@ class EquilibriumReport:
 def equilibrium_gap(
     phi: Potential,
     triple: RpfTriple,
+    tilde: Potential,
+    nu: dict,
     depth: int,
     event: EventSpec | None = None,
     pressure_letter: int | None = None,
@@ -299,16 +295,16 @@ def equilibrium_gap(
 ) -> EquilibriumReport:
     """|entropy + int phi dnu - pressure| with the three error components.
 
-    Entropy uses cylinder sums of the invariant measure dnu = h dmu at event
-    returns, estimated by increments between consecutive returns (exact on
-    Markov instances); the potential integral is an exact table sum; pressure
-    comes from the mean log eigenvalue, cross-checked against the
-    preimage-growth estimator.
+    `tilde` and `nu` are the normalized potential and the invariant measures
+    of the triple (normalize_potential, invariant_measures).  Entropy uses
+    cylinder sums of the invariant measure dnu = h dmu at event returns,
+    estimated by increments between consecutive returns (exact on Markov
+    instances); the potential integral is an exact table sum; pressure comes
+    from the mean log eigenvalue, cross-checked against the preimage-growth
+    estimator.
     """
     fibers, path = triple.fibers, triple.path
     event = event or EventSpec.always()
-    tilde = normalize_potential(phi, triple)
-    nu = invariant_measures(triple)
     returns = [n for n in range(2, depth + 1) if event.evaluate(path, n)]
     if len(returns) < 2:
         raise ConvergenceError("need at least two event returns within the depth")

@@ -46,7 +46,7 @@ class NonstationarySpec:
     def period(self) -> int:
         return len(self.alphabets)
 
-    def realize(self, radius: int = 4096):
+    def realize(self):
         """Cyclic driver + fiber structure + fiber-independent potential tables."""
         m = self.period
         labels = tuple(f"k{i}" for i in range(m))
@@ -54,11 +54,9 @@ class NonstationarySpec:
         for i in range(m):
             cycle[i, (i + 1) % m] = 1.0
         system = DriverSystem(states=labels, kind="markov", matrix=cycle, seed=0)
-        seed = next(
-            s for s in range(64)
-            if sample_path(system, 1, seed=s).state(0) == 0
-        )
-        path = sample_path(system, radius=radius, seed=seed, max_radius=2 ** 16)
+        # the first seed whose cycle is at period position 0 at index 0
+        path = next(p for p in (sample_path(system, seed=s) for s in range(64))
+                    if p.state(0) == 0)
         bp = self.bp_positions if self.bp_positions is not None else frozenset(range(m))
         mediators = self.mediators
         if mediators is None:

@@ -149,35 +149,17 @@ def word_birkhoff(phi: Potential, path: DriverPath, anchor: int,
     )
 
 
-def variation(
-    f,
-    n: int,
-    fibers: FiberStructure | None = None,
-    path: DriverPath | None = None,
-    fiber: int = 0,
-) -> float:
-    """n-th variation: the largest spread of f over a common depth-n cylinder.
-
-    Accepts a Potential (pass fibers/path/fiber) or anything carrying
-    (values, depth, anchor) like a cylinder function.
-    """
+def variation(phi: Potential, n: int, fibers: FiberStructure, path: DriverPath,
+              fiber: int) -> float:
+    """n-th variation: the largest spread of the potential over a common depth-n cylinder."""
     if n < 1:
         raise ConfigError("variation depth must be >= 1")
-    if isinstance(f, Potential):
-        if f.depth <= n:
-            return 0.0
-        table = f.table_at(path, fiber)
-        words = admissible_words(fibers, path, fiber, f.depth)
-        values = {w: table[w] for w in words}
-        depth = f.depth
-    else:
-        if f.depth <= n:
-            return 0.0
-        values = f.values
-        depth = f.depth
+    if phi.depth <= n:
+        return 0.0
+    table = phi.table_at(path, fiber)
     groups: dict[tuple, list[float]] = {}
-    for w, v in values.items():
-        groups.setdefault(w[:n], []).append(v)
+    for w in admissible_words(fibers, path, fiber, phi.depth):
+        groups.setdefault(w[:n], []).append(table[w])
     return max((max(g) - min(g) for g in groups.values()), default=0.0)
 
 
@@ -211,20 +193,19 @@ def distortion_constant(
     path: DriverPath,
     fiber: int,
     horizon: int = 128,
-    kappa_max: float | None = None,
 ) -> DistortionConstants:
     """B at a fiber: exp of the truncated kappa series plus a geometric tail bound."""
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
     r = phi.r
-    km = phi.kappa_bound() if kappa_max is None else kappa_max
+    km = phi.kappa_bound()
     series = 0.0
     cutoff = horizon + 1
     for i in range(1, horizon + 1):
         try:
             series += phi.kappa_at(path, fiber - i) * r ** i
         except KeyError:
-            # below the derived potential's range: bound the rest by kappa_max
+            # below the derived potential's range: bound the rest by the kappa bound
             cutoff = i
             break
     tail = km * r ** cutoff / (1.0 - r)

@@ -43,7 +43,7 @@ from .errors import (
     DepthOverflow,
     InvariantViolation,
 )
-from .potentials import Potential, birkhoff_sum, fitted_kappa, word_birkhoff
+from .potentials import Potential, birkhoff_sum, fitted_kappa
 from .shifts import FiberStructure, admissible_words, canonical_representative, word_index
 
 DEFAULT_DEPTH_CAP = 16
@@ -277,32 +277,13 @@ def transfer_apply(phi: Potential, f: CylinderFunction) -> CylinderFunction:
     return CylinderFunction(fibers, path, j + 1, out_depth, out)
 
 
-def transfer_power(phi: Potential, f: CylinderFunction, n: int,
-                   method: str = "iterate") -> CylinderFunction:
-    """n-fold operator: iterated one-steps or the direct inverse-branch sum."""
+def transfer_power(phi: Potential, f: CylinderFunction, n: int) -> CylinderFunction:
+    """n-fold operator, as n one-steps."""
     if n < 0:
         raise ConfigError("power must be >= 0")
-    if n == 0:
-        return f
-    if method == "iterate":
-        g = f
-        for _ in range(n):
-            g = transfer_apply(phi, g)
-        return g
-    if method != "direct":
-        raise ConfigError(f"unknown method {method!r}")
-    fibers, path, j = f.fibers, f.path, f.anchor
-    out_depth = max(f.depth - n, phi.depth - 1, 1)
-    out = {}
-    for w in admissible_words(fibers, path, j + n, out_depth):
-        total = 0.0
-        for v in admissible_words(fibers, path, j, n):
-            if not fibers.admits(path, j + n - 1, v[-1], w[0]):
-                continue
-            full = v + w  # length n + out_depth covers the Birkhoff block and f's depth
-            total += math.exp(word_birkhoff(phi, path, j, full, n)) * f.values[full[: f.depth]]
-        out[w] = total
-    return CylinderFunction(fibers, path, j + n, out_depth, out)
+    for _ in range(n):
+        f = transfer_apply(phi, f)
+    return f
 
 
 @dataclass(frozen=True)
@@ -617,13 +598,11 @@ def rpf_solve(
     )
     hs2 = h_sweep(h_start2, init2)
 
-    h_gaps = {}
+    h, h_gaps = {}, {}
     for j in range(lo, hi + 1):
-        c1 = mus1[j].integrate(hs1[j])
-        c2 = mus1[j].integrate(hs2[j])
-        a = hs1[j].shift_scale(1.0 / c1)
-        b = hs2[j].shift_scale(1.0 / c2)
-        h_gaps[j] = a.sub(b).sup_norm() / a.sup_norm()
+        h[j] = hs1[j].shift_scale(1.0 / mus1[j].integrate(hs1[j]))
+        b = hs2[j].shift_scale(1.0 / mus1[j].integrate(hs2[j]))
+        h_gaps[j] = h[j].sub(b).sup_norm() / h[j].sup_norm()
 
     diagnostics = {
         "h_gap": h_gaps,
@@ -640,15 +619,11 @@ def rpf_solve(
         err.diagnostics = diagnostics
         raise err
 
-    h, mu = {}, {}
-    for j in range(lo, hi + 1):
-        c = mus1[j].integrate(hs1[j])
-        h[j] = hs1[j].shift_scale(1.0 / c)
-        mu[j] = mus1[j]
     triple = RpfTriple(
         fibers=fibers, path=path, lo=lo, hi=hi,
         log_lambda={j: lam1[j] for j in range(lo, hi)},
-        h=h, mu=mu, tolerance=tol, diagnostics=diagnostics,
+        h=h, mu={j: mus1[j] for j in range(lo, hi + 1)}, tolerance=tol,
+        diagnostics=diagnostics,
     )
     triple.check(phi)
     return triple

@@ -47,6 +47,8 @@ from .transfer import (
 )
 
 LP_CAP = 4096
+_PASSAGE_SCAN = 64  # steps searched for a big-preimage passage
+_RATE_SLACK = 0.05  # allowed excess of the forward fitted log-rate over log t
 _CERT_TOL = 1e-9  # transport certificate: dual feasibility, support, plan cost
 # degenerate cost matrices (few distinct metric values) need tighter pivoting
 # tolerances than the HiGHS defaults in the Kantorovich-Rubinstein program
@@ -87,7 +89,7 @@ class Metric:
 
 @dataclass(eq=False)
 class TransportPlan:
-    """A feasible transport with its cost, dual certificate and resolution bound."""
+    """A feasible transport with its cost and dual certificate."""
 
     source_labels: list
     target_labels: list
@@ -96,7 +98,6 @@ class TransportPlan:
     dual_source: np.ndarray | None = None
     dual_target: np.ndarray | None = None
     dual_gap: float | None = None
-    resolution: float = 0.0  # metric radius of one atom: alpha * r^depth
 
     def check_marginals(self, mu_w: np.ndarray, nu_w: np.ndarray, tol: float = 1e-10) -> None:
         if np.max(np.abs(self.plan.sum(axis=1) - mu_w)) > tol:
@@ -242,12 +243,9 @@ def wasserstein(
         raise InvariantViolation("complementary slackness fails on the computed plan")
     if abs(float((plan * cost_mat).sum()) - value) > _CERT_TOL * scale:
         raise InvariantViolation("transport plan cost differs from the closed-form value")
-    depth_min = min(mu.depth, nu.depth)
     out = TransportPlan(
         source_labels=sw, target_labels=tw, plan=plan, cost=value,
         dual_source=u, dual_target=v, dual_gap=gap,
-        resolution=metric.alpha * metric.r ** depth_min if metric.kind == "adjusted"
-        else metric.r ** depth_min,
     )
     out.check_marginals(swt, twt)
     return value, out
@@ -257,7 +255,6 @@ def lipschitz_dual(
     mu: AtomicMeasure,
     nu: AtomicMeasure,
     metric: Metric,
-    lp_cap: int = LP_CAP,
 ) -> tuple[float, CylinderFunction]:
     """Kantorovich-Rubinstein program: maximize int f dmu - int f dnu over 1-Lipschitz f.
 
@@ -274,8 +271,8 @@ def lipschitz_dual(
             net[key] = net.get(key, 0.0) + sign * measure.weights[w]
     keys = sorted(net)
     k = len(keys)
-    if k > lp_cap:
-        raise ConfigError(f"atom count {k} beyond the LP cap {lp_cap}")
+    if k > LP_CAP:
+        raise ConfigError(f"atom count {k} beyond the LP cap {LP_CAP}")
     key_rows = np.array(keys, dtype=np.int64).reshape(k, depth)
     cost = _cost_matrix(metric, key_rows, key_rows)
     c_obj = -np.array([net[key] for key in keys])
@@ -334,7 +331,6 @@ class ContractionCertificate:
     u_words: dict = field(default_factory=dict)  # fiber -> {first letter -> passage word}
     o_letter: dict = field(default_factory=dict)
     C: dict = field(default_factory=dict)  # fiber -> worst passage weight
-    C_slack: dict = field(default_factory=dict)  # reported distortion slack (exact tables: 1)
     s_fiber: dict = field(default_factory=dict)
     t_fiber: dict = field(default_factory=dict)
     block: dict = field(default_factory=dict)  # fiber -> n + m (lemma block length)
@@ -399,7 +395,6 @@ def _passage(
     phi: Potential,
     q: int,
     o: int,
-    max_scan: int,
 ) -> tuple[int, dict, float]:
     """Passage data at fiber q: length m, mediator word family, worst weight C.
 
@@ -418,7 +413,7 @@ def _passage(
         raise AdmissibilityError(f"marked letter {o} not in the fiber-{q} alphabet")
     reach_by_level = [reach]
     m = None
-    for n in range(1, max_scan + 1):
+    for n in range(1, _PASSAGE_SCAN + 1):
         reach = {b for a in reach for b in fibers.successors(path, q + n - 1, a)}
         reach_by_level.append(reach)
         if not bip.omega_bp.evaluate(path, q + n):
@@ -432,7 +427,7 @@ def _passage(
             break
     if m is None:
         raise ConvergenceError(
-            f"no big-preimage passage from fiber {q} within {max_scan} steps"
+            f"no big-preimage passage from fiber {q} within {_PASSAGE_SCAN} steps"
         )
     words = {}
     for x0 in fibers.alphabet(path, q + m):
@@ -465,11 +460,11 @@ def contraction_constants(
     path: DriverPath,
     beta: float,
     window: tuple[int, int],
-    o_letter: dict | None = None,
-    b_horizon: int = 128,
-    max_scan: int = 64,
 ) -> ContractionCertificate:
-    """All per-fiber coupling constants for a normalized potential on a window."""
+    """All per-fiber coupling constants for a normalized potential on a window.
+
+    The marked letter of each fiber is the least letter of its alphabet.
+    """
     if not 0 < beta < 1:
         raise ConfigError("beta must lie in (0, 1)")
     lo, hi = window
@@ -477,22 +472,19 @@ def contraction_constants(
     cert = ContractionCertificate(fibers=fibers, path=path, phi=phi, beta=beta,
                                   r=r, lo=lo, hi=hi)
     for k in range(lo, hi + 1):
-        cert.B[k] = distortion_constant(phi, path, k, horizon=b_horizon).value
+        cert.B[k] = distortion_constant(phi, path, k).value
         cert.alpha[k] = cert.B[k] / beta
         cert.n_step[k] = settle_exponent(cert.alpha[k], r)
-        cert.o_letter[k] = (
-            o_letter[k] if o_letter and k in o_letter else min(fibers.alphabet(path, k))
-        )
+        cert.o_letter[k] = min(fibers.alphabet(path, k))
     for q in range(lo, hi + 1):
         try:
-            m, words, c_min = _passage(fibers, path, phi, q, cert.o_letter[q], max_scan)
+            m, words, c_min = _passage(fibers, path, phi, q, cert.o_letter[q])
         except (ConvergenceError, AdmissibilityError) as exc:
             cert.passage_failures[q] = str(exc)
             continue
         cert.m_step[q] = m
         cert.u_words[q] = words
         cert.C[q] = c_min
-        cert.C_slack[q] = 1.0  # tables are depth-exact, the inf is attained
     for k in range(lo, hi + 1):
         q = k + cert.n_step[k]
         if q in cert.m_step and q in cert.B:
@@ -702,8 +694,7 @@ def build_coupling(
         for j, ya in enumerate(yatoms):
             if plan[i, j] > 0:
                 cost += plan[i, j] * metric.dist(xa, ya)
-    out = TransportPlan(source_labels=xv, target_labels=yv, plan=plan, cost=cost,
-                        resolution=0.0)
+    out = TransportPlan(source_labels=xv, target_labels=yv, plan=plan, cost=cost)
     out.check_marginals(xw, yw, tol=1e-10)
     if diag_mass < cert.C[q] / cert.B[q] - 1e-12:
         raise InvariantViolation("diagonal mass below the certified C/B bound")
@@ -821,7 +812,6 @@ def verify_decay(
     f: CylinderFunction | None = None,
     horizon: int = 60,
     seed: int = 0,
-    rate_slack: float = 0.05,
 ) -> DecayReport:
     """Sup-norm decay of the normalized iterates against the certified envelopes.
 
@@ -886,7 +876,7 @@ def verify_decay(
         fit_forward = fit_rate(
             [i for i, _, _, _ in forward_rows], [g for _, _, g, _ in forward_rows]
         )
-        rate_flag = math.log(fit_forward["rate"]) <= math.log(cert.t) + rate_slack
+        rate_flag = math.log(fit_forward["rate"]) <= math.log(cert.t) + _RATE_SLACK
     except ConvergenceError:
         pass
     return DecayReport(curve=curve, forward_rows=forward_rows,

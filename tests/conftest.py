@@ -47,9 +47,9 @@ def golden_mean_shift(system):
 
 @pytest.fixture
 def stationary_path():
-    return sample_path(stationary_system(), radius=64, seed=1)
+    return sample_path(stationary_system(), seed=1)
 
 
 @pytest.fixture
 def long_stationary_path():
-    return sample_path(stationary_system(), radius=2048, seed=1, max_radius=2 ** 16)
+    return sample_path(stationary_system(), seed=1, max_radius=2 ** 16)

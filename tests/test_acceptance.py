@@ -54,7 +54,7 @@ def announce(num, passed, detail):
 def markov_certified():
     """Stationary 2-letter column-stochastic instance, certified, matrix-mode sequences."""
     system = stationary_system()
-    path = sample_path(system, radius=2048, seed=7, max_radius=2 ** 16)
+    path = sample_path(system, seed=7, max_radius=2 ** 16)
     fibers = full_shift(system, 2)
     phi = log_matrix_potential(fibers, [MAT], r=0.2)
     triple = rpf_solve(phi, fibers, path, depth=8, horizon=140, window=(-80, 80))
@@ -75,7 +75,7 @@ def markov_chain_data(triple):
 def test_01_strong_duality_gap():
     # 200 random pairs with <= 8 atoms: primal minus dual <= 1e-8, under 10 s
     system = stationary_system()
-    path = sample_path(system, radius=64, seed=2)
+    path = sample_path(system, seed=2)
     fibers = full_shift(system, 2)
     rng = np.random.default_rng(42)
     start = time.monotonic()
@@ -105,7 +105,7 @@ def test_01_strong_duality_gap():
 
 def _lemma_family_full_shift():
     system = stationary_system()
-    path = sample_path(system, radius=2048, seed=7, max_radius=2 ** 16)
+    path = sample_path(system, seed=7, max_radius=2 ** 16)
     fibers = full_shift(system, 2)
     phi = log_matrix_potential(fibers, [MAT], r=0.2)
     triple = rpf_solve(phi, fibers, path, depth=5, horizon=80, window=(-60, 60))
@@ -117,7 +117,7 @@ def _lemma_family_full_shift():
 def _lemma_family_golden_mean():
     # depth-3 potential: nonzero Hoelder constant, distortion products above 1
     system = stationary_system()
-    path = sample_path(system, radius=2048, seed=9, max_radius=2 ** 16)
+    path = sample_path(system, seed=9, max_radius=2 ** 16)
     fibers = golden_mean_shift(system)
     rng = np.random.default_rng(1)
     words = admissible_words(fibers, path, 0, 3)
@@ -135,7 +135,7 @@ def _lemma_family_golden_mean():
 
 def _lemma_family_random_3letter():
     system = two_state_iid(p=0.5, seed=13)
-    path = sample_path(system, radius=2048, seed=13, max_radius=2 ** 16)
+    path = sample_path(system, seed=13, max_radius=2 ** 16)
     fibers = full_shift(system, 3)
     mats = (np.array([[0.9, 0.3, 0.4], [0.5, 1.1, 0.3], [0.2, 0.6, 0.7]]),
             np.array([[0.6, 0.5, 0.9], [0.8, 0.4, 0.2], [0.3, 0.8, 0.5]]))
@@ -185,7 +185,7 @@ def test_03_section31_constants():
 def test_04_matrix_rank_one_convergence():
     start = time.monotonic()
     system = stationary_system()
-    path = sample_path(system, radius=512, seed=4, max_radius=2 ** 16)
+    path = sample_path(system, seed=4, max_radius=2 ** 16)
     details = []
     for mat in (np.array([[0.9, 0.2], [0.3, 0.8]]),
                 np.array([[1.0, 0.4, 0.2], [0.3, 0.9, 0.5], [0.2, 0.1, 0.8]])):
@@ -244,7 +244,7 @@ def test_06_gibbs_certification(markov_certified):
 def test_07_psi_mixing(markov_certified):
     # product measure: psi vanishes
     system = two_state_iid(p=0.5, seed=9)
-    ppath = sample_path(system, radius=2048, seed=9, max_radius=2 ** 16)
+    ppath = sample_path(system, seed=9, max_radius=2 ** 16)
     pfibers = full_shift(system, 2)
     tables = ({(1,): math.log(0.3), (2,): math.log(0.7)},
               {(1,): math.log(0.6), (2,): math.log(0.4)})
@@ -291,17 +291,18 @@ def test_08_correlation_decay(markov_certified):
 def test_09_equilibrium_identity(markov_certified):
     _, path, fibers, phi, triple, tilde, nu, cert = markov_certified
     mu, kernel = markov_chain_data(triple)
-    rep = equilibrium_gap(phi, triple, depth=12)
+    rep = equilibrium_gap(phi, triple, tilde, nu, depth=12)
     oracle = -sum(mu[i] * kernel[i, j] * math.log(kernel[i, j])
                   for i in range(2) for j in range(2))
     markov_ok = rep.gap <= 1e-2 and abs(rep.entropy_estimate - oracle) <= 1e-2
 
     system = stationary_system()
-    cpath = sample_path(system, radius=2048, seed=3, max_radius=2 ** 16)
+    cpath = sample_path(system, seed=3, max_radius=2 ** 16)
     cfibers = full_shift(system, 2)
     cphi = constant_potential(cfibers, -math.log(2), r=0.4)
     ctriple = rpf_solve(cphi, cfibers, cpath, depth=6, horizon=60, window=(-30, 30))
-    crep = equilibrium_gap(cphi, ctriple, depth=10)
+    crep = equilibrium_gap(cphi, ctriple, normalize_potential(cphi, ctriple),
+                           invariant_measures(ctriple), depth=10)
     announce(9, markov_ok and crep.gap <= 1e-10,
              f"markov gap {rep.gap:.2e} at depth 12 (oracle matched); "
              f"constant full-shift gap {crep.gap:.2e}")
@@ -312,14 +313,14 @@ def test_10_pressure():
     details = []
     ok = True
     for n_letters in (2, 3, 5):
-        path = sample_path(system, radius=1100, seed=2, max_radius=2 ** 16)
+        path = sample_path(system, seed=2, max_radius=2 ** 16)
         fibers = full_shift(system, n_letters)
         phi = constant_potential(fibers, 0.0)
         est = gurevich_pressure(phi, fibers, path, a=1, horizon=1000)
         gap = abs(est.estimate - math.log(n_letters))
         ok = ok and gap <= 1e-6
         details.append(f"N={n_letters}: {gap:.1e}")
-    gpath = sample_path(system, radius=1100, seed=2, max_radius=2 ** 16)
+    gpath = sample_path(system, seed=2, max_radius=2 ** 16)
     gfibers = golden_mean_shift(system)
     gphi = constant_potential(gfibers, 0.0)
     gest = gurevich_pressure(gphi, gfibers, gpath, a=1, horizon=400)

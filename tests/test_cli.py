@@ -12,10 +12,25 @@ from rtmclab.experiments import RUNNERS
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def test_validate_full_shift_ok(capsys):
-    assert main(["validate", str(CONFIGS / "full_shift_iid.json")]) == 0
+SHIPPED = sorted(p.stem for p in CONFIGS.glob("*.json"))
+
+
+@pytest.mark.parametrize("stem", SHIPPED)
+def test_validate_full_shift_ok(stem, capsys):
+    assert main(["validate", str(CONFIGS / f"{stem}.json")]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] and not out["violations"]
+
+
+@pytest.mark.parametrize("section,key", [("depths", "gibbs"), ("horizons", "slove")])
+def test_unknown_config_key_exits_2(section, key, tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "markov_2letter.json").read_text())
+    cfg.setdefault(section, {})[key] = 4
+    bad = tmp_path / "stale.json"
+    bad.write_text(json.dumps(cfg))
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown {section} key(s) {key}" in err
 
 
 def test_validate_flags_zero_row(tmp_path, capsys):

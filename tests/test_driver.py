@@ -27,39 +27,51 @@ def markov(matrix, seed=0, labels=None):
 
 class TestSamplePath:
     def test_single_state_constant_window(self):
-        path = sample_path(iid([1.0]), radius=3, seed=5)
-        assert path.window() == (0,) * 7
+        path = sample_path(iid([1.0]), seed=5)
+        assert path.states(-3, 3) == (0,) * 7
 
     def test_fair_coin_frequency(self):
         # law of large numbers check
-        path = sample_path(iid([0.5, 0.5], seed=123), radius=10_000)
+        path = sample_path(iid([0.5, 0.5], seed=123))
         freq0 = sum(path.state(i) == 0 for i in range(-10_000, 10_001)) / 20_001
         assert 0.47 <= freq0 <= 0.53
 
     def test_same_seed_same_window(self):
         sys = iid([0.3, 0.7])
-        a = sample_path(sys, radius=50, seed=9)
-        b = sample_path(sys, radius=50, seed=9)
-        assert a.window() == b.window()
+        a = sample_path(sys, seed=9)
+        b = sample_path(sys, seed=9)
+        assert a.states(-50, 50) == b.states(-50, 50)
 
     def test_extension_restriction_consistent(self):
         sys = markov([[0.9, 0.1], [0.2, 0.8]])
-        small = sample_path(sys, radius=10, seed=4)
-        big = sample_path(sys, radius=200, seed=4)
-        assert small.window() == big.states(-10, 10)
+        big = sample_path(sys, seed=4).states(-200, 200)
+        small = sample_path(sys, seed=4).states(-10, 10)
+        assert small == big[190:211]
 
-    def test_radius_validation(self):
+    def test_read_order_does_not_change_states(self):
+        sys = markov([[0.1, 0.6, 0.3], [0.5, 0.0, 0.5], [0.2, 0.7, 0.1]])
+        negative_first, positive_first, interleaved = (sample_path(sys, seed=8) for _ in range(3))
+        negative_first.states(-300, 0)
+        positive_first.states(0, 300)
+        for i in range(300, -1, -1):
+            interleaved.state(i)
+            interleaved.state(-i)
+        reference = sample_path(sys, seed=8).states(-300, 300)
+        for path in (negative_first, positive_first, interleaved):
+            assert path.states(-300, 300) == reference
+
+    def test_max_radius_validation(self):
         with pytest.raises(ConfigError):
-            sample_path(iid([1.0]), radius=0)
+            sample_path(iid([1.0]), max_radius=0)
 
     def test_max_radius_enforced(self):
-        path = sample_path(iid([0.5, 0.5]), radius=4, seed=1, max_radius=16)
+        path = sample_path(iid([0.5, 0.5]), seed=1, max_radius=16)
         with pytest.raises(WindowExhausted):
             path.state(17)
 
     def test_markov_transitions_positive_probability(self):
         sys = markov([[0.0, 1.0], [0.5, 0.5]])
-        path = sample_path(sys, radius=300, seed=2)
+        path = sample_path(sys, seed=2)
         m = sys.matrix
         for i in range(-300, 300):
             assert m[path.state(i), path.state(i + 1)] > 0
@@ -75,46 +87,46 @@ class TestSamplePath:
 
 class TestShiftPath:
     def test_zero_shift_identity(self):
-        p = sample_path(iid([0.5, 0.5]), radius=8, seed=3)
+        p = sample_path(iid([0.5, 0.5]), seed=3)
         q = shift_path(p, 0)
-        assert q.window() == p.window()
+        assert q.states(-8, 8) == p.states(-8, 8)
 
     def test_shift_inverse(self):
-        p = sample_path(markov([[0.5, 0.5], [0.3, 0.7]]), radius=20, seed=7)
+        p = sample_path(markov([[0.5, 0.5], [0.3, 0.7]]), seed=7)
         q = shift_path(shift_path(p, 4), -4)
         assert q.states(-20, 20) == p.states(-20, 20)
 
     def test_shift_matches_resample(self):
         sys = iid([0.25, 0.75], seed=11)
-        p = sample_path(sys, radius=10)
+        p = sample_path(sys)
         q = shift_path(p, 5)
-        fresh = sample_path(sys, radius=30)
+        fresh = sample_path(sys)
         for j in range(-15, 16):
             assert q.state(j) == p.state(j + 5) == fresh.state(j + 5)
 
 
 class TestReturnTimes:
     def test_always_true(self):
-        p = sample_path(iid([1.0]), radius=10, seed=0)
+        p = sample_path(iid([1.0]), seed=0)
         assert return_times(p, EventSpec.always(), count=3) == (1, 2, 3)
 
     def test_alternating_parity(self):
         sys = markov([[0.0, 1.0], [1.0, 0.0]])
         # pick a seed whose time-0 state is 1 so returns to state 0 are the odd times
-        seed = next(s for s in range(50) if sample_path(sys, 1, seed=s).state(0) == 1)
-        p = sample_path(sys, radius=10, seed=seed)
+        seed = next(s for s in range(50) if sample_path(sys, seed=s).state(0) == 1)
+        p = sample_path(sys, seed=seed)
         ev = EventSpec.state_in(sys, ["s0"])
         assert return_times(p, ev, count=3) == (1, 3, 5)
 
     def test_backward_direction(self):
-        p = sample_path(iid([1.0]), radius=10, seed=0)
+        p = sample_path(iid([1.0]), seed=0)
         assert return_times(p, EventSpec.always(), count=2, direction="backward") == (1, 2)
 
     def test_mean_gap_matches_geometric_law(self):
         # Monte Carlo against the geometric law: mean gap ~ 1/p within 10%
         prob = 0.3
         sys = iid([prob, 1 - prob], seed=77)
-        p = sample_path(sys, radius=1, max_radius=40_000)
+        p = sample_path(sys, max_radius=40_000)
         ev = EventSpec.state_in(sys, ["s0"])
         times = return_times(p, ev, count=1000)
         mean_gap = times[-1] / len(times)
@@ -122,14 +134,14 @@ class TestReturnTimes:
 
     def test_insufficient_returns(self):
         sys = iid([0.5, 0.5], seed=5)
-        p = sample_path(sys, radius=4, max_radius=32)
+        p = sample_path(sys, max_radius=32)
         ev = EventSpec(radius=0, fn=lambda w: False, name="never")
         with pytest.raises(InsufficientReturns):
             return_times(p, ev, count=1)
 
     def test_shift_commutes_with_returns(self):
         sys = iid([0.4, 0.6], seed=13)
-        p = sample_path(sys, radius=1, max_radius=10_000)
+        p = sample_path(sys, max_radius=10_000)
         ev = EventSpec.state_in(sys, ["s0"])
         base = return_times(p, ev, count=40)
         shifted = return_times(shift_path(p, 1), ev, count=30)
@@ -144,7 +156,7 @@ class TestStationarity:
         pi = sys.stationary()
         assert np.allclose(pi, [2 / 3, 1 / 3], atol=1e-10)
         span = 100_000
-        p = sample_path(sys, radius=1, max_radius=span + 10)
+        p = sample_path(sys, max_radius=span + 10)
         freq = event_frequency(p, EventSpec.state_in(sys, ["s0"]), span)
         # inflate the i.i.d. sigma by the chain's integrated autocorrelation factor
         rho = np.sort(np.linalg.eigvals(m).real)[0]
@@ -153,6 +165,6 @@ class TestStationarity:
 
     def test_event_frequency_probe(self):
         sys = iid([0.2, 0.8], seed=3)
-        p = sample_path(sys, radius=1, max_radius=60_000)
+        p = sample_path(sys, max_radius=60_000)
         f = event_frequency(p, EventSpec.state_in(sys, ["s0"]), 50_000)
         assert abs(f - 0.2) < 0.02

@@ -22,7 +22,7 @@ from conftest import full_shift, golden_mean_shift, stationary_system, two_state
 @pytest.fixture(scope="module")
 def stat_path():
     system = stationary_system()
-    return system, sample_path(system, radius=2048, seed=4, max_radius=2 ** 16)
+    return system, sample_path(system, seed=4, max_radius=2 ** 16)
 
 
 def eigen_oracle(mat):
@@ -42,7 +42,7 @@ def eigen_oracle(mat):
 class TestMatrixRpf:
     def test_scalar_family(self):
         system = stationary_system()
-        path = sample_path(system, radius=512, seed=0, max_radius=2 ** 16)
+        path = sample_path(system, seed=0, max_radius=2 ** 16)
         fibers = full_shift(system, 1)
         fam = RandomMatrixFamily(fibers, (np.array([[1.7]]),))
         res = matrix_rpf(fam, path, horizon=30, window=(0, 4))
@@ -87,7 +87,7 @@ class TestMatrixRpf:
 
     def test_random_driver_cross_check_with_solver(self):
         system = two_state_iid(p=0.5, seed=6)
-        path = sample_path(system, radius=2048, seed=6, max_radius=2 ** 16)
+        path = sample_path(system, seed=6, max_radius=2 ** 16)
         fibers = full_shift(system, 2)
         mats = (np.array([[0.6, 0.3], [0.4, 0.7]]) * 1.2,
                 np.array([[0.5, 0.8], [0.9, 0.4]]))

@@ -23,7 +23,7 @@ MAT = np.array([[0.3, 0.6], [0.7, 0.4]])  # column-stochastic 2-letter instance
 @pytest.fixture(scope="module")
 def markov_instance():
     system = stationary_system()
-    path = sample_path(system, radius=2048, seed=7, max_radius=2 ** 16)
+    path = sample_path(system, seed=7, max_radius=2 ** 16)
     fibers = full_shift(system, 2)
     phi = log_matrix_potential(fibers, [MAT], r=0.2)
     triple = rpf_solve(phi, fibers, path, depth=8, horizon=140, window=(-80, 80))
@@ -38,7 +38,7 @@ def markov_instance():
 @pytest.fixture(scope="module")
 def product_instance():
     system = two_state_iid(p=0.5, seed=9)
-    path = sample_path(system, radius=2048, seed=9, max_radius=2 ** 16)
+    path = sample_path(system, seed=9, max_radius=2 ** 16)
     fibers = full_shift(system, 2)
     tables = ({(1,): math.log(0.3), (2,): math.log(0.7)},
               {(1,): math.log(0.6), (2,): math.log(0.4)})
@@ -142,11 +142,12 @@ class TestPsiMixing:
 class TestEquilibrium:
     def test_full_shift_constant_gap_tiny(self):
         system = stationary_system()
-        path = sample_path(system, radius=2048, seed=3, max_radius=2 ** 16)
+        path = sample_path(system, seed=3, max_radius=2 ** 16)
         fibers = full_shift(system, 2)
         phi = constant_potential(fibers, -math.log(2), r=0.4)
         triple = rpf_solve(phi, fibers, path, depth=6, horizon=60, window=(-30, 30))
-        rep = equilibrium_gap(phi, triple, depth=10)
+        rep = equilibrium_gap(phi, triple, normalize_potential(phi, triple),
+                              invariant_measures(triple), depth=10)
         assert rep.entropy_estimate == pytest.approx(math.log(2), abs=1e-12)
         assert rep.potential_integral == pytest.approx(-math.log(2), abs=1e-12)
         assert abs(rep.pressure) < 1e-12
@@ -155,7 +156,7 @@ class TestEquilibrium:
     def test_markov_against_entropy_rate_oracle(self, markov_instance):
         _, path, fibers, phi, triple, tilde, nu, cert = markov_instance
         mu, kernel = markov_chain_data(path, triple)
-        rep = equilibrium_gap(phi, triple, depth=12)
+        rep = equilibrium_gap(phi, triple, tilde, nu, depth=12)
         oracle = -sum(
             mu[i] * kernel[i, j] * math.log(kernel[i, j])
             for i in range(2) for j in range(2)
@@ -166,7 +167,7 @@ class TestEquilibrium:
 
     def test_comparison_kernel_inequality(self, markov_instance):
         _, path, fibers, phi, triple, tilde, nu, cert = markov_instance
-        rep = equilibrium_gap(phi, triple, depth=10,
+        rep = equilibrium_gap(phi, triple, tilde, nu, depth=10,
                               comparison_kernel=[[0.5, 0.5], [0.5, 0.5]])
         assert rep.comparison is not None
         assert rep.comparison["inequality_ok"]

@@ -29,7 +29,7 @@ from conftest import full_shift, golden_mean_shift, stationary_system
 @pytest.fixture
 def full2():
     system = stationary_system()
-    path = sample_path(system, radius=256, seed=0)
+    path = sample_path(system, seed=0)
     return full_shift(system, 2), path
 
 
@@ -92,7 +92,7 @@ class TestBirkhoffSum:
     @given(n=st.integers(0, 4), m=st.integers(0, 4), seed=st.integers(0, 100))
     def test_cocycle_identity(self, n, m, seed):
         system = stationary_system()
-        path = sample_path(system, radius=64, seed=0)
+        path = sample_path(system, seed=0)
         fibers = full_shift(system, 2)
         rng = np.random.default_rng(seed)
         phi = table_potential([random_depth_table(fibers, path, 0, 2, rng)], depth=2, r=0.5)
@@ -156,7 +156,7 @@ class TestDistortionConstant:
     def test_two_truncations_agree(self):
         # kappa i.i.d. in {0, 1} via a two-state driver
         system = __import__("conftest").two_state_iid(seed=5)
-        path = sample_path(system, radius=512, seed=5)
+        path = sample_path(system, seed=5)
         fibers = full_shift(system, 2)
         words_a = admissible_words(fibers, path, 0, 3)
         phi = Potential(depth=3, r=0.5, index=2,

@@ -34,14 +34,14 @@ def brute_force_words(fibers, path, start, n):
 @pytest.fixture
 def gm():
     system = stationary_system()
-    path = sample_path(system, radius=64, seed=0)
+    path = sample_path(system, seed=0)
     return golden_mean_shift(system), path
 
 
 @pytest.fixture
 def full2():
     system = stationary_system()
-    path = sample_path(system, radius=64, seed=0)
+    path = sample_path(system, seed=0)
     return full_shift(system, 2), path
 
 
@@ -53,7 +53,7 @@ class TestAdmissibleWords:
 
     def test_upper_triangular(self):
         system = stationary_system()
-        path = sample_path(system, radius=16, seed=0)
+        path = sample_path(system, seed=0)
         fibers = FiberStructure.build(
             system,
             alphabets={"a": [1, 2]},
@@ -69,7 +69,7 @@ class TestAdmissibleWords:
 
     def test_matches_bruteforce_on_random_pattern(self):
         system = two_state_iid(seed=3)
-        path = sample_path(system, radius=32, seed=3)
+        path = sample_path(system, seed=3)
         fibers = FiberStructure.build(
             system,
             alphabets={"a": [1, 2, 3], "b": [1, 2, 3]},
@@ -106,7 +106,7 @@ class TestWordIndex:
 
     def test_two_state_iid_matches_bruteforce(self):
         system = two_state_iid(seed=9)
-        path = sample_path(system, radius=64, seed=9)
+        path = sample_path(system, seed=9)
         fibers = FiberStructure.build(
             system,
             alphabets={"a": [1, 2, 3], "b": [1, 2]},
@@ -130,7 +130,7 @@ class TestWordIndex:
 
     def test_shifted_path_reuses_entries(self):
         system = two_state_iid(seed=4)
-        path = sample_path(system, radius=64, seed=4)
+        path = sample_path(system, seed=4)
         fibers = full_shift(system, 3)
         shifted = shift_path(path, 11)
         for start in (-5, 0, 7):
@@ -145,7 +145,7 @@ class TestCanonicalRepresentative:
 
     def test_forced_then_minimal(self):
         system = stationary_system()
-        path = sample_path(system, radius=16, seed=0)
+        path = sample_path(system, seed=0)
         fibers = FiberStructure.build(
             system,
             alphabets={"a": [1, 2]},
@@ -208,7 +208,7 @@ class TestShiftMetric:
     @given(st.data())
     def test_ultrametric_triangle(self, data):
         system = stationary_system()
-        path = sample_path(system, radius=32, seed=0)
+        path = sample_path(system, seed=0)
         fibers = golden_mean_shift(system)
         words = admissible_words(fibers, path, 0, 6)
         pick = st.integers(0, len(words) - 1)

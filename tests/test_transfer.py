@@ -15,6 +15,7 @@ from rtmclab.potentials import (
     distortion_constant,
     log_matrix_potential,
     table_potential,
+    word_birkhoff,
 )
 from rtmclab.shifts import FiberStructure, admissible_words, canonical_representative
 from rtmclab.transfer import (
@@ -40,21 +41,20 @@ from conftest import (
     two_state_iid,
 )
 
-RADIUS = 2048
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
 def full2():
     system = stationary_system()
-    path = sample_path(system, radius=RADIUS, seed=1, max_radius=2 ** 16)
+    path = sample_path(system, seed=1, max_radius=2 ** 16)
     return full_shift(system, 2), path
 
 
 @pytest.fixture(scope="module")
 def gm():
     system = stationary_system()
-    path = sample_path(system, radius=RADIUS, seed=1, max_radius=2 ** 16)
+    path = sample_path(system, seed=1, max_radius=2 ** 16)
     return golden_mean_shift(system), path
 
 
@@ -117,6 +117,22 @@ class TestTransferApply:
         assert transfer_apply(phi, pos).inf() >= 0.0
 
 
+def direct_power_oracle(phi, f, n):
+    """The n-fold operator as one direct sum over the admissible inverse branches."""
+    fibers, path, j = f.fibers, f.path, f.anchor
+    out_depth = max(f.depth - n, phi.depth - 1, 1)
+    out = {}
+    for w in admissible_words(fibers, path, j + n, out_depth):
+        total = 0.0
+        for v in admissible_words(fibers, path, j, n):
+            if not fibers.admits(path, j + n - 1, v[-1], w[0]):
+                continue
+            full = v + w  # length n + out_depth covers the Birkhoff block and f's depth
+            total += math.exp(word_birkhoff(phi, path, j, full, n)) * f.values[full[: f.depth]]
+        out[w] = total
+    return CylinderFunction(fibers, path, j + n, out_depth, out)
+
+
 class TestTransferPower:
     def test_identity_at_zero(self, full2):
         fibers, path = full2
@@ -141,8 +157,8 @@ class TestTransferPower:
                               depth=2, r=0.5)
         f = random_lipschitz(fibers, path, 0, 3, rng, r=0.5)
         for n in (1, 2, 3, 4):
-            a = transfer_power(phi, f, n, method="iterate")
-            b = transfer_power(phi, f, n, method="direct")
+            a = transfer_power(phi, f, n)
+            b = direct_power_oracle(phi, f, n)
             assert a.sub(b).sup_norm() < 1e-12
 
     def test_sup_norm_contraction_when_normalized(self, full2):
@@ -218,7 +234,7 @@ def dict_mu_sweep(phi, start, bottom, depth, window):
 def random_pattern3():
     """Three letters, a different sparse pattern per state of a two-state i.i.d. driver."""
     system = two_state_iid(seed=3)
-    path = sample_path(system, radius=RADIUS, seed=3, max_radius=2 ** 16)
+    path = sample_path(system, seed=3, max_radius=2 ** 16)
     fibers = FiberStructure.build(
         system,
         alphabets={"a": [1, 2, 3], "b": [1, 2, 3]},
@@ -230,7 +246,7 @@ def random_pattern3():
 
 def two_state_full():
     system = two_state_iid(seed=5)
-    path = sample_path(system, radius=RADIUS, seed=5, max_radius=2 ** 16)
+    path = sample_path(system, seed=5, max_radius=2 ** 16)
     return full_shift(system, 2), path
 
 
@@ -403,7 +419,7 @@ def eigen_oracle(mat):
 class TestRpfSolve:
     def test_iid_product_case(self):
         system = two_state_iid(p=0.4, seed=8)
-        path = sample_path(system, radius=RADIUS, seed=8, max_radius=2 ** 16)
+        path = sample_path(system, seed=8, max_radius=2 ** 16)
         fibers = full_shift(system, 2)
         # phi(x) = log p_s(x0), already normalized: lambda = 1, h = 1, mu = product
         tables = ({(1,): math.log(0.3), (2,): math.log(0.7)},
@@ -503,7 +519,7 @@ class TestPressure:
     def test_full_shift_log_n(self):
         for n_letters, horizon in [(2, 200), (3, 120)]:
             system = stationary_system()
-            path = sample_path(system, radius=1024, seed=2, max_radius=2 ** 16)
+            path = sample_path(system, seed=2, max_radius=2 ** 16)
             fibers = full_shift(system, n_letters)
             phi = constant_potential(fibers, 0.0)
             est = gurevich_pressure(phi, fibers, path, a=1, horizon=horizon)
@@ -538,7 +554,7 @@ class TestPressure:
 class TestGibbs:
     def test_product_measure_ratio_one(self):
         system = two_state_iid(p=0.5, seed=12)
-        path = sample_path(system, radius=RADIUS, seed=12, max_radius=2 ** 16)
+        path = sample_path(system, seed=12, max_radius=2 ** 16)
         fibers = full_shift(system, 2)
         tables = ({(1,): math.log(0.3), (2,): math.log(0.7)},
                   {(1,): math.log(0.6), (2,): math.log(0.4)})

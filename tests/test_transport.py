@@ -39,7 +39,7 @@ from conftest import full_shift, golden_mean_shift, stationary_system, two_state
 @pytest.fixture(scope="module")
 def full2():
     system = stationary_system()
-    path = sample_path(system, radius=2048, seed=1, max_radius=2 ** 16)
+    path = sample_path(system, seed=1, max_radius=2 ** 16)
     return full_shift(system, 2), path
 
 
@@ -219,7 +219,7 @@ def _parity_pairs():
     """pytest params (mu, nu, metric) over the instances the closed form must handle."""
     rng = np.random.default_rng(11)
     system = stationary_system()
-    path = sample_path(system, radius=64, seed=4)
+    path = sample_path(system, seed=4)
     shifts = {"full3": full_shift(system, 3), "golden": golden_mean_shift(system)}
     metrics = (Metric("raw", 0.4), Metric("adjusted", 0.4, alpha=3.0))
     out = []
@@ -366,7 +366,7 @@ class TestContractionConstants:
 
     def test_golden_mean_passage_words(self):
         system = stationary_system()
-        path = sample_path(system, radius=512, seed=3, max_radius=2 ** 16)
+        path = sample_path(system, seed=3, max_radius=2 ** 16)
         fibers = golden_mean_shift(system)
         phi = log_matrix_potential(fibers, [np.array([[0.5, 0.5], [1.0, 0.0]])], r=0.2)
         triple = rpf_solve(phi, fibers, path, depth=5, horizon=80, window=(-40, 40))
@@ -397,7 +397,7 @@ class TestReturnSequences:
     def test_event_frequency_markov_gap(self):
         # event of frequency ~ 1/4: mean sequence gap ~ per-block length x 4
         system = two_state_iid(p=0.25, seed=21)
-        path = sample_path(system, radius=4096, seed=21, max_radius=2 ** 16)
+        path = sample_path(system, seed=21, max_radius=2 ** 16)
         fibers = full_shift(system, 2)
         mats = [np.array([[0.3, 0.6], [0.7, 0.4]]), np.array([[0.5, 0.25], [0.5, 0.75]])]
         phi = log_matrix_potential(fibers, mats, r=0.2)
@@ -550,7 +550,7 @@ def distorted_instance():
     from rtmclab.potentials import Potential, fitted_kappa
 
     system = two_state_iid(p=0.5, seed=23)
-    path = sample_path(system, radius=2048, seed=23, max_radius=2 ** 16)
+    path = sample_path(system, seed=23, max_radius=2 ** 16)
     fibers = full_shift(system, 2)
     rng = np.random.default_rng(5)
     words = admissible_words(fibers, path, 0, 3)
@@ -617,7 +617,7 @@ class TestDualityProperty:
            alpha=st.floats(1.0, 5.0))
     def test_gap_below_tolerance(self, seed, depth, alpha):
         system = stationary_system()
-        path = sample_path(system, radius=32, seed=0)
+        path = sample_path(system, seed=0)
         fibers = full_shift(system, 2)
         rng = np.random.default_rng(seed)
         words = admissible_words(fibers, path, 0, depth)
