@@ -103,11 +103,6 @@ from .mixing import (
     psi_mixing,
     refined_invariant,
 )
-from .nonstationary import (
-    NonstationaryReport,
-    NonstationarySpec,
-    invariant_sequence_check,
-)
 from .config import ExperimentConfig, load_config, validate_config
 
 __version__ = "0.1.0"

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, InsufficientReturns, WindowExhausted
 
@@ -64,6 +62,17 @@ class DriverSystem:
     def n_states(self) -> int:
         return len(self.states)
 
+    @property
+    def period(self) -> int:
+        """Cycle length of a deterministic (0/1) Markov law, 1 for every other law.
+
+        An irreducible 0/1 row-stochastic matrix is a cyclic permutation, so
+        its cycle visits every state once.
+        """
+        if self.kind == "markov" and np.isin(self.matrix, (0.0, 1.0)).all():
+            return self.n_states
+        return 1
+
     def index_of(self, label: str) -> int:
         try:
             return self.states.index(label)
@@ -100,8 +109,14 @@ def _check_distribution(w: np.ndarray, what: str) -> None:
 
 
 def _irreducible(m: np.ndarray) -> bool:
-    n, labels = connected_components(csr_matrix(m > 0), directed=True, connection="strong")
-    return n == 1
+    """Every state reaches every state: the reachability closure is all true."""
+    step = (m > 0).astype(np.int64)
+    reach = np.eye(len(m), dtype=bool)
+    while True:
+        grown = reach | (reach.astype(np.int64) @ step > 0)
+        if (grown == reach).all():
+            return bool(reach.all())
+        reach = grown
 
 
 class _PathCore:

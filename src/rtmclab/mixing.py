@@ -24,7 +24,6 @@ from .transfer import (
     CylinderFunction,
     RpfTriple,
     dual_apply,
-    gurevich_pressure,
     transfer_apply,
     transfer_power,
 )
@@ -273,11 +272,10 @@ def psi_mixing(
 @dataclass
 class EquilibriumReport:
     entropy_curve: list  # (n, H_n / n) at event returns
-    entropy_estimate: float  # increment estimator over the last return gap
+    entropy_estimate: float  # increment estimator over the last whole driver periods
     entropy_bar: float  # |last increment - previous increment|
     potential_integral: float
     pressure: float  # log-eigenvalue route
-    pressure_bar: float  # |log-eigenvalue route - preimage-growth route|
     gap: float
     comparison: dict | None  # variational inequality against a declared kernel
 
@@ -289,25 +287,31 @@ def equilibrium_gap(
     nu: dict,
     depth: int,
     event: EventSpec | None = None,
-    pressure_letter: int | None = None,
-    pressure_horizon: int = 400,
     comparison_kernel=None,
 ) -> EquilibriumReport:
-    """|entropy + int phi dnu - pressure| with the three error components.
+    """|entropy + int phi dnu - pressure| with the entropy error component.
 
     `tilde` and `nu` are the normalized potential and the invariant measures
     of the triple (normalize_potential, invariant_measures).  Entropy uses
     cylinder sums of the invariant measure dnu = h dmu at event returns,
-    estimated by increments between consecutive returns (exact on Markov
-    instances); the potential integral is an exact table sum; pressure comes
-    from the mean log eigenvalue, cross-checked against the preimage-growth
-    estimator.
+    estimated by the increment from the latest return n1 a whole number of
+    driver periods before the last return n2 (exact on Markov instances); the
+    potential integral is an exact table sum and the pressure the mean log
+    eigenvalue, both over the same fibers [n1, n2).  The coboundary terms of
+    a periodic system cancel only over whole periods, so the window never
+    covers part of one.
     """
     fibers, path = triple.fibers, triple.path
     event = event or EventSpec.always()
+    period = path.system.period
     returns = [n for n in range(2, depth + 1) if event.evaluate(path, n)]
-    if len(returns) < 2:
-        raise ConvergenceError("need at least two event returns within the depth")
+    whole = [n for n in returns[:-1] if (returns[-1] - n) % period == 0]
+    if not whole:
+        raise ConvergenceError(
+            f"need two event returns a whole number of driver periods ({period}) "
+            f"apart within the entropy depth {depth}"
+        )
+    n2, n1 = returns[-1], whole[-1]
     curve = []
     h_vals = {}
     for n in returns:
@@ -316,10 +320,10 @@ def equilibrium_gap(
         h_n = -sum(m * math.log(m) for m in masses.values() if m > 0)
         h_vals[n] = h_n
         curve.append((n, h_n / n))
-    n2, n1 = returns[-1], returns[-2]
     est = (h_vals[n2] - h_vals[n1]) / (n2 - n1)
-    if len(returns) >= 3:
-        n0 = returns[-3]
+    earlier = [n for n in returns if n < n1 and (n1 - n) % period == 0]
+    if earlier:
+        n0 = earlier[-1]
         prev = (h_vals[n1] - h_vals[n0]) / (n1 - n0)
         bar = abs(est - prev)
     else:
@@ -335,12 +339,6 @@ def equilibrium_gap(
 
     integral = sum(nu[j].integrate(phi_cf(j)) for j in range(n1, n2)) / (n2 - n1)
     pressure = sum(triple.log_lambda[j] for j in range(n1, n2)) / (n2 - n1)
-    letter = pressure_letter if pressure_letter is not None else min(fibers.alphabet(path, 0))
-    try:
-        growth = gurevich_pressure(phi, fibers, path, letter, pressure_horizon).estimate
-        pressure_bar = abs(pressure - growth)
-    except ConvergenceError:
-        pressure_bar = math.nan
     gap = abs(est + integral - pressure)
     comparison = None
     if comparison_kernel is not None:
@@ -348,8 +346,7 @@ def equilibrium_gap(
                                         est + integral, pressure)
     return EquilibriumReport(entropy_curve=curve, entropy_estimate=est,
                              entropy_bar=bar, potential_integral=integral,
-                             pressure=pressure, pressure_bar=pressure_bar,
-                             gap=gap, comparison=comparison)
+                             pressure=pressure, gap=gap, comparison=comparison)
 
 
 def _markov_comparison(phi, fibers, path, kernel, achieved, pressure) -> dict:

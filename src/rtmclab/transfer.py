@@ -699,8 +699,15 @@ class PressureEstimate:
     letter: int
     curve: list  # (n, (1/n) log Z_n) at usable return times
     estimate: float  # tail increment (telescoped Cesaro) estimate
-    lambda_route: float | None  # mean log lambda over the tail, when a triple is given
     returns_used: int
+
+    def lambda_route(self, triple: RpfTriple) -> float | None:
+        """Mean log lambda of the triple over fibers [0, last return), None if empty."""
+        last = self.curve[-1][0]
+        span = range(max(triple.lo, 0), min(triple.hi, last))
+        if len(span) == 0:
+            return None
+        return sum(triple.log_lambda[j] for j in span) / len(span)
 
 
 def gurevich_pressure(
@@ -709,7 +716,6 @@ def gurevich_pressure(
     path: DriverPath,
     a: int,
     horizon: int,
-    triple: RpfTriple | None = None,
 ) -> PressureEstimate:
     """Growth rate of the weighted preimage counts of the letter cylinder [a].
 
@@ -743,13 +749,8 @@ def gurevich_pressure(
     if last == mid:
         mid = ns[0]
     estimate = (log_z[last] - log_z[mid]) / (last - mid)
-    lam_route = None
-    if triple is not None:
-        span = range(max(triple.lo, 0), min(triple.hi, last))
-        if len(span) > 0:
-            lam_route = sum(triple.log_lambda[j] for j in span) / len(span)
     return PressureEstimate(letter=a, curve=curve, estimate=estimate,
-                            lambda_route=lam_route, returns_used=len(log_z))
+                            returns_used=len(log_z))
 
 
 @dataclass

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .driver import DriverPath, EventSpec
 from .errors import (
@@ -260,7 +258,12 @@ def lipschitz_dual(
 
     Solved as an independent LP (HiGHS) on the union of supports; the witness
     is extended to a cylinder function by the minimal 1-Lipschitz extension.
+    scipy is imported here, the only place that needs it, so that a run of the
+    experiments never loads it.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     if mu.anchor != nu.anchor:
         raise AdmissibilityError("measures on different fibers")
     depth = max(mu.depth, nu.depth)

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -240,3 +243,12 @@ def test_bad_window_cap_exits_2(value, tmp_path, monkeypatch, capsys):
 
 def test_missing_config_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "none.json"), "rpf"]) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only lipschitz_dual, which imports it on its first call
+    probe = "import sys, rtmclab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.strip() == "[]"

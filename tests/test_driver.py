@@ -168,3 +168,42 @@ class TestStationarity:
         p = sample_path(sys, max_radius=60_000)
         f = event_frequency(p, EventSpec.state_in(sys, ["s0"]), 50_000)
         assert abs(f - 0.2) < 0.02
+
+
+class TestLaw:
+    def test_irreducible_matches_strong_components(self):
+        # oracle: one strongly connected component (scipy.sparse.csgraph)
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        from rtmclab.driver import _irreducible
+
+        rng = np.random.default_rng(4)
+        verdicts = set()
+        for n in (1, 2, 3, 5, 8):
+            for density in (0.15, 0.3, 0.6):
+                for _ in range(20):
+                    m = (rng.random((n, n)) < density).astype(float)
+                    count, _ = connected_components(csr_matrix(m > 0), directed=True,
+                                                    connection="strong")
+                    assert _irreducible(m) == (count == 1)
+                    verdicts.add(count == 1)
+        assert verdicts == {True, False}
+
+    def test_reducible_markov_law_rejected(self):
+        with pytest.raises(ConfigError, match="not irreducible"):
+            markov([[0.5, 0.5], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("matrix, period", [
+        ([[0, 1], [1, 0]], 2),
+        (np.roll(np.eye(5), 1, axis=1), 5),
+        ([[1.0]], 1),
+        ([[0.7, 0.3], [0.4, 0.6]], 1),
+        ([[0.0, 1.0], [0.5, 0.5]], 1),
+    ])
+    def test_period_of_markov_law(self, matrix, period):
+        assert markov(matrix).period == period
+
+    def test_iid_law_has_period_one(self):
+        assert iid([0.0, 1.0]).period == 1
+        assert iid([1.0]).period == 1

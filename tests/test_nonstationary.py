@@ -1,99 +1,151 @@
+"""Non-stationary shift spaces as configs: a periodic system is a cyclic driver law.
+
+A period-m sequence of (alphabet, transition pattern, weight matrix) entries is
+a `markov` driver whose matrix is the m-cycle, one driver state per period
+position.  Each system below is an ExperimentConfig read through the same
+SeedPipeline as every shipped config: the eigen-triple carries the invariant
+sequence, and the contract runner's verify_decay checks the sup-norm decay
+(it raises on any increase and on any envelope miss).
+"""
+
+import json
 import math
+from pathlib import Path
 
 import numpy as np
-import pytest
 
-from rtmclab.nonstationary import NonstationarySpec, invariant_sequence_check
+from rtmclab.cli import main
+from rtmclab.config import load_config
+from rtmclab.experiments import SeedPipeline, run_contract
+from rtmclab.shifts import admissible_words
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+PERIODIC = CONFIGS / "periodic_2_3letter.json"
 
 
-def uniform_full_shift_entry(n_letters):
-    letters = list(range(1, n_letters + 1))
-    table = {}
-    for a in letters:
-        for b in letters:
-            table[(a, b)] = -math.log(n_letters)
-    return letters, [[1] * n_letters for _ in range(n_letters)], table
+def periodic_config(tmp_path, entries, working=5, solve=60, decay=40, entropy=10):
+    """Config of the cyclic system over entries (alphabet, 0/1 pattern, weights).
+
+    Patterns are |alphabet| x |union universe|, and the weights' signum is the
+    pattern (a log_matrix potential).
+    """
+    m = len(entries)
+    states = [f"p{i}" for i in range(m)]
+    letters = sorted(set().union(*(set(alpha) for alpha, _, _ in entries)))
+    raw = {
+        "schema": 1,
+        "name": f"period-{m}",
+        "driver": {"states": states,
+                   "law": {"kind": "markov",
+                           "matrix": np.roll(np.eye(m), 1, axis=1).tolist()},
+                   "seed": 0},
+        "fibers": {
+            "alphabets": {s: alpha for s, (alpha, _, _) in zip(states, entries)},
+            "matrices": {s: pattern for s, (_, pattern, _) in zip(states, entries)},
+            "bip": {"I": letters, "omega_bp": states, "omega_bi": states},
+        },
+        "potential": {"kind": "log_matrix", "r": 0.2,
+                      "matrices": {s: np.asarray(w, dtype=float).tolist()
+                                   for s, (_, _, w) in zip(states, entries)}},
+        "depths": {"working": working, "entropy": entropy},
+        "horizons": {"solve": solve, "decay": decay},
+        "trials": {"lemma": 4},
+        "seeds": [0],
+    }
+    path = tmp_path / "periodic.json"
+    path.write_text(json.dumps(raw))
+    return load_config(path)
 
 
 def column_stochastic_entry(mat):
+    """A full n-letter fiber whose weights sum to 1 down each column (over preimages)."""
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
-    letters = list(range(1, n + 1))
-    pattern = [[1 if mat[i, j] > 0 else 0 for j in range(n)] for i in range(n)]
-    table = {
-        (i + 1, j + 1): math.log(mat[i, j])
-        for i in range(n) for j in range(n) if mat[i, j] > 0
-    }
-    return letters, pattern, table
+    return list(range(1, n + 1)), (mat > 0).astype(int).tolist(), mat
+
+
+def max_log_lambda(pipeline) -> float:
+    return max(abs(v) for v in pipeline.triple.log_lambda.values())
+
+
+def preimage_sums(phi, fibers, path, fiber):
+    """sum over a of e^phi(a w), per tail w, at one fiber."""
+    sums: dict = {}
+    for w in admissible_words(fibers, path, fiber, max(phi.depth, 2)):
+        sums[w[1:]] = sums.get(w[1:], 0.0) + math.exp(phi.value(path, fiber, w))
+    return sums
 
 
 class TestInvariantSequence:
-    def test_stationary_embedding(self):
-        letters, pattern, table = column_stochastic_entry([[0.3, 0.6], [0.7, 0.4]])
-        spec = NonstationarySpec(alphabets=[letters], matrices=[pattern],
-                                 tables=[table], depth=2, r=0.2)
-        report = invariant_sequence_check(spec, horizon=60, depth=5, checkpoints=4)
-        assert report.ok
-        assert report.lambda_gap <= 1e-10
-        assert report.mu_two_start_gap <= 1e-8
-        for j, p, gap, bound in report.checkpoints:
-            assert gap <= bound + 1e-10
+    def test_stationary_embedding(self, tmp_path):
+        cfg = periodic_config(tmp_path, [column_stochastic_entry([[0.3, 0.6], [0.7, 0.4]])])
+        p = SeedPipeline(cfg, 0, ("contract",))
+        assert max_log_lambda(p) <= 1e-10
+        assert max(p.triple.diagnostics["mu_gap"].values()) <= 1e-8
+        report, _ = run_contract(p)
+        assert report["passed"]
 
-    def test_alternating_full_shifts_uniform(self):
-        e2 = uniform_full_shift_entry(2)
-        e3 = uniform_full_shift_entry(3)
-        # both entries live over the union universe {1, 2, 3}
-        m2 = [[1, 1, 0], [1, 1, 0]]
-        m3 = [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
-        # alternating: 2-letter fiber feeds the 3-letter fiber and back; the
-        # operator sums over current-fiber preimage letters, hence -log|W_k|
-        t2 = {(a, b): -math.log(2) for a in (1, 2) for b in (1, 2, 3)}
-        t3 = {(a, b): -math.log(3) for a in (1, 2, 3) for b in (1, 2)}
-        m2 = [[1, 1, 1], [1, 1, 1]]
-        spec = NonstationarySpec(alphabets=[[1, 2], [1, 2, 3]],
-                                 matrices=[m2, m3[:3]], tables=[t2, t3],
-                                 depth=2, r=0.2)
-        report = invariant_sequence_check(spec, horizon=40, depth=4, checkpoints=3)
-        assert report.ok
-        # uniform potentials keep the pulled-back measures uniform, gap exactly 0
-        for j, p, gap, bound in report.checkpoints:
-            assert gap <= bound
+    def test_alternating_full_shifts_uniform(self, tmp_path):
+        # a 2-letter fiber feeds a 3-letter fiber and back; the operator sums
+        # over current-fiber preimage letters, hence weights 1/|W_k|
+        cfg = periodic_config(tmp_path, [
+            ([1, 2], [[1, 1, 1]] * 2, np.full((2, 3), 1 / 2)),
+            ([1, 2, 3], [[1, 1, 0]] * 3, [[1 / 3, 1 / 3, 0.0]] * 3),
+        ], working=4, solve=40)
+        assert cfg.system.period == 2
+        p = SeedPipeline(cfg, 0, ("contract",))
+        assert max_log_lambda(p) <= 1e-10
+        report, tables = run_contract(p)
+        assert report["passed"]
+        # uniform potentials keep the pulled-back measures uniform: one step
+        # maps a one-letter function to its mean
+        _, decay_rows = tables["contract_decay"]
+        assert max(gap for _, gap, _ in decay_rows) <= 1e-12
 
-    def test_random_period_ten(self):
+    def test_random_period_ten(self, tmp_path):
         rng = np.random.default_rng(12)
-        alphabets, matrices, tables = [], [], []
+        entries = []
         for _ in range(10):
             raw = rng.uniform(0.2, 1.0, size=(2, 2))
-            mat = raw / raw.sum(axis=0, keepdims=True)  # column-stochastic
-            letters, pattern, table = column_stochastic_entry(mat)
-            alphabets.append(letters)
-            matrices.append(pattern)
-            tables.append(table)
-        spec = NonstationarySpec(alphabets=alphabets, matrices=matrices,
-                                 tables=tables, depth=2, r=0.2)
-        report = invariant_sequence_check(spec, horizon=60, depth=5, checkpoints=4)
-        assert report.ok
-        gaps = [g for _, _, g, _ in report.checkpoints]
-        assert all(b <= a + 1e-14 for a, b in zip(gaps, gaps[1:]))
-        for j, p, gap, bound in report.checkpoints:
-            assert gap <= bound + 1e-10
+            entries.append(column_stochastic_entry(raw / raw.sum(axis=0, keepdims=True)))
+        cfg = periodic_config(tmp_path, entries)
+        assert cfg.system.period == 10
+        p = SeedPipeline(cfg, 0, ("contract",))
+        assert max_log_lambda(p) <= 1e-8
+        # verify_decay raises on any sup-norm increase and any envelope miss
+        report, tables = run_contract(p)
+        assert report["passed"]
+        _, envelope_rows = tables["contract_envelope"]
+        assert envelope_rows
+        assert all(gap <= bound + 1e-12 for _, _, gap, bound in envelope_rows)
 
-    def test_unnormalized_clause_reported(self):
-        letters, pattern, table = column_stochastic_entry([[0.3, 0.6], [0.7, 0.4]])
-        bad = {k: v + 0.1 for k, v in table.items()}
-        spec = NonstationarySpec(alphabets=[letters], matrices=[pattern],
-                                 tables=[bad], depth=2, r=0.2)
-        report = invariant_sequence_check(spec, horizon=20)
-        assert not report.ok
-        assert any("not normalized" in msg for msg in report.precondition_failures)
+    def test_unnormalized_input_is_normalized_per_period_position(self):
+        # the shipped periodic potential is not normalized; the pipeline's
+        # tilde is, at each period position
+        cfg = load_config(PERIODIC)
+        p = SeedPipeline(cfg, cfg.seeds[0], ("equilibrium",))
+        for fiber in range(cfg.system.period):
+            raw_sums = preimage_sums(cfg.potential, cfg.fibers, p.path, fiber)
+            assert max(abs(v - 1.0) for v in raw_sums.values()) > 0.1
+            sums = preimage_sums(p.tilde, cfg.fibers, p.path, fiber)
+            assert max(abs(v - 1.0) for v in sums.values()) <= 1e-10
 
-    def test_zero_column_clause_reported(self):
-        # letter 2 unreachable: column positivity clause fires
-        letters = [1, 2]
-        pattern = [[1, 0], [1, 0]]
-        table = {(1, 1): 0.0, (2, 1): 0.0}
-        spec = NonstationarySpec(alphabets=[letters], matrices=[pattern],
-                                 tables=[table], depth=2, r=0.2)
-        report = invariant_sequence_check(spec, horizon=20)
-        assert not report.ok
-        assert any("no predecessor" in msg for msg in report.precondition_failures)
+
+def test_shipped_periodic_config_runs_all(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", str(PERIODIC), "all", "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report_seed2.json").read_text())
+    assert report["equilibrium"]["gap"] <= 1e-10
+    assert report["contract"]["passed"]
+    assert report["matrices"]["passed"]
+
+
+def test_entropy_depth_shorter_than_one_period_is_a_report_entry(tmp_path):
+    entries = [column_stochastic_entry([[0.3, 0.6], [0.7, 0.4]])] * 10
+    cfg = periodic_config(tmp_path, entries, entropy=8)
+    out = tmp_path / "out"
+    assert main(["run", cfg.path, "equilibrium", "--out-dir", str(out)]) == 1
+    entry = json.loads((out / "report_seed0.json").read_text())["equilibrium"]
+    assert entry["error_class"] == "ConvergenceError"
+    assert entry["passed"] is False
+    assert "whole number of driver periods (10)" in entry["error"]

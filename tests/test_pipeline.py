@@ -7,6 +7,7 @@ equilibrium read a sub-window of a wider solve and agree to float noise.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SEEDS = (3, 4)
 BYTE_IDENTICAL = ("contract", "mixing", "correlations")
 ABS_TOL = 1e-12
-COUNTED = ("rpf_solve", "contraction_constants", "invariant_measures")
+COUNTED = ("rpf_solve", "contraction_constants", "invariant_measures", "gurevich_pressure")
 
 
 @pytest.fixture(scope="module")
@@ -151,3 +152,16 @@ def test_failed_build_is_not_retried(monkeypatch):
         with pytest.raises(ConvergenceError):
             pipeline.tilde
     assert len(calls) == 1
+
+
+def test_failed_pressure_fails_rpf_and_leaves_equilibrium_bar_nan(monkeypatch):
+    def failing(*args, **kwargs):
+        raise ConvergenceError("forced")
+
+    monkeypatch.setattr(experiments, "gurevich_pressure", failing)
+    pipeline = SeedPipeline(load_config(CONFIGS / "golden_mean.json"), 3)
+    with pytest.raises(ConvergenceError):
+        experiments.run_rpf(pipeline)
+    report, _ = experiments.run_equilibrium(pipeline)
+    assert math.isnan(report["pressure_bar"])
+    assert report["passed"] is (report["gap"] <= 1e-2)

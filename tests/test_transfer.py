@@ -545,10 +545,10 @@ class TestPressure:
         mat = np.array([[0.6, 0.3], [0.4, 0.7]]) * 1.6
         phi = positive_matrix_potential(fibers, mat)
         triple = rpf_solve(phi, fibers, path, depth=4, horizon=80, window=(0, 30))
-        est = gurevich_pressure(phi, fibers, path, a=1, horizon=100, triple=triple)
+        est = gurevich_pressure(phi, fibers, path, a=1, horizon=100)
         lam = eigen_oracle(mat)[0]
         assert est.estimate == pytest.approx(math.log(lam), abs=1e-6)
-        assert est.lambda_route == pytest.approx(math.log(lam), abs=1e-8)
+        assert est.lambda_route(triple) == pytest.approx(math.log(lam), abs=1e-8)
 
 
 class TestGibbs:
