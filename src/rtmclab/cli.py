@@ -66,6 +66,8 @@ def _run_one(args_tuple):
         except RtmcError as exc:
             summary[name] = {"passed": False, "error": str(exc),
                              "error_class": type(exc).__name__}
+            if getattr(exc, "diagnostics", None):  # a failed solve's gap curves
+                summary[name]["diagnostics"] = exc.diagnostics
             failed = True
             continue
         summary[name] = report

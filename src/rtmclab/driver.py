@@ -202,8 +202,23 @@ class DriverPath:
         return self.core.state(self.origin + i)
 
     def states(self, lo: int, hi: int) -> tuple[int, ...]:
-        """States at indices lo..hi inclusive."""
-        return tuple(self.state(i) for i in range(lo, hi + 1))
+        """States at indices lo..hi inclusive, sliced from the materialized buffers.
+
+        Reading both ends materializes the whole span; the upper end is read
+        at most one past `max_radius`, so WindowExhausted names the first
+        index out of range, as reading the span in order would.
+        """
+        if hi < lo:
+            return ()
+        core = self.core
+        g_lo, g_hi = self.origin + lo, self.origin + hi
+        core.state(g_lo)
+        core.state(min(g_hi, core.max_radius + 1))
+        if g_lo >= 0:
+            return tuple(core._pos[g_lo:g_hi + 1])
+        if g_hi < 0:
+            return tuple(core._neg[-g_hi - 1:-g_lo][::-1])
+        return tuple(core._neg[-g_lo - 1::-1]) + tuple(core._pos[:g_hi + 1])
 
 
 def sample_path(

@@ -220,10 +220,7 @@ def psi_mixing(
             nxt.append((k, a, mass, g))
             if refined.depth < max(depth, g.depth):
                 raise ConfigError("working depth of the invariant measures too small")
-            joint: dict = {}
-            for w, m in refined.weights.items():
-                key = w[:depth]
-                joint[key] = joint.get(key, 0.0) + m * g.value_at(w)
+            joint = refined.marginal(depth, g)
             for key, m_w in marg.items():
                 if m_w <= 0:
                     continue

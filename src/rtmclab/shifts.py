@@ -232,6 +232,20 @@ class WordIndex:
 
     words: tuple[tuple[int, ...], ...]
     rows: dict  # word -> position in `words`
+    _prefix: dict = field(default_factory=dict, repr=False)  # k -> prefix_rows array
+
+    def prefix_rows(self, short: "WordIndex", k: int) -> np.ndarray:
+        """Row in `short` of each word's length-k prefix, in row order.
+
+        `short` is the index of the length-k words over the first k states of
+        this window, so the map depends only on k and is cached per k.
+        """
+        rows = self._prefix.get(k)
+        if rows is None:
+            rows = np.fromiter((short.rows[w[:k]] for w in self.words), dtype=np.intp,
+                               count=len(self.words))
+            self._prefix[k] = rows
+        return rows
 
 
 def word_index(fibers: FiberStructure, path: DriverPath, start: int, n: int) -> WordIndex:

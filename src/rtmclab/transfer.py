@@ -21,6 +21,16 @@ order, predecessors ascending; masses are sequential sums in that order, and
 coarsening sums onto output atoms in first-occurrence order.  The floats are
 therefore bit for bit those of the dict loop kept as the test oracle.
 
+The measures the sweep produces keep the same vectors: rows of the word index
+at their fiber and depth, and masses.  `integrate`, `invariant_measures`,
+`marginal`, `coarsen` and the sweep's two-start gap run on them: a function
+is gathered through the cached map from each word to the row of its prefix,
+integrals are sequential sums in atom order started at 0.0, and cylinder
+sums are bincounts, in atom order, onto prefix rows in first-occurrence
+order.  These too are bit for bit the dict loops kept as test oracles.  A
+measure built any other way (a Dirac mass, a dual pull-back, a JSON triple)
+keeps its dict and those loops.
+
 The eigenproblem solver recovers the eigenvalue cocycle from the masses of
 successive dual steps, the eigenfunction from backward-started forward sweeps,
 and certifies convergence by the agreement of two independently started runs.
@@ -168,9 +178,13 @@ def random_lipschitz(fibers, path, anchor: int, depth: int, rng,
 # atomic measures
 
 
-def _mass(weights: np.ndarray) -> float:
-    """Left-to-right sum, the order and rounding of `sum` over the atoms."""
-    return float(np.add.accumulate(weights)[-1]) if len(weights) else 0.0
+def _mass(terms: np.ndarray) -> float:
+    """The loop `total = 0.0; total += t` over the terms (or `sum`), bit for bit.
+
+    Accumulating from the first term differs from starting at 0.0 only in
+    the sign of a zero partial sum, and adding 0.0 at the end clears it.
+    """
+    return float(np.add.accumulate(terms)[-1]) + 0.0 if len(terms) else 0.0
 
 
 def _check_weights(weights: np.ndarray, probability: bool = False) -> None:
@@ -181,20 +195,49 @@ def _check_weights(weights: np.ndarray, probability: bool = False) -> None:
         raise ConfigError(f"atom weights sum to {_mass(weights)!r}, not 1")
 
 
-@dataclass(eq=False)
 class AtomicMeasure:
-    """Probability measure as weighted atoms at canonical depth-m representatives."""
+    """Probability measure as weighted atoms at canonical depth-m representatives.
 
-    fibers: FiberStructure
-    path: DriverPath
-    anchor: int
-    depth: int
-    weights: dict
-    probability: bool = True
+    A measure built by `on_rows` holds its atoms as (rows, values) arrays
+    against word_index(fibers, path, anchor, depth) and builds the `weights`
+    dict only when it is read; `integrate`, `marginal` and `coarsen` then
+    gather and sum over the rows.  Any other measure keeps the dict and
+    the per-atom loops.
+    """
 
-    def __post_init__(self):
-        _check_weights(np.fromiter(self.weights.values(), dtype=float, count=len(self.weights)),
-                       self.probability)
+    __slots__ = ("fibers", "path", "anchor", "depth", "probability",
+                 "_weights", "_index", "_rows", "_values")
+
+    def __init__(self, fibers: FiberStructure, path: DriverPath, anchor: int, depth: int,
+                 weights: dict, probability: bool = True):
+        self.fibers, self.path, self.anchor, self.depth = fibers, path, anchor, depth
+        self.probability = probability
+        self._weights = weights
+        self._index = self._rows = self._values = None
+        _check_weights(np.fromiter(weights.values(), dtype=float, count=len(weights)),
+                       probability)
+
+    @classmethod
+    def on_rows(cls, fibers, path, anchor: int, depth: int, rows: np.ndarray,
+                values: np.ndarray, probability: bool = True) -> "AtomicMeasure":
+        """Atoms at the distinct depth-`depth` word rows `rows`, with masses `values`."""
+        _check_weights(values, probability)
+        mu = cls.__new__(cls)
+        mu.fibers, mu.path, mu.anchor, mu.depth = fibers, path, anchor, depth
+        mu.probability = probability
+        mu._weights = None
+        mu._index = word_index(fibers, path, anchor, depth)
+        mu._rows, mu._values = rows, values
+        return mu
+
+    @property
+    def weights(self) -> dict:
+        """Atom word -> mass, in atom order."""
+        if self._weights is None:
+            words = self._index.words
+            self._weights = dict(zip([words[r] for r in self._rows.tolist()],
+                                     self._values.tolist()))
+        return self._weights
 
     @staticmethod
     def uniform(fibers, path, anchor: int, depth: int) -> "AtomicMeasure":
@@ -224,10 +267,18 @@ class AtomicMeasure:
         return AtomicMeasure(self.fibers, self.path, self.anchor, self.depth,
                              {w: v / m for w, v in self.weights.items()})
 
+    def _at(self, f: CylinderFunction) -> np.ndarray:
+        """f at each atom, in atom order; needs rows and f.depth <= depth."""
+        short = word_index(self.fibers, self.path, self.anchor, f.depth)
+        values = np.array([f.values[w] for w in short.words], dtype=float)
+        return values[self._index.prefix_rows(short, f.depth)[self._rows]]
+
     def integrate(self, f: CylinderFunction) -> float:
         """Exact integral of a cylinder function against the atoms."""
         if f.anchor != self.anchor:
             raise AdmissibilityError("function and measure on different fibers")
+        if self._rows is not None and f.depth <= self.depth:
+            return _mass(self._values * self._at(f))
         total = 0.0
         for w, m in self.weights.items():
             if f.depth <= len(w):
@@ -237,20 +288,34 @@ class AtomicMeasure:
                 total += m * f.values[rep.prefix(f.depth)]
         return total
 
-    def marginal(self, depth: int) -> dict:
-        """Masses of the depth-`depth` cylinders (depth <= atom depth)."""
+    def _cylinders(self, depth: int, masses: np.ndarray):
+        """Depth-`depth` word index, cylinder rows in first-occurrence order, their sums."""
+        short = word_index(self.fibers, self.path, self.anchor, depth)
+        rows, sums = _coarsen(self._index.prefix_rows(short, depth)[self._rows], masses)
+        return short, rows, sums
+
+    def marginal(self, depth: int, density: CylinderFunction | None = None) -> dict:
+        """Masses of the depth-`depth` cylinders (depth <= atom depth) under density * self."""
         if depth > self.depth:
             raise ConfigError("marginal depth exceeds atom depth")
+        if self._rows is not None and (density is None or density.depth <= self.depth):
+            masses = self._values if density is None else self._values * self._at(density)
+            short, rows, sums = self._cylinders(depth, masses)
+            return dict(zip([short.words[r] for r in rows.tolist()], sums.tolist()))
         out: dict = {}
         for w, m in self.weights.items():
             k = w[:depth]
-            out[k] = out.get(k, 0.0) + m
+            out[k] = out.get(k, 0.0) + (m if density is None else m * density.value_at(w))
         return out
 
     def coarsen(self, depth: int) -> "AtomicMeasure":
         """Sum refinement weights onto depth-`depth` canonical representatives."""
         if depth >= self.depth:
             return self
+        if self._rows is not None:
+            _, rows, sums = self._cylinders(depth, self._values)
+            return AtomicMeasure.on_rows(self.fibers, self.path, self.anchor, depth, rows, sums,
+                                         probability=self.probability)
         return AtomicMeasure(self.fibers, self.path, self.anchor, depth,
                              self.marginal(depth), probability=self.probability)
 
@@ -342,11 +407,12 @@ def _pull(step: _Step, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _coarsen(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum weights onto their rows: rows in first-occurrence order, sums in input order."""
-    uniq, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return uniq[order], np.bincount(rank[inverse], weights=weights, minlength=len(order))
+    n = int(rows.max()) + 1 if len(rows) else 0
+    pos = np.arange(len(rows))
+    first = np.full(n, len(rows), dtype=np.intp)
+    np.minimum.at(first, rows, pos)
+    uniq = rows[first[rows] == pos]
+    return uniq, np.bincount(rows, weights=weights, minlength=n)[uniq]
 
 
 def dual_apply(phi: Potential, mu: AtomicMeasure, n: int = 1,
@@ -519,10 +585,19 @@ def _mu_sweep(phi: Potential, start: AtomicMeasure, bottom: int, depth: int,
         rows, weights = _coarsen(step.coarse[e], pulled)
         _check_weights(weights, probability=True)
         if lo <= j <= hi:
-            words = word_index(fibers, path, j, depth).words
-            mus[j] = AtomicMeasure(fibers, path, j, depth, dict(
-                zip([words[r] for r in rows.tolist()], weights.tolist())))
+            mus[j] = AtomicMeasure.on_rows(fibers, path, j, depth, rows, weights)
     return lams, mus
+
+
+def _mu_gap(a: AtomicMeasure, b: AtomicMeasure) -> float:
+    """Largest |a - b| over a's atoms, b read as 0 off its own; two sweep measures of one fiber.
+
+    The atoms are rows of one word index, so b scatters densely onto it; a
+    maximum is exact in any order.
+    """
+    other = np.zeros(len(a._index.words))
+    other[b._rows] = b._values
+    return float(np.max(np.abs(a._values - other[a._rows])))
 
 
 def _event_true_at_or_below(path: DriverPath, event: EventSpec, j: int, floor: int) -> int:
@@ -576,10 +651,7 @@ def rpf_solve(
     lam2, mus2 = _mu_sweep(phi, AtomicMeasure.random(fibers, path, mu_top2, depth, rng),
                            h_start2, depth, window)
 
-    mu_gaps = {}
-    for j in range(lo, hi + 1):
-        a, b = mus1[j].weights, mus2[j].weights
-        mu_gaps[j] = max(abs(a[w] - b.get(w, 0.0)) for w in a)
+    mu_gaps = {j: _mu_gap(mus1[j], mus2[j]) for j in range(lo, hi + 1)}
 
     def h_sweep(start: int, init: CylinderFunction):
         hs = {start: init}
@@ -635,6 +707,12 @@ def invariant_measures(triple: RpfTriple) -> dict:
     out = {}
     for j in range(triple.lo, triple.hi + 1):
         mu, h = triple.mu[j], triple.h[j]
+        if mu._rows is not None and h.depth <= mu.depth:
+            # the sweep's atoms are index words, admissible by construction
+            terms = mu._values * mu._at(h)
+            out[j] = AtomicMeasure.on_rows(fibers, path, j, mu.depth, mu._rows,
+                                           terms / _mass(terms))
+            continue
         rows_by_length: dict = {}
         weights = {}
         for w, m in mu.weights.items():
@@ -721,6 +799,9 @@ def gurevich_pressure(
 
     Tracks L^n(indicator of [a]) with running renormalization and reads the
     value at the canonical representative of [a] at each return of the letter.
+    The estimate is the slope of log Z_n from the latest return, at or before
+    the middle one, that lies a whole number of driver periods before the
+    last return, to the last return.
     """
     if a not in fibers.alphabet(path, 0):
         raise AdmissibilityError(f"letter {a} not available at fiber 0")
@@ -744,10 +825,17 @@ def gurevich_pressure(
     if len(log_z) < 2:
         raise ConvergenceError("too few returns of the letter within the horizon")
     ns = sorted(log_z)
-    mid = ns[len(ns) // 2]
     last = ns[-1]
-    if last == mid:
-        mid = ns[0]
+    middle = ns[len(ns) // 2] if len(ns) > 2 else ns[0]
+    # the increment spans whole driver periods, as in mixing.equilibrium_gap
+    period = path.system.period
+    whole = [n for n in ns[:-1] if n <= middle and (last - n) % period == 0]
+    if not whole:
+        raise ConvergenceError(
+            f"no return of the letter a whole number of driver periods ({period}) "
+            f"before the last, up to the middle return"
+        )
+    mid = whole[-1]
     estimate = (log_z[last] - log_z[mid]) / (last - mid)
     return PressureEstimate(letter=a, curve=curve, estimate=estimate,
                             returns_used=len(log_z))

@@ -214,6 +214,17 @@ def test_error_class_outcomes(error, how, code, tmp_path, monkeypatch):
     else:
         assert entry["error_class"] == error and entry["passed"] is False
         assert entry["error"]
+    if error == "ConvergenceError":
+        # the failed solve's gap curves, keyed by fiber over the solve window
+        diag = entry["diagnostics"]
+        assert set(diag) == {"h_gap", "mu_gap", "lambda_gap", "h_starts", "mu_tops"}
+        assert sorted(map(int, diag["h_gap"])) == list(range(0, 25))
+        assert sorted(map(int, diag["mu_gap"])) == list(range(0, 25))
+        assert sorted(map(int, diag["lambda_gap"])) == list(range(0, 24))
+        assert max(diag["h_gap"].values()) > 1e-8 or max(diag["mu_gap"].values()) > 1e-8
+        assert len(diag["h_starts"]) == len(diag["mu_tops"]) == 2
+    else:
+        assert "diagnostics" not in entry
 
 
 @pytest.mark.parametrize("flag, value, message", [

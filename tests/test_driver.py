@@ -85,6 +85,48 @@ class TestSamplePath:
             markov([[1.0, 0.0], [0.0, 1.0]])  # reducible
 
 
+def state_by_state(path, lo, hi):
+    """The window read one index at a time, or the message of the first index out of range."""
+    try:
+        return tuple(path.state(i) for i in range(lo, hi + 1))
+    except WindowExhausted as exc:
+        return str(exc)
+
+
+class TestStatesSlice:
+    SPANS = [(-40, -25), (-7, -1), (-1, -1), (-12, 9), (-1, 0), (0, 0), (0, 15), (3, 30),
+             (5, 4), (-60, 70)]
+
+    @pytest.mark.parametrize("law", ["iid", "markov"])
+    @pytest.mark.parametrize("shift", [0, 13, -21])
+    def test_matches_per_index_reads(self, law, shift):
+        system = (iid([0.3, 0.5, 0.2], seed=4) if law == "iid"
+                  else markov([[0.1, 0.9], [0.6, 0.4]], seed=4))
+        for first in ("slice", "state"):  # either read may materialize the span
+            path = shift_path(sample_path(system, max_radius=200), shift)
+            for lo, hi in self.SPANS:
+                if first == "slice":
+                    got = path.states(lo, hi)
+                    assert got == state_by_state(path, lo, hi), (lo, hi)
+                else:
+                    want = state_by_state(path, lo, hi)
+                    assert path.states(lo, hi) == want, (lo, hi)
+
+    @pytest.mark.parametrize("shift", [0, 5, -5])
+    def test_window_exhausted_at_max_radius(self, shift):
+        path = shift_path(sample_path(markov([[0.2, 0.8], [0.7, 0.3]], seed=2), max_radius=50),
+                          shift)
+        top, bottom = 50 - shift, -50 - shift
+        assert path.states(top - 3, top) == state_by_state(path, top - 3, top)
+        assert path.states(bottom, bottom + 3) == state_by_state(path, bottom, bottom + 3)
+        for lo, hi in [(top - 3, top + 4), (bottom - 2, bottom + 3), (bottom - 1, top + 1)]:
+            want = state_by_state(path, lo, hi)
+            assert isinstance(want, str)
+            with pytest.raises(WindowExhausted) as exc:
+                path.states(lo, hi)
+            assert str(exc.value) == want
+
+
 class TestShiftPath:
     def test_zero_shift_identity(self):
         p = sample_path(iid([0.5, 0.5]), seed=3)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +13,15 @@ from rtmclab.mixing import (
     refined_invariant,
 )
 from rtmclab.potentials import Potential, constant_potential, log_matrix_potential
-from rtmclab.transfer import invariant_measures, normalize_potential, rpf_solve
+from rtmclab.shifts import admissible_words
+from rtmclab.transfer import (
+    AtomicMeasure,
+    CylinderFunction,
+    invariant_measures,
+    normalize_potential,
+    rpf_solve,
+    transfer_power,
+)
 from rtmclab.transport import certify_event, contraction_constants, return_sequences
 
 from conftest import full_shift, stationary_system, two_state_iid
@@ -98,6 +107,55 @@ class TestCorrelationDecay:
         assert len(rep.direct_check) == 3
         for _, via_identity, direct in rep.direct_check:
             assert via_identity == pytest.approx(direct, abs=1e-11)
+
+
+def dict_joint(refined, g, depth):
+    """The per-atom joint masses of psi_mixing: g * nu summed onto the depth-`depth` cylinders."""
+    joint: dict = {}
+    for w, m in refined.weights.items():
+        key = w[:depth]
+        joint[key] = joint.get(key, 0.0) + m * g.value_at(w)
+    return joint
+
+
+def bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def dict_twins(nu):
+    """The same measures without word-index rows, so every kernel runs its dict loop."""
+    return {j: AtomicMeasure(m.fibers, m.path, j, m.depth, dict(m.weights)) for j, m in nu.items()}
+
+
+class TestRowKernelParity:
+    def test_joint_matches_dict_loop(self, markov_instance):
+        _, path, fibers, phi, triple, tilde, nu, cert = markov_instance
+        for k in (1, 2, 3):
+            for a in admissible_words(fibers, path, -k, k):
+                g = CylinderFunction.indicator(fibers, path, -k, a)
+                for n in range(1, 6):
+                    g = transfer_power(tilde, g, k if n == 1 else 1)
+                    for depth in (1, 2, 3):
+                        refined = nu[g.anchor]
+                        got, want = refined.marginal(depth, g), dict_joint(refined, g, depth)
+                        assert list(got) == list(want)
+                        assert bits(got.values()) == bits(want.values())
+
+    def test_psi_and_correlations_match_dict_measures(self, markov_instance):
+        _, path, fibers, phi, triple, tilde, nu, cert = markov_instance
+        twins = dict_twins(nu)
+        assert nu[0]._rows is not None and twins[0]._rows is None
+        a = psi_mixing(tilde, nu, fibers, path, depth=3, horizon=14, cert=cert)
+        b = psi_mixing(tilde, twins, fibers, path, depth=3, horizon=14, cert=cert)
+        assert [n for n, _ in a.grid] == [n for n, _ in b.grid]
+        assert bits(v for _, v in a.grid) == bits(v for _, v in b.grid)
+        f_at = pattern_function(fibers, path, {(1,): 0.3, (2,): -1.1}, 1)
+        g_at = pattern_function(fibers, path, {(1, 1): 1.0, (1, 2): 0.0,
+                                               (2, 1): -0.5, (2, 2): 2.0}, 2)
+        a = correlation_decay(f_at, g_at, tilde, nu, fibers, path, horizon=20, cert=cert)
+        b = correlation_decay(f_at, g_at, tilde, twins, fibers, path, horizon=20, cert=cert)
+        assert bits(v for _, v in a.curve) == bits(v for _, v in b.curve)
+        assert a.forward_rows == b.forward_rows and a.backward_rows == b.backward_rows
 
 
 class TestPsiMixing:

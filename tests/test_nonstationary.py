@@ -13,11 +13,14 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rtmclab.cli import main
 from rtmclab.config import load_config
+from rtmclab.errors import ConvergenceError
 from rtmclab.experiments import SeedPipeline, run_contract
 from rtmclab.shifts import admissible_words
+from rtmclab.transfer import gurevich_pressure
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 PERIODIC = CONFIGS / "periodic_2_3letter.json"
@@ -138,6 +141,27 @@ def test_shipped_periodic_config_runs_all(tmp_path):
     assert report["equilibrium"]["gap"] <= 1e-10
     assert report["contract"]["passed"]
     assert report["matrices"]["passed"]
+
+
+def test_pressure_increment_spans_whole_periods():
+    # from the middle return, 151..300, the increment covers 149 fibers and
+    # read 0.497762 against a mean log lambda of 0.497909 per period
+    cfg = load_config(PERIODIC)
+    p = SeedPipeline(cfg, cfg.seeds[0], ("rpf",))
+    period = cfg.system.period
+    per_period = sum(p.triple.log_lambda[j] for j in range(period)) / period
+    assert abs(p.pressure.estimate - per_period) <= 1e-12
+
+
+def test_pressure_without_a_whole_period_of_returns_raises(tmp_path):
+    entries = [column_stochastic_entry([[0.3, 0.6], [0.7, 0.4]])] * 10
+    cfg = periodic_config(tmp_path, entries)
+    with pytest.raises(ConvergenceError, match=r"whole number of driver periods \(10\)"):
+        gurevich_pressure(cfg.potential, cfg.fibers, cfg.sample(0), 1, horizon=5)
+    # 25 returns: the increment runs over two periods, from return 5 to 25;
+    # column-stochastic weights have pressure 0
+    est = gurevich_pressure(cfg.potential, cfg.fibers, cfg.sample(0), 1, horizon=25)
+    assert abs(est.estimate) <= 1e-3
 
 
 def test_entropy_depth_shorter_than_one_period_is_a_report_entry(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,12 @@ def dict_mu_sweep(phi, start, bottom, depth, window):
     return lams, mus
 
 
+def dict_mu_gap(a, b):
+    """The per-atom two-start gap of rpf_solve."""
+    a, b = a.weights, b.weights
+    return max(abs(a[w] - b.get(w, 0.0)) for w in a)
+
+
 def random_pattern3():
     """Three letters, a different sparse pattern per state of a two-state i.i.d. driver."""
     system = two_state_iid(seed=3)
@@ -337,6 +344,7 @@ class TestSolveParity:
         kwargs = dict(depth=cfg.depths["working"], horizon=32, window=(-3, 4), seed=2)
         new = rpf_solve(cfg.potential, cfg.fibers, path, **kwargs)
         monkeypatch.setattr(transfer, "_mu_sweep", dict_mu_sweep)
+        monkeypatch.setattr(transfer, "_mu_gap", dict_mu_gap)
         old = rpf_solve(cfg.potential, cfg.fibers, path, **kwargs)
         assert new.to_json() == old.to_json()
         assert list(new.log_lambda.items()) == list(old.log_lambda.items())
@@ -344,6 +352,161 @@ class TestSolveParity:
             assert list(new.diagnostics[key].items()) == list(old.diagnostics[key].items())
         for j in range(-3, 5):
             assert list(new.mu[j].weights.items()) == list(old.mu[j].weights.items())
+
+
+def dict_integrate(mu, f):
+    """The per-atom integral: a sequential sum from 0.0; a short atom reads its canonical tail."""
+    total = 0.0
+    for w, m in mu.weights.items():
+        if f.depth <= len(w):
+            total += m * f.values[w[: f.depth]]
+        else:
+            rep = canonical_representative(w, mu.fibers, mu.path, anchor=mu.anchor)
+            total += m * f.values[rep.prefix(f.depth)]
+    return total
+
+
+def dict_marginal(mu, depth, density=None):
+    """Per-atom cylinder sums of density * mu, keys in first-occurrence order."""
+    out = {}
+    for w, m in mu.weights.items():
+        k = w[:depth]
+        out[k] = out.get(k, 0.0) + (m if density is None else m * density.value_at(w))
+    return out
+
+
+def dict_invariant_measures(triple):
+    """The per-atom invariant family d nu = h d mu, normalized by a sequential sum."""
+    out = {}
+    for j in range(triple.lo, triple.hi + 1):
+        mu, h = triple.mu[j], triple.h[j]
+        weights = {}
+        for w, m in mu.weights.items():
+            key = w
+            if len(w) < h.depth:
+                rep = canonical_representative(w, triple.fibers, triple.path, anchor=j)
+                key = rep.prefix(h.depth)
+            weights[w] = m * h.value_at(key)
+        total = sum(weights.values())
+        out[j] = {w: v / total for w, v in weights.items()}
+    return out
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def assert_same_items(got: dict, want: dict):
+    """The same keys in the same order, and the same float bits (the sign of 0 included)."""
+    assert list(got) == list(want)
+    assert [bits(v) for v in got.values()] == [bits(v) for v in want.values()]
+
+
+def parity_functions(fibers, path, anchor, rng):
+    """Signed random functions at depths 1-6, all-zero and negative-zero ones, alternating ±1."""
+    out = {}
+    for d in range(1, 7):
+        words = admissible_words(fibers, path, anchor, d)
+        out[f"signed{d}"] = CylinderFunction(fibers, path, anchor, d,
+                                             {w: float(rng.normal()) for w in words})
+    words = admissible_words(fibers, path, anchor, 2)
+    out["zero"] = CylinderFunction(fibers, path, anchor, 2, {w: 0.0 for w in words})
+    out["negzero"] = CylinderFunction(fibers, path, anchor, 2, {w: -0.0 for w in words})
+    letters = admissible_words(fibers, path, anchor, 1)
+    out["sign"] = CylinderFunction(fibers, path, anchor, 1,
+                                   {w: (1.0 if i % 2 else -1.0) for i, w in enumerate(letters)})
+    return out
+
+
+@pytest.mark.parametrize("instance", ["full2", "gm", "pattern3", "two_state"])
+class TestMeasureKernelParity:
+    """Row-vector measure kernels against the per-atom loops: the same floats, bit for bit."""
+
+    def build(self, instance, request):
+        fibers, path = (request.getfixturevalue(instance) if instance in ("full2", "gm")
+                        else random_pattern3() if instance == "pattern3" else two_state_full())
+        rng = np.random.default_rng(21)
+        phi = random_log_matrix(fibers, rng)
+        triple = rpf_solve(phi, fibers, path, depth=4, horizon=40, window=(-30, 30))
+        return fibers, path, phi, triple, rng
+
+    def measures(self, fibers, path, phi, triple, rng, j):
+        """Sweep measures (state- and fiber-keyed), nu, coarsened, and dict-built measures."""
+        tilde = normalize_potential(phi, triple)
+        _, swept = transfer._mu_sweep(
+            tilde, AtomicMeasure.uniform(fibers, path, j + 12, 4), j, 4, (j, j))
+        rows = {"sweep": triple.mu[j], "sweep_fiber_keyed": swept[j],
+                "nu": invariant_measures(triple)[j], "coarsened": triple.mu[j].coarsen(2)}
+        for name, mu in rows.items():
+            assert mu._rows is not None, name
+        words = admissible_words(fibers, path, j, 4)
+        short = dual_apply(phi, AtomicMeasure.dirac(fibers, path, j + 1, words[0][:1]), 1)
+        dicts = {
+            "uniform": AtomicMeasure.uniform(fibers, path, j, 4),
+            "random": AtomicMeasure.random(fibers, path, j, 3, rng),
+            "dirac": AtomicMeasure.dirac(fibers, path, j, words[-1][:2]),
+            "pulled_short": short,
+            "twin": AtomicMeasure(fibers, path, j, 4, dict(triple.mu[j].weights)),
+        }
+        return {**rows, **dicts}
+
+    def test_integrate(self, instance, request):
+        fibers, path, phi, triple, rng = self.build(instance, request)
+        for j in (-5, 0, 7):
+            functions = parity_functions(fibers, path, j, rng)
+            functions["h"] = triple.h[j]
+            for name, mu in self.measures(fibers, path, phi, triple, rng, j).items():
+                for fname, f in functions.items():
+                    got, want = mu.integrate(f), dict_integrate(mu, f)
+                    assert bits(got) == bits(want), (name, fname, got, want)
+
+    def test_marginal_and_coarsen(self, instance, request):
+        fibers, path, phi, triple, rng = self.build(instance, request)
+        for j in (-5, 0, 7):
+            functions = parity_functions(fibers, path, j, rng)
+            for name, mu in self.measures(fibers, path, phi, triple, rng, j).items():
+                for depth in range(1, mu.depth + 1):
+                    assert_same_items(mu.marginal(depth), dict_marginal(mu, depth))
+                    coarse = mu.coarsen(depth)
+                    assert (coarse.anchor, coarse.depth) == (j, min(depth, mu.depth))
+                    if depth < mu.depth:
+                        assert_same_items(coarse.weights, dict_marginal(mu, depth))
+                    for fname, f in functions.items():
+                        if f.depth > mu.depth or any(len(w) < f.depth for w in mu.weights):
+                            continue
+                        assert_same_items(mu.marginal(depth, f), dict_marginal(mu, depth, f))
+
+    def test_invariant_measures(self, instance, request):
+        fibers, path, phi, triple, rng = self.build(instance, request)
+        assert all(triple.mu[j]._weights is None for j in range(-30, 31))  # dicts stay unbuilt
+        nu = invariant_measures(triple)
+        want = dict_invariant_measures(triple)
+        assert list(nu) == list(want)
+        for j in nu:
+            assert nu[j]._rows is not None
+            assert_same_items(nu[j].weights, want[j])
+        # measures without rows, including atoms shorter than h, run the dict loop
+        twin = triple.restrict(0, 6)
+        twin.mu = {j: AtomicMeasure(fibers, path, j, 1, triple.mu[j].marginal(1))
+                   for j in range(0, 7)}
+        twin.h = {j: triple.h[j].refine(2) for j in range(0, 7)}
+        nu, want = invariant_measures(twin), dict_invariant_measures(twin)
+        for j in range(0, 7):
+            assert nu[j]._rows is None
+            assert_same_items(nu[j].weights, want[j])
+
+    def test_mu_gap(self, instance, request):
+        fibers, path, phi, triple, rng = self.build(instance, request)
+        top = 20
+        word = admissible_words(fibers, path, top, 4)[0]
+        starts = [AtomicMeasure.uniform(fibers, path, top, 4),
+                  AtomicMeasure.random(fibers, path, top, 4, rng),
+                  AtomicMeasure.dirac(fibers, path, top, word)]
+        sweeps = [transfer._mu_sweep(phi, start, 0, 4, (0, top - 1))[1] for start in starts]
+        assert len(sweeps[2][top - 1].weights) < len(sweeps[0][top - 1].weights)
+        for j in range(0, top):
+            for a, b in itertools.permutations([s[j] for s in sweeps], 2):
+                assert bits(transfer._mu_gap(a, b)) == bits(dict_mu_gap(a, b))
 
 
 def test_invariant_measures_rejects_inadmissible_atom(gm):
