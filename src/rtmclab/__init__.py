@@ -32,10 +32,8 @@ from .shifts import (
     BipStructure,
     FiberStructure,
     Point,
-    Word,
     admissible_words,
     canonical_representative,
-    shift_metric,
 )
 from .potentials import (
     DistortionConstants,

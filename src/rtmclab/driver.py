@@ -73,6 +73,10 @@ class DriverSystem:
             return self.n_states
         return 1
 
+    def whole_periods(self, span: range) -> range:
+        """The longest run of whole driver periods at the start of `span`."""
+        return span[: len(span) - len(span) % self.period]
+
     def index_of(self, label: str) -> int:
         try:
             return self.states.index(label)

@@ -126,11 +126,13 @@ def run_rpf(p: SeedPipeline):
     h_mass = {j: triple.mu[j].integrate(triple.h[j]) for j in range(0, span + 1)}
     pressure = p.pressure
     s_val = summability_value(cfg.potential, cfg.fibers, path, span=64)
+    periods = path.system.whole_periods(range(span))  # log lambda averages over these
     report = {
         "residual_max": max(residuals.values()),
         "h_mass_gap_max": max(abs(v - 1.0) for v in h_mass.values()),
         "h_min": min(triple.h[j].inf() for j in range(0, span + 1)),
-        "lambda_mean_log": float(np.mean([triple.log_lambda[j] for j in range(span)])),
+        "lambda_mean_log": (float(np.mean([triple.log_lambda[j] for j in periods]))
+                            if periods else None),
         "pressure_estimate": pressure.estimate,
         "pressure_lambda_route": pressure.lambda_route(triple),
         "summability_mean": s_val,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .driver import DriverPath
 from .errors import AdmissibilityError, ConfigError, InvariantViolation
-from .shifts import FiberStructure, Point, Word, admissible_words
+from .shifts import FiberStructure, Point, admissible_words
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +217,8 @@ def distortion_check(
     phi: Potential,
     fibers: FiberStructure,
     path: DriverPath,
-    a: Word,
+    anchor: int,
+    letters: tuple[int, ...],
     n: int,
     samples: int = 1000,
     seed: int = 0,
@@ -225,29 +226,28 @@ def distortion_check(
 ) -> tuple[float, float]:
     """Bound r^(m-n) log B against the empirical Birkhoff-sum spread over pairs in [a].
 
-    Returns (bound, empirical_max); raises InvariantViolation when the declared
-    kappa fails to cover the observed distortion.
+    The word a is `letters` from fiber `anchor`.  Returns (bound, empirical_max);
+    raises InvariantViolation when the declared kappa fails to cover the observed
+    distortion.
     """
-    m = len(a.letters)
+    letters = tuple(letters)
+    m = len(letters)
     if not 0 <= n <= m - phi.index + 1:
         raise ConfigError(f"need 0 <= n <= m - index + 1 = {m - phi.index + 1}, got {n}")
-    if not a.is_admissible(fibers, path):
-        raise AdmissibilityError(f"word {a.letters} not admissible at fiber {a.anchor}")
+    if not fibers.admits_word(path.states(anchor, anchor + m - 1), letters):
+        raise AdmissibilityError(f"word {letters} not admissible at fiber {anchor}")
     bound = phi.r ** (m - n) * math.log(
-        distortion_constant(phi, path, a.anchor + n, horizon=horizon).value
+        distortion_constant(phi, path, anchor + n, horizon=horizon).value
     )
     if n == 0:
         return bound, 0.0
     extra = max(phi.depth - 1, 3)
-    refinements = _refine(fibers, path, a, extra)
+    refinements = _refine(fibers, path, anchor, letters, extra)
     rng = np.random.default_rng(seed)
     if len(refinements) > samples:
         idx = rng.choice(len(refinements), size=samples, replace=False)
         refinements = [refinements[i] for i in idx]
-    sums = [
-        word_birkhoff(phi, path, a.anchor, letters, n)
-        for letters in refinements
-    ]
+    sums = [word_birkhoff(phi, path, anchor, w, n) for w in refinements]
     empirical = max(sums) - min(sums) if sums else 0.0
     if empirical > bound + 1e-12:
         raise InvariantViolation(
@@ -257,15 +257,12 @@ def distortion_check(
     return bound, empirical
 
 
-def _refine(
-    fibers: FiberStructure, path: DriverPath, a: Word, extra: int
-) -> list[tuple[int, ...]]:
-    """All admissible extensions of the word by `extra` letters."""
-    out = [a.letters]
-    for j in range(extra):
-        pos = a.anchor + len(a.letters) + j - 1
-        out = [w + (b,) for w in out for b in fibers.successors(path, pos, w[-1])]
-    return out
+def _refine(fibers: FiberStructure, path: DriverPath, anchor: int, letters: tuple[int, ...],
+            extra: int) -> list[tuple[int, ...]]:
+    """All admissible extensions of the word `letters` at `anchor` by `extra` letters, sorted."""
+    n = len(letters)
+    return [letters + t for t in admissible_words(fibers, path, anchor + n, extra)
+            if fibers.admits(path, anchor + n - 1, letters[-1], t[0])]
 
 
 def summability_value(

@@ -2,10 +2,11 @@
 
 Each driver state carries an alphabet and a 0/1 transition matrix into the
 global letter universe; a word is admissible when consecutive letters are
-allowed by the matrices of consecutive fiber states.  Points are finite heads
-extended with the letter-wise lexicographically minimal admissible tail, which
-makes equality and the shift metric d_r(x, y) = r^(first disagreement)
-exactly computable.
+allowed by the matrices of consecutive fiber states.  `admits_word` checks
+that letter by letter against one slice of driver states.  Points are finite
+heads extended with the letter-wise lexicographically minimal admissible
+tail, which makes equality and the shift metric d_r(x, y) =
+r^(first disagreement) exactly computable.
 
 The admissible length-n words from fiber i depend only on the driver states
 at i .. i+n-1, so the word index (sorted words plus a word -> row dict) is
@@ -98,11 +99,19 @@ class FiberStructure:
 
     def admits(self, path: DriverPath, i: int, a: int, b: int) -> bool:
         """Whether the pair a (fiber i) -> b (fiber i+1) is admissible."""
-        s, s_next = path.state(i), path.state(i + 1)
-        row = self._row[s].get(a)
-        if row is None:
+        return self.admits_word(path.states(i, i + 1), (a, b))
+
+    def admits_word(self, states: tuple[int, ...], letters: tuple[int, ...]) -> bool:
+        """Whether `letters` is admissible read along `states`, one driver state per letter."""
+        if not letters:
             return False
-        return b in self._row[s_next] and bool(self.matrices[s][row, self._col[b]])
+        s, row = states[0], self._row[states[0]].get(letters[0])
+        for s_next, b in zip(states[1:], letters[1:]):
+            nxt = self._row[s_next].get(b)
+            if row is None or nxt is None or not self.matrices[s][row, self._col[b]]:
+                return False
+            s, row = s_next, nxt
+        return row is not None
 
     def successors(self, path: DriverPath, i: int, a: int) -> tuple[int, ...]:
         """Admissible letters at fiber i+1 following letter a at fiber i (sorted)."""
@@ -205,27 +214,6 @@ def _possible_prev(system: DriverSystem, s: int) -> list[int]:
     return [t for t in range(system.n_states) if system.matrix[t, s] > 0]
 
 
-@dataclass(frozen=True)
-class Word:
-    """A finite admissible letter block anchored at a path index."""
-
-    anchor: int
-    letters: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def is_admissible(self, fibers: FiberStructure, path: DriverPath) -> bool:
-        if not self.letters:
-            return False
-        if self.letters[0] not in fibers.alphabet(path, self.anchor):
-            return False
-        return all(
-            fibers.admits(path, self.anchor + i, self.letters[i], self.letters[i + 1])
-            for i in range(len(self.letters) - 1)
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class WordIndex:
     """Admissible words of one length over one state window, sorted, with their rows."""
@@ -309,19 +297,15 @@ class Point:
 
 
 def canonical_representative(
-    word: Word | tuple[int, ...],
+    word: tuple[int, ...],
     fibers: FiberStructure,
     path: DriverPath,
     depth: int = 0,
     anchor: int = 0,
 ) -> Point:
     """The point whose head is the word and whose tail is lexicographically minimal."""
-    if isinstance(word, Word):
-        anchor, letters = word.anchor, word.letters
-    else:
-        letters = tuple(word)
-    w = Word(anchor, letters)
-    if not w.is_admissible(fibers, path):
+    letters = tuple(word)
+    if not fibers.admits_word(path.states(anchor, anchor + len(letters) - 1), letters):
         raise AdmissibilityError(f"word {letters} not admissible at fiber {anchor}")
     pt = Point(fibers, path, anchor, letters)
     if depth > len(letters):
@@ -329,15 +313,22 @@ def canonical_representative(
     return pt
 
 
-def shift_metric(x: Point, y: Point, r: float) -> float:
-    """d_r(x, y) = r^(first index of disagreement); 0 for equal points."""
-    if x.anchor != y.anchor:
-        raise AdmissibilityError("shift_metric needs points on the same fiber")
-    if not 0 < r < 1:
-        raise ConfigError("metric parameter r must lie in (0, 1)")
-    span = max(x.head_length, y.head_length)
-    for i in range(span):
-        if x.letter(i) != y.letter(i):
-            return r ** i
-    # identical through both heads: the canonical tails continue identically
-    return 0.0
+def canonical_prefixes(fibers: FiberStructure, path: DriverPath, anchor: int,
+                       words, depth: int) -> list[tuple[int, ...]]:
+    """The depth-`depth` prefix of the canonical point of each word at fiber `anchor`.
+
+    Each word is checked by `admits_word` against one driver-state slice per
+    word length.  A shorter word takes the canonical tail after its last
+    letter, which depends only on the length and that letter: one Point each.
+    """
+    states, tails, out = {}, {}, []
+    for w in words:
+        n = len(w)
+        if n not in states:
+            states[n] = path.states(anchor, anchor + n - 1)
+        if not fibers.admits_word(states[n], w):
+            raise AdmissibilityError(f"word {w} not admissible at fiber {anchor}")
+        if n < depth and (n, w[-1]) not in tails:
+            tails[n, w[-1]] = Point(fibers, path, anchor + n - 1, w[-1:]).prefix(depth - n + 1)[1:]
+        out.append(w[:depth] if n >= depth else w + tails[n, w[-1]])
+    return out

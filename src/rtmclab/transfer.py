@@ -21,6 +21,12 @@ order, predecessors ascending; masses are sequential sums in that order, and
 coarsening sums onto output atoms in first-occurrence order.  The floats are
 therefore bit for bit those of the dict loop kept as the test oracle.
 
+`transfer_apply` reads a forward twin in plain tuples (its functions hold few
+values): per output word w at fiber j+1, (exp(phi) at aw, aw cut to the
+function depth) for each predecessor a ascending, cached likewise under
+(potential, both depths, states j .. j+output depth).  Each value sums from
+0.0 in that order, bit for bit the per-word loop kept as the test oracle.
+
 The measures the sweep produces keep the same vectors: rows of the word index
 at their fiber and depth, and masses.  `integrate`, `invariant_measures`,
 `marginal`, `coarsen` and the sweep's two-start gap run on them: a function
@@ -54,7 +60,8 @@ from .errors import (
     InvariantViolation,
 )
 from .potentials import Potential, birkhoff_sum, fitted_kappa
-from .shifts import FiberStructure, admissible_words, canonical_representative, word_index
+from .shifts import (FiberStructure, admissible_words, canonical_prefixes,
+                     canonical_representative, word_index)
 
 DEFAULT_DEPTH_CAP = 16
 
@@ -328,18 +335,32 @@ class AtomicMeasure:
 # the operator and its dual
 
 
+def _forward_table(phi: Potential, fibers: FiberStructure, path: DriverPath,
+                   j: int, d: int, m: int) -> tuple:
+    """The forward step from fiber j: (w, ((exp(phi(aw)), (aw)[:m]), ...)) per
+    depth-d word w at fiber j+1, for depth-m functions; needs d >= max(m-1, p-1)."""
+    key = (phi, d, m, path.states(j, j + d)) if phi.state_keyed else None
+    table = fibers._steps.get(key)
+    if table is None:
+        table = tuple(
+            (w, tuple((math.exp(phi.value(path, j, (a,) + w)), ((a,) + w)[:m])
+                      for a in fibers.predecessors(path, j + 1, w[0])))
+            for w in admissible_words(fibers, path, j + 1, d))
+        if key is not None:
+            fibers._steps[key] = table
+    return table
+
+
 def transfer_apply(phi: Potential, f: CylinderFunction) -> CylinderFunction:
     """One operator step: (L f)(x) = sum over letters a with a x admissible of e^phi(ax) f(ax)."""
-    fibers, path, j = f.fibers, f.path, f.anchor
     out_depth = max(f.depth - 1, phi.depth - 1, 1)
-    out = {}
-    for w in admissible_words(fibers, path, j + 1, out_depth):
+    values, out = f.values, {}
+    for w, branches in _forward_table(phi, f.fibers, f.path, f.anchor, out_depth, f.depth):
         total = 0.0
-        for a in fibers.predecessors(path, j + 1, w[0]):
-            full = (a,) + w  # length 1 + out_depth covers both table depths
-            total += math.exp(phi.value(path, j, full)) * f.values[full[: f.depth]]
+        for weight, key in branches:
+            total += weight * values[key]
         out[w] = total
-    return CylinderFunction(fibers, path, j + 1, out_depth, out)
+    return CylinderFunction(f.fibers, f.path, f.anchor + 1, out_depth, out)
 
 
 def transfer_power(phi: Potential, f: CylinderFunction, n: int) -> CylinderFunction:
@@ -374,12 +395,10 @@ def _step_table(phi: Potential, fibers: FiberStructure, path: DriverPath,
     A state-keyed potential's table depends only on the driver states at
     j-1 .. j-1+d, so it is cached on the fibers under (phi, d, those states).
     """
-    key = None
-    if phi.state_keyed:
-        key = (phi, d, path.states(j - 1, j - 1 + d))
-        cached = fibers._steps.get(key)
-        if cached is not None:
-            return cached
+    key = (phi, d, path.states(j - 1, j - 1 + d)) if phi.state_keyed else None
+    cached = fibers._steps.get(key)
+    if cached is not None:
+        return cached
     target = word_index(fibers, path, j - 1, d).rows
     ptr, letter, weight, coarse = [0], [], [], []
     for w in word_index(fibers, path, j, d).words:
@@ -432,12 +451,8 @@ def dual_apply(phi: Potential, mu: AtomicMeasure, n: int = 1,
     d = max(phi.depth - 1, 1)
     rows = word_index(fibers, path, j, d).rows
     atoms = list(mu.weights)
-    keys = np.empty(len(atoms), dtype=np.intp)
-    for i, w in enumerate(atoms):
-        u = w[:d] if len(w) >= d else canonical_representative(w, fibers, path, anchor=j).prefix(d)
-        if u not in rows:
-            raise AdmissibilityError(f"atom {w} not admissible at fiber {j}")
-        keys[i] = rows[u]
+    keys = np.array([rows[u] for u in canonical_prefixes(fibers, path, j, atoms, d)],
+                    dtype=np.intp)
     weights = np.fromiter(mu.weights.values(), dtype=float, count=len(atoms))
     origin = np.arange(len(atoms))
     lead = np.empty((len(atoms), 0), dtype=np.int64)  # letters pulled so far, newest first
@@ -713,18 +728,8 @@ def invariant_measures(triple: RpfTriple) -> dict:
             out[j] = AtomicMeasure.on_rows(fibers, path, j, mu.depth, mu._rows,
                                            terms / _mass(terms))
             continue
-        rows_by_length: dict = {}
-        weights = {}
-        for w, m in mu.weights.items():
-            rows = rows_by_length.get(len(w))
-            if rows is None:
-                rows = rows_by_length[len(w)] = word_index(fibers, path, j, len(w)).rows
-            if w not in rows:
-                raise AdmissibilityError(f"word {w} not admissible at fiber {j}")
-            key = w
-            if len(w) < h.depth:
-                key = canonical_representative(w, fibers, path, anchor=j).prefix(h.depth)
-            weights[w] = m * h.value_at(key)
+        keys = canonical_prefixes(fibers, path, j, mu.weights, h.depth)
+        weights = {w: m * h.value_at(key) for (w, m), key in zip(mu.weights.items(), keys)}
         total = sum(weights.values())
         out[j] = AtomicMeasure(fibers, path, j, mu.depth,
                                {w: v / total for w, v in weights.items()})
@@ -780,9 +785,10 @@ class PressureEstimate:
     returns_used: int
 
     def lambda_route(self, triple: RpfTriple) -> float | None:
-        """Mean log lambda of the triple over fibers [0, last return), None if empty."""
+        """Mean log lambda of the triple over the whole driver periods from fiber
+        max(lo, 0) below min(hi, last return); None if there is none."""
         last = self.curve[-1][0]
-        span = range(max(triple.lo, 0), min(triple.hi, last))
+        span = triple.path.system.whole_periods(range(max(triple.lo, 0), min(triple.hi, last)))
         if len(span) == 0:
             return None
         return sum(triple.log_lambda[j] for j in span) / len(span)
@@ -817,8 +823,7 @@ def gurevich_pressure(
         log_scale += math.log(peak)
         f = f.shift_scale(1.0 / peak)
         if a in fibers.alphabet(path, n):
-            xi = canonical_representative((a,), fibers, path, anchor=n)
-            val = f.value_at(xi.prefix(f.depth))
+            val = f.value_at(canonical_prefixes(fibers, path, n, [(a,)], f.depth)[0])
             if val > 0:
                 log_z[n] = log_scale + math.log(val)
                 curve.append((n, log_z[n] / n))

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fitting import fit_rate
 from .potentials import Potential, distortion_constant, word_birkhoff
-from .shifts import FiberStructure, Point, admissible_words, canonical_representative, shift_metric
+from .shifts import FiberStructure, Point, admissible_words, canonical_prefixes
 from .transfer import (
     AtomicMeasure,
     CylinderFunction,
@@ -77,7 +77,13 @@ class Metric:
         return d if self.kind == "raw" else min(1.0, self.alpha * d)
 
     def dist(self, x: Point, y: Point) -> float:
-        return self.from_shift(shift_metric(x, y, self.r))
+        """`levels` at the first disagreement of two points of one fiber; past both
+        heads the canonical tails continue identically."""
+        if x.anchor != y.anchor:
+            raise AdmissibilityError("the metric needs points on the same fiber")
+        span = max(x.head_length, y.head_length)
+        k = next((i for i in range(span) if x.letter(i) != y.letter(i)), span)
+        return float(self.levels(span)[k])
 
     def levels(self, depth: int) -> np.ndarray:
         """g(k) for k = 0..depth: the distance of two points that first differ at
@@ -112,11 +118,8 @@ def _prefixes(measure: AtomicMeasure, words, depth: int) -> np.ndarray:
     Two rows are equal exactly when the points are: every head is at most
     `depth` letters long and the canonical tails continue identically.
     """
-    out = np.empty((len(words), depth), dtype=np.int64)
-    for i, w in enumerate(words):
-        rep = canonical_representative(w, measure.fibers, measure.path, anchor=measure.anchor)
-        out[i] = rep.prefix(depth)
-    return out
+    rows = canonical_prefixes(measure.fibers, measure.path, measure.anchor, words, depth)
+    return np.array(rows, dtype=np.int64).reshape(len(words), depth)
 
 
 def _common_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

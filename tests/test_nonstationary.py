@@ -18,7 +18,7 @@ import pytest
 from rtmclab.cli import main
 from rtmclab.config import load_config
 from rtmclab.errors import ConvergenceError
-from rtmclab.experiments import SeedPipeline, run_contract
+from rtmclab.experiments import SeedPipeline, run_contract, run_rpf
 from rtmclab.shifts import admissible_words
 from rtmclab.transfer import gurevich_pressure
 
@@ -151,6 +151,27 @@ def test_pressure_increment_spans_whole_periods():
     period = cfg.system.period
     per_period = sum(p.triple.log_lambda[j] for j in range(period)) / period
     assert abs(p.pressure.estimate - per_period) <= 1e-12
+
+
+def test_lambda_averages_span_whole_periods(tmp_path):
+    # the random period-10 weights of test_random_period_ten, left unnormalized:
+    # over the rpf window [0, 24) both averages read 0.146782, over its two
+    # whole periods [0, 20) they read 0.162909, as the pressure estimate does
+    rng = np.random.default_rng(12)
+    entries = [([1, 2], [[1, 1], [1, 1]], rng.uniform(0.2, 1.0, size=(2, 2)))
+               for _ in range(10)]
+    cfg = periodic_config(tmp_path, entries)
+    assert cfg.system.whole_periods(range(24)) == range(20)
+    assert cfg.system.whole_periods(range(3, 9)) == range(3, 3)
+    p = SeedPipeline(cfg, 0, ("rpf",))
+    report, _ = run_rpf(p)
+    log_lambda = p.triple.log_lambda
+    whole = sum(log_lambda[j] for j in range(20)) / 20
+    assert whole == pytest.approx(0.162909, abs=1e-6)
+    assert abs(sum(log_lambda[j] for j in range(24)) / 24 - whole) > 0.01
+    assert report["lambda_mean_log"] == pytest.approx(whole, rel=1e-13)
+    assert report["pressure_lambda_route"] == pytest.approx(whole, rel=1e-13)
+    assert report["pressure_estimate"] == pytest.approx(whole, rel=1e-11)
 
 
 def test_pressure_without_a_whole_period_of_returns_raises(tmp_path):

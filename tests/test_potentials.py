@@ -21,7 +21,7 @@ from rtmclab.potentials import (
     table_potential,
     variation,
 )
-from rtmclab.shifts import Word, admissible_words, canonical_representative
+from rtmclab.shifts import admissible_words, canonical_representative
 
 from conftest import full_shift, golden_mean_shift, stationary_system
 
@@ -171,8 +171,7 @@ class TestDistortionCheck:
     def test_depth2_zero_gap(self, full2):
         fibers, path = full2
         phi = log_matrix_potential(fibers, [np.array([[0.5, 0.5], [0.3, 0.7]])])
-        a = Word(0, (1, 2, 1))
-        bound, emp = distortion_check(phi, fibers, path, a, n=2)
+        bound, emp = distortion_check(phi, fibers, path, 0, (1, 2, 1), n=2)
         assert emp == 0.0
         assert bound == pytest.approx(phi.r * math.log(1.0), abs=1e-15)
 
@@ -184,14 +183,13 @@ class TestDistortionCheck:
         table = {w: sum(r ** i * w[i] for i in range(3)) for w in words}
         phi = Potential(depth=3, r=r, index=1, tables=(table,),
                         kappa=(fitted_kappa_oracle(table, r, 1),))
-        a = Word(0, (1, 2, 1, 1))
-        bound, emp = distortion_check(phi, fibers, path, a, n=2, samples=1000)
+        bound, emp = distortion_check(phi, fibers, path, 0, (1, 2, 1, 1), n=2, samples=1000)
         assert emp <= bound + 1e-12
 
     def test_n_zero(self, full2):
         fibers, path = full2
         phi = log_matrix_potential(fibers, [np.array([[0.5, 0.5], [0.3, 0.7]])])
-        bound, emp = distortion_check(phi, fibers, path, Word(0, (1, 2)), n=0)
+        bound, emp = distortion_check(phi, fibers, path, 0, (1, 2), n=0)
         assert bound == 0.0 and emp == 0.0
 
     def test_misdeclared_kappa_flagged(self, full2):
@@ -201,7 +199,15 @@ class TestDistortionCheck:
         table = {w: float(rng.normal()) for w in words}
         phi = Potential(depth=3, r=0.5, index=2, tables=(table,), kappa=(0.0,))
         with pytest.raises(InvariantViolation):
-            distortion_check(phi, fibers, path, Word(0, (1, 1)), n=1)
+            distortion_check(phi, fibers, path, 0, (1, 1), n=1)
+
+    def test_inadmissible_word_rejected(self):
+        system = stationary_system()
+        path = sample_path(system, seed=0)
+        fibers = golden_mean_shift(system)
+        phi = log_matrix_potential(fibers, [np.array([[0.5, 0.5], [0.5, 0.0]])])
+        with pytest.raises(AdmissibilityError, match=r"word \(1, 2, 2\) not admissible at fiber -4"):
+            distortion_check(phi, fibers, path, -4, (1, 2, 2), n=1)
 
     def test_sandwich_on_sampled_pairs(self, full2):
         # exp of Birkhoff differences stays inside [B^-r^(m-n), B^r^(m-n)]

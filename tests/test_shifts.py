@@ -1,4 +1,5 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -6,14 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtmclab.driver import sample_path, shift_path
-from rtmclab.errors import AdmissibilityError, ConfigError
+from rtmclab.errors import AdmissibilityError, ConfigError, WindowExhausted
 from rtmclab.shifts import (
     FiberStructure,
-    Point,
-    Word,
     admissible_words,
     canonical_representative,
-    shift_metric,
     word_index,
 )
 from rtmclab.transport import Metric
@@ -29,6 +27,30 @@ def brute_force_words(fibers, path, start, n):
         if all(fibers.admits(path, start + i, cand[i], cand[i + 1]) for i in range(n - 1)):
             out.append(cand)
     return sorted(out)
+
+
+def admits_oracle(fibers, path, anchor, letters):
+    """Letter-by-letter admissibility: the first letter in its fiber's alphabet, then
+    every consecutive pair through `admits`, two driver-state reads per pair."""
+    if not letters or letters[0] not in fibers.alphabet(path, anchor):
+        return False
+    return all(fibers.admits(path, anchor + i, letters[i], letters[i + 1])
+               for i in range(len(letters) - 1))
+
+
+def shift_metric(x, y, r):
+    """d_r(x, y) = r^(first index of disagreement), 0 for equal points, read letter by
+    letter through both heads; the canonical tails continue identically past them."""
+    if x.anchor != y.anchor:
+        raise AdmissibilityError("shift_metric needs points on the same fiber")
+    for i in range(max(x.head_length, y.head_length)):
+        if x.letter(i) != y.letter(i):
+            return r ** i
+    return 0.0
+
+
+def bits(x):
+    return struct.pack("<d", x)
 
 
 @pytest.fixture
@@ -116,7 +138,7 @@ class TestWordIndex:
         for start in range(-25, 25):
             for n in (1, 3, 4):
                 brute = [w for w in itertools.product(fibers.universe, repeat=n)
-                         if Word(start, w).is_admissible(fibers, path)]
+                         if admits_oracle(fibers, path, start, w)]
                 assert list(admissible_words(fibers, path, start, n)) == brute
 
     def test_structures_over_one_path_do_not_share(self, full2):
@@ -156,14 +178,32 @@ class TestCanonicalRepresentative:
 
     def test_golden_mean_tail(self, gm):
         fibers, path = gm
-        assert Word(0, (1, 2)).is_admissible(fibers, path)
+        assert fibers.admits_word(path.states(0, 1), (1, 2))
         pt = canonical_representative((1, 2), fibers, path, depth=5)
         assert pt.prefix(5) == (1, 2, 1, 1, 1)
 
     def test_inadmissible_word_rejected(self, gm):
         fibers, path = gm
-        with pytest.raises(AdmissibilityError):
+        with pytest.raises(AdmissibilityError, match=r"word \(2, 2\) not admissible at fiber 0"):
             canonical_representative((2, 2), fibers, path)
+        with pytest.raises(AdmissibilityError, match="not admissible at fiber -3"):
+            canonical_representative((1, 3), fibers, path, anchor=-3)
+
+    def test_empty_word_is_an_admissibility_error(self, gm):
+        fibers, path = gm
+        with pytest.raises(AdmissibilityError, match=r"word \(\) not admissible at fiber 4"):
+            canonical_representative((), fibers, path, anchor=4)
+        assert not fibers.admits_word((), ())
+
+    def test_word_past_max_radius_exhausts_the_window(self):
+        system = two_state_iid(seed=2)
+        path = sample_path(system, seed=2, max_radius=20)
+        fibers = full_shift(system, 2)
+        canonical_representative((1, 2, 1), fibers, path, anchor=18)  # reads 18..20
+        with pytest.raises(WindowExhausted, match="index 21"):
+            canonical_representative((1, 2, 1, 1), fibers, path, anchor=18)
+        with pytest.raises(WindowExhausted, match="index -21"):
+            canonical_representative((1, 2), fibers, path, anchor=-21)
 
     def test_deterministic(self, gm):
         fibers, path = gm
@@ -172,37 +212,103 @@ class TestCanonicalRepresentative:
         assert a.prefix(8) == b.prefix(8)
 
 
+class TestAdmitsWord:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_letter_by_letter_oracle(self, seed):
+        # random patterns on two states with different alphabets; letters drawn
+        # from a range wider than the universe, so some lie outside every fiber
+        rng = np.random.default_rng(seed)
+        system = two_state_iid(seed=seed)
+        path = sample_path(system, seed=seed)
+        alphabets = {"a": [1, 2, 3], "b": [2, 4]}
+        universe = [1, 2, 3, 4]
+        matrices = {s: (rng.random((len(alpha), len(universe))) < 0.6).astype(int).tolist()
+                    for s, alpha in alphabets.items()}
+        fibers = FiberStructure.build(system, alphabets=alphabets, matrices=matrices)
+        admitted = 0
+        for _ in range(400):
+            anchor = int(rng.integers(-30, 30))
+            n = int(rng.integers(1, 6))
+            letters = tuple(int(a) for a in rng.integers(0, 6, size=n))
+            want = admits_oracle(fibers, path, anchor, letters)
+            assert fibers.admits_word(path.states(anchor, anchor + n - 1), letters) is want
+            admitted += want
+        assert 0 < admitted < 400
+
+    def test_every_admissible_word_and_no_other(self):
+        system = two_state_iid(seed=9)
+        path = sample_path(system, seed=9)
+        fibers = FiberStructure.build(
+            system,
+            alphabets={"a": [1, 2, 3], "b": [1, 2]},
+            matrices={"a": [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+                      "b": [[0, 1, 1], [1, 1, 0]]},
+        )
+        for start in (-7, 0, 5):
+            states = path.states(start, start + 3)
+            words = set(admissible_words(fibers, path, start, 4))
+            for w in itertools.product(range(5), repeat=4):
+                assert fibers.admits_word(states, w) is (w in words)
+
+
+class TestMetricParity:
+    """Metric.dist against the letter-by-letter shift_metric oracle, by float bits."""
+
+    @pytest.mark.parametrize("metric", [Metric("raw", 0.5), Metric("raw", 0.3),
+                                        Metric("adjusted", 0.49, 1.0),
+                                        Metric("adjusted", 0.49, 2.7),
+                                        Metric("adjusted", 0.2, 40.0)])
+    def test_random_heads(self, metric):
+        rng = np.random.default_rng(5)
+        system = two_state_iid(seed=5)
+        path = sample_path(system, seed=5)
+        fibers = FiberStructure.build(
+            system,
+            alphabets={"a": [1, 2, 3], "b": [1, 2, 3]},
+            matrices={"a": [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+                      "b": [[1, 0, 1], [1, 1, 1], [0, 1, 0]]},
+        )
+        for anchor in (-12, 0, 9):
+            words = [w for n in range(1, 6) for w in admissible_words(fibers, path, anchor, n)]
+            for _ in range(300):
+                wx, wy = (words[i] for i in rng.integers(len(words), size=2))
+                x = canonical_representative(wx, fibers, path, anchor=anchor)
+                y = canonical_representative(wy, fibers, path, anchor=anchor)
+                want = metric.from_shift(shift_metric(x, y, metric.r))
+                assert bits(metric.dist(x, y)) == bits(want), (wx, wy)
+
+
 class TestShiftMetric:
     def test_equal_points(self, full2):
         fibers, path = full2
         x = canonical_representative((1, 2), fibers, path)
         y = canonical_representative((1, 2), fibers, path)
-        assert shift_metric(x, y, 0.5) == 0.0
+        assert Metric("raw", 0.5).dist(x, y) == 0.0
 
     def test_equal_after_canonical_extension(self, full2):
         fibers, path = full2
         x = canonical_representative((2,), fibers, path)
         y = canonical_representative((2, 1, 1), fibers, path)
-        assert shift_metric(x, y, 0.5) == 0.0
+        assert Metric("raw", 0.5).dist(x, y) == 0.0
 
     def test_difference_at_zero(self, full2):
         fibers, path = full2
         x = canonical_representative((1,), fibers, path)
         y = canonical_representative((2,), fibers, path)
-        assert shift_metric(x, y, 0.5) == 1.0
+        assert Metric("raw", 0.5).dist(x, y) == 1.0
 
     def test_difference_at_two(self, full2):
         fibers, path = full2
         x = canonical_representative((1, 1, 1), fibers, path)
         y = canonical_representative((1, 1, 2), fibers, path)
-        assert shift_metric(x, y, 0.5) == 0.25
+        assert Metric("raw", 0.5).dist(x, y) == 0.25
 
     def test_mismatched_anchor_rejected(self, full2):
         fibers, path = full2
         x = canonical_representative((1,), fibers, path, anchor=0)
         y = canonical_representative((1,), fibers, path, anchor=1)
         with pytest.raises(AdmissibilityError):
-            shift_metric(x, y, 0.5)
+            Metric("raw", 0.5).dist(x, y)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -214,13 +320,13 @@ class TestShiftMetric:
         pick = st.integers(0, len(words) - 1)
         x, y, z = (canonical_representative(words[data.draw(pick)], fibers, path)
                    for _ in range(3))
-        r = data.draw(st.sampled_from([0.3, 0.5, 0.49, 0.9]))
-        dxz = shift_metric(x, z, r)
-        assert dxz <= max(shift_metric(x, y, r), shift_metric(y, z, r)) + 1e-15
+        d = Metric("raw", data.draw(st.sampled_from([0.3, 0.5, 0.49, 0.9]))).dist
+        assert d(x, z) <= max(d(x, y), d(y, z)) + 1e-15
 
     def test_inverse_branch_exact_contraction(self, gm):
         fibers, path = gm
         r = 0.5
+        dist = Metric("raw", r).dist
         words3 = admissible_words(fibers, path, 3, 3)
         prefix = (1, 2)  # admissible block ending at letter 2... 2->1 only
         for wx, wy in itertools.combinations(words3, 2):
@@ -231,9 +337,9 @@ class TestShiftMetric:
             y = canonical_representative(wy, fibers, path, anchor=3)
             tx = canonical_representative(prefix + x.prefix(3), fibers, path, anchor=1)
             ty = canonical_representative(prefix + y.prefix(3), fibers, path, anchor=1)
-            d = shift_metric(x, y, r)
+            d = dist(x, y)
             if d > 0:
-                assert shift_metric(tx, ty, r) == pytest.approx(r ** 2 * d, abs=0, rel=1e-12)
+                assert dist(tx, ty) == pytest.approx(r ** 2 * d, abs=0, rel=1e-12)
 
 
 class TestAdjustedMetric:
@@ -241,14 +347,14 @@ class TestAdjustedMetric:
         fibers, path = full2
         x = canonical_representative((1, 1), fibers, path)
         y = canonical_representative((1, 2), fibers, path)
-        assert shift_metric(x, y, 0.5) == 0.5
+        assert Metric("raw", 0.5).dist(x, y) == 0.5
         assert Metric("adjusted", 0.5, 4.0).dist(x, y) == 1.0
 
     def test_alpha_one_identity(self, full2):
         fibers, path = full2
         x = canonical_representative((1, 1), fibers, path)
         y = canonical_representative((1, 2), fibers, path)
-        assert Metric("adjusted", 0.5, 1.0).dist(x, y) == shift_metric(x, y, 0.5)
+        assert Metric("adjusted", 0.5, 1.0).dist(x, y) == Metric("raw", 0.5).dist(x, y)
 
     def test_scaling(self, full2):
         fibers, path = full2
@@ -270,7 +376,7 @@ class TestAdjustedMetric:
         for wx, wy in itertools.combinations(words, 2):
             x = canonical_representative(wx, fibers, path)
             y = canonical_representative(wy, fibers, path)
-            d = shift_metric(x, y, 0.5)
+            d = Metric("raw", 0.5).dist(x, y)
             dbar = metric.dist(x, y)
             assert d - 1e-15 <= dbar <= 3.0 * d + 1e-15
 

@@ -418,6 +418,101 @@ def parity_functions(fibers, path, anchor, rng):
     return out
 
 
+def dict_transfer_oracle(phi, f):
+    """The per-word forward step: predecessors and exp(phi) looked up for every word."""
+    fibers, path, j = f.fibers, f.path, f.anchor
+    out_depth = max(f.depth - 1, phi.depth - 1, 1)
+    out = {}
+    for w in admissible_words(fibers, path, j + 1, out_depth):
+        total = 0.0
+        for a in fibers.predecessors(path, j + 1, w[0]):
+            full = (a,) + w
+            total += math.exp(phi.value(path, j, full)) * f.values[full[: f.depth]]
+        out[w] = total
+    return CylinderFunction(fibers, path, j + 1, out_depth, out)
+
+
+def forward_functions(fibers, path, anchor, rng):
+    """parity_functions plus values over 25 orders of magnitude, where the order of a
+    sum of three or more terms shows in its bits."""
+    out = parity_functions(fibers, path, anchor, rng)
+    for d in (2, 3):
+        words = admissible_words(fibers, path, anchor, d)
+        out[f"wide{d}"] = CylinderFunction(fibers, path, anchor, d, {
+            w: float(rng.normal() * 10.0 ** rng.integers(-8, 17)) for w in words})
+    return out
+
+
+@pytest.mark.parametrize("instance", ["full2", "gm", "pattern3", "two_state", "full3"])
+class TestForwardParity:
+    """transfer_apply on the forward step table against the per-word loop, by float bits."""
+
+    def build(self, instance, request):
+        if instance in ("full2", "gm"):
+            return request.getfixturevalue(instance)
+        if instance == "full3":  # three predecessors per letter
+            system = two_state_iid(seed=8)
+            return full_shift(system, 3), sample_path(system, seed=8)
+        return random_pattern3() if instance == "pattern3" else two_state_full()
+
+    def assert_parity(self, phi, functions):
+        for name, f in functions.items():
+            for _ in range(2):  # the second call reads a cached table when phi is state-keyed
+                new, old = transfer_apply(phi, f), dict_transfer_oracle(phi, f)
+                assert (new.anchor, new.depth) == (old.anchor, old.depth), name
+                assert_same_items(new.values, old.values)
+            # and along a chain, where the depths settle
+            g = f
+            for _ in range(3):
+                new, g = transfer_apply(phi, g), dict_transfer_oracle(phi, g)
+                assert_same_items(new.values, g.values)
+
+    def test_state_keyed(self, instance, request):
+        # depth-2 and depth-4 potentials against functions of depth 1-6:
+        # f.depth below, at and above phi.depth
+        fibers, path = self.build(instance, request)
+        rng = np.random.default_rng(31)
+        tables = [{w: float(rng.normal(scale=0.4))
+                   for w in itertools.product(fibers.universe, repeat=4)}
+                  for _ in fibers.alphabets]
+        for phi in (random_log_matrix(fibers, rng), table_potential(tables, depth=4, r=0.5)):
+            for j in (-40, -1, 0, 6):
+                self.assert_parity(phi, forward_functions(fibers, path, j, rng))
+
+    def test_fiber_keyed(self, instance, request):
+        fibers, path = self.build(instance, request)
+        rng = np.random.default_rng(32)
+        phi = random_log_matrix(fibers, rng)
+        triple = rpf_solve(phi, fibers, path, depth=4, horizon=40, window=(0, 12))
+        tilde = normalize_potential(phi, triple)
+        assert not tilde.state_keyed
+        before = len(fibers._steps)
+        for j in (0, 3, 7):
+            self.assert_parity(tilde, forward_functions(fibers, path, j, rng))
+        assert len(fibers._steps) == before  # fiber-keyed tables are rebuilt, not cached
+
+
+def test_forward_cache_is_shared_across_fibers():
+    # a one-state driver reads the same state window at every fiber, so a solve
+    # over some 170 fibers adds a bounded number of step tables, and a second
+    # solve elsewhere on the path adds none
+    cfg = load_config(CONFIGS / "markov_2letter.json")
+    assert cfg.system.n_states == 1
+    path = cfg.sample(cfg.seeds[0])
+    steps = cfg.fibers._steps
+
+    def solve(window):
+        rpf_solve(cfg.potential, cfg.fibers, path, depth=cfg.depths["working"],
+                  horizon=60, window=window)
+        return len(steps), sum(isinstance(v, tuple) for v in steps.values())
+
+    before = len(steps)
+    total, forward = solve((-20, 20))
+    assert 1 <= forward <= 2
+    assert total - before <= 4
+    assert solve((150, 200)) == (total, forward)
+
+
 @pytest.mark.parametrize("instance", ["full2", "gm", "pattern3", "two_state"])
 class TestMeasureKernelParity:
     """Row-vector measure kernels against the per-atom loops: the same floats, bit for bit."""

@@ -7,9 +7,9 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from rtmclab.driver import sample_path
-from rtmclab.errors import ConfigError, InvariantViolation
+from rtmclab.errors import AdmissibilityError, ConfigError, InvariantViolation
 from rtmclab.potentials import constant_potential, log_matrix_potential
-from rtmclab.shifts import admissible_words, canonical_representative
+from rtmclab.shifts import FiberStructure, admissible_words, canonical_representative
 from rtmclab.transfer import (
     AtomicMeasure,
     CylinderFunction,
@@ -20,6 +20,7 @@ from rtmclab.transfer import (
     rpf_solve,
     transfer_power,
 )
+from rtmclab import transport
 from rtmclab.transport import (
     Metric,
     build_coupling,
@@ -195,6 +196,74 @@ class TestWasserstein:
                             probability=False)
         with pytest.raises(ConfigError):
             wasserstein(mu, bad, Metric("raw", 0.5))
+
+
+def point_prefix_oracle(measure, words, depth):
+    """The per-atom prefixes: one canonical point per word, read to `depth` letters."""
+    out = np.empty((len(words), depth), dtype=np.int64)
+    for i, w in enumerate(words):
+        rep = canonical_representative(w, measure.fibers, measure.path, anchor=measure.anchor)
+        out[i] = rep.prefix(depth)
+    return out
+
+
+def _prefix_instances():
+    """(fibers, path): one- and two-state drivers, forced and free tails."""
+    one = stationary_system()
+    two = two_state_iid(seed=6)
+    pattern3 = FiberStructure.build(
+        two,
+        alphabets={"a": [1, 2, 3], "b": [1, 2, 3]},
+        matrices={"a": [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+                  "b": [[0, 0, 1], [1, 1, 1], [0, 1, 0]]},
+    )
+    uneven = FiberStructure.build(
+        two,
+        alphabets={"a": [1, 2, 3], "b": [2, 3]},
+        matrices={"a": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+                  "b": [[1, 1, 0], [0, 1, 1]]},
+    )
+    return {
+        "golden": (golden_mean_shift(one), sample_path(one, seed=4)),
+        "full3_two_state": (full_shift(two, 3), sample_path(two, seed=6)),
+        "pattern3": (pattern3, sample_path(two, seed=6)),
+        "uneven": (uneven, sample_path(two, seed=7)),
+    }
+
+
+@pytest.mark.parametrize("name", ["golden", "full3_two_state", "pattern3", "uneven"])
+class TestPrefixParity:
+    """_prefixes against the per-atom point oracle: the same rows, exactly."""
+
+    def test_mixed_length_atoms(self, name):
+        fibers, path = _prefix_instances()[name]
+        rng = np.random.default_rng(14)
+        for anchor in (-23, -2, 0, 11):
+            # every word of one or two letters, a sample of the longer ones
+            pick = [w for n in (1, 2) for w in admissible_words(fibers, path, anchor, n)]
+            for n in (3, 4, 5):
+                words = admissible_words(fibers, path, anchor, n)
+                pick += [words[i] for i in sorted(rng.choice(len(words), size=6))]
+            pick = list(dict.fromkeys(pick))
+            rng.shuffle(pick)
+            raw = rng.random(len(pick)) + 0.05
+            mu = AtomicMeasure(fibers, path, anchor, 5,
+                               {w: float(x) for w, x in zip(pick, raw / raw.sum())})
+            words = list(mu.weights)
+            assert {len(w) for w in words} == {1, 2, 3, 4, 5}
+            for depth in (1, 3, 5, 8):  # longer, shorter and as long as the atoms
+                got = transport._prefixes(mu, words, depth)
+                want = point_prefix_oracle(mu, words, depth)
+                assert got.dtype == want.dtype and got.shape == (len(words), depth)
+                assert np.array_equal(got, want), (anchor, depth)
+
+    def test_inadmissible_word_rejected(self, name):
+        fibers, path = _prefix_instances()[name]
+        mu = AtomicMeasure.uniform(fibers, path, -5, 2)
+        bad = [admissible_words(fibers, path, -5, 2)[0], (1, 9)]
+        for prefixes in (transport._prefixes, point_prefix_oracle):
+            with pytest.raises(AdmissibilityError, match=r"word \(1, 9\) not admissible at fiber -5"):
+                prefixes(mu, bad, 4)
 
 
 class TestMetric:
