@@ -206,7 +206,8 @@ class TestDistortionCheck:
         path = sample_path(system, seed=0)
         fibers = golden_mean_shift(system)
         phi = log_matrix_potential(fibers, [np.array([[0.5, 0.5], [0.5, 0.0]])])
-        with pytest.raises(AdmissibilityError, match=r"word \(1, 2, 2\) not admissible at fiber -4"):
+        with pytest.raises(AdmissibilityError,
+                           match=r"word \(1, 2, 2\) not admissible at fiber -4"):
             distortion_check(phi, fibers, path, -4, (1, 2, 2), n=1)
 
     def test_sandwich_on_sampled_pairs(self, full2):

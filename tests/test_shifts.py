@@ -30,12 +30,17 @@ def brute_force_words(fibers, path, start, n):
 
 
 def admits_oracle(fibers, path, anchor, letters):
-    """Letter-by-letter admissibility: the first letter in its fiber's alphabet, then
-    every consecutive pair through `admits`, two driver-state reads per pair."""
+    """Letter-by-letter admissibility read off the 0/1 matrices with two `path.state`
+    reads per pair: the first letter in its fiber's alphabet, then each next letter
+    in its own fiber's alphabet and allowed by the current state's matrix row."""
     if not letters or letters[0] not in fibers.alphabet(path, anchor):
         return False
-    return all(fibers.admits(path, anchor + i, letters[i], letters[i + 1])
-               for i in range(len(letters) - 1))
+    for i, (a, b) in enumerate(zip(letters, letters[1:])):
+        s, s_next = path.state(anchor + i), path.state(anchor + i + 1)
+        if b not in fibers.alphabets[s_next] or not \
+                fibers.matrices[s][fibers.alphabets[s].index(a), fibers.universe.index(b)]:
+            return False
+    return True
 
 
 def shift_metric(x, y, r):

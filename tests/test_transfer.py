@@ -494,7 +494,7 @@ class TestForwardParity:
 
 def test_forward_cache_is_shared_across_fibers():
     # a one-state driver reads the same state window at every fiber, so a solve
-    # over some 170 fibers adds a bounded number of step tables, and a second
+    # over some 190 fibers adds a bounded number of step tables, and a second
     # solve elsewhere on the path adds none
     cfg = load_config(CONFIGS / "markov_2letter.json")
     assert cfg.system.n_states == 1

@@ -262,7 +262,8 @@ class TestPrefixParity:
         mu = AtomicMeasure.uniform(fibers, path, -5, 2)
         bad = [admissible_words(fibers, path, -5, 2)[0], (1, 9)]
         for prefixes in (transport._prefixes, point_prefix_oracle):
-            with pytest.raises(AdmissibilityError, match=r"word \(1, 9\) not admissible at fiber -5"):
+            with pytest.raises(AdmissibilityError,
+                               match=r"word \(1, 9\) not admissible at fiber -5"):
                 prefixes(mu, bad, 4)
 
 
