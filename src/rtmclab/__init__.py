@@ -31,23 +31,21 @@ from .errors import (
 from .shifts import (
     BipStructure,
     FiberStructure,
-    Point,
     admissible_words,
-    canonical_representative,
+    canonical_prefixes,
 )
 from .potentials import (
     DistortionConstants,
     Potential,
-    birkhoff_sum,
     constant_potential,
     distortion_check,
     distortion_constant,
-    evaluate,
     fitted_kappa,
     log_matrix_potential,
     summability_value,
     table_potential,
     variation,
+    word_birkhoff,
 )
 from .transfer import (
     AtomicMeasure,

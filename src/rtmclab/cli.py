@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config, validate_config
@@ -36,19 +35,19 @@ def _json_default(obj):
     return str(obj)
 
 
-def _load(config_path, overrides: dict) -> ExperimentConfig:
-    """The config with the --depth and --horizon overrides applied."""
+def _load(config_path, depth: int | None, horizon: int | None) -> ExperimentConfig:
+    """The config with the --depth and --horizon overrides applied, in `raw` too,
+    so that the config hash covers them."""
     cfg = load_config(config_path)
-    if overrides.get("depth") is not None:
-        cfg.depths["working"] = overrides["depth"]
-    if overrides.get("horizon") is not None:
-        cfg.horizons["solve"] = overrides["horizon"]
+    if depth is not None:
+        cfg.depths["working"] = cfg.raw.setdefault("depths", {})["working"] = depth
+    if horizon is not None:
+        cfg.horizons["solve"] = cfg.raw.setdefault("horizons", {})["solve"] = horizon
     return cfg
 
 
-def _run_one(args_tuple):
-    config_path, experiment, seed, out_dir, overrides, max_radius = args_tuple
-    cfg = _load(config_path, overrides)
+def _run_one(cfg: ExperimentConfig, experiment: str, seed: int, out_dir: str,
+             max_radius: int):
     names = EXPERIMENTS if experiment == "all" else (experiment,)
     pipeline = SeedPipeline(cfg, seed, names, max_radius=max_radius)
     out = Path(out_dir)
@@ -100,7 +99,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config seeds with a single seed")
     p_run.add_argument("--out-dir", default="out")
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--depth", type=int, default=None,
                        help="override the working depth")
     p_run.add_argument("--horizon", type=int, default=None,
@@ -111,9 +109,8 @@ def main(argv=None) -> int:
     if not config_path:
         parser.error("a config path is required (positional or --config)")
 
-    overrides = {"depth": vars(args).get("depth"), "horizon": vars(args).get("horizon")}
     try:
-        cfg = _load(config_path, overrides)
+        cfg = _load(config_path, vars(args).get("depth"), vars(args).get("horizon"))
         report = validate_config(cfg)
     except (RtmcError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -135,14 +132,7 @@ def main(argv=None) -> int:
         return 2
 
     seeds = [args.seed] if args.seed is not None else cfg.seeds
-    work = [(config_path, args.experiment, s, args.out_dir, overrides, int(max_radius))
-            for s in seeds]
-    if args.jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_one, work))
-    else:
-        results = [_run_one(w) for w in work]
-    results.sort(key=lambda r: r[0])
+    results = [_run_one(cfg, args.experiment, s, args.out_dir, int(max_radius)) for s in seeds]
     combined = {"config": cfg.config_hash, "name": cfg.name,
                 "seeds": {str(seed): summary for seed, summary, _ in results}}
     out = Path(args.out_dir)

@@ -170,8 +170,8 @@ def validate_config(cfg: ExperimentConfig) -> dict:
         violations.extend(cfg.fibers.validate_bip(cfg.system))
         pi = cfg.system.stationary()
         for ev in (cfg.fibers.bip.omega_bp, cfg.fibers.bip.omega_bi):
-            # radius-0 events: the frequency is the stationary mass of their states
-            if sum(pi[s] for s in range(cfg.system.n_states) if ev.fn((s,))) == 0.0:
+            # the frequency of an event is the stationary mass of its states
+            if sum(pi[s] for s in range(cfg.system.n_states) if ev.holds(s)) == 0.0:
                 warnings.append(f"event {ev.name} has frequency 0 under the stationary law")
     probe = cfg.sample(cfg.system.seed)
     s_value = summability_value(cfg.potential, cfg.fibers, probe, span=64)

@@ -13,7 +13,7 @@ Shifting the base map by k is therefore just an index translation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -246,24 +246,25 @@ def shift_path(path: DriverPath, k: int) -> DriverPath:
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Predicate on a bounded window of driver states around an index."""
+    """A driver event: the set of driver states on which it holds."""
 
-    radius: int
-    fn: Callable[[tuple[int, ...]], bool]
+    states: frozenset[int] | None  # None: every state
     name: str = "event"
 
+    def holds(self, s: int) -> bool:
+        return self.states is None or s in self.states
+
     def evaluate(self, path: DriverPath, i: int) -> bool:
-        return bool(self.fn(path.states(i - self.radius, i + self.radius)))
+        return self.holds(path.state(i))
 
     @staticmethod
     def always(name: str = "always") -> "EventSpec":
-        return EventSpec(radius=0, fn=lambda w: True, name=name)
+        return EventSpec(None, name)
 
     @staticmethod
     def state_in(system: DriverSystem, labels: Iterable[str], name: str = "") -> "EventSpec":
-        idx = frozenset(system.index_of(s) for s in labels)
-        return EventSpec(radius=0, fn=lambda w, _idx=idx: w[0] in _idx,
-                         name=name or f"state_in({sorted(labels)})")
+        return EventSpec(frozenset(system.index_of(s) for s in labels),
+                         name or f"state_in({sorted(labels)})")
 
 
 def return_times(
@@ -280,7 +281,7 @@ def return_times(
     sign = 1 if direction == "forward" else -1
     out: list[int] = []
     n = 1
-    limit = path.max_radius - event.radius - abs(path.origin)
+    limit = path.max_radius - abs(path.origin)
     while len(out) < count:
         if n > limit:
             raise InsufficientReturns(

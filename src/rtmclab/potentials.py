@@ -18,7 +18,7 @@ import numpy as np
 
 from .driver import DriverPath
 from .errors import AdmissibilityError, ConfigError, InvariantViolation
-from .shifts import FiberStructure, Point, admissible_words
+from .shifts import FiberStructure, admissible_words
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,24 +124,10 @@ def log_matrix_potential(
                      kappa=(0.0,) * len(tables))
 
 
-def evaluate(phi: Potential, x: Point) -> float:
-    """Table value of the potential at the point's fiber on its first p letters."""
-    return phi.value(x.path, x.anchor, x.prefix(phi.depth))
-
-
-def birkhoff_sum(phi: Potential, x: Point, n: int) -> float:
-    """S_n phi(x) = sum_{i<n} phi(T^i x); the empty sum is 0."""
-    if n < 0:
-        raise ConfigError("Birkhoff sum length must be >= 0")
-    total = 0.0
-    for i in range(n):
-        total += phi.value(x.path, x.anchor + i, x.prefix(i + phi.depth)[i:])
-    return total
-
-
 def word_birkhoff(phi: Potential, path: DriverPath, anchor: int,
                   letters: tuple[int, ...], n: int) -> float:
-    """Birkhoff sum read directly off a letter block (needs len >= n + depth - 1)."""
+    """S_n phi = sum_{i<n} phi(T^i x) read off a canonical prefix of x at fiber `anchor`
+    (needs len >= n + depth - 1); the empty sum is 0."""
     if len(letters) < n + phi.depth - 1:
         raise AdmissibilityError("letter block too short for the requested Birkhoff sum")
     return sum(

@@ -3,10 +3,13 @@
 Each driver state carries an alphabet and a 0/1 transition matrix into the
 global letter universe; a word is admissible when consecutive letters are
 allowed by the matrices of consecutive fiber states.  `admits_word` checks
-that letter by letter against one slice of driver states.  Points are finite
-heads extended with the letter-wise lexicographically minimal admissible
-tail, which makes equality and the shift metric d_r(x, y) =
-r^(first disagreement) exactly computable.
+that letter by letter against one slice of driver states.
+
+A point enters the shift metric d_r(x, y) = r^(first disagreement), the
+Birkhoff sums of a depth-p potential and its cylinders only through a finite
+prefix, so the library represents a point by its canonical prefix: a head
+word followed by the lexicographically least admissible continuation, read
+to the depth needed (`canonical_prefixes`).
 
 The admissible length-n words from fiber i depend only on the driver states
 at i .. i+n-1, so the word index (sorted words plus a word -> row dict) is
@@ -22,9 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .driver import DriverPath, DriverSystem, EventSpec
-from .errors import AdmissibilityError, ConfigError, DepthOverflow
-
-_MAX_MATERIALIZED = 8192
+from .errors import AdmissibilityError, ConfigError
 
 
 @dataclass(frozen=True)
@@ -171,14 +172,14 @@ class FiberStructure:
         return problems
 
     def validate_bip(self, system: DriverSystem) -> list[str]:
-        """Structural b.i.p. checks on the declared events (state-determined radius 0)."""
+        """Structural b.i.p. checks on the declared events."""
         if self.bip is None:
             return ["no b.i.p. structure declared"]
         problems = []
         mediators = self.bip.letters
         for s_cur in range(system.n_states):
-            marked_bp = self.bip.omega_bp.fn((s_cur,))
-            marked_bi = self.bip.omega_bi.fn((s_cur,))
+            marked_bp = self.bip.omega_bp.holds(s_cur)
+            marked_bi = self.bip.omega_bi.holds(s_cur)
             if not (marked_bp or marked_bi):
                 continue
             for s_prev in _possible_prev(system, s_cur):
@@ -250,76 +251,14 @@ def admissible_words(
     return word_index(fibers, path, start, n).words
 
 
-class Point:
-    """Head word plus the canonical (letter-wise minimal) admissible tail."""
-
-    __slots__ = ("fibers", "path", "anchor", "_letters")
-
-    def __init__(self, fibers: FiberStructure, path: DriverPath, anchor: int,
-                 head: Sequence[int]):
-        if not head:
-            raise AdmissibilityError("a point needs at least one head letter")
-        self.fibers = fibers
-        self.path = path
-        self.anchor = anchor
-        self._letters = list(head)
-
-    def letter(self, i: int) -> int:
-        if i >= _MAX_MATERIALIZED:
-            raise DepthOverflow(f"point materialization beyond {_MAX_MATERIALIZED} letters")
-        while len(self._letters) <= i:
-            j = len(self._letters)
-            nxt = self.fibers.successors(self.path, self.anchor + j - 1, self._letters[-1])
-            if not nxt:
-                raise AdmissibilityError(
-                    f"letter {self._letters[-1]} at fiber {self.anchor + j - 1} has no successor"
-                )
-            self._letters.append(nxt[0])
-        return self._letters[i]
-
-    def prefix(self, n: int) -> tuple[int, ...]:
-        self.letter(n - 1)
-        return tuple(self._letters[:n])
-
-    @property
-    def head_length(self) -> int:
-        return len(self._letters)
-
-    def shifted(self, k: int) -> "Point":
-        """The k-fold shift image: drop k leading letters, move the anchor up by k."""
-        if k == 0:
-            return self
-        self.letter(k)  # ensure a nonempty head survives
-        return Point(self.fibers, self.path, self.anchor + k, self._letters[k:])
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Point(anchor={self.anchor}, head={tuple(self._letters)})"
-
-
-def canonical_representative(
-    word: tuple[int, ...],
-    fibers: FiberStructure,
-    path: DriverPath,
-    depth: int = 0,
-    anchor: int = 0,
-) -> Point:
-    """The point whose head is the word and whose tail is lexicographically minimal."""
-    letters = tuple(word)
-    if not fibers.admits_word(path.states(anchor, anchor + len(letters) - 1), letters):
-        raise AdmissibilityError(f"word {letters} not admissible at fiber {anchor}")
-    pt = Point(fibers, path, anchor, letters)
-    if depth > len(letters):
-        pt.letter(depth - 1)
-    return pt
-
-
 def canonical_prefixes(fibers: FiberStructure, path: DriverPath, anchor: int,
                        words, depth: int) -> list[tuple[int, ...]]:
-    """The depth-`depth` prefix of the canonical point of each word at fiber `anchor`.
+    """The depth-`depth` canonical prefix of each word at fiber `anchor`.
 
     Each word is checked by `admits_word` against one driver-state slice per
-    word length.  A shorter word takes the canonical tail after its last
-    letter, which depends only on the length and that letter: one Point each.
+    word length.  A shorter word continues with the least admissible tail
+    after its last letter, which depends only on the length and that letter:
+    one tail each, walked along one state slice by least successors.
     """
     states, tails, out = {}, {}, []
     for w in words:
@@ -329,6 +268,14 @@ def canonical_prefixes(fibers: FiberStructure, path: DriverPath, anchor: int,
         if not fibers.admits_word(states[n], w):
             raise AdmissibilityError(f"word {w} not admissible at fiber {anchor}")
         if n < depth and (n, w[-1]) not in tails:
-            tails[n, w[-1]] = Point(fibers, path, anchor + n - 1, w[-1:]).prefix(depth - n + 1)[1:]
+            a, tail = w[-1], []
+            run = path.states(anchor + n - 1, anchor + depth - 1)
+            for i, (s, s_next) in enumerate(zip(run, run[1:]), start=anchor + n - 1):
+                nxt = fibers._next_letters(s, s_next, fibers._row[s][a])
+                if not nxt:
+                    raise AdmissibilityError(f"letter {a} at fiber {i} has no successor")
+                a = nxt[0]
+                tail.append(a)
+            tails[n, w[-1]] = tuple(tail)
         out.append(w[:depth] if n >= depth else w + tails[n, w[-1]])
     return out

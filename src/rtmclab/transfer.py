@@ -59,9 +59,8 @@ from .errors import (
     DepthOverflow,
     InvariantViolation,
 )
-from .potentials import Potential, birkhoff_sum, fitted_kappa
-from .shifts import (FiberStructure, admissible_words, canonical_prefixes,
-                     canonical_representative, word_index)
+from .potentials import Potential, fitted_kappa, word_birkhoff
+from .shifts import FiberStructure, admissible_words, canonical_prefixes, word_index
 
 DEFAULT_DEPTH_CAP = 16
 
@@ -255,7 +254,7 @@ class AtomicMeasure:
     @staticmethod
     def dirac(fibers, path, anchor: int, word: tuple[int, ...]) -> "AtomicMeasure":
         word = tuple(word)
-        rep = canonical_representative(word, fibers, path, anchor=anchor)  # validates
+        canonical_prefixes(fibers, path, anchor, [word], len(word))  # validates
         return AtomicMeasure(fibers, path, anchor, len(word), {word: 1.0})
 
     @staticmethod
@@ -286,13 +285,10 @@ class AtomicMeasure:
             raise AdmissibilityError("function and measure on different fibers")
         if self._rows is not None and f.depth <= self.depth:
             return _mass(self._values * self._at(f))
+        keys = canonical_prefixes(self.fibers, self.path, self.anchor, self.weights, f.depth)
         total = 0.0
-        for w, m in self.weights.items():
-            if f.depth <= len(w):
-                total += m * f.values[w[: f.depth]]
-            else:
-                rep = canonical_representative(w, self.fibers, self.path, anchor=self.anchor)
-                total += m * f.values[rep.prefix(f.depth)]
+        for m, key in zip(self.weights.values(), keys):
+            total += m * f.values[key]
         return total
 
     def _cylinders(self, depth: int, masses: np.ndarray):
@@ -926,8 +922,8 @@ def gibbs_check(
         mass = triple.mu[j - k].cylinder_mass(w)
         if mass == 0.0:
             continue
-        rep = canonical_representative(w, fibers, path, anchor=j - k)
-        s_k = birkhoff_sum(phi, rep, k)
+        x = canonical_prefixes(fibers, path, j - k, [w], k + phi.depth - 1)[0]
+        s_k = word_birkhoff(phi, path, j - k, x, k)
         ratio = mass * math.exp(triple.log_cocycle(j - k, k) - s_k)
         f_j = band[j]["F"]
         lower, upper = 1.0 / f_j, f_j

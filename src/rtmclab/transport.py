@@ -1,8 +1,10 @@
 """Optimal transport on fibered shifts and the contraction machinery.
 
 The shift metric d_r and its capped rescaling depend only on the first index
-of disagreement, so both are ultrametrics and the Wasserstein distance between
-atomic measures has a closed form on the cylinder tree.  The closed form comes
+of disagreement, so both are ultrametrics, read off the canonical prefixes of
+points at one fiber (`Metric.levels`, one `canonical_prefixes` call per
+measure), and the Wasserstein distance between atomic measures has a closed
+form on the cylinder tree.  The closed form comes
 with a greedy optimal plan and an explicit dual, and is certified by dual
 feasibility and complementary slackness; the Kantorovich-Rubinstein side is an
 independent linear program (HiGHS).
@@ -13,8 +15,9 @@ with their mediator word families, worst-case passage weights C, the
 contraction factors t = max(beta, 1 - (1 - r^n alpha) C'/B'), the certified
 event (B_omega <= B, C_omega >= C) with its envelope rate 1 - C/2B, and the
 forward/backward return-time sequences along which the dual operator
-contracts.  The explicit near-diagonal coupling is built literally and its
-cost checked against both the optimal transport cost and the certified factor.
+contracts.  The explicit near-diagonal coupling of two head words at a block
+end is built literally and its cost checked against both the optimal
+transport cost and the certified factor.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import (
 )
 from .fitting import fit_rate
 from .potentials import Potential, distortion_constant, word_birkhoff
-from .shifts import FiberStructure, Point, admissible_words, canonical_prefixes
+from .shifts import FiberStructure, admissible_words, canonical_prefixes
 from .transfer import (
     AtomicMeasure,
     CylinderFunction,
@@ -76,14 +79,13 @@ class Metric:
         """The metric value at shift distance d = d_r(x, y)."""
         return d if self.kind == "raw" else min(1.0, self.alpha * d)
 
-    def dist(self, x: Point, y: Point) -> float:
-        """`levels` at the first disagreement of two points of one fiber; past both
-        heads the canonical tails continue identically."""
-        if x.anchor != y.anchor:
-            raise AdmissibilityError("the metric needs points on the same fiber")
-        span = max(x.head_length, y.head_length)
-        k = next((i for i in range(span) if x.letter(i) != y.letter(i)), span)
-        return float(self.levels(span)[k])
+    def dist(self, x: tuple[int, ...], y: tuple[int, ...]) -> float:
+        """`levels` at the first disagreement of two canonical prefixes of equal length
+        read at one fiber, as one `canonical_prefixes` call returns them."""
+        if len(x) != len(y):
+            raise ConfigError(f"prefixes of lengths {len(x)} and {len(y)}")
+        k = next((i for i, (a, b) in enumerate(zip(x, y)) if a != b), len(x))
+        return float(self.levels(len(x))[k])
 
     def levels(self, depth: int) -> np.ndarray:
         """g(k) for k = 0..depth: the distance of two points that first differ at
@@ -619,13 +621,16 @@ def return_sequences(
 
 
 def build_coupling(
-    x: Point,
-    y: Point,
+    x: tuple[int, ...],
+    y: tuple[int, ...],
     phi: Potential,
     cert: ContractionCertificate,
     fiber: int,
 ) -> TransportPlan:
     """The near-diagonal coupling of the pulled-back Dirac pair over one block.
+
+    x and y are head words at the block-end fiber `fiber` + n + m; each is
+    read to its canonical prefix there, at least p - 1 letters long.
 
     Branches split as (settling word, passage word); mass
     inf e^(S over settling + mediator passage) rides the diagonal pairs that
@@ -640,15 +645,13 @@ def build_coupling(
     q = k + n
     m = cert.m_step[q]
     l = n + m
-    if x.anchor != k + l or y.anchor != k + l:
-        raise AdmissibilityError(f"points must live at the block end fiber {k + l}")
     fibers, path = cert.fibers, cert.path
     o = cert.o_letter[q]
     u_map = cert.u_words[q]
     tail_depth = max(phi.depth - 1, 1)
+    heads = canonical_prefixes(fibers, path, k + l, [x, y], max(tail_depth, len(x), len(y)))
 
-    def branches(pt: Point) -> tuple[list, np.ndarray, list]:
-        head = pt.prefix(max(tail_depth, pt.head_length))  # keep the full known head
+    def branches(head: tuple[int, ...]) -> tuple[list, np.ndarray, np.ndarray]:
         vs = [
             v for v in admissible_words(fibers, path, k, l)
             if fibers.admits(path, k + l - 1, v[-1], head[0])
@@ -657,11 +660,11 @@ def build_coupling(
             math.exp(word_birkhoff(phi, path, k, (v + head)[: l + phi.depth - 1], l))
             for v in vs
         ])
-        atoms = [Point(fibers, path, k, v + head) for v in vs]
+        atoms = np.array([v + head for v in vs], dtype=np.int64).reshape(len(vs), l + len(head))
         return vs, weights, atoms
 
-    xv, xw, xatoms = branches(x)
-    yv, yw, yatoms = branches(y)
+    xv, xw, xatoms = branches(heads[0])
+    yv, yw, yatoms = branches(heads[1])
     xi = {v: i for i, v in enumerate(xv)}
     yi = {v: i for i, v in enumerate(yv)}
 
@@ -681,8 +684,8 @@ def build_coupling(
     x_res, y_res = xw.copy(), yw.copy()
     diag_mass = 0.0
     for v1, qv in q_diag.items():
-        bx = v1 + u_map[x.letter(0)]
-        by = v1 + u_map[y.letter(0)]
+        bx = v1 + u_map[x[0]]
+        by = v1 + u_map[y[0]]
         i, j = xi[bx], yi[by]
         plan[i, j] += qv
         x_res[i] -= qv
@@ -694,12 +697,10 @@ def build_coupling(
     if rest > 1e-14:
         plan += np.outer(np.clip(x_res, 0, None), np.clip(y_res, 0, None)) / rest
 
-    metric = cert.metric_at(k)
+    dist = _cost_matrix(cert.metric_at(k), xatoms, yatoms)
     cost = 0.0
-    for i, xa in enumerate(xatoms):
-        for j, ya in enumerate(yatoms):
-            if plan[i, j] > 0:
-                cost += plan[i, j] * metric.dist(xa, ya)
+    for i, j in zip(*np.nonzero(plan > 0)):  # the support in row-major order
+        cost += plan[i, j] * dist[i, j]
     out = TransportPlan(source_labels=xv, target_labels=yv, plan=plan, cost=cost)
     out.check_marginals(xw, yw, tol=1e-10)
     if diag_mass < cert.C[q] / cert.B[q] - 1e-12:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rtmclab.driver import DriverSystem, EventSpec, sample_path
+from rtmclab.errors import AdmissibilityError
 from rtmclab.shifts import BipStructure, FiberStructure
 
 
@@ -43,6 +44,27 @@ def golden_mean_shift(system):
         matrices={s: [[1, 1], [1, 0]] for s in system.states},
         bip=full_bip(system, [1]),
     )
+
+
+def canonical_walk(fibers, path, anchor, word, depth):
+    """Oracle: the first `depth` letters of the canonical point of `word` at fiber
+    `anchor`, walked letter by letter through `fibers.successors`.  Each head letter
+    must be a successor of the one before; past the head, each letter is the least
+    successor of the one before."""
+    letters = list(word)
+    if not letters or letters[0] not in fibers.alphabet(path, anchor):
+        raise AdmissibilityError(f"word {tuple(word)} not admissible at fiber {anchor}")
+    for i in range(1, max(depth, len(word))):
+        nxt = fibers.successors(path, anchor + i - 1, letters[i - 1])
+        if i < len(word):
+            if letters[i] not in nxt:
+                raise AdmissibilityError(f"word {tuple(word)} not admissible at fiber {anchor}")
+        elif not nxt:
+            raise AdmissibilityError(f"letter {letters[-1]} at fiber {anchor + i - 1} "
+                                     "has no successor")
+        else:
+            letters.append(nxt[0])
+    return tuple(letters[:depth])
 
 
 @pytest.fixture

@@ -75,6 +75,26 @@ def test_rerun_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_overrides_enter_the_config_hash(tmp_path):
+    # --depth 7 hashes and writes as a config copy with depths.working = 7
+    cfg = json.loads((CONFIGS / "markov_2letter.json").read_text())
+    cfg["depths"]["working"] = 7
+    deep = tmp_path / "markov_2letter.json"
+    deep.write_text(json.dumps(cfg))
+    runs = {"plain": [], "depth": ["--depth", "7"], "horizon": ["--horizon", "150"],
+            "copy": []}
+    csv = {}
+    for name, flags in runs.items():
+        config = deep if name == "copy" else CONFIGS / "markov_2letter.json"
+        out = tmp_path / name
+        assert main(["run", str(config), "rpf", "--out-dir", str(out), *flags]) == 0
+        csv[name] = (out / "rpf_fibers_seed5.csv").read_bytes()
+    heads = {name: text.splitlines()[0] for name, text in csv.items()}
+    assert heads["plain"] == b"# config=8afe7bbfc2bc0473 seed=5"
+    assert len({heads["plain"], heads["depth"], heads["horizon"]}) == 3
+    assert csv["depth"] == csv["copy"]
+
+
 def test_seed_override_changes_path_not_validity(tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(CONFIGS / "full_shift_iid.json"), "rpf",

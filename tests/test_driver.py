@@ -177,7 +177,7 @@ class TestReturnTimes:
     def test_insufficient_returns(self):
         sys = iid([0.5, 0.5], seed=5)
         p = sample_path(sys, max_radius=32)
-        ev = EventSpec(radius=0, fn=lambda w: False, name="never")
+        ev = EventSpec(frozenset(), name="never")
         with pytest.raises(InsufficientReturns):
             return_times(p, ev, count=1)
 

@@ -10,18 +10,17 @@ from rtmclab.driver import sample_path
 from rtmclab.errors import AdmissibilityError, ConfigError, InvariantViolation
 from rtmclab.potentials import (
     Potential,
-    birkhoff_sum,
     constant_potential,
     distortion_check,
     distortion_constant,
-    evaluate,
     fitted_kappa,
     log_matrix_potential,
     summability_value,
     table_potential,
     variation,
+    word_birkhoff,
 )
-from rtmclab.shifts import admissible_words, canonical_representative
+from rtmclab.shifts import admissible_words, canonical_prefixes
 
 from conftest import full_shift, golden_mean_shift, stationary_system
 
@@ -43,50 +42,49 @@ class TestEvaluate:
         fibers, path = full2
         phi = constant_potential(fibers, -0.3)
         for w in admissible_words(fibers, path, 0, 2):
-            assert evaluate(phi, canonical_representative(w, fibers, path)) == -0.3
+            assert phi.value(path, 0, canonical_prefixes(fibers, path, 0, [w], 2)[0]) == -0.3
 
     def test_depth_two_lookup(self, full2):
         fibers, path = full2
         table = {(1, 1): 0.1, (1, 2): -0.7, (2, 1): 0.4, (2, 2): 0.2}
         phi = table_potential([table], depth=2, r=0.5)
-        x = canonical_representative((1, 2, 2, 1), fibers, path)
-        assert evaluate(phi, x) == -0.7
+        x = canonical_prefixes(fibers, path, 0, [(1, 2, 2, 1)], 4)[0]
+        assert phi.value(path, 0, x) == -0.7
 
     def test_locality(self, full2):
         fibers, path = full2
         rng = np.random.default_rng(1)
         phi = table_potential([random_depth_table(fibers, path, 0, 2, rng)], depth=2, r=0.5)
-        x = canonical_representative((1, 2, 1, 1), fibers, path)
-        y = canonical_representative((1, 2, 2, 2), fibers, path)
-        assert evaluate(phi, x) == evaluate(phi, y)
+        x, y = canonical_prefixes(fibers, path, 0, [(1, 2, 1, 1), (1, 2, 2, 2)], 4)
+        assert phi.value(path, 0, x) == phi.value(path, 0, y)
 
     def test_missing_entry(self, full2):
         fibers, path = full2
         phi = table_potential([{(1, 1): 0.0}], depth=2, r=0.5)
         with pytest.raises(AdmissibilityError):
-            evaluate(phi, canonical_representative((2, 1), fibers, path))
+            phi.value(path, 0, canonical_prefixes(fibers, path, 0, [(2, 1)], 2)[0])
 
 
 class TestBirkhoffSum:
     def test_zero_terms(self, full2):
         fibers, path = full2
         phi = constant_potential(fibers, 1.7)
-        x = canonical_representative((1,), fibers, path)
-        assert birkhoff_sum(phi, x, 0) == 0.0
+        x = canonical_prefixes(fibers, path, 0, [(1,)], 1)[0]
+        assert word_birkhoff(phi, path, 0, x, 0) == 0.0
 
     def test_constant_times_n(self, full2):
         fibers, path = full2
         phi = constant_potential(fibers, -0.2)
-        x = canonical_representative((1, 2, 1), fibers, path)
-        assert birkhoff_sum(phi, x, 5) == pytest.approx(-1.0, abs=1e-15)
+        x = canonical_prefixes(fibers, path, 0, [(1, 2, 1)], 5)[0]
+        assert word_birkhoff(phi, path, 0, x, 5) == pytest.approx(-1.0, abs=1e-15)
 
     def test_two_term_hand_sum(self, full2):
         # oracle: direct two-term sum over the depth-2 table
         fibers, path = full2
         table = {(1, 1): 0.3, (1, 2): -0.7, (2, 1): 0.9, (2, 2): 0.2}
         phi = table_potential([table], depth=2, r=0.5)
-        x = canonical_representative((1, 2, 1), fibers, path)
-        assert birkhoff_sum(phi, x, 2) == pytest.approx(table[(1, 2)] + table[(2, 1)], abs=1e-15)
+        x = canonical_prefixes(fibers, path, 0, [(1, 2, 1)], 3)[0]
+        assert word_birkhoff(phi, path, 0, x, 2) == pytest.approx(table[(1, 2)] + table[(2, 1)], abs=1e-15)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(0, 4), m=st.integers(0, 4), seed=st.integers(0, 100))
@@ -97,9 +95,10 @@ class TestBirkhoffSum:
         rng = np.random.default_rng(seed)
         phi = table_potential([random_depth_table(fibers, path, 0, 2, rng)], depth=2, r=0.5)
         word = tuple(rng.integers(1, 3, size=n + m + 2))
-        x = canonical_representative(word, fibers, path)
-        lhs = birkhoff_sum(phi, x, n + m)
-        rhs = birkhoff_sum(phi, x, n) + birkhoff_sum(phi, x.shifted(n), m)
+        x = canonical_prefixes(fibers, path, 0, [word], n + m + 1)[0]
+        lhs = word_birkhoff(phi, path, 0, x, n + m)
+        # the shifted point reads the prefix from letter n at fiber n
+        rhs = word_birkhoff(phi, path, 0, x, n) + word_birkhoff(phi, path, n, x[n:], m)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -224,8 +223,8 @@ class TestDistortionCheck:
         for a in admissible_words(fibers, path, 0, m):
             sums = []
             for tail in admissible_words(fibers, path, m, 2):
-                x = canonical_representative(a + tail, fibers, path)
-                sums.append(birkhoff_sum(phi, x, n))
+                x = canonical_prefixes(fibers, path, 0, [a + tail], m + 2)[0]
+                sums.append(word_birkhoff(phi, path, 0, x, n))
             spread = math.exp(max(sums) - min(sums))
             assert 1.0 / lim - 1e-12 <= spread <= lim + 1e-12
 

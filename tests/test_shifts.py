@@ -11,12 +11,18 @@ from rtmclab.errors import AdmissibilityError, ConfigError, WindowExhausted
 from rtmclab.shifts import (
     FiberStructure,
     admissible_words,
-    canonical_representative,
+    canonical_prefixes,
     word_index,
 )
 from rtmclab.transport import Metric
 
-from conftest import full_shift, golden_mean_shift, stationary_system, two_state_iid
+from conftest import (
+    canonical_walk,
+    full_shift,
+    golden_mean_shift,
+    stationary_system,
+    two_state_iid,
+)
 
 
 def brute_force_words(fibers, path, start, n):
@@ -43,15 +49,21 @@ def admits_oracle(fibers, path, anchor, letters):
     return True
 
 
-def shift_metric(x, y, r):
-    """d_r(x, y) = r^(first index of disagreement), 0 for equal points, read letter by
-    letter through both heads; the canonical tails continue identically past them."""
-    if x.anchor != y.anchor:
-        raise AdmissibilityError("shift_metric needs points on the same fiber")
-    for i in range(max(x.head_length, y.head_length)):
-        if x.letter(i) != y.letter(i):
+def shift_metric(fibers, path, anchor, wx, wy, r):
+    """d_r(x, y) = r^(first index of disagreement), 0 for equal points, for the points
+    of the words wx and wy at one fiber, read letter by letter through both heads on
+    the canonical walk; the canonical tails continue identically past them."""
+    span = max(len(wx), len(wy))
+    x, y = (canonical_walk(fibers, path, anchor, w, span) for w in (wx, wy))
+    for i in range(span):
+        if x[i] != y[i]:
             return r ** i
     return 0.0
+
+
+def prefixes(fibers, path, *words, anchor=0):
+    """The canonical prefixes of `words` at one fiber, as long as the longest word."""
+    return canonical_prefixes(fibers, path, anchor, words, max(map(len, words)))
 
 
 def bits(x):
@@ -167,8 +179,7 @@ class TestWordIndex:
 class TestCanonicalRepresentative:
     def test_full_shift_minimal_tail(self, full2):
         fibers, path = full2
-        pt = canonical_representative((2,), fibers, path, depth=5)
-        assert pt.prefix(5) == (2, 1, 1, 1, 1)
+        assert canonical_prefixes(fibers, path, 0, [(2,)], 5) == [(2, 1, 1, 1, 1)]
 
     def test_forced_then_minimal(self):
         system = stationary_system()
@@ -178,43 +189,58 @@ class TestCanonicalRepresentative:
             alphabets={"a": [1, 2]},
             matrices={"a": [[0, 1], [1, 1]]},  # letter 1 must be followed by 2
         )
-        pt = canonical_representative((1,), fibers, path, depth=4)
-        assert pt.prefix(4) == (1, 2, 1, 2)
+        assert canonical_prefixes(fibers, path, 0, [(1,)], 4) == [(1, 2, 1, 2)]
 
     def test_golden_mean_tail(self, gm):
         fibers, path = gm
         assert fibers.admits_word(path.states(0, 1), (1, 2))
-        pt = canonical_representative((1, 2), fibers, path, depth=5)
-        assert pt.prefix(5) == (1, 2, 1, 1, 1)
+        assert canonical_prefixes(fibers, path, 0, [(1, 2)], 5) == [(1, 2, 1, 1, 1)]
 
     def test_inadmissible_word_rejected(self, gm):
         fibers, path = gm
         with pytest.raises(AdmissibilityError, match=r"word \(2, 2\) not admissible at fiber 0"):
-            canonical_representative((2, 2), fibers, path)
+            canonical_prefixes(fibers, path, 0, [(2, 2)], 2)
         with pytest.raises(AdmissibilityError, match="not admissible at fiber -3"):
-            canonical_representative((1, 3), fibers, path, anchor=-3)
+            canonical_prefixes(fibers, path, -3, [(1, 3)], 2)
 
     def test_empty_word_is_an_admissibility_error(self, gm):
         fibers, path = gm
         with pytest.raises(AdmissibilityError, match=r"word \(\) not admissible at fiber 4"):
-            canonical_representative((), fibers, path, anchor=4)
+            canonical_prefixes(fibers, path, 4, [()], 1)
         assert not fibers.admits_word((), ())
 
     def test_word_past_max_radius_exhausts_the_window(self):
         system = two_state_iid(seed=2)
         path = sample_path(system, seed=2, max_radius=20)
         fibers = full_shift(system, 2)
-        canonical_representative((1, 2, 1), fibers, path, anchor=18)  # reads 18..20
+        canonical_prefixes(fibers, path, 18, [(1, 2, 1)], 3)  # reads 18..20
         with pytest.raises(WindowExhausted, match="index 21"):
-            canonical_representative((1, 2, 1, 1), fibers, path, anchor=18)
+            canonical_prefixes(fibers, path, 18, [(1, 2, 1, 1)], 4)
         with pytest.raises(WindowExhausted, match="index -21"):
-            canonical_representative((1, 2), fibers, path, anchor=-21)
+            canonical_prefixes(fibers, path, -21, [(1, 2)], 2)
 
     def test_deterministic(self, gm):
         fibers, path = gm
-        a = canonical_representative((2,), fibers, path, depth=8)
-        b = canonical_representative((2,), fibers, path, depth=8)
-        assert a.prefix(8) == b.prefix(8)
+        a = canonical_prefixes(fibers, path, 0, [(2,)], 8)
+        b = canonical_prefixes(fibers, path, 0, [(2,)], 8)
+        assert a == b
+
+    def test_dead_end_names_the_fiber(self):
+        # an unvalidated pattern: 1 -> 2 only, and 2 has no successor (a zero row)
+        system = stationary_system()
+        path = sample_path(system, seed=0)
+        fibers = FiberStructure.build(system, alphabets={"a": [1, 2]},
+                                      matrices={"a": [[0, 1], [0, 0]]})
+        assert fibers.validate_rows_columns(system)
+        assert canonical_prefixes(fibers, path, 3, [(1,)], 2) == [(1, 2)]
+        for walk in (lambda w, d: canonical_prefixes(fibers, path, 3, [w], d)[0],
+                     lambda w, d: canonical_walk(fibers, path, 3, w, d)):
+            with pytest.raises(AdmissibilityError,
+                               match="letter 2 at fiber 4 has no successor"):
+                walk((1,), 3)
+            with pytest.raises(AdmissibilityError,
+                               match="letter 2 at fiber 3 has no successor"):
+                walk((2,), 2)
 
 
 class TestAdmitsWord:
@@ -277,43 +303,31 @@ class TestMetricParity:
             words = [w for n in range(1, 6) for w in admissible_words(fibers, path, anchor, n)]
             for _ in range(300):
                 wx, wy = (words[i] for i in rng.integers(len(words), size=2))
-                x = canonical_representative(wx, fibers, path, anchor=anchor)
-                y = canonical_representative(wy, fibers, path, anchor=anchor)
-                want = metric.from_shift(shift_metric(x, y, metric.r))
+                x, y = prefixes(fibers, path, wx, wy, anchor=anchor)
+                want = metric.from_shift(shift_metric(fibers, path, anchor, wx, wy, metric.r))
                 assert bits(metric.dist(x, y)) == bits(want), (wx, wy)
 
 
 class TestShiftMetric:
     def test_equal_points(self, full2):
         fibers, path = full2
-        x = canonical_representative((1, 2), fibers, path)
-        y = canonical_representative((1, 2), fibers, path)
+        x, y = prefixes(fibers, path, (1, 2), (1, 2))
         assert Metric("raw", 0.5).dist(x, y) == 0.0
 
     def test_equal_after_canonical_extension(self, full2):
         fibers, path = full2
-        x = canonical_representative((2,), fibers, path)
-        y = canonical_representative((2, 1, 1), fibers, path)
+        x, y = prefixes(fibers, path, (2,), (2, 1, 1))
         assert Metric("raw", 0.5).dist(x, y) == 0.0
 
     def test_difference_at_zero(self, full2):
         fibers, path = full2
-        x = canonical_representative((1,), fibers, path)
-        y = canonical_representative((2,), fibers, path)
+        x, y = prefixes(fibers, path, (1,), (2,))
         assert Metric("raw", 0.5).dist(x, y) == 1.0
 
     def test_difference_at_two(self, full2):
         fibers, path = full2
-        x = canonical_representative((1, 1, 1), fibers, path)
-        y = canonical_representative((1, 1, 2), fibers, path)
+        x, y = prefixes(fibers, path, (1, 1, 1), (1, 1, 2))
         assert Metric("raw", 0.5).dist(x, y) == 0.25
-
-    def test_mismatched_anchor_rejected(self, full2):
-        fibers, path = full2
-        x = canonical_representative((1,), fibers, path, anchor=0)
-        y = canonical_representative((1,), fibers, path, anchor=1)
-        with pytest.raises(AdmissibilityError):
-            Metric("raw", 0.5).dist(x, y)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -323,8 +337,7 @@ class TestShiftMetric:
         fibers = golden_mean_shift(system)
         words = admissible_words(fibers, path, 0, 6)
         pick = st.integers(0, len(words) - 1)
-        x, y, z = (canonical_representative(words[data.draw(pick)], fibers, path)
-                   for _ in range(3))
+        x, y, z = prefixes(fibers, path, *(words[data.draw(pick)] for _ in range(3)))
         d = Metric("raw", data.draw(st.sampled_from([0.3, 0.5, 0.49, 0.9]))).dist
         assert d(x, z) <= max(d(x, y), d(y, z)) + 1e-15
 
@@ -338,10 +351,8 @@ class TestShiftMetric:
             if not fibers.admits(path, 2, prefix[-1], wx[0]) or \
                not fibers.admits(path, 2, prefix[-1], wy[0]):
                 continue
-            x = canonical_representative(wx, fibers, path, anchor=3)
-            y = canonical_representative(wy, fibers, path, anchor=3)
-            tx = canonical_representative(prefix + x.prefix(3), fibers, path, anchor=1)
-            ty = canonical_representative(prefix + y.prefix(3), fibers, path, anchor=1)
+            x, y = prefixes(fibers, path, wx, wy, anchor=3)
+            tx, ty = prefixes(fibers, path, prefix + x, prefix + y, anchor=1)
             d = dist(x, y)
             if d > 0:
                 assert dist(tx, ty) == pytest.approx(r ** 2 * d, abs=0, rel=1e-12)
@@ -350,27 +361,23 @@ class TestShiftMetric:
 class TestAdjustedMetric:
     def test_capped(self, full2):
         fibers, path = full2
-        x = canonical_representative((1, 1), fibers, path)
-        y = canonical_representative((1, 2), fibers, path)
+        x, y = prefixes(fibers, path, (1, 1), (1, 2))
         assert Metric("raw", 0.5).dist(x, y) == 0.5
         assert Metric("adjusted", 0.5, 4.0).dist(x, y) == 1.0
 
     def test_alpha_one_identity(self, full2):
         fibers, path = full2
-        x = canonical_representative((1, 1), fibers, path)
-        y = canonical_representative((1, 2), fibers, path)
+        x, y = prefixes(fibers, path, (1, 1), (1, 2))
         assert Metric("adjusted", 0.5, 1.0).dist(x, y) == Metric("raw", 0.5).dist(x, y)
 
     def test_scaling(self, full2):
         fibers, path = full2
-        x = canonical_representative((1, 1, 1), fibers, path)
-        y = canonical_representative((1, 1, 2), fibers, path)
+        x, y = prefixes(fibers, path, (1, 1, 1), (1, 1, 2))
         assert Metric("adjusted", 0.5, 2.0).dist(x, y) == 0.5
 
     def test_alpha_below_one_rejected(self, full2):
         fibers, path = full2
-        x = canonical_representative((1,), fibers, path)
-        y = canonical_representative((2,), fibers, path)
+        x, y = prefixes(fibers, path, (1,), (2,))
         with pytest.raises(ConfigError):
             Metric("adjusted", 0.5, 0.5).dist(x, y)
 
@@ -379,8 +386,7 @@ class TestAdjustedMetric:
         metric = Metric("adjusted", 0.5, 3.0)
         words = admissible_words(fibers, path, 0, 4)
         for wx, wy in itertools.combinations(words, 2):
-            x = canonical_representative(wx, fibers, path)
-            y = canonical_representative(wy, fibers, path)
+            x, y = prefixes(fibers, path, wx, wy)
             d = Metric("raw", 0.5).dist(x, y)
             dbar = metric.dist(x, y)
             assert d - 1e-15 <= dbar <= 3.0 * d + 1e-15

@@ -18,7 +18,7 @@ from rtmclab.potentials import (
     table_potential,
     word_birkhoff,
 )
-from rtmclab.shifts import FiberStructure, admissible_words, canonical_representative
+from rtmclab.shifts import FiberStructure, admissible_words
 from rtmclab.transfer import (
     AtomicMeasure,
     CylinderFunction,
@@ -36,6 +36,7 @@ from rtmclab.transfer import (
 )
 
 from conftest import (
+    canonical_walk,
     full_shift,
     golden_mean_shift,
     stationary_system,
@@ -69,10 +70,12 @@ def brute_preimage_sum(phi, fibers, path, f, x_word, n):
     for v in admissible_words(fibers, path, f.anchor, n):
         if not fibers.admits(path, f.anchor + n - 1, v[-1], x_word[0]):
             continue
-        y = canonical_representative(v + tuple(x_word), fibers, path, anchor=f.anchor)
-        from rtmclab.potentials import birkhoff_sum
-
-        total += math.exp(birkhoff_sum(phi, y, n)) * f.value_at(y.prefix(max(f.depth, n + 2)))
+        y = canonical_walk(fibers, path, f.anchor, v + tuple(x_word),
+                           max(f.depth, n + 2, n + phi.depth - 1))
+        s_n = 0.0  # S_n phi(y), term by term
+        for i in range(n):
+            s_n += phi.value(path, f.anchor + i, y[i: i + phi.depth])
+        total += math.exp(s_n) * f.value_at(y)
     return total
 
 
@@ -211,8 +214,7 @@ def dict_dual_oracle(phi, mu, n=1, max_depth=transfer.DEFAULT_DEPTH_CAP + 16):
                 full = (a,) + w
                 look = full
                 if len(look) < phi.depth:
-                    rep = canonical_representative(full, fibers, path, anchor=j - 1)
-                    look = rep.prefix(phi.depth)
+                    look = canonical_walk(fibers, path, j - 1, full, phi.depth)
                 nxt[full] = nxt.get(full, 0.0) + math.exp(phi.value(path, j - 1, look)) * m
         out = AtomicMeasure(fibers, path, j - 1, out.depth + 1, nxt, probability=False)
     return out
@@ -361,8 +363,7 @@ def dict_integrate(mu, f):
         if f.depth <= len(w):
             total += m * f.values[w[: f.depth]]
         else:
-            rep = canonical_representative(w, mu.fibers, mu.path, anchor=mu.anchor)
-            total += m * f.values[rep.prefix(f.depth)]
+            total += m * f.values[canonical_walk(mu.fibers, mu.path, mu.anchor, w, f.depth)]
     return total
 
 
@@ -384,8 +385,7 @@ def dict_invariant_measures(triple):
         for w, m in mu.weights.items():
             key = w
             if len(w) < h.depth:
-                rep = canonical_representative(w, triple.fibers, triple.path, anchor=j)
-                key = rep.prefix(h.depth)
+                key = canonical_walk(triple.fibers, triple.path, j, w, h.depth)
             weights[w] = m * h.value_at(key)
         total = sum(weights.values())
         out[j] = {w: v / total for w, v in weights.items()}

@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 from rtmclab.driver import sample_path
 from rtmclab.errors import AdmissibilityError, ConfigError, InvariantViolation
 from rtmclab.potentials import constant_potential, log_matrix_potential
-from rtmclab.shifts import FiberStructure, admissible_words, canonical_representative
+from rtmclab.shifts import FiberStructure, admissible_words, canonical_prefixes
 from rtmclab.transfer import (
     AtomicMeasure,
     CylinderFunction,
@@ -34,7 +34,13 @@ from rtmclab.transport import (
     wasserstein,
 )
 
-from conftest import full_shift, golden_mean_shift, stationary_system, two_state_iid
+from conftest import (
+    canonical_walk,
+    full_shift,
+    golden_mean_shift,
+    stationary_system,
+    two_state_iid,
+)
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +126,8 @@ def spanning_tree_transport_oracle(mu_w, nu_w, cost):
 
 
 def lp_transport_oracle(mu, nu, metric):
-    """The transportation program solved by HiGHS on a cost matrix of metric.dist calls.
+    """The transportation program solved by HiGHS on a cost matrix of metric.dist calls
+    on the canonical walks of the atoms, all read to the longest atom.
 
     Returns the optimal value and the cost matrix, rows and columns in sorted
     word order as in wasserstein's plan.
@@ -128,8 +135,9 @@ def lp_transport_oracle(mu, nu, metric):
     sw, tw = sorted(mu.weights), sorted(nu.weights)
     swt = np.array([mu.weights[w] for w in sw])
     twt = np.array([nu.weights[w] for w in tw])
-    sp = [canonical_representative(w, mu.fibers, mu.path, anchor=mu.anchor) for w in sw]
-    tp = [canonical_representative(w, nu.fibers, nu.path, anchor=nu.anchor) for w in tw]
+    depth = max(len(w) for w in sw + tw)
+    sp = [canonical_walk(mu.fibers, mu.path, mu.anchor, w, depth) for w in sw]
+    tp = [canonical_walk(nu.fibers, nu.path, nu.anchor, w, depth) for w in tw]
     n, m = len(sw), len(tw)
     cost = np.array([[metric.dist(x, y) for y in tp] for x in sp]).reshape(n, m)
     rows, cols = [], []
@@ -182,8 +190,8 @@ class TestWasserstein:
             value, plan = wasserstein(mu, nu, metric)
             words, weights = zip(*sorted(mu.weights.items()))
             words2, weights2 = zip(*sorted(nu.weights.items()))
-            pts = [canonical_representative(w, fibers, path) for w in words]
-            pts2 = [canonical_representative(w, fibers, path) for w in words2]
+            pts = [canonical_walk(fibers, path, 0, w, 2) for w in words]
+            pts2 = [canonical_walk(fibers, path, 0, w, 2) for w in words2]
             cost = {(i, j): metric.dist(x, y)
                     for i, x in enumerate(pts) for j, y in enumerate(pts2)}
             oracle = spanning_tree_transport_oracle(list(weights), list(weights2), cost)
@@ -199,11 +207,10 @@ class TestWasserstein:
 
 
 def point_prefix_oracle(measure, words, depth):
-    """The per-atom prefixes: one canonical point per word, read to `depth` letters."""
+    """The per-atom prefixes: one canonical walk per word, read to `depth` letters."""
     out = np.empty((len(words), depth), dtype=np.int64)
     for i, w in enumerate(words):
-        rep = canonical_representative(w, measure.fibers, measure.path, anchor=measure.anchor)
-        out[i] = rep.prefix(depth)
+        out[i] = canonical_walk(measure.fibers, measure.path, measure.anchor, w, depth)
     return out
 
 
@@ -277,12 +284,13 @@ class TestMetric:
 
     def test_levels_match_dist(self, full2):
         fibers, path = full2
-        x = canonical_representative((1, 2, 1), fibers, path)
         for k, y_word in enumerate([(2,), (1, 1), (1, 2, 2)]):
-            y = canonical_representative(y_word, fibers, path)
+            x, y = canonical_prefixes(fibers, path, 0, [(1, 2, 1), y_word], 3)
             for metric in (Metric("raw", 0.3), Metric("adjusted", 0.3, alpha=4.0)):
                 assert metric.levels(3)[k] == metric.dist(x, y)
                 assert metric.levels(3)[3] == metric.dist(x, x) == 0.0
+        with pytest.raises(ConfigError, match="prefixes of lengths 3 and 1"):
+            Metric("raw", 0.3).dist((1, 2, 1), (2,))
 
 
 def _parity_pairs():
@@ -495,34 +503,32 @@ class TestReturnSequences:
 class TestCoupling:
     def test_identical_points_diagonal(self, full2_cert):
         fibers, path, phi, triple, tilde, cert = full2_cert
-        x = canonical_representative((1,), fibers, path, anchor=2)
-        plan = build_coupling(x, x, tilde, cert, fiber=0)
+        plan = build_coupling((1,), (1,), tilde, cert, fiber=0)
         # all mass on matching branch pairs, cost within the settled radius
         n, q = cert.n_step[0], 0 + cert.n_step[0]
         assert plan.cost <= cert.r ** n * cert.alpha[0] + 1e-12
 
     def test_diagonal_mass_and_cost(self, full2_cert):
         fibers, path, phi, triple, tilde, cert = full2_cert
-        x = canonical_representative((1,), fibers, path, anchor=2)
-        y = canonical_representative((2,), fibers, path, anchor=2)
-        plan = build_coupling(x, y, tilde, cert, fiber=0)
+        plan = build_coupling((1,), (2,), tilde, cert, fiber=0)
         q = cert.n_step[0]
         lower = cert.C[0 + q] / cert.B[0 + q]
         # recompute the diagonal mass from the plan: pairs within the settled radius
         metric = cert.metric_at(0)
-        diag = 0.0
+        diag = cost = 0.0
         for i, v in enumerate(plan.source_labels):
             for j, w in enumerate(plan.target_labels):
                 if plan.plan[i, j] > 0 and v[: q + 1] == w[: q + 1]:
                     diag += plan.plan[i, j]
+                if plan.plan[i, j] > 0:  # the cost, pair by pair on the atoms' prefixes
+                    cost += plan.plan[i, j] * metric.dist(v + (1,), w + (2,))
         assert diag >= lower - 1e-12
+        assert cost == plan.cost
         assert plan.cost <= cert.s_fiber[0] + 1e-12
 
     def test_coupling_cost_bounds_lp(self, full2_cert):
         fibers, path, phi, triple, tilde, cert = full2_cert
-        x = canonical_representative((1,), fibers, path, anchor=2)
-        y = canonical_representative((2,), fibers, path, anchor=2)
-        plan = build_coupling(x, y, tilde, cert, fiber=0)
+        plan = build_coupling((1,), (2,), tilde, cert, fiber=0)
         block = cert.block[0]
         mu = dual_apply(tilde, AtomicMeasure.dirac(fibers, path, 2, (1,)), block).normalize()
         nu = dual_apply(tilde, AtomicMeasure.dirac(fibers, path, 2, (2,)), block).normalize()
@@ -537,9 +543,7 @@ class TestCoupling:
         tilde = normalize_potential(phi_u, triple)
         cert = contraction_constants(tilde, fibers, path, beta=0.5, window=(-10, 10))
         cert = certify_event(cert, B=1.0, C=0.5)
-        x = canonical_representative((1,), fibers, path, anchor=2)
-        y = canonical_representative((2,), fibers, path, anchor=2)
-        plan = build_coupling(x, y, tilde, cert, fiber=0)
+        plan = build_coupling((1,), (2,), tilde, cert, fiber=0)
         assert plan.plan.sum() == pytest.approx(1.0, abs=1e-12)
         # hand enumeration of the four branches (weight 1/4 each): the mediator
         # construction rides mass 1/2 on equal-branch pairs (v1, 1); the product
