@@ -7,7 +7,12 @@ measure), and the Wasserstein distance between atomic measures has a closed
 form on the cylinder tree.  The closed form comes
 with a greedy optimal plan and an explicit dual, and is certified by dual
 feasibility and complementary slackness; the Kantorovich-Rubinstein side is an
-independent linear program (HiGHS).
+independent linear program (HiGHS) on the same tree.  Two points first
+differing at index L lie at distance g(L), g non-increasing, so a function is
+1-Lipschitz on a support exactly when its values on each length-L cylinder
+holding two or more support points span at most g(L), that is lie within
+g(L)/2 of one free centre per cylinder: O(k D) rows for k points at depth D,
+not one per pair of points.
 
 On top sit the coupling constants: per-fiber distortion products B and scales
 alpha = B/beta, metric-settling exponents n, big-preimage passage lengths m
@@ -51,8 +56,9 @@ LP_CAP = 4096
 _PASSAGE_SCAN = 64  # steps searched for a big-preimage passage
 _RATE_SLACK = 0.05  # allowed excess of the forward fitted log-rate over log t
 _CERT_TOL = 1e-9  # transport certificate: dual feasibility, support, plan cost
-# degenerate cost matrices (few distinct metric values) need tighter pivoting
-# tolerances than the HiGHS defaults in the Kantorovich-Rubinstein program
+# the Kantorovich-Rubinstein program is degenerate (its bounds are a few half
+# levels g(L)/2, each shared by many rows), so HiGHS runs at tighter
+# feasibility tolerances than its defaults
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
@@ -261,16 +267,26 @@ def lipschitz_dual(
 ) -> tuple[float, CylinderFunction]:
     """Kantorovich-Rubinstein program: maximize int f dmu - int f dnu over 1-Lipschitz f.
 
-    Solved as an independent LP (HiGHS) on the union of supports; the witness
-    is extended to a cylinder function by the minimal 1-Lipschitz extension.
-    scipy is imported here, the only place that needs it, so that a run of the
-    experiments never loads it.
+    Solved as an independent LP (HiGHS) over the values of f on the union of
+    supports, read as depth-D prefixes; it reads only those prefixes and
+    `metric.levels`, nothing of the closed form.  Two keys first differing at
+    index L lie at distance g(L), g non-increasing, so f is 1-Lipschitz on the
+    keys exactly when, on every length-L cylinder holding two or more keys, its
+    values span at most g(L), that is when some centre c lies within g(L)/2 of
+    each of them.  The program has one free centre per such (L < D, cylinder)
+    and the rows f_x - c <= g(L)/2, c - f_x <= g(L)/2 per key x in it: at most
+    2kD rows for k keys, in place of one row pair per pair of keys.  The
+    witness, the first k entries of the solution, is extended to a cylinder
+    function by the minimal 1-Lipschitz extension.  scipy is imported here,
+    the only place that needs it, so that a run of the experiments never loads it.
     """
     from scipy import sparse
     from scipy.optimize import linprog
 
     if mu.anchor != nu.anchor:
         raise AdmissibilityError("measures on different fibers")
+    if abs(mu.mass() - nu.mass()) > 1e-10:
+        raise ConfigError(f"unequal total masses {mu.mass()} vs {nu.mass()}")
     depth = max(mu.depth, nu.depth)
     net: dict = {}
     for measure, sign in ((mu, 1.0), (nu, -1.0)):
@@ -282,33 +298,45 @@ def lipschitz_dual(
     if k > LP_CAP:
         raise ConfigError(f"atom count {k} beyond the LP cap {LP_CAP}")
     key_rows = np.array(keys, dtype=np.int64).reshape(k, depth)
-    cost = _cost_matrix(metric, key_rows, key_rows)
-    c_obj = -np.array([net[key] for key in keys])
-    # rows x_i - x_j <= d_ij and x_j - x_i <= d_ij, interleaved pair by pair
-    iu, ju = np.triu_indices(k, 1)
-    pos = np.stack([iu, ju], axis=1).ravel()
-    neg = np.stack([ju, iu], axis=1).ravel()
-    row = len(pos)
-    bounds = [(0.0, 0.0)] + [(None, None)] * (k - 1)  # pin one value, the rest free
-    if row:
+    lcp = np.concatenate([[-1], _common_prefix(key_rows[:-1], key_rows[1:])])
+    g = metric.levels(depth)
+    # (key, centre, half-width) per key of each length-L cylinder of two or more keys
+    member, centre, half = [], [], []
+    n_centres = 0
+    for length in range(depth):
+        cyl = np.cumsum(lcp < length) - 1  # cylinders numbered along the sorted keys
+        shared = np.bincount(cyl) >= 2
+        inside = np.flatnonzero(shared[cyl])
+        member.append(inside)
+        centre.append(k + n_centres + (np.cumsum(shared) - 1)[cyl[inside]])
+        half.append(np.full(len(inside), g[length] / 2.0))
+        n_centres += int(shared.sum())
+    member, centre, half = (np.concatenate(a) for a in (member, centre, half))
+    c_obj = np.concatenate([-np.array([net[key] for key in keys]), np.zeros(n_centres)])
+    pair = len(member)
+    bounds = [(0.0, 0.0)] + [(None, None)] * (k - 1 + n_centres)  # pin one value, the rest free
+    if pair:
+        # rows f_x - c <= g(L)/2 and c - f_x <= g(L)/2, interleaved key by key
         a_ub = sparse.csc_matrix(
-            (np.tile([1.0, -1.0], row),
-             (np.repeat(np.arange(row), 2), np.stack([pos, neg], axis=1).ravel())),
-            shape=(row, k),
+            (np.tile([1.0, -1.0, -1.0, 1.0], pair),
+             (np.repeat(np.arange(2 * pair), 2),
+              np.stack([member, centre, member, centre], axis=1).ravel())),
+            shape=(2 * pair, k + n_centres),
         )
-        res = linprog(c_obj, A_ub=a_ub, b_ub=np.repeat(cost[iu, ju], 2), bounds=bounds,
+        res = linprog(c_obj, A_ub=a_ub, b_ub=np.repeat(half, 2), bounds=bounds,
                       method="highs", options=_LP_OPTIONS)
     else:
         res = linprog(c_obj, bounds=bounds, method="highs", options=_LP_OPTIONS)
     if not res.success:
         raise ConvergenceError(f"dual LP failed: {res.message}")
     value = -float(res.fun)
+    f_keys = res.x[:k]
     fibers, path, anchor = mu.fibers, mu.path, mu.anchor
     words = admissible_words(fibers, path, anchor, depth)
     word_rows = np.array(words, dtype=np.int64).reshape(len(words), depth)
     # minimal 1-Lipschitz extension; on the atoms themselves it is the LP value
-    extension = (res.x[None, :] + _cost_matrix(metric, word_rows, key_rows)).min(axis=1)
-    f_on_atoms = dict(zip(keys, res.x))
+    extension = (f_keys[None, :] + _cost_matrix(metric, word_rows, key_rows)).min(axis=1)
+    f_on_atoms = dict(zip(keys, f_keys))
     values = {
         w: float(f_on_atoms[w]) if w in f_on_atoms else float(ext)
         for w, ext in zip(words, extension)

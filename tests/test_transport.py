@@ -1,13 +1,20 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+from rtmclab.config import load_config
 from rtmclab.driver import sample_path
-from rtmclab.errors import AdmissibilityError, ConfigError, InvariantViolation
+from rtmclab.errors import (
+    AdmissibilityError,
+    ConfigError,
+    ConvergenceError,
+    InvariantViolation,
+)
 from rtmclab.potentials import constant_potential, log_matrix_potential
 from rtmclab.shifts import FiberStructure, admissible_words, canonical_prefixes
 from rtmclab.transfer import (
@@ -41,6 +48,8 @@ from conftest import (
     stationary_system,
     two_state_iid,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +163,58 @@ def lp_transport_oracle(mu, nu, metric):
     return float(res.fun), cost
 
 
+def pairwise_kr_oracle(mu, nu, metric):
+    """The Kantorovich-Rubinstein program with one row pair per pair of keys:
+    f_i - f_j <= d_ij and f_j - f_i <= d_ij over the union of supports, solved by
+    HiGHS, the witness extended by the minimal 1-Lipschitz extension."""
+    if mu.anchor != nu.anchor:
+        raise AdmissibilityError("measures on different fibers")
+    depth = max(mu.depth, nu.depth)
+    net: dict = {}
+    for measure, sign in ((mu, 1.0), (nu, -1.0)):
+        words = list(measure.weights)
+        for w, key in zip(words, map(tuple, transport._prefixes(measure, words, depth).tolist())):
+            net[key] = net.get(key, 0.0) + sign * measure.weights[w]
+    keys = sorted(net)
+    k = len(keys)
+    if k > transport.LP_CAP:
+        raise ConfigError(f"atom count {k} beyond the LP cap {transport.LP_CAP}")
+    key_rows = np.array(keys, dtype=np.int64).reshape(k, depth)
+    cost = transport._cost_matrix(metric, key_rows, key_rows)
+    c_obj = -np.array([net[key] for key in keys])
+    # rows x_i - x_j <= d_ij and x_j - x_i <= d_ij, interleaved pair by pair
+    iu, ju = np.triu_indices(k, 1)
+    pos = np.stack([iu, ju], axis=1).ravel()
+    neg = np.stack([ju, iu], axis=1).ravel()
+    row = len(pos)
+    bounds = [(0.0, 0.0)] + [(None, None)] * (k - 1)  # pin one value, the rest free
+    if row:
+        a_ub = sparse.csc_matrix(
+            (np.tile([1.0, -1.0], row),
+             (np.repeat(np.arange(row), 2), np.stack([pos, neg], axis=1).ravel())),
+            shape=(row, k),
+        )
+        res = linprog(c_obj, A_ub=a_ub, b_ub=np.repeat(cost[iu, ju], 2), bounds=bounds,
+                      method="highs", options=transport._LP_OPTIONS)
+    else:
+        res = linprog(c_obj, bounds=bounds, method="highs", options=transport._LP_OPTIONS)
+    if not res.success:
+        raise ConvergenceError(f"dual LP failed: {res.message}")
+    value = -float(res.fun)
+    fibers, path, anchor = mu.fibers, mu.path, mu.anchor
+    words = admissible_words(fibers, path, anchor, depth)
+    word_rows = np.array(words, dtype=np.int64).reshape(len(words), depth)
+    # minimal 1-Lipschitz extension; on the atoms themselves it is the LP value
+    extension = (res.x[None, :] + transport._cost_matrix(metric, word_rows, key_rows)).min(axis=1)
+    f_on_atoms = dict(zip(keys, res.x))
+    values = {
+        w: float(f_on_atoms[w]) if w in f_on_atoms else float(ext)
+        for w, ext in zip(words, extension)
+    }
+    witness = CylinderFunction(fibers, path, anchor, depth, values)
+    return value, witness
+
+
 def make_measure(fibers, path, anchor, depth, weights):
     words = admissible_words(fibers, path, anchor, depth)
     assert len(words) == len(weights)
@@ -200,10 +261,13 @@ class TestWasserstein:
     def test_mass_mismatch_rejected(self, full2):
         fibers, path = full2
         mu = AtomicMeasure.uniform(fibers, path, 0, 1)
-        bad = AtomicMeasure(fibers, path, 0, 1, {(1,): 0.7, (2,): 0.2},
-                            probability=False)
-        with pytest.raises(ConfigError):
-            wasserstein(mu, bad, Metric("raw", 0.5))
+        for weights in ({(1,): 0.7, (2,): 0.2}, {(1,): 0.2, (2,): 0.7}):
+            bad = AtomicMeasure(fibers, path, 0, 1, weights, probability=False)
+            for program in (wasserstein, lipschitz_dual):
+                with pytest.raises(ConfigError, match="unequal total masses"):
+                    program(mu, bad, Metric("raw", 0.5))
+                with pytest.raises(ConfigError, match="unequal total masses"):
+                    program(bad, mu, Metric("raw", 0.5))
 
 
 def point_prefix_oracle(measure, words, depth):
@@ -680,6 +744,73 @@ class TestAtomDedup:
         dual, _ = lipschitz_dual(a, b, metric)
         assert value == pytest.approx(0.0, abs=1e-12)
         assert dual == pytest.approx(0.0, abs=1e-12)
+
+
+def _kr_instances():
+    """pytest params (mu, nu, metric) on the four prefix instances: supports mixing
+    word lengths 1-5, each holding a two-letter word and its four-letter canonical
+    continuation, which are one point."""
+    rng = np.random.default_rng(21)
+    metrics = (Metric("raw", 0.4), Metric("adjusted", 0.4, alpha=3.0))
+    out = []
+    for name, (fibers, path) in _prefix_instances().items():
+        for anchor in (-23, 0, 11):
+            pick = [w for n in (1, 2) for w in admissible_words(fibers, path, anchor, n)]
+            for n in (3, 4, 5):
+                words = admissible_words(fibers, path, anchor, n)
+                pick += [words[i] for i in sorted(rng.choice(len(words), size=4))]
+            pick += canonical_prefixes(fibers, path, anchor, [pick[-1][:2]], 4)
+            pick = list(dict.fromkeys(pick))
+            half = [pick[i] for i in sorted(rng.choice(len(pick), size=len(pick) // 2,
+                                                       replace=False))]
+            mu, nu = (AtomicMeasure(fibers, path, anchor, 5,
+                                    {w: float(x) for w, x in zip(support, raw / raw.sum())})
+                      for support, raw in ((pick, rng.random(len(pick)) + 0.05),
+                                           (half, rng.random(len(half)) + 0.05)))
+            for metric in metrics:
+                out.append(pytest.param(mu, nu, metric, id=f"{name}-{anchor}-{metric.kind}"))
+    return out
+
+
+class TestCylinderProgram:
+    """lipschitz_dual against pairwise_kr_oracle: the same value, and a witness that is
+    1-Lipschitz on every admissible word and attains it."""
+
+    @pytest.mark.parametrize("mu,nu,metric", _parity_pairs() + _kr_instances())
+    def test_matches_pairwise_oracle(self, mu, nu, metric):
+        value, witness = lipschitz_dual(mu, nu, metric)
+        oracle, _ = pairwise_kr_oracle(mu, nu, metric)
+        assert abs(value - oracle) <= 1e-10
+        depth = witness.depth
+        words = admissible_words(mu.fibers, mu.path, mu.anchor, depth)
+        rows = np.array(words, dtype=np.int64).reshape(len(words), depth)
+        f = np.array([witness.values[w] for w in words])
+        cost = transport._cost_matrix(metric, rows, rows)
+        assert (np.abs(f[:, None] - f[None, :]) - cost).max() <= 1e-9
+        attained = mu.integrate(witness) - nu.integrate(witness)
+        assert attained == pytest.approx(value, abs=1e-9)
+
+    def test_rows_at_most_2kD(self, monkeypatch):
+        import scipy.optimize
+
+        cfg = load_config(CONFIGS / "random_3letter.json")
+        path = cfg.sample(17)
+        rng = np.random.default_rng(5)
+        depth = 5
+        mu, nu = (AtomicMeasure.random(cfg.fibers, path, 0, depth, rng) for _ in "ab")
+        k = len(mu.weights.keys() | nu.weights.keys())
+        assert k == 243
+        real, rows = scipy.optimize.linprog, []
+
+        def spy(*args, **kwargs):
+            rows.append(kwargs["A_ub"].shape[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        metric = Metric("raw", cfg.potential.r)
+        value, _ = lipschitz_dual(mu, nu, metric)
+        assert len(rows) == 1 and rows[0] <= 2 * k * depth
+        assert value == pytest.approx(wasserstein(mu, nu, metric)[0], abs=1e-8)
 
 
 class TestDualityProperty:
