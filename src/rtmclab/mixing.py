@@ -17,7 +17,7 @@ import numpy as np
 from .driver import DriverPath, EventSpec
 from .errors import ConfigError, ConvergenceError, InvariantViolation
 from .fitting import fit_rate
-from .potentials import Potential
+from .potentials import Potential, distortion_constant
 from .shifts import FiberStructure, admissible_words
 from .transfer import (
     AtomicMeasure,
@@ -127,20 +127,17 @@ def correlation_decay(
             forward_rows.append((i, l_i, abs(gaps[l_i]), envelope))
             if abs(gaps[l_i]) > envelope + 1e-12:
                 raise InvariantViolation(f"forward correlation envelope fails at l_{i}")
-        b0 = None
+        g0 = g_at(0)
+        g0_abs_mass = nu[0].integrate(g0.map(abs))
+        b0 = distortion_constant(phi, path, 0).value
         for i, k_i in enumerate(cert.k_seq, start=1):
             if -k_i not in nu or -k_i < cert.lo:
                 break
             fb = f_at(-k_i)
             fb = fb.shift_scale(1.0, -nu[-k_i].integrate(fb))
             pushed = transfer_power(phi, fb, k_i)
-            g0_abs = g_at(0).map(abs)
-            corr_b = nu[0].integrate(pushed.mul(g_at(0)))
-            from .potentials import distortion_constant
-
-            if b0 is None:
-                b0 = distortion_constant(phi, path, 0).value
-            envelope = 4.0 * b0 * cert.t ** i * fb.lipschitz(phi.r) * nu[0].integrate(g0_abs)
+            corr_b = nu[0].integrate(pushed.mul(g0))
+            envelope = 4.0 * b0 * cert.t ** i * fb.lipschitz(phi.r) * g0_abs_mass
             backward_rows.append((i, k_i, abs(corr_b), envelope))
             if abs(corr_b) > envelope + 1e-12:
                 raise InvariantViolation(f"backward correlation envelope fails at k_{i}")
@@ -236,8 +233,6 @@ def psi_mixing(
     c_derived = k_hat = t_tilde = c_tilde = None
     if cert is not None:
         cert.require_event()
-        from .potentials import distortion_constant
-
         b0 = distortion_constant(phi, path, 0).value
         c_derived = 2.0 * cert.c * b0 ** 2 / min_image
         psis = dict(grid)
@@ -358,10 +353,6 @@ def _markov_comparison(phi, fibers, path, kernel, achieved, pressure) -> dict:
         raise ConfigError("comparison kernel must be square over the fiber alphabet")
     if np.any(q < 0) or np.max(np.abs(q.sum(axis=1) - 1.0)) > 1e-10:
         raise ConfigError("comparison kernel must be row-stochastic")
-    pattern = np.array([
-        [1.0 if q[i, j] > 0 else 0.0 for j in range(len(letters))]
-        for i in range(len(letters))
-    ])
     for i, a in enumerate(letters):
         for j, b in enumerate(letters):
             if q[i, j] > 0 and not fibers.admits(path, 0, a, b):

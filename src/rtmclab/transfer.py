@@ -59,7 +59,7 @@ from .errors import (
     DepthOverflow,
     InvariantViolation,
 )
-from .potentials import Potential, fitted_kappa, word_birkhoff
+from .potentials import Potential, distortion_constant, fitted_kappa, variation, word_birkhoff
 from .shifts import FiberStructure, admissible_words, canonical_prefixes, word_index
 
 DEFAULT_DEPTH_CAP = 16
@@ -872,8 +872,6 @@ def gibbs_check(
     certifies the symmetric band [1/F, F], F = D / E_cyl; the mediator image
     mass E and the slack factor D are reported alongside.
     """
-    from .potentials import distortion_constant, variation
-
     fibers, path = triple.fibers, triple.path
     if fibers.bip is None:
         raise ConfigError("no b.i.p. structure declared")

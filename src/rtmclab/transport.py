@@ -1,18 +1,18 @@
 """Optimal transport on fibered shifts and the contraction machinery.
 
 The shift metric d_r and its capped rescaling depend only on the first index
-of disagreement, so both are ultrametrics, read off the canonical prefixes of
+of disagreement, so both are ultrametrics: two points first differing at index
+L lie at distance g(L), g non-increasing, read off the canonical prefixes of
 points at one fiber (`Metric.levels`, one `canonical_prefixes` call per
-measure), and the Wasserstein distance between atomic measures has a closed
-form on the cylinder tree.  The closed form comes
-with a greedy optimal plan and an explicit dual, and is certified by dual
-feasibility and complementary slackness; the Kantorovich-Rubinstein side is an
-independent linear program (HiGHS) on the same tree.  Two points first
-differing at index L lie at distance g(L), g non-increasing, so a function is
-1-Lipschitz on a support exactly when its values on each length-L cylinder
-holding two or more support points span at most g(L), that is lie within
-g(L)/2 of one free centre per cylinder: O(k D) rows for k points at depth D,
-not one per pair of points.
+measure).  Every distance here is read off that cylinder tree, never from a
+pairwise cost matrix.  A function is 1-Lipschitz on a support exactly when
+its values on each length-L cylinder span at most g(L).  So the closed-form
+Wasserstein distance, with its greedy optimal plan and explicit dual, is
+certified by that per-cylinder span check on the dual plus complementary
+slackness on the plan's support only; the Kantorovich-Rubinstein side is an
+independent linear program (HiGHS) with one free centre per cylinder, each
+value within g(L)/2 of it: O(k D) rows for k points at depth D, not one per
+pair of points.
 
 On top sit the coupling constants: per-fiber distortion products B and scales
 alpha = B/beta, metric-settling exponents n, big-preimage passage lengths m
@@ -41,7 +41,7 @@ from .errors import (
 )
 from .fitting import fit_rate
 from .potentials import Potential, distortion_constant, word_birkhoff
-from .shifts import FiberStructure, admissible_words, canonical_prefixes
+from .shifts import FiberStructure, admissible_words, canonical_prefixes, word_index
 from .transfer import (
     AtomicMeasure,
     CylinderFunction,
@@ -131,14 +131,17 @@ def _prefixes(measure: AtomicMeasure, words, depth: int) -> np.ndarray:
 
 
 def _common_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Length of the longest common prefix of prefix rows a and b (last axis, broadcast)."""
+    """Length of the longest common prefix of prefix rows a[i] and b[i], row by row."""
     eq = a == b
     return np.where(eq.all(axis=-1), eq.shape[-1], eq.argmin(axis=-1))
 
 
-def _cost_matrix(metric: Metric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """metric.dist between every point of prefix rows a and every point of b, bitwise."""
-    return metric.levels(a.shape[1])[_common_prefix(a[:, None], b[None, :])]
+def _tree(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cylinder tree of prefix rows: their stable lexicographic order, and lcp[p],
+    the common prefix length of sorted rows p-1 and p (-1 at p = 0)."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    return order, np.concatenate([[-1], _common_prefix(ranked[:-1], ranked[1:])])
 
 
 def _match(src: list, tgt: list, plan: np.ndarray) -> tuple[list, list]:
@@ -205,9 +208,10 @@ def wasserstein(
     The plan matches greedily inside each cylinder, bottom-up; the duals are
     u_i = f(x_i), v_j = -f(y_j) with f the sum of the signed half level steps
     sign(mu(C) - nu(C)) (g(k) - g(k+1))/2 along each root-to-atom path.
-    Optimality is certified against them: dual feasibility u_i + v_j <= c_ij
-    over all pairs, complementary slackness on the support, a primal-dual gap
-    below 1e-7 (scaled), and the plan cost equal to the closed-form value.
+    Optimality is certified against them: f spans at most g(L) on every
+    length-L cylinder of the union support (dual feasibility for all pairs),
+    complementary slackness holds on the plan's support, the primal-dual gap is
+    below 1e-7, and the plan cost, read on its support, is the closed-form value.
     """
     if mu.anchor != nu.anchor:
         raise AdmissibilityError("measures on different fibers")
@@ -219,12 +223,8 @@ def wasserstein(
     n, m = len(sw), len(tw)
     depth = max(len(w) for w in sw + tw)
     src, tgt = _prefixes(mu, sw, depth), _prefixes(nu, tw, depth)
-    cost_mat = _cost_matrix(metric, src, tgt)
-
-    prefix = np.vstack([src, tgt])
     signed = np.concatenate([swt, -twt])
-    order = np.lexsort(prefix.T[::-1])
-    lcp = np.concatenate([[-1], _common_prefix(prefix[order[:-1]], prefix[order[1:]])])
+    order, lcp = _tree(np.vstack([src, tgt]))
     g = metric.levels(depth)
     value = 0.0
     f = np.zeros(n + m)
@@ -239,18 +239,24 @@ def wasserstein(
         f[order] += step * np.sign(excess)[cyl]
     plan = _ultrametric_plan(order, lcp, depth, swt.tolist() + twt.tolist(), n, m)
 
+    # f spans at most g(L) on every length-L cylinder of the union support, so
+    # u_i + v_j = f(x_i) - f(y_j) <= g(L) = c_ij for every pair first differing at L
+    ranked = f[order]
+    for length in range(depth + 1):
+        starts = np.flatnonzero(lcp < length)
+        span = np.maximum.reduceat(ranked, starts) - np.minimum.reduceat(ranked, starts)
+        if span.max() > g[length] + _CERT_TOL:
+            raise InvariantViolation("dual infeasibility in the transport certificate")
     u, v = f[:n], -f[n:]
-    scale = max(1.0, np.abs(cost_mat).max())
-    slack = cost_mat - u[:, None] - v[None, :]
-    if slack.min() < -_CERT_TOL * scale:
-        raise InvariantViolation("dual infeasibility in the transport certificate")
-    support = plan > _CERT_TOL
-    support_gap = float(np.max(np.abs(slack)[support])) if support.any() else 0.0
+    i, j = np.nonzero(plan)
+    mass, cost = plan[i, j], g[_common_prefix(src[i], tgt[j])]
+    slack = cost - u[i] - v[j]
+    support_gap = float(np.abs(slack[mass > _CERT_TOL]).max(initial=0.0))
     dual_value = float(u @ swt + v @ twt)
     gap = abs(value - dual_value)
-    if max(gap, support_gap) > 1e-7 * scale:
+    if max(gap, support_gap) > 1e-7:
         raise InvariantViolation("complementary slackness fails on the computed plan")
-    if abs(float((plan * cost_mat).sum()) - value) > _CERT_TOL * scale:
+    if abs(float(mass @ cost) - value) > _CERT_TOL:
         raise InvariantViolation("transport plan cost differs from the closed-form value")
     out = TransportPlan(
         source_labels=sw, target_labels=tw, plan=plan, cost=value,
@@ -268,17 +274,17 @@ def lipschitz_dual(
     """Kantorovich-Rubinstein program: maximize int f dmu - int f dnu over 1-Lipschitz f.
 
     Solved as an independent LP (HiGHS) over the values of f on the union of
-    supports, read as depth-D prefixes; it reads only those prefixes and
-    `metric.levels`, nothing of the closed form.  Two keys first differing at
-    index L lie at distance g(L), g non-increasing, so f is 1-Lipschitz on the
-    keys exactly when, on every length-L cylinder holding two or more keys, its
-    values span at most g(L), that is when some centre c lies within g(L)/2 of
-    each of them.  The program has one free centre per such (L < D, cylinder)
-    and the rows f_x - c <= g(L)/2, c - f_x <= g(L)/2 per key x in it: at most
-    2kD rows for k keys, in place of one row pair per pair of keys.  The
-    witness, the first k entries of the solution, is extended to a cylinder
-    function by the minimal 1-Lipschitz extension.  scipy is imported here,
-    the only place that needs it, so that a run of the experiments never loads it.
+    supports, read as depth-D prefixes, which are admissible depth-D words; it
+    reads only the tree of those words and `metric.levels`, nothing of the
+    closed form.  Two keys first differing at index L lie at distance g(L), g
+    non-increasing, so f is 1-Lipschitz on the keys exactly when, on every
+    length-L cylinder holding two or more keys, its values span at most g(L),
+    that is when some centre c lies within g(L)/2 of each of them.  The program
+    has one free centre per such (L < D, cylinder) and the rows f_x - c <= g(L)/2,
+    c - f_x <= g(L)/2 per key x in it: at most 2kD rows for k keys.  The witness,
+    the first k entries of the solution, is extended to every word by the
+    minimal 1-Lipschitz extension on the same tree.  scipy is imported here, the
+    only place that needs it, so that a run of the experiments never loads it.
     """
     from scipy import sparse
     from scipy.optimize import linprog
@@ -287,32 +293,36 @@ def lipschitz_dual(
         raise AdmissibilityError("measures on different fibers")
     if abs(mu.mass() - nu.mass()) > 1e-10:
         raise ConfigError(f"unequal total masses {mu.mass()} vs {nu.mass()}")
+    fibers, path, anchor = mu.fibers, mu.path, mu.anchor
     depth = max(mu.depth, nu.depth)
-    net: dict = {}
-    for measure, sign in ((mu, 1.0), (nu, -1.0)):
-        words = list(measure.weights)
-        for w, key in zip(words, map(tuple, _prefixes(measure, words, depth).tolist())):
-            net[key] = net.get(key, 0.0) + sign * measure.weights[w]
-    keys = sorted(net)
-    k = len(keys)
+    points = canonical_prefixes(fibers, path, anchor, [*mu.weights, *nu.weights], depth)
+    k = len(set(points))
     if k > LP_CAP:
         raise ConfigError(f"atom count {k} beyond the LP cap {LP_CAP}")
-    key_rows = np.array(keys, dtype=np.int64).reshape(k, depth)
-    lcp = np.concatenate([[-1], _common_prefix(key_rows[:-1], key_rows[1:])])
+    # every key is an admissible depth-D word: the program lives on the word tree
+    index = word_index(fibers, path, anchor, depth)
+    words = index.words
+    leaf = np.array([index.rows[x] for x in points], dtype=np.intp)
+    signed = np.array([*mu.weights.values(), *(-w for w in nu.weights.values())])
+    keyed = np.bincount(leaf, minlength=len(words)) > 0
+    net = np.bincount(leaf, weights=signed, minlength=len(words))[keyed]
+    _, lcp = _tree(np.array(words, dtype=np.int64).reshape(len(words), depth))
+    # cylinder ids of the words at each length 0..D, numbered along the sorted words
+    cyl = np.cumsum([lcp < length for length in range(depth + 1)], axis=1) - 1
     g = metric.levels(depth)
     # (key, centre, half-width) per key of each length-L cylinder of two or more keys
     member, centre, half = [], [], []
     n_centres = 0
     for length in range(depth):
-        cyl = np.cumsum(lcp < length) - 1  # cylinders numbered along the sorted keys
-        shared = np.bincount(cyl) >= 2
-        inside = np.flatnonzero(shared[cyl])
+        ids = cyl[length][keyed]
+        shared = np.bincount(ids) >= 2
+        inside = np.flatnonzero(shared[ids])
         member.append(inside)
-        centre.append(k + n_centres + (np.cumsum(shared) - 1)[cyl[inside]])
+        centre.append(k + n_centres + (np.cumsum(shared) - 1)[ids[inside]])
         half.append(np.full(len(inside), g[length] / 2.0))
         n_centres += int(shared.sum())
     member, centre, half = (np.concatenate(a) for a in (member, centre, half))
-    c_obj = np.concatenate([-np.array([net[key] for key in keys]), np.zeros(n_centres)])
+    c_obj = np.concatenate([-net, np.zeros(n_centres)])
     pair = len(member)
     bounds = [(0.0, 0.0)] + [(None, None)] * (k - 1 + n_centres)  # pin one value, the rest free
     if pair:
@@ -331,16 +341,15 @@ def lipschitz_dual(
         raise ConvergenceError(f"dual LP failed: {res.message}")
     value = -float(res.fun)
     f_keys = res.x[:k]
-    fibers, path, anchor = mu.fibers, mu.path, mu.anchor
-    words = admissible_words(fibers, path, anchor, depth)
-    word_rows = np.array(words, dtype=np.int64).reshape(len(words), depth)
-    # minimal 1-Lipschitz extension; on the atoms themselves it is the LP value
-    extension = (f_keys[None, :] + _cost_matrix(metric, word_rows, key_rows)).min(axis=1)
-    f_on_atoms = dict(zip(keys, f_keys))
-    values = {
-        w: float(f_on_atoms[w]) if w in f_on_atoms else float(ext)
-        for w, ext in zip(words, extension)
-    }
+    # the least g(L) + min f over w's length-L cylinder is min_x f(x) + g(lcp(w, x)),
+    # float for float, since g is non-increasing and float addition is monotone
+    extension = np.full(len(words), np.inf)
+    for length, ids in enumerate(cyl):
+        least = np.full(ids[-1] + 1, np.inf)
+        np.minimum.at(least, ids[keyed], f_keys)
+        extension = np.minimum(extension, g[length] + least[ids])
+    extension[keyed] = f_keys  # on the atoms themselves it is the LP value
+    values = dict(zip(words, extension.tolist()))
     witness = CylinderFunction(fibers, path, anchor, depth, values)
     return value, witness
 
@@ -725,10 +734,11 @@ def build_coupling(
     if rest > 1e-14:
         plan += np.outer(np.clip(x_res, 0, None), np.clip(y_res, 0, None)) / rest
 
-    dist = _cost_matrix(cert.metric_at(k), xatoms, yatoms)
+    i, j = np.nonzero(plan > 0)  # the support in row-major order
+    dist = cert.metric_at(k).levels(xatoms.shape[1])[_common_prefix(xatoms[i], yatoms[j])]
     cost = 0.0
-    for i, j in zip(*np.nonzero(plan > 0)):  # the support in row-major order
-        cost += plan[i, j] * dist[i, j]
+    for mass, d in zip(plan[i, j], dist):
+        cost += mass * d
     out = TransportPlan(source_labels=xv, target_labels=yv, plan=plan, cost=cost)
     out.check_marginals(xw, yw, tol=1e-10)
     if diag_mass < cert.C[q] / cert.B[q] - 1e-12:

@@ -134,6 +134,14 @@ def spanning_tree_transport_oracle(mu_w, nu_w, cost):
     return best
 
 
+def dense_cost(metric, a, b):
+    """metric.dist between every prefix row of a and every prefix row of b: the level
+    at the first index where the two rows differ, compared letter by letter."""
+    eq = a[:, None, :] == b[None, :, :]
+    first = np.where(eq.all(axis=-1), a.shape[1], eq.argmin(axis=-1))
+    return metric.levels(a.shape[1])[first]
+
+
 def lp_transport_oracle(mu, nu, metric):
     """The transportation program solved by HiGHS on a cost matrix of metric.dist calls
     on the canonical walks of the atoms, all read to the longest atom.
@@ -180,7 +188,7 @@ def pairwise_kr_oracle(mu, nu, metric):
     if k > transport.LP_CAP:
         raise ConfigError(f"atom count {k} beyond the LP cap {transport.LP_CAP}")
     key_rows = np.array(keys, dtype=np.int64).reshape(k, depth)
-    cost = transport._cost_matrix(metric, key_rows, key_rows)
+    cost = dense_cost(metric, key_rows, key_rows)
     c_obj = -np.array([net[key] for key in keys])
     # rows x_i - x_j <= d_ij and x_j - x_i <= d_ij, interleaved pair by pair
     iu, ju = np.triu_indices(k, 1)
@@ -205,7 +213,7 @@ def pairwise_kr_oracle(mu, nu, metric):
     words = admissible_words(fibers, path, anchor, depth)
     word_rows = np.array(words, dtype=np.int64).reshape(len(words), depth)
     # minimal 1-Lipschitz extension; on the atoms themselves it is the LP value
-    extension = (res.x[None, :] + transport._cost_matrix(metric, word_rows, key_rows)).min(axis=1)
+    extension = (res.x[None, :] + dense_cost(metric, word_rows, key_rows)).min(axis=1)
     f_on_atoms = dict(zip(keys, res.x))
     values = {
         w: float(f_on_atoms[w]) if w in f_on_atoms else float(ext)
@@ -421,6 +429,46 @@ class TestClosedFormParity:
         (v1, p1), (v2, p2) = wasserstein(mu, nu, metric), wasserstein(mu, nu, metric)
         assert v1 == v2
         assert p1.plan.tobytes() == p2.plan.tobytes()
+
+
+class TestTreeCertificate:
+    """wasserstein, lipschitz_dual and build_coupling read distances only off the
+    cylinder tree, and the certificate rejects a plan that is not optimal."""
+
+    def test_no_pairwise_distance_array(self, monkeypatch, full2_cert):
+        cfg = load_config(CONFIGS / "random_3letter.json")
+        path = cfg.sample(17)
+        rng = np.random.default_rng(5)
+        mu, nu = (AtomicMeasure.random(cfg.fibers, path, 0, 5, rng) for _ in "ab")
+        assert len(mu.weights.keys() | nu.weights.keys()) == 243
+        real, shapes = transport._common_prefix, []
+
+        def spy(a, b):
+            shapes.append((a.shape, b.shape))
+            return real(a, b)
+
+        monkeypatch.setattr(transport, "_common_prefix", spy)
+        metric = Metric("raw", cfg.potential.r)
+        wasserstein(mu, nu, metric)
+        lipschitz_dual(mu, nu, metric)
+        fibers, path, phi, triple, tilde, cert = full2_cert
+        build_coupling((1,), (2,), tilde, cert, fiber=0)
+        assert len(shapes) >= 4
+        for a, b in shapes:
+            assert len(a) == 2 and a == b, (a, b)
+            assert a[0] <= 2 * 243
+
+    def test_product_plan_rejected(self, monkeypatch, full2):
+        fibers, path = full2
+        rng = np.random.default_rng(3)
+        mu, nu = (AtomicMeasure.random(fibers, path, 0, 3, rng) for _ in "ab")
+
+        def product(order, lcp, depth, weights, n, m):
+            return np.outer(weights[:n], weights[n:])
+
+        monkeypatch.setattr(transport, "_ultrametric_plan", product)
+        with pytest.raises(InvariantViolation):
+            wasserstein(mu, nu, Metric("raw", 0.5))
 
 
 class TestDuality:
@@ -785,10 +833,45 @@ class TestCylinderProgram:
         words = admissible_words(mu.fibers, mu.path, mu.anchor, depth)
         rows = np.array(words, dtype=np.int64).reshape(len(words), depth)
         f = np.array([witness.values[w] for w in words])
-        cost = transport._cost_matrix(metric, rows, rows)
+        cost = dense_cost(metric, rows, rows)
         assert (np.abs(f[:, None] - f[None, :]) - cost).max() <= 1e-9
         attained = mu.integrate(witness) - nu.integrate(witness)
         assert attained == pytest.approx(value, abs=1e-9)
+
+    @pytest.mark.parametrize("mu,nu,metric", _parity_pairs() + _kr_instances())
+    def test_witness_is_dense_minimal_extension(self, mu, nu, metric):
+        """The witness equals, float for float, the dense minimal 1-Lipschitz extension
+        of its own values on the keys."""
+        _, witness = lipschitz_dual(mu, nu, metric)
+        depth = witness.depth
+        keys = sorted({tuple(x) for m in (mu, nu) for x in point_prefix_oracle(
+            m, list(m.weights), depth).tolist()})
+        words = admissible_words(mu.fibers, mu.path, mu.anchor, depth)
+        f_keys = np.array([witness.values[x] for x in keys])
+        rows = np.array(words, dtype=np.int64).reshape(len(words), depth)
+        extension = (f_keys[None, :] + dense_cost(metric, rows, np.array(keys))).min(axis=1)
+        want = {w: witness.values[w] if w in keys else float(e)
+                for w, e in zip(words, extension)}
+        assert witness.values == want
+
+    def test_lp_cap_checked_first(self, monkeypatch):
+        import scipy.optimize
+
+        cfg = load_config(CONFIGS / "random_3letter.json")
+        path = cfg.sample(17)
+        rng = np.random.default_rng(5)
+        mu, nu = (AtomicMeasure.random(cfg.fibers, path, 0, 3, rng) for _ in "ab")
+        assert len(mu.weights) == len(nu.weights) == 27
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the LP cap was checked")
+
+        monkeypatch.setattr(transport, "LP_CAP", 10)
+        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+        for name in ("admissible_words", "word_index"):
+            monkeypatch.setattr(transport, name, refuse, raising=False)
+        with pytest.raises(ConfigError, match="atom count 27 beyond the LP cap 10"):
+            lipschitz_dual(mu, nu, Metric("raw", cfg.potential.r))
 
     def test_rows_at_most_2kD(self, monkeypatch):
         import scipy.optimize
