@@ -5,8 +5,9 @@ the potential, metric parameters, depths, horizons and seeds; a key of the
 depths, horizons, trials or sequences section that nothing reads is rejected
 on load.  validate()
 performs the structural checks (stochasticity, row/column positivity, big
-images/preimages, empirical summability, stationary event frequency, depth
-cap and positive horizons) without running any experiment.
+images/preimages, empirical summability, stationary event frequency,
+positive depths, a working depth between the potential's locality and the
+cap, positive horizons) without running any experiment.
 """
 
 from __future__ import annotations
@@ -177,8 +178,13 @@ def validate_config(cfg: ExperimentConfig) -> dict:
     s_value = summability_value(cfg.potential, cfg.fibers, probe, span=64)
     if not math.isfinite(s_value):
         violations.append("summability probe diverged")
-    if cfg.depths["working"] > cfg.depths["cap"]:
+    violations.extend(f"depth {key} must be positive, got {value}"
+                      for key, value in sorted(cfg.depths.items()) if value < 1)
+    working, locality = cfg.depths["working"], max(cfg.potential.depth - 1, 1)
+    if working > cfg.depths["cap"]:
         violations.append("working depth exceeds the configured cap")
+    if 1 <= working < locality:
+        violations.append(f"working depth {working} is below the potential's locality {locality}")
     violations.extend(f"horizon {key} must be positive, got {value}"
                       for key, value in sorted(cfg.horizons.items()) if value < 1)
     return {

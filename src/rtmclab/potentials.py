@@ -257,7 +257,6 @@ def summability_value(
     """Empirical mean of |log L_{theta^-1 omega}(1)| along the path (finiteness probe)."""
     total = 0.0
     for i in range(span):
-        table = phi.table_at(path, i)
         words = admissible_words(fibers, path, i, max(phi.depth, 2))
         sums: dict[tuple, float] = {}
         for w in words:

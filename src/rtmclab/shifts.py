@@ -11,10 +11,13 @@ prefix, so the library represents a point by its canonical prefix: a head
 word followed by the lexicographically least admissible continuation, read
 to the depth needed (`canonical_prefixes`).
 
-The admissible length-n words from fiber i depend only on the driver states
-at i .. i+n-1, so the word index (sorted words plus a word -> row dict) is
-cached on the FiberStructure under that state window: fibers with the same
-window, on any shift of the path, share one index.
+The admissible length-n words from fiber i depend only on the alphabets and
+0/1 matrices of the driver states at i .. i+n-1.  Each driver state belongs
+to a fiber class, the least state with the same alphabet and matrix, and the
+word index (sorted words plus a word -> row dict) is built once per window of
+classes.  It is cached on the FiberStructure under each state window that
+reads it, so a hit is one lookup: fibers whose windows carry the same
+classes, on any shift of the path, share one index.
 """
 
 from __future__ import annotations
@@ -47,8 +50,10 @@ class FiberStructure:
     bip: BipStructure | None = None
     _row: tuple[dict, ...] = field(default=(), repr=False)
     _col: dict = field(default_factory=dict, repr=False)
-    # derived tables keyed by driver-state windows: word indices here, dual
-    # step tables in transfer; both live and die with this structure
+    _class: tuple[int, ...] = field(default=(), repr=False)  # per state, its fiber class
+    # derived tables, built once per window of fiber classes and cached under
+    # every driver-state window that reads them: word indices here, step
+    # tables in transfer; both live and die with this structure
     _words: dict = field(default_factory=dict, repr=False)
     _steps: dict = field(default_factory=dict, repr=False)
 
@@ -82,6 +87,10 @@ class FiberStructure:
                 )
             mats.append(m.copy())
         rows = tuple({a: i for i, a in enumerate(letters)} for letters in per_state_alpha)
+        classes = tuple(
+            next(t for t in range(s + 1) if per_state_alpha[t] == per_state_alpha[s]
+                 and np.array_equal(mats[t], mats[s]))
+            for s in range(len(mats)))
         fs = FiberStructure(
             alphabets=tuple(per_state_alpha),
             matrices=tuple(mats),
@@ -90,6 +99,7 @@ class FiberStructure:
         )
         object.__setattr__(fs, "_row", rows)
         object.__setattr__(fs, "_col", col)
+        object.__setattr__(fs, "_class", classes)
         return fs
 
     # -- admissibility primitives ---------------------------------------------------
@@ -126,21 +136,33 @@ class FiberStructure:
         mask = self.matrices[s][row]
         return tuple(b for b in self.alphabets[s_next] if mask[self._col[b]])
 
+    def classes(self, states: tuple[int, ...]) -> tuple[int, ...]:
+        """The fiber class of each state of a driver-state window."""
+        return tuple(map(self._class.__getitem__, states))
+
     def words_over(self, states: tuple[int, ...]) -> "WordIndex":
-        """The word index of the admissible words read along a driver-state window."""
+        """The word index of the admissible words read along a driver-state window.
+
+        It is built over the window's fiber classes, itself a state window
+        whose classes are its states, and shared by every window with them.
+        """
         index = self._words.get(states)
         if index is None:
-            if len(states) == 1:
-                words = tuple((a,) for a in self.alphabets[states[0]])
-            else:
-                s, s_next = states[-2], states[-1]
-                rows = self._row[s]
-                words = tuple(
-                    p + (b,)
-                    for p in self.words_over(states[:-1]).words
-                    for b in self._next_letters(s, s_next, rows[p[-1]])
-                )
-            index = WordIndex(words, {w: i for i, w in enumerate(words)})
+            classes = self.classes(states)
+            index = self._words.get(classes)
+            if index is None:
+                if len(classes) == 1:
+                    words = tuple((a,) for a in self.alphabets[classes[0]])
+                else:
+                    s, s_next = classes[-2], classes[-1]
+                    rows = self._row[s]
+                    words = tuple(
+                        p + (b,)
+                        for p in self.words_over(classes[:-1]).words
+                        for b in self._next_letters(s, s_next, rows[p[-1]])
+                    )
+                index = WordIndex(words, {w: i for i, w in enumerate(words)})
+                self._words[classes] = index
             self._words[states] = index
         return index
 

@@ -10,22 +10,26 @@ accumulation error.
 One dual step is a fixed sparse map between word sets (higher-block recoding):
 for a depth-d source word w at fiber j it lists the predecessor letters a in
 ascending order, the branch weight exp(phi) at aw and the row of aw's depth-d
-prefix at fiber j-1.  That step table is built once per (potential, d, driver
-states j-1 .. j-1+d) for state-keyed potentials and cached on the
-FiberStructure next to the word index; fiber-keyed potentials build it per
-fiber.  `dual_apply` uses it at the potential's locality d = max(p-1, 1)
-(a short atom is looked up by its canonical depth-d prefix), the measure sweep
-of `rpf_solve` at the working depth.  Both run on (row, weight) vectors and
-keep the atom order of the per-atom definition: source atoms in insertion
-order, predecessors ascending; masses are sequential sums in that order, and
-coarsening sums onto output atoms in first-occurrence order.  The floats are
-therefore bit for bit those of the dict loop kept as the test oracle.
+prefix at fiber j-1.  For a state-keyed potential it reads the potential's
+table at the driver state at j-1 and the alphabets and 0/1 matrices at
+j-1 .. j-1+d, so it is built once per (potential, d, state at j-1, fiber
+classes at j .. j-1+d) and cached on the FiberStructure next to the word
+index, under every driver-state window that reads it; fiber-keyed
+potentials build it per fiber.  `dual_apply` uses it at the potential's
+locality d = max(p-1, 1) (a short atom is looked up by its canonical depth-d
+prefix), the measure sweep of `rpf_solve` at the working depth.  Both run on
+(row, weight) vectors and keep the atom order of the per-atom definition:
+source atoms in insertion order, predecessors ascending; masses are
+sequential sums in that order, and coarsening sums onto output atoms in
+first-occurrence order.  The floats are therefore bit for bit those of the
+dict loop kept as the test oracle.
 
 `transfer_apply` reads a forward twin in plain tuples (its functions hold few
 values): per output word w at fiber j+1, (exp(phi) at aw, aw cut to the
-function depth) for each predecessor a ascending, cached likewise under
-(potential, both depths, states j .. j+output depth).  Each value sums from
-0.0 in that order, bit for bit the per-word loop kept as the test oracle.
+function depth) for each predecessor a ascending, shared likewise under
+(potential, both depths, state at j, classes at j+1 .. j+output depth).
+Each value sums from 0.0 in that order, bit for bit the per-word loop kept
+as the test oracle.
 
 The measures the sweep produces keep the same vectors: rows of the word index
 at their fiber and depth, and masses.  `integrate`, `invariant_measures`,
@@ -331,19 +335,36 @@ class AtomicMeasure:
 # the operator and its dual
 
 
+def _class_key(fibers: FiberStructure, key: tuple) -> tuple:
+    """The key that shares a step table cached under `key` = (phi, depths, state
+    window): the window's first state, the potential's own fiber, then the
+    fiber classes of the rest.  Windows with one class key read the same
+    fiber data and the same potential table; the class key is itself a
+    key of that form, and equals `key` on a one-class window."""
+    *head, states = key
+    return (*head, states[:1] + fibers.classes(states[1:]))
+
+
 def _forward_table(phi: Potential, fibers: FiberStructure, path: DriverPath,
                    j: int, d: int, m: int) -> tuple:
     """The forward step from fiber j: (w, ((exp(phi(aw)), (aw)[:m]), ...)) per
-    depth-d word w at fiber j+1, for depth-m functions; needs d >= max(m-1, p-1)."""
+    depth-d word w at fiber j+1, for depth-m functions; needs d >= max(m-1, p-1).
+
+    A state-keyed potential's table is cached on the fibers under (phi, d, m,
+    driver states j .. j+d) and shared under its `_class_key`.
+    """
     key = (phi, d, m, path.states(j, j + d)) if phi.state_keyed else None
     table = fibers._steps.get(key)
     if table is None:
-        table = tuple(
-            (w, tuple((math.exp(phi.value(path, j, (a,) + w)), ((a,) + w)[:m])
-                      for a in fibers.predecessors(path, j + 1, w[0])))
-            for w in admissible_words(fibers, path, j + 1, d))
+        shared = _class_key(fibers, key) if key is not None else None
+        table = fibers._steps.get(shared)
+        if table is None:
+            table = tuple(
+                (w, tuple((math.exp(phi.value(path, j, (a,) + w)), ((a,) + w)[:m])
+                          for a in fibers.predecessors(path, j + 1, w[0])))
+                for w in admissible_words(fibers, path, j + 1, d))
         if key is not None:
-            fibers._steps[key] = table
+            fibers._steps[key] = fibers._steps[shared] = table
     return table
 
 
@@ -388,26 +409,30 @@ def _step_table(phi: Potential, fibers: FiberStructure, path: DriverPath,
                 j: int, d: int) -> _Step:
     """The step table at fiber j for depth-d sources; needs d >= phi.depth - 1.
 
-    A state-keyed potential's table depends only on the driver states at
-    j-1 .. j-1+d, so it is cached on the fibers under (phi, d, those states).
+    A state-keyed potential's table depends only on the potential's table at
+    the driver state at j-1 and on the fiber data at j-1 .. j-1+d, so it is
+    cached on the fibers under (phi, d, driver states j-1 .. j-1+d) and
+    shared under its `_class_key`.
     """
     key = (phi, d, path.states(j - 1, j - 1 + d)) if phi.state_keyed else None
-    cached = fibers._steps.get(key)
-    if cached is not None:
-        return cached
-    target = word_index(fibers, path, j - 1, d).rows
-    ptr, letter, weight, coarse = [0], [], [], []
-    for w in word_index(fibers, path, j, d).words:
-        for a in fibers.predecessors(path, j, w[0]):
-            full = (a,) + w
-            letter.append(a)
-            weight.append(math.exp(phi.value(path, j - 1, full)))
-            coarse.append(target[full[:d]])
-        ptr.append(len(letter))
-    step = _Step(np.array(ptr, dtype=np.intp), np.array(letter, dtype=np.int64),
-                 np.array(weight, dtype=float), np.array(coarse, dtype=np.intp))
-    if key is not None:
-        fibers._steps[key] = step
+    step = fibers._steps.get(key)
+    if step is None:
+        shared = _class_key(fibers, key) if key is not None else None
+        step = fibers._steps.get(shared)
+        if step is None:
+            target = word_index(fibers, path, j - 1, d).rows
+            ptr, letter, weight, coarse = [0], [], [], []
+            for w in word_index(fibers, path, j, d).words:
+                for a in fibers.predecessors(path, j, w[0]):
+                    full = (a,) + w
+                    letter.append(a)
+                    weight.append(math.exp(phi.value(path, j - 1, full)))
+                    coarse.append(target[full[:d]])
+                ptr.append(len(letter))
+            step = _Step(np.array(ptr, dtype=np.intp), np.array(letter, dtype=np.int64),
+                         np.array(weight, dtype=float), np.array(coarse, dtype=np.intp))
+        if key is not None:
+            fibers._steps[key] = fibers._steps[shared] = step
     return step
 
 
@@ -742,7 +767,7 @@ def normalize_potential(phi: Potential, triple: RpfTriple) -> Potential:
     fibers, path = triple.fibers, triple.path
     d_h = max(f.depth for f in triple.h.values())
     p_new = max(phi.depth, d_h + 1)
-    tables, kappas = {}, {}
+    tables = {}
     for j in range(lo, hi):
         if triple.h[j].inf() <= 0:
             raise InvariantViolation(f"nonpositive eigenfunction at fiber {j}")

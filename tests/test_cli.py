@@ -249,6 +249,7 @@ def test_error_class_outcomes(error, how, code, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--depth", "40", "working depth exceeds the configured cap"),
+    ("--depth", "0", "depth working must be positive, got 0"),
     ("--horizon", "0", "horizon solve must be positive"),
 ])
 def test_overrides_are_validated(flag, value, message, tmp_path, capsys):
@@ -262,6 +263,29 @@ def test_config_horizon_must_be_positive(tmp_path):
     rep = validate_config(load_config(_golden(tmp_path, horizons={"decay": -3})))
     assert not rep["ok"]
     assert rep["violations"] == ["horizon decay must be positive, got -3"]
+
+
+@pytest.mark.parametrize("depths, violation", [
+    ({"working": 0}, "depth working must be positive, got 0"),
+    ({"algebra": 0}, "depth algebra must be positive, got 0"),
+    ({"entropy": -1}, "depth entropy must be positive, got -1"),
+])
+def test_config_depths_must_be_positive(depths, violation, tmp_path):
+    raw = json.loads((CONFIGS / "golden_mean.json").read_text())
+    rep = validate_config(load_config(_golden(tmp_path, depths={**raw["depths"], **depths})))
+    assert rep["violations"] == [violation]
+
+
+def test_working_depth_below_locality_is_a_violation(tmp_path, capsys):
+    # a depth-3 table potential reads two-letter tails: locality max(p-1, 1) = 2
+    words = ["1,1,1", "1,1,2", "1,2,1", "2,1,1", "2,1,2"]
+    table = {w: 0.0 for w in words}
+    path = _golden(tmp_path, potential={"kind": "table", "depth": 3, "r": 0.5,
+                                        "kappa": [0.0], "tables": {"a": table}})
+    assert validate_config(load_config(path))["ok"]
+    assert main(["run", str(path), "rpf", "--depth", "1", "--out-dir", str(tmp_path)]) == 2
+    assert "working depth 1 is below the potential's locality 2" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "many"])

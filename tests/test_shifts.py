@@ -1,11 +1,13 @@
 import itertools
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtmclab.config import load_config
 from rtmclab.driver import sample_path, shift_path
 from rtmclab.errors import AdmissibilityError, ConfigError, WindowExhausted
 from rtmclab.shifts import (
@@ -23,6 +25,8 @@ from conftest import (
     stationary_system,
     two_state_iid,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def brute_force_words(fibers, path, start, n):
@@ -174,6 +178,38 @@ class TestWordIndex:
         shifted = shift_path(path, 11)
         for start in (-5, 0, 7):
             assert word_index(fibers, shifted, start, 4) is word_index(fibers, path, start + 11, 4)
+
+    def test_equal_class_windows_share_one_index(self):
+        # both states of full_shift_iid carry one alphabet and one 0/1 matrix
+        cfg = load_config(CONFIGS / "full_shift_iid.json")
+        fibers, path = cfg.fibers, cfg.sample(cfg.seeds[0])
+        assert fibers._class == (0, 0)
+        windows = {path.states(i, i + 4): i for i in range(-60, 60)}
+        assert len(windows) > 4
+        first = word_index(fibers, path, windows.popitem()[1], 5)
+        for start in windows.values():
+            assert word_index(fibers, path, start, 5) is first
+        assert list(first.words) == list(itertools.product((1, 2), repeat=5))
+
+    def test_states_with_other_fiber_data_keep_their_class(self):
+        # periodic_2_3letter: the two states carry different alphabets
+        cfg = load_config(CONFIGS / "periodic_2_3letter.json")
+        assert cfg.fibers._class == (0, 1)
+        path = cfg.sample(cfg.seeds[0])
+        assert path.states(0, 2) != path.states(1, 3)
+        assert word_index(cfg.fibers, path, 0, 3) is not word_index(cfg.fibers, path, 1, 3)
+        # one alphabet, matrices that differ in one entry
+        system = two_state_iid(seed=5)
+        fibers = FiberStructure.build(
+            system,
+            alphabets={"a": [1, 2], "b": [1, 2]},
+            matrices={"a": [[1, 1], [1, 1]], "b": [[1, 1], [1, 0]]},
+        )
+        assert fibers._class == (0, 1)
+        path = sample_path(system, seed=5)
+        for start in range(-20, 20):
+            assert list(admissible_words(fibers, path, start, 4)) == \
+                brute_force_words(fibers, path, start, 4)
 
 
 class TestCanonicalRepresentative:

@@ -513,6 +513,72 @@ def test_forward_cache_is_shared_across_fibers():
     assert solve((150, 200)) == (total, forward)
 
 
+class TestClassKeyedSteps:
+    """Step tables shared across driver-state windows that read the same fiber
+    classes and the same potential table."""
+
+    @staticmethod
+    def cold(cfg):
+        """A freshly built FiberStructure of the config, with empty caches."""
+        raw = cfg.raw["fibers"]
+        return FiberStructure.build(cfg.system, raw["alphabets"], raw["matrices"])
+
+    def test_equal_class_windows_share_steps(self):
+        cfg = load_config(CONFIGS / "full_shift_iid.json")
+        fibers, phi, path = cfg.fibers, cfg.potential, cfg.sample(cfg.seeds[0])
+        d = cfg.depths["working"]
+        shared = {}
+        for j in range(-40, 40):
+            state = path.state(j - 1)
+            step = transfer._step_table(phi, fibers, path, j, d)
+            forward = transfer._forward_table(phi, fibers, path, j - 1, d, d)
+            first_step, first_forward = shared.setdefault(state, (step, forward))
+            assert first_step is step and first_forward is forward
+        assert len({path.states(j - 1, j - 1 + d) for j in range(-40, 40)}) > 2
+        # the two states' potential tables differ, and so do their steps
+        (a, fa), (b, fb) = shared[0], shared[1]
+        assert a is not b and not np.array_equal(a.weight, b.weight)
+        assert fa is not fb and fa != fb
+
+    @pytest.mark.parametrize("name", ["full_shift_iid", "random_3letter", "periodic_2_3letter"])
+    def test_no_table_is_shared_across_potential_states(self, name):
+        cfg = load_config(CONFIGS / f"{name}.json")
+        path = cfg.sample(cfg.seeds[0])
+        rpf_solve(cfg.potential, cfg.fibers, path, depth=cfg.depths["working"],
+                  horizon=40, window=(0, 8))
+        states = {}
+        for key, table in cfg.fibers._steps.items():
+            states.setdefault(id(table), set()).add(key[-1][0])
+        assert all(len(s) == 1 for s in states.values())
+
+    @pytest.mark.parametrize("name", ["full_shift_iid", "random_3letter", "periodic_2_3letter"])
+    def test_cached_tables_match_cold_builds(self, name):
+        # parity oracle: a shared table equals, bit for bit, the table built
+        # cold at each fiber on a structure with empty caches
+        cfg = load_config(CONFIGS / f"{name}.json")
+        fibers, phi, path = cfg.fibers, cfg.potential, cfg.sample(cfg.seeds[0])
+        for d, m in ((1, 1), (4, 3), (5, 5)):
+            for j in range(-12, 12):
+                cold = self.cold(cfg)
+                step = transfer._step_table(phi, fibers, path, j, d)
+                fresh = transfer._step_table(phi, cold, path, j, d)
+                for field_name in ("ptr", "letter", "weight", "coarse"):
+                    assert np.array_equal(getattr(step, field_name), getattr(fresh, field_name))
+                assert (transfer._forward_table(phi, fibers, path, j, d, m)
+                        == transfer._forward_table(phi, cold, path, j, d, m))
+
+    def test_solve_builds_at_most_one_step_per_potential_state(self):
+        cfg = load_config(CONFIGS / "full_shift_iid.json")
+        path = cfg.sample(cfg.seeds[0])
+        rpf_solve(cfg.potential, cfg.fibers, path, depth=cfg.depths["working"],
+                  horizon=cfg.horizons["solve"], window=(0, 24))
+        distinct = {}
+        for key, table in cfg.fibers._steps.items():
+            if isinstance(table, transfer._Step):
+                distinct.setdefault(key[:2], set()).add(id(table))
+        assert distinct and all(len(ids) <= 2 for ids in distinct.values())
+
+
 @pytest.mark.parametrize("instance", ["full2", "gm", "pattern3", "two_state"])
 class TestMeasureKernelParity:
     """Row-vector measure kernels against the per-atom loops: the same floats, bit for bit."""
