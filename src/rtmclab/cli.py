@@ -35,10 +35,14 @@ def _json_default(obj):
     return str(obj)
 
 
-def _load(config_path, depth: int | None, horizon: int | None) -> ExperimentConfig:
+def _load(config_path, depth: int | None, horizon: int | None,
+          seed: int | None) -> ExperimentConfig:
     """The config with the --depth and --horizon overrides applied, in `raw` too,
-    so that the config hash covers them."""
+    so that the config hash covers them, and --seed in place of the seeds,
+    validated like them but left out of the hash."""
     cfg = load_config(config_path)
+    if seed is not None:
+        cfg.seeds = [seed]
     if depth is not None:
         cfg.depths["working"] = cfg.raw.setdefault("depths", {})["working"] = depth
     if horizon is not None:
@@ -110,7 +114,8 @@ def main(argv=None) -> int:
         parser.error("a config path is required (positional or --config)")
 
     try:
-        cfg = _load(config_path, vars(args).get("depth"), vars(args).get("horizon"))
+        cfg = _load(config_path, vars(args).get("depth"), vars(args).get("horizon"),
+                    vars(args).get("seed"))
         report = validate_config(cfg)
     except (RtmcError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -131,8 +136,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    seeds = [args.seed] if args.seed is not None else cfg.seeds
-    results = [_run_one(cfg, args.experiment, s, args.out_dir, int(max_radius)) for s in seeds]
+    results = [_run_one(cfg, args.experiment, s, args.out_dir, int(max_radius))
+               for s in cfg.seeds]
     combined = {"config": cfg.config_hash, "name": cfg.name,
                 "seeds": {str(seed): summary for seed, summary, _ in results}}
     out = Path(args.out_dir)

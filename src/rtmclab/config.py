@@ -7,7 +7,7 @@ on load.  validate()
 performs the structural checks (stochasticity, row/column positivity, big
 images/preimages, empirical summability, stationary event frequency,
 positive depths, a working depth between the potential's locality and the
-cap, positive horizons) without running any experiment.
+cap, positive horizons, non-negative seeds) without running any experiment.
 """
 
 from __future__ import annotations
@@ -187,6 +187,8 @@ def validate_config(cfg: ExperimentConfig) -> dict:
         violations.append(f"working depth {working} is below the potential's locality {locality}")
     violations.extend(f"horizon {key} must be positive, got {value}"
                       for key, value in sorted(cfg.horizons.items()) if value < 1)
+    violations.extend(f"seed must be a non-negative integer, got {seed}"
+                      for seed in cfg.seeds if seed < 0)
     return {
         "name": cfg.name,
         "hash": cfg.config_hash,

@@ -324,7 +324,7 @@ def equilibrium_gap(
     # cylinder sums telescope against sum(log lambda - int phi dnu) over the
     # same fibers, with corrections that cancel in the increment
     def phi_cf(j: int) -> CylinderFunction:
-        return CylinderFunction(
+        return CylinderFunction._trusted(
             fibers, path, j, phi.depth,
             {w: phi.value(path, j, w) for w in admissible_words(fibers, path, j, phi.depth)},
         )

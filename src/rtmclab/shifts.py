@@ -23,6 +23,7 @@ classes, on any shift of the path, share one index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -239,11 +240,21 @@ def _possible_prev(system: DriverSystem, s: int) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class WordIndex:
-    """Admissible words of one length over one state window, sorted, with their rows."""
+    """Admissible words of one length over one state window, sorted, with their rows.
+
+    What is derived from the words alone is derived once per index: the row
+    of each word's prefix (`prefix_rows`) and each word's "a,b,..." label
+    (`labels`), which is how a word is written in a JSON triple.
+    """
 
     words: tuple[tuple[int, ...], ...]
     rows: dict  # word -> position in `words`
     _prefix: dict = field(default_factory=dict, repr=False)  # k -> prefix_rows array
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Each word as its letters joined by commas, in row order."""
+        return tuple(",".join(map(str, w)) for w in self.words)
 
     def prefix_rows(self, short: "WordIndex", k: int) -> np.ndarray:
         """Row in `short` of each word's length-k prefix, in row order.

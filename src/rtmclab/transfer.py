@@ -24,6 +24,17 @@ sequential sums in that order, and coarsening sums onto output atoms in
 first-occurrence order.  The floats are therefore bit for bit those of the
 dict loop kept as the test oracle.
 
+Where the sweep's atoms go in one step depends only on the step table and
+the order of the source rows, and a solve's row orders settle within a few
+fibers.  So the sweep memoizes a plan per (table, source row order) on the
+table itself: the branch weights and source positions of the new atoms,
+their coarse rows, those rows in first-occurrence order and the bincount
+length.  A step is then one gather-multiply and one bincount, the same
+floats as pulling and coarsening afresh (kept as the test oracle
+`sweep_oracle`).  `dual_apply` keeps no plans: its row sets vary per call.
+A measure that carries rows is pulled back from its rows and index words,
+without re-admitting its atoms.
+
 `transfer_apply` reads a forward twin in plain tuples (its functions hold few
 values): per output word w at fiber j+1, (exp(phi) at aw, aw cut to the
 function depth) for each predecessor a ascending, shared likewise under
@@ -40,6 +51,13 @@ sums are bincounts, in atom order, onto prefix rows in first-occurrence
 order.  These too are bit for bit the dict loops kept as test oracles.  A
 measure built any other way (a Dirac mass, a dual pull-back, a JSON triple)
 keeps its dict and those loops.
+
+A `CylinderFunction` built by its public constructor checks that its keys
+are exactly the admissible words at its depth.  The functions the library
+derives (`constant`, `indicator`, `random_lipschitz`, `map`, `refine`,
+`binary`, `transfer_apply`) take their keys from a word index or from a
+function already checked, and skip that check.  A triple's JSON writes each
+swept atom through its word index's labels.
 
 The eigenproblem solver recovers the eigenvalue cocycle from the masses of
 successive dual steps, the eigenfunction from backward-started forward sweeps,
@@ -91,10 +109,18 @@ class CylinderFunction:
                 f"the admissible depth-{self.depth} words"
             )
 
+    @classmethod
+    def _trusted(cls, fibers, path, anchor: int, depth: int, values: dict) -> "CylinderFunction":
+        """A function whose keys the library took from a checked function or a
+        word index, so the key check of `__post_init__` is skipped."""
+        f = cls.__new__(cls)
+        f.fibers, f.path, f.anchor, f.depth, f.values = fibers, path, anchor, depth, values
+        return f
+
     @staticmethod
     def constant(fibers, path, anchor: int, c: float, depth: int = 1) -> "CylinderFunction":
         words = admissible_words(fibers, path, anchor, depth)
-        return CylinderFunction(fibers, path, anchor, depth, {w: float(c) for w in words})
+        return CylinderFunction._trusted(fibers, path, anchor, depth, {w: float(c) for w in words})
 
     @staticmethod
     def indicator(fibers, path, anchor: int, word: tuple[int, ...],
@@ -103,7 +129,7 @@ class CylinderFunction:
         word = tuple(word)
         depth = max(len(word), depth or 1)
         words = admissible_words(fibers, path, anchor, depth)
-        return CylinderFunction(
+        return CylinderFunction._trusted(
             fibers, path, anchor, depth,
             {w: (1.0 if w[: len(word)] == word else 0.0) for w in words},
         )
@@ -124,8 +150,8 @@ class CylinderFunction:
         return max(abs(v) for v in self.values.values())
 
     def map(self, fn: Callable[[float], float]) -> "CylinderFunction":
-        return CylinderFunction(self.fibers, self.path, self.anchor, self.depth,
-                                {w: fn(v) for w, v in self.values.items()})
+        return CylinderFunction._trusted(self.fibers, self.path, self.anchor, self.depth,
+                                         {w: fn(v) for w, v in self.values.items()})
 
     def shift_scale(self, a: float = 1.0, b: float = 0.0) -> "CylinderFunction":
         return self.map(lambda v: a * v + b)
@@ -136,16 +162,16 @@ class CylinderFunction:
         if depth == self.depth:
             return self
         words = admissible_words(self.fibers, self.path, self.anchor, depth)
-        return CylinderFunction(self.fibers, self.path, self.anchor, depth,
-                                {w: self.values[w[: self.depth]] for w in words})
+        return CylinderFunction._trusted(self.fibers, self.path, self.anchor, depth,
+                                         {w: self.values[w[: self.depth]] for w in words})
 
     def binary(self, other: "CylinderFunction", op) -> "CylinderFunction":
         if other.anchor != self.anchor:
             raise AdmissibilityError("cylinder functions on different fibers")
         d = max(self.depth, other.depth)
         a, b = self.refine(d), other.refine(d)
-        return CylinderFunction(self.fibers, self.path, self.anchor, d,
-                                {w: op(a.values[w], b.values[w]) for w in a.values})
+        return CylinderFunction._trusted(self.fibers, self.path, self.anchor, d,
+                                         {w: op(a.values[w], b.values[w]) for w in a.values})
 
     def mul(self, other: "CylinderFunction") -> "CylinderFunction":
         return self.binary(other, lambda x, y: x * y)
@@ -178,8 +204,8 @@ def random_lipschitz(fibers, path, anchor: int, depth: int, rng,
                      r: float, alpha: float | None = None) -> CylinderFunction:
     """Random cylinder function rescaled to Lipschitz constant 1 (under the chosen metric)."""
     words = admissible_words(fibers, path, anchor, depth)
-    f = CylinderFunction(fibers, path, anchor, depth,
-                         {w: float(rng.normal()) for w in words})
+    f = CylinderFunction._trusted(fibers, path, anchor, depth,
+                                  {w: float(rng.normal()) for w in words})
     d = f.lipschitz(r, alpha)
     return f.shift_scale(1.0 / d) if d > 0 else f
 
@@ -377,7 +403,7 @@ def transfer_apply(phi: Potential, f: CylinderFunction) -> CylinderFunction:
         for weight, key in branches:
             total += weight * values[key]
         out[w] = total
-    return CylinderFunction(f.fibers, f.path, f.anchor + 1, out_depth, out)
+    return CylinderFunction._trusted(f.fibers, f.path, f.anchor + 1, out_depth, out)
 
 
 def transfer_power(phi: Potential, f: CylinderFunction, n: int) -> CylinderFunction:
@@ -389,20 +415,35 @@ def transfer_power(phi: Potential, f: CylinderFunction, n: int) -> CylinderFunct
     return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Step:
     """One dual step from fiber j to fiber j-1 over every admissible depth-d word at j.
 
     Source row r owns the entries ptr[r] <= e < ptr[r+1], one per predecessor
     letter in ascending order: the new atom starts with letter[e], weight[e]
     is exp(phi) at it, and coarse[e] is the row of its depth-d prefix among
-    the depth-d words at fiber j-1.
+    the depth-d words at fiber j-1.  `plans` memoizes the measure sweep's
+    `_Plan` per source row order (the rows' bytes).
     """
 
     ptr: np.ndarray
     letter: np.ndarray
     weight: np.ndarray
     coarse: np.ndarray
+    plans: dict = field(default_factory=dict, repr=False)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A sweep step on one source row order: the branch weights and source
+    positions of the new atoms in atom order, their coarse rows, the coarse
+    rows in first-occurrence order, and the bincount length."""
+
+    weight: np.ndarray
+    src: np.ndarray
+    coarse: np.ndarray
+    first: np.ndarray
+    n: int
 
 
 def _step_table(phi: Potential, fibers: FiberStructure, path: DriverPath,
@@ -445,14 +486,37 @@ def _pull(step: _Step, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts[src] + offsets, src
 
 
-def _coarsen(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum weights onto their rows: rows in first-occurrence order, sums in input order."""
+def _first_occurrence(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """The distinct rows in first-occurrence order, and max(rows) + 1."""
     n = int(rows.max()) + 1 if len(rows) else 0
     pos = np.arange(len(rows))
     first = np.full(n, len(rows), dtype=np.intp)
     np.minimum.at(first, rows, pos)
-    uniq = rows[first[rows] == pos]
+    return rows[first[rows] == pos], n
+
+
+def _coarsen(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum weights onto their rows: rows in first-occurrence order, sums in input order."""
+    uniq, n = _first_occurrence(rows)
     return uniq, np.bincount(rows, weights=weights, minlength=n)[uniq]
+
+
+def _plan(step: _Step, rows: np.ndarray) -> _Plan:
+    """The step's plan for sources at `rows`, memoized on the step by the rows' bytes.
+
+    A solve's row orders settle after a few fibers, so a step table holds a
+    handful of plans; `dual_apply`, whose rows vary per call, does not use them.
+    """
+    key = rows.tobytes()
+    plan = step.plans.get(key)
+    if plan is None:
+        e, src = _pull(step, rows)
+        coarse = step.coarse[e]
+        plan = _Plan(step.weight[e], src, coarse, *_first_occurrence(coarse))
+        for shared in (plan.weight, plan.src, plan.coarse, plan.first):
+            shared.flags.writeable = False  # the sweep's measures hold `first` as their rows
+        step.plans[key] = plan
+    return plan
 
 
 def dual_apply(phi: Potential, mu: AtomicMeasure, n: int = 1,
@@ -470,11 +534,17 @@ def dual_apply(phi: Potential, mu: AtomicMeasure, n: int = 1,
         raise DepthOverflow(f"dual pull-back beyond depth cap {max_depth}")
     fibers, path, j = mu.fibers, mu.path, mu.anchor
     d = max(phi.depth - 1, 1)
-    rows = word_index(fibers, path, j, d).rows
-    atoms = list(mu.weights)
-    keys = np.array([rows[u] for u in canonical_prefixes(fibers, path, j, atoms, d)],
-                    dtype=np.intp)
-    weights = np.fromiter(mu.weights.values(), dtype=float, count=len(atoms))
+    short = word_index(fibers, path, j, d)
+    if mu._rows is not None and d <= mu.depth:
+        # the atoms are index words, admissible by construction
+        atoms = [mu._index.words[r] for r in mu._rows.tolist()]
+        keys = mu._index.prefix_rows(short, d)[mu._rows]
+        weights = mu._values
+    else:
+        atoms = list(mu.weights)
+        keys = np.array([short.rows[u] for u in canonical_prefixes(fibers, path, j, atoms, d)],
+                        dtype=np.intp)
+        weights = np.fromiter(mu.weights.values(), dtype=float, count=len(atoms))
     origin = np.arange(len(atoms))
     lead = np.empty((len(atoms), 0), dtype=np.int64)  # letters pulled so far, newest first
     for i in range(n):
@@ -560,10 +630,7 @@ class RpfTriple:
                 str(j): {",".join(map(str, w)): v for w, v in sorted(f.values.items())}
                 for j, f in sorted(self.h.items())
             },
-            "mu": {
-                str(j): {",".join(map(str, w)): v for w, v in sorted(m.weights.items())}
-                for j, m in sorted(self.mu.items())
-            },
+            "mu": {str(j): _labelled(m) for j, m in sorted(self.mu.items())},
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -596,6 +663,14 @@ class RpfTriple:
         )
 
 
+def _labelled(mu: AtomicMeasure) -> dict:
+    """The measure as label -> mass; `json.dumps(sort_keys=True)` orders it."""
+    if mu._rows is not None:
+        labels = mu._index.labels
+        return dict(zip([labels[r] for r in mu._rows.tolist()], mu._values.tolist()))
+    return {",".join(map(str, w)): v for w, v in mu.weights.items()}
+
+
 def _mu_sweep(phi: Potential, start: AtomicMeasure, bottom: int, depth: int,
               window: tuple[int, int]) -> tuple[dict, dict]:
     """Pull, renormalize and coarsen from start.anchor down to `bottom`.
@@ -610,15 +685,15 @@ def _mu_sweep(phi: Potential, start: AtomicMeasure, bottom: int, depth: int,
     weights = np.fromiter(start.weights.values(), dtype=float, count=len(rows))
     lams, mus = {}, {}
     for j in range(top - 1, bottom - 1, -1):
-        step = _step_table(phi, fibers, path, j + 1, depth)
-        e, src = _pull(step, rows)
-        pulled = step.weight[e] * weights[src]
+        plan = _plan(_step_table(phi, fibers, path, j + 1, depth), rows)
+        pulled = plan.weight * weights[plan.src]
         _check_weights(pulled)
         mass = _mass(pulled)
         lams[j] = math.log(mass)
         pulled /= mass
         _check_weights(pulled, probability=True)
-        rows, weights = _coarsen(step.coarse[e], pulled)
+        rows = plan.first
+        weights = np.bincount(plan.coarse, weights=pulled, minlength=plan.n)[rows]
         _check_weights(weights, probability=True)
         if lo <= j <= hi:
             mus[j] = AtomicMeasure.on_rows(fibers, path, j, depth, rows, weights)
@@ -700,7 +775,7 @@ def rpf_solve(
 
     d_h = max(phi.depth - 1, 1)
     hs1 = h_sweep(h_start1, CylinderFunction.constant(fibers, path, h_start1, 1.0, d_h))
-    init2 = CylinderFunction(
+    init2 = CylinderFunction._trusted(
         fibers, path, h_start2, d_h,
         {w: float(math.exp(rng.normal())) for w in admissible_words(fibers, path, h_start2, d_h)},
     )

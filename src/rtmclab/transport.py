@@ -350,7 +350,7 @@ def lipschitz_dual(
         extension = np.minimum(extension, g[length] + least[ids])
     extension[keyed] = f_keys  # on the atoms themselves it is the LP value
     values = dict(zip(words, extension.tolist()))
-    witness = CylinderFunction(fibers, path, anchor, depth, values)
+    witness = CylinderFunction._trusted(fibers, path, anchor, depth, values)
     return value, witness
 
 

@@ -251,12 +251,33 @@ def test_error_class_outcomes(error, how, code, tmp_path, monkeypatch):
     ("--depth", "40", "working depth exceeds the configured cap"),
     ("--depth", "0", "depth working must be positive, got 0"),
     ("--horizon", "0", "horizon solve must be positive"),
+    ("--seed", "-1", "seed must be a non-negative integer, got -1"),
 ])
 def test_overrides_are_validated(flag, value, message, tmp_path, capsys):
     assert main(["run", str(CONFIGS / "golden_mean.json"), "rpf", flag, value,
                  "--out-dir", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_config_seed_must_be_non_negative(tmp_path, capsys):
+    path = _golden(tmp_path, seeds=[3, -1])
+    rep = validate_config(load_config(path))
+    assert rep["violations"] == ["seed must be a non-negative integer, got -1"]
+    assert main(["run", str(path), "rpf", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config violation: seed must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_seed_override_stays_out_of_the_config_hash(tmp_path):
+    heads = {}
+    for name, flags in {"plain": [], "seed": ["--seed", "5"]}.items():
+        out = tmp_path / name
+        assert main(["run", str(CONFIGS / "markov_2letter.json"), "rpf",
+                     "--out-dir", str(out), *flags]) == 0
+        heads[name] = (out / "rpf_fibers_seed5.csv").read_text().splitlines()[0]
+    assert heads["plain"] == heads["seed"] == "# config=8afe7bbfc2bc0473 seed=5"
 
 
 def test_config_horizon_must_be_positive(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import struct
 from pathlib import Path
@@ -18,7 +19,7 @@ from rtmclab.potentials import (
     table_potential,
     word_birkhoff,
 )
-from rtmclab.shifts import FiberStructure, admissible_words
+from rtmclab.shifts import FiberStructure, admissible_words, word_index
 from rtmclab.transfer import (
     AtomicMeasure,
     CylinderFunction,
@@ -354,6 +355,93 @@ class TestSolveParity:
             assert list(new.diagnostics[key].items()) == list(old.diagnostics[key].items())
         for j in range(-3, 5):
             assert list(new.mu[j].weights.items()) == list(old.mu[j].weights.items())
+
+
+def sweep_oracle(phi, start, bottom, depth, window):
+    """The measure sweep without plans: every step pulls and coarsens afresh."""
+    fibers, path, top = start.fibers, start.path, start.anchor
+    lo, hi = window
+    start_rows = word_index(fibers, path, top, depth).rows
+    rows = np.array([start_rows[w] for w in start.weights], dtype=np.intp)
+    weights = np.fromiter(start.weights.values(), dtype=float, count=len(rows))
+    lams, mus = {}, {}
+    for j in range(top - 1, bottom - 1, -1):
+        step = transfer._step_table(phi, fibers, path, j + 1, depth)
+        e, src = transfer._pull(step, rows)
+        pulled = step.weight[e] * weights[src]
+        transfer._check_weights(pulled)
+        mass = transfer._mass(pulled)
+        lams[j] = math.log(mass)
+        pulled /= mass
+        transfer._check_weights(pulled, probability=True)
+        rows, weights = transfer._coarsen(step.coarse[e], pulled)
+        transfer._check_weights(weights, probability=True)
+        if lo <= j <= hi:
+            mus[j] = AtomicMeasure.on_rows(fibers, path, j, depth, rows, weights)
+    return lams, mus
+
+
+def plans_of(fibers):
+    """Every memoized sweep plan on the structure's step tables, once each."""
+    steps = {id(s): s for s in fibers._steps.values() if isinstance(s, transfer._Step)}
+    return [plan for step in steps.values() for plan in step.plans.values()]
+
+
+SHIPPED = sorted(p.stem for p in CONFIGS.glob("*.json"))
+
+
+class TestSweepPlans:
+    """The memoized sweep against the plan-free oracle, and the memo's extent."""
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_matches_oracle(self, name):
+        cfg = load_config(CONFIGS / f"{name}.json")
+        path, d = cfg.sample(cfg.seeds[0]), cfg.depths["working"]
+        rng = np.random.default_rng(4)
+        for start in (AtomicMeasure.uniform(cfg.fibers, path, 140, d),
+                      AtomicMeasure.random(cfg.fibers, path, 150, d, rng)):
+            want = sweep_oracle(cfg.potential, start, -10, d, (0, 120))
+            got = transfer._mu_sweep(cfg.potential, start, -10, d, (0, 120))
+            assert list(got[0].items()) == list(want[0].items())
+            assert list(got[1]) == list(want[1]) == list(range(120, -1, -1))
+            for j, mu in want[1].items():
+                assert np.array_equal(got[1][j]._rows, mu._rows)
+                assert np.array_equal(got[1][j]._values, mu._values)
+
+    def test_cached_plan_skips_pull_and_first_occurrence(self, monkeypatch):
+        cfg = load_config(CONFIGS / "random_3letter.json")
+        path, d = cfg.sample(cfg.seeds[0]), cfg.depths["working"]
+        start = AtomicMeasure.uniform(cfg.fibers, path, 60, d)
+        want = transfer._mu_sweep(cfg.potential, start, 0, d, (0, 50))
+
+        def forbidden(*args):
+            raise AssertionError("a cached plan was recomputed")
+
+        monkeypatch.setattr(transfer, "_pull", forbidden)
+        monkeypatch.setattr(transfer, "_first_occurrence", forbidden)
+        got = transfer._mu_sweep(cfg.potential, start, 0, d, (0, 50))
+        assert got[0] == want[0]
+        for j in want[1]:
+            assert np.array_equal(got[1][j]._values, want[1][j]._values)
+
+    def test_memo_stays_bounded(self):
+        counts = {}
+        for name in SHIPPED:
+            cfg = load_config(CONFIGS / f"{name}.json")
+            rpf_solve(cfg.potential, cfg.fibers, cfg.sample(cfg.seeds[0]),
+                      depth=cfg.depths["working"], horizon=cfg.horizons["solve"],
+                      window=(0, 24))
+            counts[name] = len(plans_of(cfg.fibers))
+        assert all(1 <= n <= 16 for n in counts.values()), counts
+
+    def test_no_plan_is_shared_across_structures(self):
+        # both structures stay alive, so equal ids would mean one shared plan
+        configs = [load_config(CONFIGS / "full_shift_iid.json") for _ in range(2)]
+        for cfg in configs:
+            rpf_solve(cfg.potential, cfg.fibers, cfg.sample(cfg.seeds[0]),
+                      depth=cfg.depths["working"], horizon=40, window=(0, 8))
+        first, second = ({id(plan) for plan in plans_of(cfg.fibers)} for cfg in configs)
+        assert first and second and not first & second
 
 
 def dict_integrate(mu, f):
@@ -796,6 +884,130 @@ class TestRpfSolve:
         assert back.lam(1) == pytest.approx(triple.lam(1), abs=0)
         assert back.h[2].values == triple.h[2].values
         back.check(phi)
+
+
+def dict_triple_json(triple):
+    """The triple's JSON rendered from sorted word dicts, one label joined per atom."""
+    def render(items):
+        return {",".join(map(str, w)): v for w, v in sorted(items)}
+
+    return json.dumps({
+        "lo": triple.lo,
+        "hi": triple.hi,
+        "tolerance": triple.tolerance,
+        "log_lambda": {str(k): v for k, v in sorted(triple.log_lambda.items())},
+        "h": {str(j): render(f.values.items()) for j, f in sorted(triple.h.items())},
+        "mu": {str(j): render(m.weights.items()) for j, m in sorted(triple.mu.items())},
+    }, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", ["golden_mean", "random_3letter"])
+def test_to_json_matches_dict_rendering(name):
+    cfg = load_config(CONFIGS / f"{name}.json")
+    fibers, path = cfg.fibers, cfg.sample(cfg.seeds[0])
+    triple = rpf_solve(cfg.potential, fibers, path, depth=cfg.depths["working"],
+                       horizon=40, window=(-2, 6))
+    restricted = triple.restrict(0, 4)
+    back = RpfTriple.from_json(triple.to_json(), fibers, path)
+    assert triple.mu[0]._rows is not None and back.mu[0]._rows is None
+    for t in (triple, restricted, back):
+        assert t.to_json() == dict_triple_json(t)
+    assert back.to_json() == triple.to_json()
+
+
+class TestTrustedConstruction:
+    """The public constructor checks keys; functions the library derives skip it."""
+
+    def test_public_constructor_rejects_wrong_keys(self, gm):
+        fibers, path = gm
+        words = admissible_words(fibers, path, 0, 2)
+        good = {w: 1.0 for w in words}
+        CylinderFunction(fibers, path, 0, 2, good)
+        missing = {w: 1.0 for w in words[1:]}
+        extra = {**good, (2, 2): 1.0}  # 2 may not follow 2
+        for depth, values in ((2, missing), (2, extra), (3, good), (1, good)):
+            with pytest.raises(AdmissibilityError, match="not exactly"):
+                CylinderFunction(fibers, path, 0, depth, values)
+
+    def test_from_json_rejects_a_tampered_word(self, gm):
+        fibers, path = gm
+        phi = positive_matrix_potential(fibers, [[0.5, 0.8], [1.2, 0.0]])
+        triple = rpf_solve(phi, fibers, path, depth=4, horizon=60, window=(0, 3))
+        raw = json.loads(triple.to_json())
+        table = raw["h"]["1"]
+        table["3"] = table.pop("2")
+        with pytest.raises(AdmissibilityError, match="not exactly"):
+            RpfTriple.from_json(json.dumps(raw), fibers, path)
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_derived_keys_are_index_words(self, name, monkeypatch):
+        cfg = load_config(CONFIGS / f"{name}.json")
+        fibers, phi, path = cfg.fibers, cfg.potential, cfg.sample(cfg.seeds[0])
+        checked = []
+        monkeypatch.setattr(CylinderFunction, "__post_init__", lambda f: checked.append(f))
+        rng = np.random.default_rng(6)
+        f = random_lipschitz(fibers, path, 3, 2, rng, r=phi.r)
+        letter = admissible_words(fibers, path, 3, 1)[-1]
+        g = CylinderFunction.indicator(fibers, path, 3, letter, 3)
+        derived = {
+            "map": f.map(abs),
+            "shift_scale": f.shift_scale(2.0, 1.0),
+            "refine": f.refine(4),
+            "binary": f.mul(g),
+            "constant": CylinderFunction.constant(fibers, path, 3, 2.0, 2),
+            "transfer_apply": transfer_apply(phi, g),
+        }
+        for label, h in derived.items():
+            assert list(h.values) == list(word_index(fibers, path, h.anchor, h.depth).words), label
+        rpf_solve(phi, fibers, path, depth=cfg.depths["working"], horizon=30, window=(0, 4))
+        assert checked == []
+
+
+@pytest.mark.parametrize("instance", ["full2", "gm", "pattern3", "two_state"])
+class TestRowKeyedPullBack:
+    """dual_apply on measures that carry rows, against the same measures as dicts."""
+
+    def build(self, instance, request):
+        fibers, path = (request.getfixturevalue(instance) if instance in ("full2", "gm")
+                        else random_pattern3() if instance == "pattern3" else two_state_full())
+        rng = np.random.default_rng(41)
+        tables = [{w: float(rng.normal(scale=0.4))
+                   for w in itertools.product(fibers.universe, repeat=4)}
+                  for _ in fibers.alphabets]
+        potentials = (random_log_matrix(fibers, rng), table_potential(tables, depth=4, r=0.5))
+        return fibers, path, potentials  # localities 1 and 3
+
+    @staticmethod
+    def row_measures(phi, fibers, path, j):
+        """A sweep measure at depth 5, and its coarsenings to depths 3 and 2."""
+        mu = transfer._mu_sweep(phi, AtomicMeasure.uniform(fibers, path, j + 9, 5), j, 5,
+                                (j, j))[1][j]
+        return {"sweep": mu, "coarse3": mu.coarsen(3), "coarse2": mu.coarsen(2)}
+
+    def test_matches_dict_rebuild(self, instance, request):
+        fibers, path, potentials = self.build(instance, request)
+        for phi in potentials:
+            for name, mu in self.row_measures(phi, fibers, path, 4).items():
+                assert mu._rows is not None
+                rebuilt = AtomicMeasure(fibers, path, 4, mu.depth, dict(mu.weights))
+                for n in (1, 3):
+                    got, want = dual_apply(phi, mu, n), dual_apply(phi, rebuilt, n)
+                    assert (got.anchor, got.depth) == (want.anchor, want.depth)
+                    assert_same_items(got.weights, want.weights)
+
+    def test_row_path_admits_no_word(self, instance, request, monkeypatch):
+        fibers, path, potentials = self.build(instance, request)
+        cases = [(phi, mu) for phi in potentials
+                 for mu in self.row_measures(phi, fibers, path, 4).values()
+                 if mu.depth >= max(phi.depth - 1, 1)]
+        for phi, mu in cases:
+            dual_apply(phi, mu, 3)  # build the step tables first
+        calls = []
+        monkeypatch.setattr(FiberStructure, "admits_word",
+                            lambda self, *args: calls.append(args) or True)
+        for phi, mu in cases:
+            dual_apply(phi, mu, 3)
+        assert len(cases) == 5 and calls == []
 
 
 class TestNormalizePotential:
