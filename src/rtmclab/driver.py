@@ -12,6 +12,7 @@ Shifting the base map by k is therefore just an index translation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -106,6 +107,8 @@ class DriverSystem:
 
 
 def _check_distribution(w: np.ndarray, what: str) -> None:
+    if not np.isfinite(w).all():
+        raise ConfigError(f"{what} has non-finite entries")
     if np.any(w < 0):
         raise ConfigError(f"{what} has negative entries")
     if abs(w.sum() - 1.0) > _STOCHASTIC_TOL:
@@ -123,10 +126,20 @@ def _irreducible(m: np.ndarray) -> bool:
         reach = grown
 
 
-class _PathCore:
-    """Shared lazy two-sided state buffer for one (system, seed)."""
+def _cumulative(rows) -> list[list[float]]:
+    """Each law row's running sum, as the float list a state draw bisects."""
+    return [np.cumsum(row).tolist() for row in rows]
 
-    __slots__ = ("system", "seed", "max_radius", "_neg", "_pos", "_ublocks", "_rev")
+
+class _PathCore:
+    """Shared lazy two-sided state buffer for one (system, seed).
+
+    A state is the first position of a law row's running sum above its
+    uniform, capped at the last state: `np.searchsorted(side="right")` on
+    the row, read off cached float lists by `bisect_right`.
+    """
+
+    __slots__ = ("system", "seed", "max_radius", "_neg", "_pos", "_ublocks", "_fwd", "_bwd")
 
     def __init__(self, system: DriverSystem, seed: int, max_radius: int):
         self.system = system
@@ -135,7 +148,11 @@ class _PathCore:
         self._pos: list[int] = []  # states at global indices 0, 1, ...
         self._neg: list[int] = []  # states at global indices -1, -2, ...
         self._ublocks: dict[int, np.ndarray] = {}
-        self._rev: np.ndarray | None = None
+        # running sums of the forward law rows (one row for i.i.d.); the
+        # backward rows of a Markov law are built on the first negative read
+        iid = system.kind == "iid"
+        self._fwd = _cumulative([system.weights] if iid else system.matrix)
+        self._bwd = self._fwd if iid else None
         self._seed_origin()
 
     def _uniform(self, g: int) -> float:
@@ -147,12 +164,12 @@ class _PathCore:
             self._ublocks[block] = u
         return float(u[off])
 
-    def _draw(self, dist: np.ndarray, g: int) -> int:
-        return int(np.searchsorted(np.cumsum(dist), self._uniform(g), side="right").clip(0, len(dist) - 1))
+    def _draw(self, cum: list[float], g: int) -> int:
+        return min(bisect_right(cum, self._uniform(g)), len(cum) - 1)
 
     def _seed_origin(self) -> None:
         sys = self.system
-        init = sys.weights if sys.kind == "iid" else sys.stationary()
+        init = self._fwd[0] if sys.kind == "iid" else _cumulative([sys.stationary()])[0]
         self._pos.append(self._draw(init, 0))
 
     def state(self, g: int) -> int:
@@ -160,26 +177,19 @@ class _PathCore:
             raise WindowExhausted(
                 f"index {g} beyond configured maximum window radius {self.max_radius}"
             )
-        sys = self.system
+        iid = self.system.kind == "iid"
         if g >= 0:
-            while len(self._pos) <= g:
-                i = len(self._pos)
-                if sys.kind == "iid":
-                    self._pos.append(self._draw(sys.weights, i))
-                else:
-                    self._pos.append(self._draw(sys.matrix[self._pos[i - 1]], i))
-            return self._pos[g]
-        if sys.kind != "iid" and self._rev is None:
-            self._rev = sys.reversal()
-        rev = self._rev
-        while len(self._neg) < -g:
-            i = -(len(self._neg) + 1)  # next global index to materialize
-            if sys.kind == "iid":
-                self._neg.append(self._draw(sys.weights, i))
-            else:
-                cur = self._neg[-i - 2] if i < -1 else self._pos[0]  # state at i + 1
-                self._neg.append(self._draw(rev[cur], i))
-        return self._neg[-g - 1]
+            pos, fwd = self._pos, self._fwd
+            while len(pos) <= g:
+                pos.append(self._draw(fwd[0] if iid else fwd[pos[-1]], len(pos)))
+            return pos[g]
+        if self._bwd is None:
+            self._bwd = _cumulative(self.system.reversal())
+        neg, bwd = self._neg, self._bwd
+        while len(neg) < -g:
+            cur = neg[-1] if neg else self._pos[0]  # state one index above the next
+            neg.append(self._draw(bwd[0] if iid else bwd[cur], -len(neg) - 1))
+        return neg[-g - 1]
 
 
 @dataclass
@@ -203,7 +213,12 @@ class DriverPath:
 
     def state(self, i: int) -> int:
         """Driver state index at path index i (lazily sampled)."""
-        return self.core.state(self.origin + i)
+        g, core = self.origin + i, self.core
+        if 0 <= g < len(core._pos):
+            return core._pos[g]
+        if 0 < -g <= len(core._neg):
+            return core._neg[-g - 1]
+        return core.state(g)
 
     def states(self, lo: int, hi: int) -> tuple[int, ...]:
         """States at indices lo..hi inclusive, sliced from the materialized buffers.
@@ -216,8 +231,9 @@ class DriverPath:
             return ()
         core = self.core
         g_lo, g_hi = self.origin + lo, self.origin + hi
-        core.state(g_lo)
-        core.state(min(g_hi, core.max_radius + 1))
+        if -g_lo > len(core._neg) or g_hi >= len(core._pos):
+            core.state(g_lo)
+            core.state(min(g_hi, core.max_radius + 1))
         if g_lo >= 0:
             return tuple(core._pos[g_lo:g_hi + 1])
         if g_hi < 0:

@@ -12,7 +12,7 @@ big-preimage return sequences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,7 @@ class RandomMatrixFamily:
     fibers: FiberStructure
     weights: tuple
     r: float = 0.49
+    _slices: dict = field(default_factory=dict, init=False, repr=False)  # (s, s_next) -> step
 
     def __post_init__(self):
         ws = []
@@ -52,10 +53,19 @@ class RandomMatrixFamily:
         return log_matrix_potential(self.fibers, self.weights, r=self.r)
 
     def slice(self, path: DriverPath, j: int) -> np.ndarray:
-        """The fiber-j step: rows over alphabet(j), columns over alphabet(j+1)."""
+        """The fiber-j step: rows over alphabet(j), columns over alphabet(j+1).
+
+        It depends only on the driver states at j and j+1, so it is built
+        once per pair of states and shared, read-only.
+        """
         s, s_next = path.state(j), path.state(j + 1)
-        cols = [self.fibers._col[a] for a in self.fibers.alphabets[s_next]]
-        return self.weights[s][:, cols]
+        step = self._slices.get((s, s_next))
+        if step is None:
+            cols = [self.fibers._col[a] for a in self.fibers.alphabets[s_next]]
+            step = self.weights[s][:, cols]
+            step.flags.writeable = False
+            self._slices[s, s_next] = step
+        return step
 
     def condition_report(self, path: DriverPath, span: int = 64) -> dict:
         """Summability-condition probes: entry ratios before mediator fibers, column logs."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -160,6 +161,14 @@ def fitted_kappa(
     return best
 
 
+@lru_cache(maxsize=64)
+def _powers(r: float, horizon: int) -> np.ndarray:
+    """r^i for i = 1 .. horizon, each the float `r ** i`, read-only."""
+    powers = np.array([r ** i for i in range(1, horizon + 1)])
+    powers.flags.writeable = False
+    return powers
+
+
 @dataclass(frozen=True)
 class DistortionConstants:
     """Truncated distortion product with its certified geometric tail."""
@@ -180,20 +189,38 @@ def distortion_constant(
     fiber: int,
     horizon: int = 128,
 ) -> DistortionConstants:
-    """B at a fiber: exp of the truncated kappa series plus a geometric tail bound."""
+    """B at a fiber: exp of the truncated kappa series plus a geometric tail bound.
+
+    The terms kappa(fiber - i) r^i, i = 1 .. horizon, are read in one pass:
+    a state-keyed potential's off one slice of driver states (read from its
+    top, its lower end clamped one past the path's radius, so an exhausted
+    window names the index that reading the terms one by one would), a
+    fiber-keyed one's off its kappa table, up to the first fiber missing
+    there.  They are summed in that order from 0.0, as one accumulate.
+    """
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
     r = phi.r
     km = phi.kappa_bound()
     series = 0.0
     cutoff = horizon + 1
-    for i in range(1, horizon + 1):
-        try:
-            series += phi.kappa_at(path, fiber - i) * r ** i
-        except KeyError:
-            # below the derived potential's range: bound the rest by the kappa bound
-            cutoff = i
-            break
+    if phi.state_keyed:
+        path.state(fiber - 1)
+        lowest = -path.max_radius - 1 - path.origin
+        states = path.states(max(fiber - horizon, lowest), fiber - 1)
+        kappa = [phi.kappa[s] for s in reversed(states)]
+    else:
+        kappa = []
+        for i in range(1, horizon + 1):
+            k = phi.fiber_kappa.get(fiber - i)
+            if k is None:
+                # below the derived potential's range: bound the rest by the kappa bound
+                cutoff = i
+                break
+            kappa.append(k)
+    if kappa:
+        terms = np.array(kappa) * _powers(r, horizon)[:len(kappa)]
+        series = float(np.add.accumulate(terms)[-1])
     tail = km * r ** cutoff / (1.0 - r)
     return DistortionConstants(fiber=fiber, value=math.exp(series + tail),
                                horizon=horizon, tail_bound=tail)

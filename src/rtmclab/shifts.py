@@ -243,8 +243,10 @@ class WordIndex:
     """Admissible words of one length over one state window, sorted, with their rows.
 
     What is derived from the words alone is derived once per index: the row
-    of each word's prefix (`prefix_rows`) and each word's "a,b,..." label
-    (`labels`), which is how a word is written in a JSON triple.
+    of each word's prefix (`prefix_rows`), each word's "a,b,..." label
+    (`labels`), which is how a word is written in a JSON triple, and the
+    words as one int64 array (`array`), which is how a measure built on the
+    index holds its atoms.
     """
 
     words: tuple[tuple[int, ...], ...]
@@ -255,6 +257,14 @@ class WordIndex:
     def labels(self) -> tuple[str, ...]:
         """Each word as its letters joined by commas, in row order."""
         return tuple(",".join(map(str, w)) for w in self.words)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The words as a read-only (words x length) int64 array, in row order."""
+        length = len(self.words[0]) if self.words else 0
+        words = np.array(self.words, dtype=np.int64).reshape(len(self.words), length)
+        words.flags.writeable = False
+        return words
 
     def prefix_rows(self, short: "WordIndex", k: int) -> np.ndarray:
         """Row in `short` of each word's length-k prefix, in row order.

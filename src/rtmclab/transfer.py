@@ -29,11 +29,12 @@ the order of the source rows, and a solve's row orders settle within a few
 fibers.  So the sweep memoizes a plan per (table, source row order) on the
 table itself: the branch weights and source positions of the new atoms,
 their coarse rows, those rows in first-occurrence order and the bincount
-length.  A step is then one gather-multiply and one bincount, the same
-floats as pulling and coarsening afresh (kept as the test oracle
-`sweep_oracle`).  `dual_apply` keeps no plans: its row sets vary per call.
-A measure that carries rows is pulled back from its rows and index words,
-without re-admitting its atoms.
+length.  Each plan also links to its successor under the next step's table,
+so a sweep looks a plan up by its rows' bytes once, at its start, and reads
+the driver states of its whole span once.  A step is then one
+gather-multiply and one bincount, the same floats as pulling and coarsening
+afresh (kept as the test oracle `sweep_oracle`).  `dual_apply` keeps no
+plans: its row sets vary per call.
 
 `transfer_apply` reads a forward twin in plain tuples (its functions hold few
 values): per output word w at fiber j+1, (exp(phi) at aw, aw cut to the
@@ -42,15 +43,24 @@ function depth) for each predecessor a ascending, shared likewise under
 Each value sums from 0.0 in that order, bit for bit the per-word loop kept
 as the test oracle.
 
-The measures the sweep produces keep the same vectors: rows of the word index
-at their fiber and depth, and masses.  `integrate`, `invariant_measures`,
-`marginal`, `coarsen` and the sweep's two-start gap run on them: a function
-is gathered through the cached map from each word to the row of its prefix,
-integrals are sequential sums in atom order started at 0.0, and cylinder
-sums are bincounts, in atom order, onto prefix rows in first-occurrence
-order.  These too are bit for bit the dict loops kept as test oracles.  A
-measure built any other way (a Dirac mass, a dual pull-back, a JSON triple)
-keeps its dict and those loops.
+Every measure the library builds holds its atoms as read-only arrays:
+`atoms`, a (k x depth) int64 array of admissible words, and `values`, the
+masses in atom order.  The sweep's measures, `uniform`, `random`, their
+coarsenings and the invariant measures also keep their rows in the word
+index at their fiber and depth; a dual pull-back holds the pulled letters
+joined to its source atoms, admissible by construction.  The kernels read
+the arrays: masses are sequential sums in atom order started at 0.0
+(`_mass`, the float loop that the built-in `sum` runs on CPython 3.11; 3.12
+compensates, so no array mass goes through `sum`); a function is gathered
+through the cached map from each word to the row of its prefix, or looked up
+by its prefix; cylinder sums are bincounts, in atom order, onto the prefixes
+in first-occurrence order, grouped by a stable lexicographic sort rather
+than packed into one integer, which would overflow on wide alphabets.  These
+are bit for bit the dict loops kept as test oracles.  `dual_apply` reads the
+prefix rows of an array-form source and `transport.wasserstein` sorts the
+arrays, so neither re-admits a word.  `weights` is a dict view built when
+read.  A Dirac mass, a measure from the public constructor or from JSON and
+a pull-back of atoms of mixed lengths keep the dict and those loops.
 
 A `CylinderFunction` built by its public constructor checks that its keys
 are exactly the admissible words at its depth.  The functions the library
@@ -231,55 +241,108 @@ def _check_weights(weights: np.ndarray, probability: bool = False) -> None:
         raise ConfigError(f"atom weights sum to {_mass(weights)!r}, not 1")
 
 
+def _group(prefixes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum values onto their distinct prefix rows, as the dict loop does.
+
+    The rows come back in first-occurrence order and each sum runs over its
+    atoms in atom order from 0.0 (a bincount).  Rows are grouped by a stable
+    lexicographic sort and a comparison of neighbours, never packed into one
+    integer, so any letters and lengths group exactly.
+    """
+    order = np.lexsort(prefixes.T[::-1])
+    ranked = prefixes[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    firsts = order[new]  # a stable sort puts each group's first atom first
+    rank = np.empty(len(firsts), dtype=np.intp)
+    rank[np.argsort(firsts)] = np.arange(len(firsts))
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = rank[np.cumsum(new) - 1]
+    return prefixes[np.sort(firsts)], np.bincount(group, weights=values, minlength=len(firsts))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class AtomicMeasure:
     """Probability measure as weighted atoms at canonical depth-m representatives.
 
-    A measure built by `on_rows` holds its atoms as (rows, values) arrays
-    against word_index(fibers, path, anchor, depth) and builds the `weights`
-    dict only when it is read; `integrate`, `marginal` and `coarsen` then
-    gather and sum over the rows.  Any other measure keeps the dict and
-    the per-atom loops.
+    A measure the library builds holds its atoms as read-only arrays:
+    `atoms`, a (k x depth) int64 array of admissible words, and `values`,
+    their masses in atom order.  A measure built by `on_rows` (the sweep's,
+    `uniform`, `random`, their coarsenings and invariant measures) also
+    keeps the rows of its atoms in word_index(fibers, path, anchor, depth)
+    and reads `atoms` off that index when asked; a dual pull-back holds its
+    atoms directly.  `weights` is then a dict view built when read.  A
+    Dirac mass, a measure from the public constructor or from JSON, and a
+    pull-back of atoms of mixed lengths keep the dict and the per-atom loops.
     """
 
     __slots__ = ("fibers", "path", "anchor", "depth", "probability",
-                 "_weights", "_index", "_rows", "_values")
+                 "_weights", "_index", "_rows", "_atoms", "_values")
 
     def __init__(self, fibers: FiberStructure, path: DriverPath, anchor: int, depth: int,
                  weights: dict, probability: bool = True):
         self.fibers, self.path, self.anchor, self.depth = fibers, path, anchor, depth
         self.probability = probability
         self._weights = weights
-        self._index = self._rows = self._values = None
+        self._index = self._rows = self._atoms = self._values = None
         _check_weights(np.fromiter(weights.values(), dtype=float, count=len(weights)),
                        probability)
+
+    @classmethod
+    def _arrays(cls, fibers, path, anchor: int, depth: int, values: np.ndarray,
+                probability: bool, index=None, rows=None, atoms=None) -> "AtomicMeasure":
+        """A measure on rows of `index` or on `atoms`, whose masses have passed
+        `_check_weights` already."""
+        mu = cls.__new__(cls)
+        mu.fibers, mu.path, mu.anchor, mu.depth = fibers, path, anchor, depth
+        mu.probability = probability
+        mu._weights = None
+        mu._index, mu._rows = index, rows
+        mu._atoms = None if atoms is None else _frozen(atoms)
+        mu._values = _frozen(values)
+        return mu
 
     @classmethod
     def on_rows(cls, fibers, path, anchor: int, depth: int, rows: np.ndarray,
                 values: np.ndarray, probability: bool = True) -> "AtomicMeasure":
         """Atoms at the distinct depth-`depth` word rows `rows`, with masses `values`."""
         _check_weights(values, probability)
-        mu = cls.__new__(cls)
-        mu.fibers, mu.path, mu.anchor, mu.depth = fibers, path, anchor, depth
-        mu.probability = probability
-        mu._weights = None
-        mu._index = word_index(fibers, path, anchor, depth)
-        mu._rows, mu._values = rows, values
-        return mu
+        return cls._arrays(fibers, path, anchor, depth, values, probability,
+                           index=word_index(fibers, path, anchor, depth), rows=rows)
+
+    @property
+    def atoms(self) -> np.ndarray | None:
+        """The atoms as a read-only (k x depth) int64 array; None in dict form."""
+        if self._atoms is None and self._rows is not None:
+            self._atoms = _frozen(self._index.array[self._rows])
+        return self._atoms
+
+    @property
+    def values(self) -> np.ndarray | None:
+        """The masses in atom order, read-only; None in dict form."""
+        return self._values
 
     @property
     def weights(self) -> dict:
         """Atom word -> mass, in atom order."""
         if self._weights is None:
-            words = self._index.words
-            self._weights = dict(zip([words[r] for r in self._rows.tolist()],
-                                     self._values.tolist()))
+            if self._rows is not None:
+                words = self._index.words
+                keys = [words[r] for r in self._rows.tolist()]
+            else:
+                keys = list(map(tuple, self._atoms.tolist()))
+            self._weights = dict(zip(keys, self._values.tolist()))
         return self._weights
 
     @staticmethod
     def uniform(fibers, path, anchor: int, depth: int) -> "AtomicMeasure":
-        words = admissible_words(fibers, path, anchor, depth)
-        w = 1.0 / len(words)
-        return AtomicMeasure(fibers, path, anchor, depth, {v: w for v in words})
+        n = len(word_index(fibers, path, anchor, depth).words)
+        return AtomicMeasure.on_rows(fibers, path, anchor, depth, np.arange(n),
+                                     np.full(n, 1.0 / n))
 
     @staticmethod
     def dirac(fibers, path, anchor: int, word: tuple[int, ...]) -> "AtomicMeasure":
@@ -289,22 +352,32 @@ class AtomicMeasure:
 
     @staticmethod
     def random(fibers, path, anchor: int, depth: int, rng) -> "AtomicMeasure":
-        words = admissible_words(fibers, path, anchor, depth)
-        raw = rng.random(len(words)) + 1e-3
+        n = len(word_index(fibers, path, anchor, depth).words)
+        raw = rng.random(n) + 1e-3
         raw /= raw.sum()
-        return AtomicMeasure(fibers, path, anchor, depth,
-                             {w: float(x) for w, x in zip(words, raw)})
+        return AtomicMeasure.on_rows(fibers, path, anchor, depth, np.arange(n), raw)
 
     def mass(self) -> float:
+        if self._values is not None:
+            return _mass(self._values)
         return sum(self.weights.values())
 
     def normalize(self) -> "AtomicMeasure":
         m = self.mass()
+        if self._values is not None:
+            values = self._values / m
+            _check_weights(values, probability=True)
+            return AtomicMeasure._arrays(self.fibers, self.path, self.anchor, self.depth, values,
+                                         True, self._index, self._rows, self._atoms)
         return AtomicMeasure(self.fibers, self.path, self.anchor, self.depth,
                              {w: v / m for w, v in self.weights.items()})
 
     def _at(self, f: CylinderFunction) -> np.ndarray:
-        """f at each atom, in atom order; needs rows and f.depth <= depth."""
+        """f at each atom, in atom order; needs an array form and f.depth <= depth."""
+        if self._rows is None:
+            values = f.values
+            return np.array([values[w] for w in map(tuple, self._atoms[:, :f.depth].tolist())],
+                            dtype=float)
         short = word_index(self.fibers, self.path, self.anchor, f.depth)
         values = np.array([f.values[w] for w in short.words], dtype=float)
         return values[self._index.prefix_rows(short, f.depth)[self._rows]]
@@ -313,7 +386,7 @@ class AtomicMeasure:
         """Exact integral of a cylinder function against the atoms."""
         if f.anchor != self.anchor:
             raise AdmissibilityError("function and measure on different fibers")
-        if self._rows is not None and f.depth <= self.depth:
+        if self._values is not None and f.depth <= self.depth:
             return _mass(self._values * self._at(f))
         keys = canonical_prefixes(self.fibers, self.path, self.anchor, self.weights, f.depth)
         total = 0.0
@@ -322,7 +395,8 @@ class AtomicMeasure:
         return total
 
     def _cylinders(self, depth: int, masses: np.ndarray):
-        """Depth-`depth` word index, cylinder rows in first-occurrence order, their sums."""
+        """Depth-`depth` word index, cylinder rows in first-occurrence order, their sums;
+        needs rows."""
         short = word_index(self.fibers, self.path, self.anchor, depth)
         rows, sums = _coarsen(self._index.prefix_rows(short, depth)[self._rows], masses)
         return short, rows, sums
@@ -331,10 +405,14 @@ class AtomicMeasure:
         """Masses of the depth-`depth` cylinders (depth <= atom depth) under density * self."""
         if depth > self.depth:
             raise ConfigError("marginal depth exceeds atom depth")
-        if self._rows is not None and (density is None or density.depth <= self.depth):
+        if self._values is not None and depth >= 1 and (
+                density is None or density.depth <= self.depth):
             masses = self._values if density is None else self._values * self._at(density)
-            short, rows, sums = self._cylinders(depth, masses)
-            return dict(zip([short.words[r] for r in rows.tolist()], sums.tolist()))
+            if self._rows is not None:
+                short, rows, sums = self._cylinders(depth, masses)
+                return dict(zip([short.words[r] for r in rows.tolist()], sums.tolist()))
+            keys, sums = _group(self._atoms[:, :depth], masses)
+            return dict(zip(map(tuple, keys.tolist()), sums.tolist()))
         out: dict = {}
         for w, m in self.weights.items():
             k = w[:depth]
@@ -349,6 +427,11 @@ class AtomicMeasure:
             _, rows, sums = self._cylinders(depth, self._values)
             return AtomicMeasure.on_rows(self.fibers, self.path, self.anchor, depth, rows, sums,
                                          probability=self.probability)
+        if self._values is not None and depth >= 1:
+            atoms, sums = _group(self._atoms[:, :depth], self._values)
+            _check_weights(sums, self.probability)
+            return AtomicMeasure._arrays(self.fibers, self.path, self.anchor, depth, sums,
+                                         self.probability, atoms=atoms)
         return AtomicMeasure(self.fibers, self.path, self.anchor, depth,
                              self.marginal(depth), probability=self.probability)
 
@@ -437,25 +520,31 @@ class _Step:
 class _Plan:
     """A sweep step on one source row order: the branch weights and source
     positions of the new atoms in atom order, their coarse rows, the coarse
-    rows in first-occurrence order, and the bincount length."""
+    rows in first-occurrence order, and the bincount length.  `after` maps
+    the next step's table to its plan on the rows `first`, so a sweep reaches
+    each plan from the one before it."""
 
     weight: np.ndarray
     src: np.ndarray
     coarse: np.ndarray
     first: np.ndarray
     n: int
+    after: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _step_table(phi: Potential, fibers: FiberStructure, path: DriverPath,
-                j: int, d: int) -> _Step:
+                j: int, d: int, states: tuple | None = None) -> _Step:
     """The step table at fiber j for depth-d sources; needs d >= phi.depth - 1.
 
     A state-keyed potential's table depends only on the potential's table at
     the driver state at j-1 and on the fiber data at j-1 .. j-1+d, so it is
     cached on the fibers under (phi, d, driver states j-1 .. j-1+d) and
-    shared under its `_class_key`.
+    shared under its `_class_key`.  A caller that holds those states passes
+    them as `states`.
     """
-    key = (phi, d, path.states(j - 1, j - 1 + d)) if phi.state_keyed else None
+    key = None
+    if phi.state_keyed:
+        key = (phi, d, path.states(j - 1, j - 1 + d) if states is None else states)
     step = fibers._steps.get(key)
     if step is None:
         shared = _class_key(fibers, key) if key is not None else None
@@ -524,7 +613,10 @@ def dual_apply(phi: Potential, mu: AtomicMeasure, n: int = 1,
     """Dual pull-back: the atom at word w spawns atoms at aw weighted by e^phi at the new atom.
 
     Output lives n fibers below the input at depth + n; the adjoint identity
-    against depth-(m+n) cylinder indicators is exact by construction.
+    against depth-(m+n) cylinder indicators is exact by construction.  The
+    new atoms are the pulled letters joined to their source atoms, so a
+    source in array form, or a dict of atoms all `depth` letters long,
+    yields an array-form measure.
     """
     if n < 0:
         raise ConfigError("dual power must be >= 0")
@@ -537,16 +629,24 @@ def dual_apply(phi: Potential, mu: AtomicMeasure, n: int = 1,
     short = word_index(fibers, path, j, d)
     if mu._rows is not None and d <= mu.depth:
         # the atoms are index words, admissible by construction
-        atoms = [mu._index.words[r] for r in mu._rows.tolist()]
-        keys = mu._index.prefix_rows(short, d)[mu._rows]
-        weights = mu._values
+        atoms, keys = mu.atoms, mu._index.prefix_rows(short, d)[mu._rows]
+    elif mu._atoms is not None and d <= mu.depth:
+        # pulled atoms, admissible by construction: look their prefixes up
+        atoms, rows = mu._atoms, short.rows
+        keys = np.fromiter((rows[u] for u in map(tuple, atoms[:, :d].tolist())),
+                           dtype=np.intp, count=len(atoms))
     else:
-        atoms = list(mu.weights)
-        keys = np.array([short.rows[u] for u in canonical_prefixes(fibers, path, j, atoms, d)],
+        words = list(mu.weights)
+        keys = np.array([short.rows[u] for u in canonical_prefixes(fibers, path, j, words, d)],
                         dtype=np.intp)
-        weights = np.fromiter(mu.weights.values(), dtype=float, count=len(atoms))
-    origin = np.arange(len(atoms))
-    lead = np.empty((len(atoms), 0), dtype=np.int64)  # letters pulled so far, newest first
+        atoms = None
+        if all(len(w) == mu.depth for w in words):
+            atoms = np.array(words, dtype=np.int64).reshape(len(words), mu.depth)
+    weights = mu._values
+    if weights is None:
+        weights = np.fromiter(mu.weights.values(), dtype=float, count=len(keys))
+    origin = np.arange(len(keys))
+    lead = np.empty((len(keys), 0), dtype=np.int64)  # letters pulled so far, newest first
     for i in range(n):
         step = _step_table(phi, fibers, path, j - i, d)
         e, src = _pull(step, keys)
@@ -554,8 +654,11 @@ def dual_apply(phi: Potential, mu: AtomicMeasure, n: int = 1,
         _check_weights(weights)
         keys, origin = step.coarse[e], origin[src]
         lead = np.column_stack((step.letter[e], lead[src]))
+    if atoms is not None:
+        return AtomicMeasure._arrays(fibers, path, j - n, mu.depth + n, weights, False,
+                                     atoms=np.hstack((lead, atoms[origin])))
     pulled = {
-        tuple(head) + atoms[o]: v
+        tuple(head) + words[o]: v
         for head, o, v in zip(lead.tolist(), origin.tolist(), weights.tolist())
     }
     return AtomicMeasure(fibers, path, j - n, mu.depth + n, pulled, probability=False)
@@ -676,16 +779,31 @@ def _mu_sweep(phi: Potential, start: AtomicMeasure, bottom: int, depth: int,
     """Pull, renormalize and coarsen from start.anchor down to `bottom`.
 
     Returns the log masses at every fiber passed and the depth-`depth`
-    measures on the window only.
+    measures on the window only.  The driver states of the whole sweep are
+    read once; each step takes its table key and word index from them, and
+    reaches its plan from the step before.
     """
     fibers, path, top = start.fibers, start.path, start.anchor
     lo, hi = window
-    start_rows = word_index(fibers, path, top, depth).rows
-    rows = np.array([start_rows[w] for w in start.weights], dtype=np.intp)
-    weights = np.fromiter(start.weights.values(), dtype=float, count=len(rows))
+    if start._rows is not None and start.depth == depth:
+        rows, weights = start._rows, start._values
+    else:
+        start_rows = word_index(fibers, path, top, depth).rows
+        rows = np.array([start_rows[w] for w in start.weights], dtype=np.intp)
+        weights = np.fromiter(start.weights.values(), dtype=float, count=len(rows))
+    states = path.states(bottom, top - 1 + depth)
     lams, mus = {}, {}
+    plan = None
     for j in range(top - 1, bottom - 1, -1):
-        plan = _plan(_step_table(phi, fibers, path, j + 1, depth), rows)
+        window_states = states[j - bottom:j - bottom + depth + 1]  # fibers j .. j+depth
+        step = _step_table(phi, fibers, path, j + 1, depth, window_states)
+        if plan is None:
+            plan = _plan(step, rows)
+        else:
+            nxt = plan.after.get(step)
+            if nxt is None:
+                nxt = plan.after[step] = _plan(step, rows)
+            plan = nxt
         pulled = plan.weight * weights[plan.src]
         _check_weights(pulled)
         mass = _mass(pulled)
@@ -696,7 +814,8 @@ def _mu_sweep(phi: Potential, start: AtomicMeasure, bottom: int, depth: int,
         weights = np.bincount(plan.coarse, weights=pulled, minlength=plan.n)[rows]
         _check_weights(weights, probability=True)
         if lo <= j <= hi:
-            mus[j] = AtomicMeasure.on_rows(fibers, path, j, depth, rows, weights)
+            mus[j] = AtomicMeasure._arrays(fibers, path, j, depth, weights, True,
+                                           fibers.words_over(window_states[:depth]), rows)
     return lams, mus
 
 
@@ -759,8 +878,9 @@ def rpf_solve(
 
     lam1, mus1 = _mu_sweep(phi, AtomicMeasure.uniform(fibers, path, mu_top1, depth),
                            h_start2, depth, window)
+    # only lambda_gap and mu_gap read the second sweep, both on [lo, hi]
     lam2, mus2 = _mu_sweep(phi, AtomicMeasure.random(fibers, path, mu_top2, depth, rng),
-                           h_start2, depth, window)
+                           lo, depth, window)
 
     mu_gaps = {j: _mu_gap(mus1[j], mus2[j]) for j in range(lo, hi + 1)}
 

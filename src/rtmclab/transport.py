@@ -4,7 +4,8 @@ The shift metric d_r and its capped rescaling depend only on the first index
 of disagreement, so both are ultrametrics: two points first differing at index
 L lie at distance g(L), g non-increasing, read off the canonical prefixes of
 points at one fiber (`Metric.levels`, one `canonical_prefixes` call per
-measure).  Every distance here is read off that cylinder tree, never from a
+measure in dict form; two measures whose atoms are arrays of admissible
+words of one length are their own prefixes).  Every distance here is read off that cylinder tree, never from a
 pairwise cost matrix.  A function is 1-Lipschitz on a support exactly when
 its values on each length-L cylinder span at most g(L).  So the closed-form
 Wasserstein distance, with its greedy optimal plan and explicit dual, is
@@ -212,17 +213,31 @@ def wasserstein(
     length-L cylinder of the union support (dual feasibility for all pairs),
     complementary slackness holds on the plan's support, the primal-dual gap is
     below 1e-7, and the plan cost, read on its support, is the closed-form value.
+
+    Two measures that hold their atoms as arrays of one length are ordered
+    by a lexicographic sort of those arrays, the order of the sorted words,
+    and read as their own prefixes, without re-admitting a word; any other
+    pair is sorted and read through `canonical_prefixes`.
     """
     if mu.anchor != nu.anchor:
         raise AdmissibilityError("measures on different fibers")
     if abs(mu.mass() - nu.mass()) > 1e-10:
         raise ConfigError(f"unequal total masses {mu.mass()} vs {nu.mass()}")
-    sw, tw = sorted(mu.weights), sorted(nu.weights)
-    swt = np.array([mu.weights[w] for w in sw])
-    twt = np.array([nu.weights[w] for w in tw])
+    sa, ta = mu.atoms, nu.atoms
+    if sa is not None and ta is not None and sa.shape[1] == ta.shape[1]:
+        # admissible words of one length: sorted, they are their own prefixes
+        so, to = np.lexsort(sa.T[::-1]), np.lexsort(ta.T[::-1])
+        src, tgt = sa[so], ta[to]
+        swt, twt = mu.values[so], nu.values[to]
+        sw, tw = list(map(tuple, src.tolist())), list(map(tuple, tgt.tolist()))
+        depth = sa.shape[1]
+    else:
+        sw, tw = sorted(mu.weights), sorted(nu.weights)
+        swt = np.array([mu.weights[w] for w in sw])
+        twt = np.array([nu.weights[w] for w in tw])
+        depth = max(len(w) for w in sw + tw)
+        src, tgt = _prefixes(mu, sw, depth), _prefixes(nu, tw, depth)
     n, m = len(sw), len(tw)
-    depth = max(len(w) for w in sw + tw)
-    src, tgt = _prefixes(mu, sw, depth), _prefixes(nu, tw, depth)
     signed = np.concatenate([swt, -twt])
     order, lcp = _tree(np.vstack([src, tgt]))
     g = metric.levels(depth)

@@ -270,6 +270,25 @@ def test_config_seed_must_be_non_negative(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize("stem, law, message", [
+    ("full_shift_iid", {"kind": "iid", "weights": [float("nan"), 0.5]},
+     "iid weights has non-finite entries"),
+    ("random_3letter", {"kind": "markov", "matrix": [[0.7, 0.3], [float("nan"), 0.6]]},
+     "markov row 1 has non-finite entries"),
+])
+def test_non_finite_law_exits_2(stem, law, message, tmp_path, capsys):
+    # JSON's NaN passed the sign and sum checks, so such a law used to run
+    raw = json.loads((CONFIGS / f"{stem}.json").read_text())
+    raw["driver"]["law"] = law
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(raw))
+    for argv in (["validate", str(path)],
+                 ["run", str(path), "rpf", "--out-dir", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_override_stays_out_of_the_config_hash(tmp_path):
     heads = {}
     for name, flags in {"plain": [], "seed": ["--seed", "5"]}.items():

@@ -84,6 +84,20 @@ class TestSamplePath:
         with pytest.raises(ConfigError):
             markov([[1.0, 0.0], [0.0, 1.0]])  # reducible
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: iid([math.nan, 0.5]), "iid weights has non-finite entries"),
+        (lambda: iid([0.5, math.nan, 0.5]), "iid weights has non-finite entries"),
+        (lambda: iid([math.inf, 0.0]), "iid weights has non-finite entries"),
+        (lambda: markov([[0.5, 0.5], [math.nan, 0.5]]), "markov row 1 has non-finite entries"),
+        (lambda: markov([[math.nan, math.nan], [0.5, 0.5]]),
+         "markov row 0 has non-finite entries"),
+    ])
+    def test_non_finite_law_rejected(self, build, message):
+        # NaN compares false both ways, so neither the sign nor the sum check sees it
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert str(exc.value) == message
+
 
 def state_by_state(path, lo, hi):
     """The window read one index at a time, or the message of the first index out of range."""
@@ -125,6 +139,106 @@ class TestStatesSlice:
             with pytest.raises(WindowExhausted) as exc:
                 path.states(lo, hi)
             assert str(exc.value) == want
+
+
+class NumpyDrawOracle:
+    """The state buffer as first written: one cumsum, searchsorted and clip per state."""
+
+    def __init__(self, system, seed, max_radius):
+        self.system, self.seed, self.max_radius = system, seed, max_radius
+        self.pos, self.neg, self.blocks, self.rev = [], [], {}, None
+        init = system.weights if system.kind == "iid" else system.stationary()
+        self.pos.append(self.draw(init, 0))
+
+    def uniform(self, g):
+        block, off = divmod(g, 4096)
+        if block not in self.blocks:
+            ss = np.random.SeedSequence(entropy=(self.seed & (2 ** 64 - 1),
+                                                 block & (2 ** 64 - 1), 1 if block < 0 else 0))
+            self.blocks[block] = np.random.Generator(np.random.Philox(ss)).random(4096)
+        return float(self.blocks[block][off])
+
+    def draw(self, dist, g):
+        cum = np.cumsum(dist)
+        return int(np.searchsorted(cum, self.uniform(g), side="right").clip(0, len(dist) - 1))
+
+    def state(self, g):
+        if abs(g) > self.max_radius:
+            raise WindowExhausted(
+                f"index {g} beyond configured maximum window radius {self.max_radius}")
+        sys = self.system
+        if g >= 0:
+            while len(self.pos) <= g:
+                i = len(self.pos)
+                dist = sys.weights if sys.kind == "iid" else sys.matrix[self.pos[i - 1]]
+                self.pos.append(self.draw(dist, i))
+            return self.pos[g]
+        if sys.kind != "iid" and self.rev is None:
+            self.rev = sys.reversal()
+        while len(self.neg) < -g:
+            i = -(len(self.neg) + 1)
+            if sys.kind == "iid":
+                self.neg.append(self.draw(sys.weights, i))
+            else:
+                cur = self.neg[-i - 2] if i < -1 else self.pos[0]
+                self.neg.append(self.draw(self.rev[cur], i))
+        return self.neg[-g - 1]
+
+
+def oracle_read(oracle, indices):
+    """The oracle's states at `indices` in order, or the message of the first out of range."""
+    try:
+        return tuple(oracle.state(g) for g in indices)
+    except WindowExhausted as exc:
+        return str(exc)
+
+
+class TestDrawOracle:
+    """Draws off cached running sums against the per-state numpy draw."""
+
+    LAWS = {
+        "iid2": lambda: iid([0.3, 0.7]),
+        "iid3": lambda: iid([0.2, 0.0, 0.5, 0.3]),
+        "markov2": lambda: markov([[0.7, 0.3], [0.4, 0.6]]),
+        "markov3": lambda: markov([[0.1, 0.6, 0.3], [0.5, 0.0, 0.5], [0.2, 0.7, 0.1]]),
+        "cycle": lambda: markov([[0.0, 1.0], [1.0, 0.0]]),
+    }
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize("seed", [0, 7, 211, 2 ** 40 + 3])
+    def test_same_states_both_directions(self, law, seed):
+        system = self.LAWS[law]()
+        radius = 5000  # past one uniform block on each side
+        oracle = NumpyDrawOracle(system, seed, radius)
+        up = sample_path(system, seed=seed, max_radius=radius)
+        assert up.states(0, radius) == oracle_read(oracle, range(0, radius + 1))
+        down = sample_path(system, seed=seed, max_radius=radius)
+        assert down.states(-radius, -1) == oracle_read(oracle, range(-radius, 0))
+        mixed = sample_path(system, seed=seed, max_radius=radius)
+        assert [mixed.state(g) for g in range(-radius, radius + 1, 37)] == \
+            [oracle.state(g) for g in range(-radius, radius + 1, 37)]
+
+    @pytest.mark.parametrize("law", ["iid2", "markov3"])
+    @pytest.mark.parametrize("shift", [0, 6, -6])
+    def test_window_exhausted_message(self, law, shift):
+        system = self.LAWS[law]()
+        oracle = NumpyDrawOracle(system, 3, 40)
+        path = shift_path(sample_path(system, seed=3, max_radius=40), shift)
+        for lo, hi in [(-40 - shift, 40 - shift), (30 - shift, 45 - shift),
+                       (-48 - shift, -30 - shift), (-50 - shift, 50 - shift)]:
+            want = oracle_read(oracle, range(lo + shift, hi + shift + 1))
+            try:
+                got = path.states(lo, hi)
+            except WindowExhausted as exc:
+                got = str(exc)
+            if isinstance(want, str):  # the first index out of range, as a read in order
+                assert got == state_by_state(path, lo, hi) == want
+            else:
+                assert got == want
+        for g in (41, -41):
+            with pytest.raises(WindowExhausted) as exc:
+                path.state(g - shift)
+            assert str(exc.value) == oracle_read(oracle, [g])
 
 
 class TestShiftPath:

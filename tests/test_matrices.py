@@ -14,6 +14,7 @@ from rtmclab.matrices import (
     normalized_family,
 )
 from rtmclab.potentials import log_matrix_potential
+from rtmclab.shifts import FiberStructure
 from rtmclab.transfer import rpf_solve
 
 from conftest import full_shift, golden_mean_shift, stationary_system, two_state_iid
@@ -110,6 +111,27 @@ class TestMatrixRpf:
         rep = fam.condition_report(path, span=16)
         assert rep["entry_ratio_sup"] == pytest.approx(0.6 / 0.3, rel=1e-12)
         assert rep["column_log_mean"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_slice_is_one_read_only_array_per_state_pair():
+    system = two_state_iid(p=0.4, seed=9)
+    path = sample_path(system, seed=9, max_radius=2 ** 16)
+    fibers = FiberStructure.build(
+        system, alphabets={"a": [1, 2, 3], "b": [1, 3]},
+        matrices={"a": [[1, 1, 1], [1, 0, 1], [0, 1, 1]], "b": [[1, 1, 0], [1, 1, 1]]})
+    rng = np.random.default_rng(9)
+    fam = RandomMatrixFamily(fibers, tuple(m * rng.uniform(0.2, 2.0, m.shape)
+                                           for m in fibers.matrices))
+    seen = {}
+    for j in range(-60, 60):
+        s, s_next = path.state(j), path.state(j + 1)
+        cols = [fibers._col[a] for a in fibers.alphabets[s_next]]
+        got = fam.slice(path, j)
+        assert np.array_equal(got, fam.weights[s][:, cols])
+        assert got.shape == (len(fibers.alphabets[s]), len(cols))
+        assert not got.flags.writeable
+        assert seen.setdefault((s, s_next), got) is got
+    assert len(seen) == 4
 
 
 class TestMatrixDecay:

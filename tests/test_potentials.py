@@ -1,13 +1,16 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtmclab.driver import sample_path
-from rtmclab.errors import AdmissibilityError, ConfigError, InvariantViolation
+from rtmclab.config import load_config
+from rtmclab.driver import sample_path, shift_path
+from rtmclab.errors import AdmissibilityError, ConfigError, InvariantViolation, WindowExhausted
+from rtmclab.experiments import CERT_SPAN, SeedPipeline
 from rtmclab.potentials import (
     Potential,
     constant_potential,
@@ -23,6 +26,9 @@ from rtmclab.potentials import (
 from rtmclab.shifts import admissible_words, canonical_prefixes
 
 from conftest import full_shift, golden_mean_shift, stationary_system
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = sorted(p.stem for p in CONFIGS.glob("*.json"))
 
 
 @pytest.fixture
@@ -164,6 +170,51 @@ class TestDistortionConstant:
         d50 = distortion_constant(phi, path, 0, horizon=50)
         d200 = distortion_constant(phi, path, 0, horizon=200)
         assert abs(d50.value - d200.value) < 1e-12
+
+
+def distortion_oracle(phi, path, fiber, horizon=128):
+    """B read one kappa term at a time through `kappa_at`, as first written."""
+    series, cutoff = 0.0, horizon + 1
+    for i in range(1, horizon + 1):
+        try:
+            series += phi.kappa_at(path, fiber - i) * phi.r ** i
+        except KeyError:
+            cutoff = i
+            break
+    return math.exp(series + phi.kappa_bound() * phi.r ** cutoff / (1.0 - phi.r))
+
+
+class TestDistortionOnePass:
+    """B from one read of its kappa terms against the term-by-term oracle, bit for bit."""
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_identical_on_every_certified_fiber(self, name):
+        cfg = load_config(CONFIGS / f"{name}.json")
+        pipeline = SeedPipeline(cfg, cfg.seeds[0], ("contract",))
+        cert, tilde, path = pipeline.cert, pipeline.tilde, pipeline.path
+        assert sorted(cert.B) == list(range(-CERT_SPAN, CERT_SPAN + 1))
+        for k, value in cert.B.items():
+            assert value == distortion_oracle(tilde, path, k), k
+        for k in range(-CERT_SPAN, CERT_SPAN + 1):  # the config's state-keyed potential
+            got = distortion_constant(cfg.potential, path, k).value
+            assert got == distortion_oracle(cfg.potential, path, k), k
+
+    @pytest.mark.parametrize("shift", [0, 7, -7])
+    def test_exhausted_window_names_the_same_index(self, shift):
+        system = __import__("conftest").two_state_iid(seed=2)
+        fibers = full_shift(system, 2)
+        words = admissible_words(fibers, sample_path(system, seed=2), 0, 3)
+        phi = Potential(depth=3, r=0.5, index=2, tables=({w: 0.0 for w in words},) * 2,
+                        kappa=(0.25, 1.0))
+        for fiber in (-20 - shift, 0, 20 - shift, 40 - shift, 60 - shift):
+            messages = []
+            for read in (distortion_oracle, lambda *a: distortion_constant(*a).value):
+                path = shift_path(sample_path(system, seed=2, max_radius=30), shift)
+                try:
+                    messages.append(read(phi, path, fiber, 16))
+                except WindowExhausted as exc:
+                    messages.append(str(exc))
+            assert messages[0] == messages[1], fiber
 
 
 class TestDistortionCheck:

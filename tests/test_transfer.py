@@ -9,7 +9,7 @@ import pytest
 
 from rtmclab import transfer
 from rtmclab.config import load_config
-from rtmclab.driver import DriverSystem, EventSpec, sample_path
+from rtmclab.driver import DriverPath, DriverSystem, EventSpec, sample_path
 from rtmclab.errors import AdmissibilityError, ConvergenceError, DepthOverflow, InvariantViolation
 from rtmclab.potentials import (
     Potential,
@@ -419,10 +419,24 @@ class TestSweepPlans:
 
         monkeypatch.setattr(transfer, "_pull", forbidden)
         monkeypatch.setattr(transfer, "_first_occurrence", forbidden)
+        # per sweep: one slice of driver states and one plan looked up by row bytes
+        calls = {"states": 0, "plan": 0}
+        states, plan = DriverPath.states, transfer._plan
+
+        def counted(name, real):
+            def spy(*args):
+                calls[name] += 1
+                return real(*args)
+            return spy
+
+        monkeypatch.setattr(DriverPath, "states", counted("states", states))
+        monkeypatch.setattr(transfer, "_plan", counted("plan", plan))
         got = transfer._mu_sweep(cfg.potential, start, 0, d, (0, 50))
+        assert calls == {"states": 1, "plan": 1}
         assert got[0] == want[0]
         for j in want[1]:
             assert np.array_equal(got[1][j]._values, want[1][j]._values)
+            assert got[1][j]._index is word_index(cfg.fibers, path, j, d)
 
     def test_memo_stays_bounded(self):
         counts = {}
@@ -1008,6 +1022,149 @@ class TestRowKeyedPullBack:
         for phi, mu in cases:
             dual_apply(phi, mu, 3)
         assert len(cases) == 5 and calls == []
+
+
+def wide_letters():
+    """Letters 3, 70 and 200 under two patterns: a word of nine or more letters,
+    packed into one integer base 201, would overflow int64."""
+    system = two_state_iid(seed=8)
+    path = sample_path(system, seed=8, max_radius=2 ** 16)
+    fibers = FiberStructure.build(
+        system,
+        alphabets={"a": [3, 70, 200], "b": [3, 70, 200]},
+        matrices={"a": [[1, 1, 1], [1, 0, 1], [1, 1, 0]],
+                  "b": [[0, 1, 1], [1, 1, 1], [1, 1, 1]]},
+    )
+    return fibers, path
+
+
+def dict_twin(mu):
+    """The same atoms and masses as a measure in dict form."""
+    return AtomicMeasure(mu.fibers, mu.path, mu.anchor, mu.depth, dict(mu.weights),
+                         probability=mu.probability)
+
+
+def array_twin(mu):
+    """The same atoms and masses in array form without rows, as a pull-back holds them."""
+    return AtomicMeasure._arrays(mu.fibers, mu.path, mu.anchor, mu.depth, mu.values.copy(),
+                                 mu.probability, atoms=mu.atoms.copy())
+
+
+def assert_same_arrays(got, want):
+    assert got.atoms is not None and got.values is not None
+    assert (got.anchor, got.depth, got.probability) == (want.anchor, want.depth, want.probability)
+    assert np.array_equal(got.atoms, want.atoms)
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("instance", ["full2", "pattern3", "two_state", "wide"])
+class TestArrayForm:
+    """Library-built measures in (atoms, values) form against the dict loops, bit for bit."""
+
+    def build(self, instance, request):
+        fibers, path = {"pattern3": random_pattern3, "two_state": two_state_full,
+                        "wide": wide_letters}.get(instance, lambda: None)() \
+            or request.getfixturevalue(instance)
+        rng = np.random.default_rng(31)
+        tables = [{w: float(rng.normal(scale=0.4))
+                   for w in itertools.product(fibers.universe, repeat=3)}
+                  for _ in fibers.alphabets]
+        potentials = (random_log_matrix(fibers, rng), table_potential(tables, depth=3, r=0.5))
+        return fibers, path, potentials, rng  # localities 1 and 2
+
+    def test_dual_apply_on_rows_arrays_and_dicts(self, instance, request):
+        fibers, path, potentials, rng = self.build(instance, request)
+        for phi in potentials:
+            for mu in (AtomicMeasure.random(fibers, path, 20, 3, rng),
+                       AtomicMeasure.uniform(fibers, path, 20, 2)):
+                assert mu._rows is not None and mu.atoms.shape == (len(mu.weights), mu.depth)
+                for n in (1, 3, 6):
+                    got = dual_apply(phi, mu, n)
+                    assert got._rows is None and got.atoms.shape == (len(got.values), mu.depth + n)
+                    assert_same_arrays(dual_apply(phi, array_twin(mu), n), got)
+                    assert_same_arrays(dual_apply(phi, dict_twin(mu), n), got)
+                    assert_same_items(got.weights, dict_dual_oracle(phi, mu, n).weights)
+                # a pull-back of a pull-back is the longer pull-back
+                assert_same_arrays(dual_apply(phi, dual_apply(phi, mu, 3), 3),
+                                   dual_apply(phi, mu, 6))
+
+    def test_mixed_lengths_keep_the_dict(self, instance, request):
+        fibers, path, potentials, rng = self.build(instance, request)
+        words = admissible_words(fibers, path, 20, 3)
+        mixed = AtomicMeasure(fibers, path, 20, 3, {words[0]: 0.5, words[-1][:1]: 0.5})
+        for phi in potentials:
+            got = dual_apply(phi, mixed, 2)
+            assert got.atoms is None and got.values is None
+            assert_same_items(got.weights, dict_dual_oracle(phi, mixed, 2).weights)
+
+    def deep_measures(self, fibers, path, potentials, rng):
+        """Pull-backs to depths 3 .. 12, deeper than any word index built, raw and normalized."""
+        out = {}
+        word = admissible_words(fibers, path, 20, 3)[-1]
+        for i, phi in enumerate(potentials):
+            mu = AtomicMeasure.random(fibers, path, 20, 2, rng)
+            for name, start, n in (("random", mu, 1), ("random", mu, 4),
+                                   ("dirac", AtomicMeasure.dirac(fibers, path, 20, word), 9)):
+                pulled = dual_apply(phi, start, n)
+                out[f"phi{i}-{name}-n{n}"] = pulled
+                out[f"phi{i}-{name}-n{n}-normalized"] = pulled.normalize()
+        assert max(m.depth for m in out.values()) == 12
+        assert all(m._rows is None and m.atoms is not None for m in out.values())
+        return out
+
+    def test_mass_and_normalize(self, instance, request):
+        fibers, path, potentials, rng = self.build(instance, request)
+        for name, mu in self.deep_measures(fibers, path, potentials, rng).items():
+            twin = dict_twin(mu)
+            assert bits(mu.mass()) == bits(sum(twin.weights.values())), name
+            got, want = mu.normalize(), twin.normalize()
+            assert got.atoms is not None and got.probability
+            assert_same_items(got.weights, want.weights)
+
+    def test_marginal_coarsen_and_integrate(self, instance, request):
+        fibers, path, potentials, rng = self.build(instance, request)
+        for name, mu in self.deep_measures(fibers, path, potentials, rng).items():
+            functions = parity_functions(fibers, path, mu.anchor, rng)
+            for depth in range(1, mu.depth + 1):
+                assert_same_items(mu.marginal(depth), dict_marginal(mu, depth))
+                coarse = mu.coarsen(depth)
+                assert (coarse.anchor, coarse.depth) == (mu.anchor, depth)
+                assert coarse.atoms.shape == (len(coarse.values), depth)
+                if depth < mu.depth:
+                    assert_same_items(coarse.weights, dict_marginal(mu, depth))
+                    assert_same_items(coarse.marginal(1), dict_marginal(coarse, 1))
+            for fname, f in functions.items():
+                if f.depth <= mu.depth:
+                    assert bits(mu.integrate(f)) == bits(dict_integrate(mu, f)), (name, fname)
+                    for depth in (1, mu.depth):
+                        assert_same_items(mu.marginal(depth, f), dict_marginal(mu, depth, f))
+
+    def test_read_only(self, instance, request):
+        fibers, path, potentials, rng = self.build(instance, request)
+        mu = AtomicMeasure.random(fibers, path, 20, 3, rng)
+        measures = [mu, mu.coarsen(2), dual_apply(potentials[1], mu, 2),
+                    dual_apply(potentials[1], mu, 2).normalize().coarsen(3)]
+        for m in measures:
+            for a in (m.atoms, m.values):
+                with pytest.raises(ValueError):
+                    a[0] = a[0]
+
+    def test_no_word_is_admitted_on_rows_or_arrays(self, instance, request, monkeypatch):
+        fibers, path, potentials, rng = self.build(instance, request)
+        mu = AtomicMeasure.random(fibers, path, 20, 3, rng)
+        inputs = [mu, mu.coarsen(2), array_twin(mu), dual_apply(potentials[0], mu, 2)]
+        for phi in potentials:
+            for x in inputs:
+                dual_apply(phi, x, 4)  # build the step tables first
+
+        def forbidden(*args):
+            raise AssertionError("an atom was re-admitted")
+
+        monkeypatch.setattr(transfer, "canonical_prefixes", forbidden)
+        monkeypatch.setattr(FiberStructure, "admits_word", forbidden)
+        for phi in potentials:
+            for x in inputs:
+                dual_apply(phi, x, 4)
 
 
 class TestNormalizePotential:

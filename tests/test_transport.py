@@ -431,6 +431,71 @@ class TestClosedFormParity:
         assert p1.plan.tobytes() == p2.plan.tobytes()
 
 
+def _array_pairs():
+    """(fibers, path, phi, pairs): library-built pairs of one atom depth, in array form."""
+    rng = np.random.default_rng(19)
+    two = two_state_iid(seed=6)
+    wide = FiberStructure.build(  # letters past 64, nine-letter atoms
+        two, alphabets={"a": [3, 70, 200], "b": [3, 70, 200]},
+        matrices={"a": [[1, 1, 1], [1, 0, 1], [1, 1, 0]], "b": [[0, 1, 1], [1, 1, 1], [1, 1, 1]]})
+    out = {}
+    for name, fibers in (("full3", full_shift(two, 3)), ("golden", golden_mean_shift(two)),
+                         ("wide", wide)):
+        path = sample_path(two, seed=6)
+        phi = log_matrix_potential(
+            fibers, [m * rng.uniform(0.2, 1.5, m.shape) for m in fibers.matrices])
+        pairs = []
+        for depth in (1, 3, 4):
+            pairs.append([AtomicMeasure.random(fibers, path, 2, depth, rng) for _ in "ab"])
+        # pull-backs: 9 atoms pulled 3 letters, two Diracs pulled to nine-letter atoms
+        tops = [AtomicMeasure.random(fibers, path, 5, 2, rng) for _ in "ab"]
+        pulled = [dual_apply(phi, x, 3).normalize() for x in tops]
+        pairs.append(pulled)
+        pairs.append([pulled[0].coarsen(3), AtomicMeasure.random(fibers, path, 2, 3, rng)])
+        words = admissible_words(fibers, path, 8, 3)
+        pairs.append([dual_apply(phi, AtomicMeasure.dirac(fibers, path, 8, w), 6).normalize()
+                      for w in (words[0], words[-1])])
+        out[name] = (fibers, path, pairs)
+    return out
+
+
+@pytest.mark.parametrize("name", ["full3", "golden", "wide"])
+class TestArrayTransport:
+    """wasserstein on (atoms, values) arrays against the dict path, and no re-admission."""
+
+    @staticmethod
+    def dict_twin(mu):
+        return AtomicMeasure(mu.fibers, mu.path, mu.anchor, mu.depth, dict(mu.weights),
+                             probability=mu.probability)
+
+    def test_matches_dict_path(self, name):
+        fibers, path, pairs = _array_pairs()[name]
+        for mu, nu in pairs:
+            assert mu.atoms is not None and mu.atoms.shape[1] == nu.atoms.shape[1]
+            for metric in (Metric("raw", 0.4), Metric("adjusted", 0.4, alpha=2.5)):
+                value, plan = wasserstein(mu, nu, metric)
+                want_value, want = wasserstein(self.dict_twin(mu), self.dict_twin(nu), metric)
+                assert value.hex() == want_value.hex()
+                assert plan.source_labels == want.source_labels
+                assert plan.target_labels == want.target_labels
+                assert all(type(w) is tuple for w in plan.source_labels + plan.target_labels)
+                for a, b in ((plan.plan, want.plan), (plan.dual_source, want.dual_source),
+                             (plan.dual_target, want.dual_target)):
+                    assert a.tobytes() == b.tobytes()
+                assert plan.dual_gap == want.dual_gap
+
+    def test_no_word_is_admitted(self, name, monkeypatch):
+        fibers, path, pairs = _array_pairs()[name]
+
+        def forbidden(*args):
+            raise AssertionError("an atom was re-admitted")
+
+        monkeypatch.setattr(transport, "canonical_prefixes", forbidden)
+        monkeypatch.setattr(FiberStructure, "admits_word", forbidden)
+        for mu, nu in pairs:
+            wasserstein(mu, nu, Metric("raw", 0.4))
+
+
 class TestTreeCertificate:
     """wasserstein, lipschitz_dual and build_coupling read distances only off the
     cylinder tree, and the certificate rejects a plan that is not optimal."""
