@@ -79,6 +79,23 @@ def _section(raw: dict, name: str, defaults: dict) -> dict:
     return {**defaults, **values}
 
 
+def _seed(value, key: str) -> int:
+    """A seed as written in the config; anything but a JSON integer is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key}: expected an integer, got {json.dumps(value)}")
+    return value
+
+
+def _check_state_keys(raw: dict, states: tuple) -> None:
+    """Every per-state table is keyed by states the driver declares."""
+    for section, key in (("fibers", "alphabets"), ("fibers", "matrices"),
+                         ("potential", "matrices"), ("potential", "tables")):
+        table = raw[section].get(key)
+        unknown = sorted(set(table) - set(states)) if isinstance(table, dict) else ()
+        if unknown:
+            raise ConfigError(f"{section}.{key}.{unknown[0]}: unknown driver state")
+
+
 def _parse_word(key: str) -> tuple[int, ...]:
     return tuple(int(t) for t in str(key).replace(" ", "").split(","))
 
@@ -101,8 +118,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         kind=law.get("kind", "iid"),
         weights=np.asarray(law["weights"], dtype=float) if "weights" in law else None,
         matrix=np.asarray(law["matrix"], dtype=float) if "matrix" in law else None,
-        seed=int(drv.get("seed", 0)),
+        seed=_seed(drv.get("seed", 0), "driver.seed"),
     )
+    _check_state_keys(raw, system.states)
     fib = raw["fibers"]
     bip = None
     if "bip" in fib:
@@ -148,7 +166,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     depths = _section(raw, "depths", _DEPTH_DEFAULTS)
     horizons = _section(raw, "horizons", _HORIZON_DEFAULTS)
     trials = _section(raw, "trials", _TRIAL_DEFAULTS)
-    seeds = [int(s) for s in raw.get("seeds", [system.seed])]
+    seeds = raw.get("seeds", [system.seed])
+    if not isinstance(seeds, list):
+        raise ConfigError(f"seeds: expected a list of integers, got {json.dumps(seeds)}")
+    seeds = [_seed(s, f"seeds[{i}]") for i, s in enumerate(seeds)]
     sequences = _section(raw, "sequences", _SEQUENCE_DEFAULTS)
     observables = raw.get("observables", {})
     return ExperimentConfig(

@@ -5,15 +5,16 @@ of disagreement, so both are ultrametrics: two points first differing at index
 L lie at distance g(L), g non-increasing, read off the canonical prefixes of
 points at one fiber (`Metric.levels`, one `canonical_prefixes` call per
 measure in dict form; two measures whose atoms are arrays of admissible
-words of one length are their own prefixes).  Every distance here is read off that cylinder tree, never from a
-pairwise cost matrix.  A function is 1-Lipschitz on a support exactly when
-its values on each length-L cylinder span at most g(L).  So the closed-form
-Wasserstein distance, with its greedy optimal plan and explicit dual, is
-certified by that per-cylinder span check on the dual plus complementary
-slackness on the plan's support only; the Kantorovich-Rubinstein side is an
-independent linear program (HiGHS) with one free centre per cylinder, each
-value within g(L)/2 of it: O(k D) rows for k points at depth D, not one per
-pair of points.
+words of one length are their own prefixes).  Every distance here is read
+off that cylinder tree, never from a pairwise cost matrix.  A function is
+1-Lipschitz on a support exactly when its values on each length-L cylinder
+span at most g(L).  So the closed-form Wasserstein distance, with its greedy
+optimal plan (held as its support, at most n + m - 1 entries) and explicit
+dual, is certified by that per-cylinder span check on the dual plus
+complementary slackness on the plan's support only.  The
+Kantorovich-Rubinstein side is an independent linear program (HiGHS) with
+one free centre per cylinder, written along the edges of the cylinder tree:
+2(k + c - 1) rows for k points and c centres, not one per pair of points.
 
 On top sit the coupling constants: per-fiber distortion products B and scales
 alpha = B/beta, metric-settling exponents n, big-preimage passage lengths m
@@ -102,22 +103,34 @@ class Metric:
 
 @dataclass(eq=False)
 class TransportPlan:
-    """A feasible transport with its cost and dual certificate."""
+    """A feasible transport held as its support, with its cost and dual certificate:
+    mass[e] moves from source rows[e] to target cols[e]."""
 
     source_labels: list
     target_labels: list
-    plan: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    mass: np.ndarray
     cost: float
     dual_source: np.ndarray | None = None
     dual_target: np.ndarray | None = None
     dual_gap: float | None = None
 
+    @property
+    def plan(self) -> np.ndarray:
+        """The dense sources x targets array of the plan, built on each read."""
+        dense = np.zeros((len(self.source_labels), len(self.target_labels)))
+        np.add.at(dense, (self.rows, self.cols), self.mass)
+        return dense
+
     def check_marginals(self, mu_w: np.ndarray, nu_w: np.ndarray, tol: float = 1e-10) -> None:
-        if np.max(np.abs(self.plan.sum(axis=1) - mu_w)) > tol:
+        out = np.bincount(self.rows, weights=self.mass, minlength=len(mu_w))
+        if np.max(np.abs(out - mu_w)) > tol:
             raise InvariantViolation("transport plan row sums differ from the source weights")
-        if np.max(np.abs(self.plan.sum(axis=0) - nu_w)) > tol:
+        into = np.bincount(self.cols, weights=self.mass, minlength=len(nu_w))
+        if np.max(np.abs(into - nu_w)) > tol:
             raise InvariantViolation("transport plan column sums differ from the target weights")
-        if self.plan.min() < -tol:
+        if self.mass.min(initial=0.0) < -tol:
             raise InvariantViolation("negative transport mass")
 
 
@@ -145,13 +158,17 @@ def _tree(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.concatenate([[-1], _common_prefix(ranked[:-1], ranked[1:])])
 
 
-def _match(src: list, tgt: list, plan: np.ndarray) -> tuple[list, list]:
-    """Couple two queues of (atom, mass) greedily in order; return the unmatched rests."""
+def _match(src: list, tgt: list, support: tuple) -> tuple[list, list]:
+    """Couple two queues of (atom, mass) greedily in order, appending each coupled
+    (source, target, mass) to the lists of `support`; return the unmatched rests."""
+    rows, cols, mass = support
     i = j = 0
     while i < len(src) and j < len(tgt):
         a, ma = src[i]
         b, mb = tgt[j]
-        plan[a, b] += min(ma, mb)
+        rows.append(a)
+        cols.append(b)
+        mass.append(min(ma, mb))
         if ma < mb:
             tgt[j] = (b, mb - ma)
             i += 1
@@ -165,32 +182,44 @@ def _match(src: list, tgt: list, plan: np.ndarray) -> tuple[list, list]:
 
 
 def _ultrametric_plan(order: np.ndarray, lcp: np.ndarray, depth: int,
-                      weights: list, n: int, m: int) -> np.ndarray:
-    """Optimal plan for an ultrametric: match inside each cylinder, bottom-up.
+                      weights: list, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Optimal plan for an ultrametric as its support (rows, cols, mass): match inside
+    each cylinder, bottom-up.
 
-    Atoms 0..n-1 are sources and n..n+m-1 targets; `order` sorts their
+    Atoms 0..n-1 are sources and the rest targets; `order` sorts their
     depth-`depth` prefixes lexicographically and lcp[p] is the common prefix
-    length of sorted atoms p-1 and p (-1 at p = 0).  At each length, from
-    the full depth down to the root, the unmatched mass of sibling cylinders
-    is merged in lexicographic order and matched; what is left is all on one
-    side and moves up a level.
+    length of sorted atoms p-1 and p (-1 at p = 0).  One pass keeps a stack of
+    open cylinders, each with the unmatched mass of its closed children in
+    lexicographic order; where lcp drops, each longer cylinder is matched and
+    hands what is left, all on one side, to the enclosing one.  Each coupling
+    uses up a source or a target: at most n + m - 1 entries.
     """
-    plan = np.zeros((n, m))
-    starts = list(range(len(order)))
-    groups = [([(a, weights[a])], []) if a < n else ([], [(a - n, weights[a])])
-              for a in order.tolist()]
-    for length in range(depth, -1, -1):
-        merged, merged_starts = [], []
-        for p, (src, tgt) in zip(starts, groups):
-            if merged and lcp[p] >= length:  # same length-`length` cylinder as the last group
-                merged[-1][0].extend(src)
-                merged[-1][1].extend(tgt)
-            else:
-                merged.append((src, tgt))
-                merged_starts.append(p)
-        groups = [_match(src, tgt, plan) for src, tgt in merged]
-        starts = merged_starts
-    return plan
+    support = ([], [], [])
+    stack = []  # [length, sources, targets] per open cylinder, shortest first
+
+    def close(level: int) -> None:
+        while stack and stack[-1][0] > level:
+            _, src, tgt = stack.pop()
+            if src and tgt:
+                src, tgt = _match(src, tgt, support)
+            if stack and stack[-1][0] >= level:
+                stack[-1][1].extend(src)
+                stack[-1][2].extend(tgt)
+            elif level >= 0:
+                stack.append([level, src, tgt])
+
+    for a, level in zip(order.tolist(), lcp.tolist()):
+        close(level)
+        src, tgt = ([(a, weights[a])], []) if a < n else ([], [(a - n, weights[a])])
+        if level == depth:  # the same point as the previous atom
+            stack[-1][1].extend(src)
+            stack[-1][2].extend(tgt)
+        else:
+            stack.append([depth, src, tgt])
+    close(-1)
+    rows, cols, mass = support
+    return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+            np.array(mass, dtype=float))
 
 
 def wasserstein(
@@ -252,7 +281,7 @@ def wasserstein(
         excess = np.bincount(cyl, weights=signed[order])
         value += step * float(np.abs(excess).sum())
         f[order] += step * np.sign(excess)[cyl]
-    plan = _ultrametric_plan(order, lcp, depth, swt.tolist() + twt.tolist(), n, m)
+    rows, cols, mass = _ultrametric_plan(order, lcp, depth, swt.tolist() + twt.tolist(), n)
 
     # f spans at most g(L) on every length-L cylinder of the union support, so
     # u_i + v_j = f(x_i) - f(y_j) <= g(L) = c_ij for every pair first differing at L
@@ -263,9 +292,8 @@ def wasserstein(
         if span.max() > g[length] + _CERT_TOL:
             raise InvariantViolation("dual infeasibility in the transport certificate")
     u, v = f[:n], -f[n:]
-    i, j = np.nonzero(plan)
-    mass, cost = plan[i, j], g[_common_prefix(src[i], tgt[j])]
-    slack = cost - u[i] - v[j]
+    cost = g[_common_prefix(src[rows], tgt[cols])]
+    slack = cost - u[rows] - v[cols]
     support_gap = float(np.abs(slack[mass > _CERT_TOL]).max(initial=0.0))
     dual_value = float(u @ swt + v @ twt)
     gap = abs(value - dual_value)
@@ -274,7 +302,7 @@ def wasserstein(
     if abs(float(mass @ cost) - value) > _CERT_TOL:
         raise InvariantViolation("transport plan cost differs from the closed-form value")
     out = TransportPlan(
-        source_labels=sw, target_labels=tw, plan=plan, cost=value,
+        source_labels=sw, target_labels=tw, rows=rows, cols=cols, mass=mass, cost=value,
         dual_source=u, dual_target=v, dual_gap=gap,
     )
     out.check_marginals(swt, twt)
@@ -293,13 +321,19 @@ def lipschitz_dual(
     reads only the tree of those words and `metric.levels`, nothing of the
     closed form.  Two keys first differing at index L lie at distance g(L), g
     non-increasing, so f is 1-Lipschitz on the keys exactly when, on every
-    length-L cylinder holding two or more keys, its values span at most g(L),
-    that is when some centre c lies within g(L)/2 of each of them.  The program
-    has one free centre per such (L < D, cylinder) and the rows f_x - c <= g(L)/2,
-    c - f_x <= g(L)/2 per key x in it: at most 2kD rows for k keys.  The witness,
-    the first k entries of the solution, is extended to every word by the
-    minimal 1-Lipschitz extension on the same tree.  scipy is imported here, the
-    only place that needs it, so that a run of the experiments never loads it.
+    length-L cylinder holding two or more keys, its values span at most g(L).
+    The program has one free centre c_C per such cylinder C (L < D) and a row
+    pair per edge of their tree (Evans & Matsen, 2012): |f_x - c_C| <= g(L_C)/2
+    for each key x and its deepest such C, and |c_C - c_P| <= (g(L_P) - g(L_C))/2
+    for each such C and its parent P: 2(k + c - 1) rows for k keys and c
+    centres.  It is exact: the half-widths telescope, so f spans at most g(L)
+    on every such cylinder; and a 1-Lipschitz f meets every row with centres
+    chosen top-down in both their cylinder's interval [max f - g/2, min f + g/2]
+    and the parent's slack.  The witness, the first k entries of the solution,
+    is extended to every word by the minimal 1-Lipschitz extension on the same
+    tree.  An equal-depth pair of array-form measures is keyed by word-index
+    rows, without re-admitting a word.  scipy is imported here, the only place
+    that needs it, so that a run of the experiments never loads it.
     """
     from scipy import sparse
     from scipy.optimize import linprog
@@ -310,46 +344,73 @@ def lipschitz_dual(
         raise ConfigError(f"unequal total masses {mu.mass()} vs {nu.mass()}")
     fibers, path, anchor = mu.fibers, mu.path, mu.anchor
     depth = max(mu.depth, nu.depth)
-    points = canonical_prefixes(fibers, path, anchor, [*mu.weights, *nu.weights], depth)
-    k = len(set(points))
-    if k > LP_CAP:
-        raise ConfigError(f"atom count {k} beyond the LP cap {LP_CAP}")
+    sa, ta = mu.atoms, nu.atoms
+    arrays = sa is not None and ta is not None and sa.shape[1] == ta.shape[1]
+    if arrays:  # admissible words of one length, each its own key; counted past the cap
+        count = len(sa) + len(ta)
+        if count > LP_CAP:
+            count = len(np.unique(np.vstack([sa, ta]), axis=0))
+    else:
+        points = canonical_prefixes(fibers, path, anchor, [*mu.weights, *nu.weights], depth)
+        count = len(set(points))
+    if count > LP_CAP:
+        raise ConfigError(f"atom count {count} beyond the LP cap {LP_CAP}")
     # every key is an admissible depth-D word: the program lives on the word tree
     index = word_index(fibers, path, anchor, depth)
     words = index.words
-    leaf = np.array([index.rows[x] for x in points], dtype=np.intp)
-    signed = np.array([*mu.weights.values(), *(-w for w in nu.weights.values())])
+    if arrays:
+        leaf = np.concatenate([_index_rows(index, m) for m in (mu, nu)])
+        signed = np.concatenate([mu.values, -nu.values])
+    else:
+        leaf = np.array([index.rows[x] for x in points], dtype=np.intp)
+        signed = np.array([*mu.weights.values(), *(-w for w in nu.weights.values())])
     keyed = np.bincount(leaf, minlength=len(words)) > 0
+    k = int(np.count_nonzero(keyed))
     net = np.bincount(leaf, weights=signed, minlength=len(words))[keyed]
-    _, lcp = _tree(np.array(words, dtype=np.int64).reshape(len(words), depth))
+    _, lcp = _tree(index.array)  # the index words are sorted
     # cylinder ids of the words at each length 0..D, numbered along the sorted words
     cyl = np.cumsum([lcp < length for length in range(depth + 1)], axis=1) - 1
     g = metric.levels(depth)
-    # (key, centre, half-width) per key of each length-L cylinder of two or more keys
-    member, centre, half = [], [], []
+    # rows |lo - hi| <= half: each key to its deepest centre, each centre to its parent
+    deepest = np.zeros(k, dtype=np.intp)  # length of each key's deepest centre
+    centre = np.zeros(k, dtype=np.intp)  # that centre's variable
+    lo, hi, half = [], [], []
     n_centres = 0
     for length in range(depth):
         ids = cyl[length][keyed]
         shared = np.bincount(ids) >= 2
-        inside = np.flatnonzero(shared[ids])
-        member.append(inside)
-        centre.append(k + n_centres + (np.cumsum(shared) - 1)[ids[inside]])
-        half.append(np.full(len(inside), g[length] / 2.0))
+        inside = shared[ids]
+        if not inside.any():  # no deeper cylinder holds two keys either
+            break
+        here = np.where(inside, k + n_centres + (np.cumsum(shared) - 1)[ids], -1)
+        if length:
+            # the first key of each centre, read one length up, gives its parent
+            first = np.flatnonzero(inside & (np.diff(here, prepend=-1) != 0))
+            lo.append(here[first])
+            hi.append(above[first])
+            half.append(np.full(len(first), (g[length - 1] - g[length]) / 2.0))
+        deepest[inside], centre[inside] = length, here[inside]
         n_centres += int(shared.sum())
-    member, centre, half = (np.concatenate(a) for a in (member, centre, half))
+        above = here
+    if n_centres:
+        lo.insert(0, np.arange(k))
+        hi.insert(0, centre)
+        half.insert(0, g[deepest] / 2.0)
+    pair = sum(map(len, lo))
     c_obj = np.concatenate([-net, np.zeros(n_centres)])
-    pair = len(member)
-    bounds = [(0.0, 0.0)] + [(None, None)] * (k - 1 + n_centres)  # pin one value, the rest free
+    bounds = np.full((k + n_centres, 2), [-np.inf, np.inf])
+    bounds[0] = 0.0  # pin one value, the rest free
     if pair:
-        # rows f_x - c <= g(L)/2 and c - f_x <= g(L)/2, interleaved key by key
+        lo, hi = np.concatenate(lo), np.concatenate(hi)
+        # rows lo - hi <= half and hi - lo <= half, interleaved edge by edge
         a_ub = sparse.csc_matrix(
             (np.tile([1.0, -1.0, -1.0, 1.0], pair),
              (np.repeat(np.arange(2 * pair), 2),
-              np.stack([member, centre, member, centre], axis=1).ravel())),
+              np.stack([lo, hi, lo, hi], axis=1).ravel())),
             shape=(2 * pair, k + n_centres),
         )
-        res = linprog(c_obj, A_ub=a_ub, b_ub=np.repeat(half, 2), bounds=bounds,
-                      method="highs", options=_LP_OPTIONS)
+        res = linprog(c_obj, A_ub=a_ub, b_ub=np.repeat(np.concatenate(half), 2),
+                      bounds=bounds, method="highs", options=_LP_OPTIONS)
     else:
         res = linprog(c_obj, bounds=bounds, method="highs", options=_LP_OPTIONS)
     if not res.success:
@@ -367,6 +428,15 @@ def lipschitz_dual(
     values = dict(zip(words, extension.tolist()))
     witness = CylinderFunction._trusted(fibers, path, anchor, depth, values)
     return value, witness
+
+
+def _index_rows(index, measure: AtomicMeasure) -> np.ndarray:
+    """The row in `index` of each atom of an array-form measure of the index's depth."""
+    if measure._index is index:
+        return measure._rows
+    rows = index.rows
+    return np.fromiter((rows[w] for w in map(tuple, measure.atoms.tolist())),
+                       dtype=np.intp, count=len(measure.values))
 
 
 # ---------------------------------------------------------------------------
@@ -751,10 +821,12 @@ def build_coupling(
 
     i, j = np.nonzero(plan > 0)  # the support in row-major order
     dist = cert.metric_at(k).levels(xatoms.shape[1])[_common_prefix(xatoms[i], yatoms[j])]
+    mass = plan[i, j]
     cost = 0.0
-    for mass, d in zip(plan[i, j], dist):
-        cost += mass * d
-    out = TransportPlan(source_labels=xv, target_labels=yv, plan=plan, cost=cost)
+    for w, d in zip(mass, dist):
+        cost += w * d
+    out = TransportPlan(source_labels=xv, target_labels=yv, rows=i, cols=j, mass=mass,
+                        cost=cost)
     out.check_marginals(xw, yw, tol=1e-10)
     if diag_mass < cert.C[q] / cert.B[q] - 1e-12:
         raise InvariantViolation("diagonal mass below the certified C/B bound")

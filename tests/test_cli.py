@@ -289,6 +289,51 @@ def test_non_finite_law_exits_2(stem, law, message, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _expect_config_error(raw, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    for argv in (["validate", str(path)],
+                 ["run", str(path), "rpf", "--out-dir", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("seeds", [1.7], "seeds[0]: expected an integer, got 1.7"),
+    ("seeds", [True], "seeds[0]: expected an integer, got true"),
+    ("seeds", [3, "4"], 'seeds[1]: expected an integer, got "4"'),
+    ("seeds", 3, "seeds: expected a list of integers, got 3"),
+    ("driver.seed", 2.5, "driver.seed: expected an integer, got 2.5"),
+    ("driver.seed", True, "driver.seed: expected an integer, got true"),
+], ids=["float", "bool", "string", "not-a-list", "driver-float", "driver-bool"])
+def test_non_integer_seed_exits_2(key, value, message, tmp_path, capsys):
+    # int() used to truncate these, so [1.7] ran seed 1 and 2.5 ran seed 2
+    raw = json.loads((CONFIGS / "golden_mean.json").read_text())
+    if key == "driver.seed":
+        raw["driver"]["seed"] = value
+    else:
+        raw[key] = value
+    _expect_config_error(raw, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("fibers", "alphabets"), ("fibers", "matrices"), ("potential", "matrices"),
+])
+def test_unknown_driver_state_exits_2(section, key, tmp_path, capsys):
+    # FiberStructure.build reads only the declared states, so "c" was dropped
+    raw = json.loads((CONFIGS / "random_3letter.json").read_text())
+    raw[section][key]["c"] = raw[section][key]["a"]
+    _expect_config_error(raw, f"{section}.{key}.c: unknown driver state", tmp_path, capsys)
+
+
+def test_unknown_table_state_exits_2(tmp_path, capsys):
+    raw = json.loads((CONFIGS / "golden_mean.json").read_text())
+    raw["potential"] = {"kind": "table", "depth": 1, "r": 0.3,
+                        "tables": {"a": {"1": -0.5, "2": -0.9}, "z": {"1": 0.0}}}
+    _expect_config_error(raw, "potential.tables.z: unknown driver state", tmp_path, capsys)
+
+
 def test_seed_override_stays_out_of_the_config_hash(tmp_path):
     heads = {}
     for name, flags in {"plain": [], "seed": ["--seed", "5"]}.items():

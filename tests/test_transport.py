@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from rtmclab.errors import (
     InvariantViolation,
 )
 from rtmclab.potentials import constant_potential, log_matrix_potential
-from rtmclab.shifts import FiberStructure, admissible_words, canonical_prefixes
+from rtmclab.shifts import FiberStructure, admissible_words, canonical_prefixes, word_index
 from rtmclab.transfer import (
     AtomicMeasure,
     CylinderFunction,
@@ -221,6 +222,96 @@ def pairwise_kr_oracle(mu, nu, metric):
     }
     witness = CylinderFunction(fibers, path, anchor, depth, values)
     return value, witness
+
+
+def star_kr_oracle(mu, nu, metric):
+    """The Kantorovich-Rubinstein program in star form: one free centre per length-L
+    cylinder (L < D) holding two or more keys, and the rows |f_x - c| <= g(L)/2 for
+    every key x of it, 2 rows per (key, enclosing cylinder); solved by HiGHS.
+    Returns the value and the row count."""
+    if mu.anchor != nu.anchor:
+        raise AdmissibilityError("measures on different fibers")
+    fibers, path, anchor = mu.fibers, mu.path, mu.anchor
+    depth = max(mu.depth, nu.depth)
+    points = canonical_prefixes(fibers, path, anchor, [*mu.weights, *nu.weights], depth)
+    k = len(set(points))
+    index = word_index(fibers, path, anchor, depth)
+    words = index.words
+    leaf = np.array([index.rows[x] for x in points], dtype=np.intp)
+    signed = np.array([*mu.weights.values(), *(-w for w in nu.weights.values())])
+    keyed = np.bincount(leaf, minlength=len(words)) > 0
+    net = np.bincount(leaf, weights=signed, minlength=len(words))[keyed]
+    _, lcp = transport._tree(np.array(words, dtype=np.int64).reshape(len(words), depth))
+    cyl = np.cumsum([lcp < length for length in range(depth + 1)], axis=1) - 1
+    g = metric.levels(depth)
+    member, centre, half = [], [], []
+    n_centres = 0
+    for length in range(depth):
+        ids = cyl[length][keyed]
+        shared = np.bincount(ids) >= 2
+        inside = np.flatnonzero(shared[ids])
+        member.append(inside)
+        centre.append(k + n_centres + (np.cumsum(shared) - 1)[ids[inside]])
+        half.append(np.full(len(inside), g[length] / 2.0))
+        n_centres += int(shared.sum())
+    member, centre, half = (np.concatenate(a) for a in (member, centre, half))
+    c_obj = np.concatenate([-net, np.zeros(n_centres)])
+    pair = len(member)
+    bounds = [(0.0, 0.0)] + [(None, None)] * (k - 1 + n_centres)
+    if pair:
+        a_ub = sparse.csc_matrix(
+            (np.tile([1.0, -1.0, -1.0, 1.0], pair),
+             (np.repeat(np.arange(2 * pair), 2),
+              np.stack([member, centre, member, centre], axis=1).ravel())),
+            shape=(2 * pair, k + n_centres),
+        )
+        res = linprog(c_obj, A_ub=a_ub, b_ub=np.repeat(half, 2), bounds=bounds,
+                      method="highs", options=transport._LP_OPTIONS)
+    else:
+        res = linprog(c_obj, bounds=bounds, method="highs", options=transport._LP_OPTIONS)
+    if not res.success:
+        raise ConvergenceError(f"dual LP failed: {res.message}")
+    return -float(res.fun), 2 * pair
+
+
+def greedy_plan_oracle(order, lcp, depth, weights, n, m):
+    """The greedy ultrametric plan as a dense n x m array, level by level: at each
+    length from `depth` down to 0, the unmatched mass of sibling cylinders is
+    merged in lexicographic order and matched greedily in order."""
+    plan = np.zeros((n, m))
+
+    def match(src, tgt):
+        i = j = 0
+        while i < len(src) and j < len(tgt):
+            a, ma = src[i]
+            b, mb = tgt[j]
+            plan[a, b] += min(ma, mb)
+            if ma < mb:
+                tgt[j] = (b, mb - ma)
+                i += 1
+            elif mb < ma:
+                src[i] = (a, ma - mb)
+                j += 1
+            else:
+                i += 1
+                j += 1
+        return src[i:], tgt[j:]
+
+    starts = list(range(len(order)))
+    groups = [([(a, weights[a])], []) if a < n else ([], [(a - n, weights[a])])
+              for a in order.tolist()]
+    for length in range(depth, -1, -1):
+        merged, merged_starts = [], []
+        for p, (src, tgt) in zip(starts, groups):
+            if merged and lcp[p] >= length:
+                merged[-1][0].extend(src)
+                merged[-1][1].extend(tgt)
+            else:
+                merged.append((src, tgt))
+                merged_starts.append(p)
+        groups = [match(src, tgt) for src, tgt in merged]
+        starts = merged_starts
+    return plan
 
 
 def make_measure(fibers, path, anchor, depth, weights):
@@ -495,6 +586,24 @@ class TestArrayTransport:
         for mu, nu in pairs:
             wasserstein(mu, nu, Metric("raw", 0.4))
 
+    def test_dual_reads_the_arrays(self, name, monkeypatch):
+        """lipschitz_dual keys an equal-depth library-built pair by index rows: the same
+        program as its dict twin, float for float, and no word is re-admitted."""
+        fibers, path, pairs = _array_pairs()[name]
+        metric = Metric("adjusted", 0.4, alpha=2.5)
+        want = [lipschitz_dual(self.dict_twin(mu), self.dict_twin(nu), metric)
+                for mu, nu in pairs]
+
+        def forbidden(*args):
+            raise AssertionError("an atom was re-admitted")
+
+        monkeypatch.setattr(transport, "canonical_prefixes", forbidden)
+        monkeypatch.setattr(FiberStructure, "admits_word", forbidden)
+        for (mu, nu), (want_value, want_witness) in zip(pairs, want):
+            value, witness = lipschitz_dual(mu, nu, metric)
+            assert value.hex() == want_value.hex()
+            assert witness.values == want_witness.values
+
 
 class TestTreeCertificate:
     """wasserstein, lipschitz_dual and build_coupling read distances only off the
@@ -528,12 +637,72 @@ class TestTreeCertificate:
         rng = np.random.default_rng(3)
         mu, nu = (AtomicMeasure.random(fibers, path, 0, 3, rng) for _ in "ab")
 
-        def product(order, lcp, depth, weights, n, m):
-            return np.outer(weights[:n], weights[n:])
+        def product(order, lcp, depth, weights, n):
+            # the independent coupling, as its support: every (source, target) cell
+            plan = np.outer(weights[:n], weights[n:])
+            rows, cols = np.indices(plan.shape)
+            return rows.ravel(), cols.ravel(), plan.ravel()
 
         monkeypatch.setattr(transport, "_ultrametric_plan", product)
         with pytest.raises(InvariantViolation):
             wasserstein(mu, nu, Metric("raw", 0.5))
+
+
+class TestSupportPlan:
+    """The plan is held as its support: its dense view is, bit for bit, the level-by-level
+    greedy plan, and it has at most n + m - 1 entries."""
+
+    @staticmethod
+    def check(mu, nu, metric, monkeypatch):
+        real, calls = transport._ultrametric_plan, []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(transport, "_ultrametric_plan", spy)
+        _, plan = wasserstein(mu, nu, metric)
+        (order, lcp, depth, weights, n), = calls
+        m = len(plan.target_labels)
+        want = greedy_plan_oracle(order, lcp, depth, list(weights), n, m)
+        assert plan.plan.tobytes() == want.tobytes()
+        assert len(plan.mass) <= n + m - 1
+        assert len(set(zip(plan.rows.tolist(), plan.cols.tolist()))) == len(plan.mass)
+
+    @pytest.mark.parametrize("mu,nu,metric", _parity_pairs())
+    def test_matches_greedy_oracle(self, mu, nu, metric, monkeypatch):
+        self.check(mu, nu, metric, monkeypatch)
+
+    @pytest.mark.parametrize("name", ["full3", "golden", "wide"])
+    def test_array_pairs_match_greedy_oracle(self, name, monkeypatch):
+        for mu, nu in _array_pairs()[name][2]:
+            for metric in (Metric("raw", 0.4), Metric("adjusted", 0.4, alpha=2.5)):
+                self.check(mu, nu, metric, monkeypatch)
+
+    def test_mixed_depth_dict_pair(self, monkeypatch):
+        # dict atoms of lengths 1-5 against a three-letter measure, one point twice
+        for name, (fibers, path) in _prefix_instances().items():
+            rng = np.random.default_rng(31)
+            pick = [w for n in (1, 2) for w in admissible_words(fibers, path, 0, n)]
+            for n in (3, 5):
+                words = admissible_words(fibers, path, 0, n)
+                pick += [words[i] for i in sorted(rng.choice(len(words), size=5))]
+            pick += canonical_prefixes(fibers, path, 0, [pick[0]], 4)
+            pick = list(dict.fromkeys(pick))
+            raw = rng.random(len(pick)) + 0.05
+            mu = AtomicMeasure(fibers, path, 0, 5,
+                               {w: float(x) for w, x in zip(pick, raw / raw.sum())})
+            nu = AtomicMeasure.random(fibers, path, 0, 3, rng)
+            for metric in (Metric("raw", 0.4), Metric("adjusted", 0.4, alpha=3.0)):
+                self.check(mu, nu, metric, monkeypatch)
+                self.check(nu, mu, metric, monkeypatch)
+
+    def test_coupling_support(self, full2_cert):
+        fibers, path, phi, triple, tilde, cert = full2_cert
+        plan = build_coupling((1,), (2,), tilde, cert, fiber=0)
+        assert (plan.mass > 0).all()
+        dense = plan.plan
+        assert np.array_equal(np.flatnonzero(dense), plan.rows * dense.shape[1] + plan.cols)
 
 
 class TestDuality:
@@ -859,6 +1028,27 @@ class TestAtomDedup:
         assert dual == pytest.approx(0.0, abs=1e-12)
 
 
+def _ladder_pairs():
+    """pytest params (mu, nu, metric) on random_3letter at fiber 0: random pairs of 27,
+    81 and 243 atoms, a Dirac against 81 atoms, and a pair in dict form."""
+    cfg = load_config(CONFIGS / "random_3letter.json")
+    path = cfg.sample(17)
+    rng = np.random.default_rng(23)
+    metrics = (Metric("raw", cfg.potential.r), Metric("adjusted", cfg.potential.r, alpha=2.0))
+    out = []
+    for metric in metrics:
+        for depth in (3, 4, 5):
+            mu, nu = (AtomicMeasure.random(cfg.fibers, path, 0, depth, rng) for _ in "ab")
+            out.append(pytest.param(mu, nu, metric, id=f"r3-d{depth}-{metric.kind}"))
+        dirac = AtomicMeasure.dirac(cfg.fibers, path, 0, (2, 3))
+        wide = AtomicMeasure.random(cfg.fibers, path, 0, 4, rng)
+        out.append(pytest.param(dirac, wide, metric, id=f"r3-dirac-d4-{metric.kind}"))
+        mu, nu = (AtomicMeasure(cfg.fibers, path, 0, 3, dict(
+            AtomicMeasure.random(cfg.fibers, path, 0, 3, rng).weights)) for _ in "ab")
+        out.append(pytest.param(mu, nu, metric, id=f"r3-dict-d3-{metric.kind}"))
+    return out
+
+
 def _kr_instances():
     """pytest params (mu, nu, metric) on the four prefix instances: supports mixing
     word lengths 1-5, each holding a two-letter word and its four-letter canonical
@@ -918,6 +1108,48 @@ class TestCylinderProgram:
         want = {w: witness.values[w] if w in keys else float(e)
                 for w, e in zip(words, extension)}
         assert witness.values == want
+
+    @pytest.mark.parametrize("mu,nu,metric", _parity_pairs() + _kr_instances() + _ladder_pairs())
+    def test_matches_star_oracle(self, mu, nu, metric):
+        """The program along the tree's edges has the value of the program with one row
+        pair per (key, enclosing cylinder), and of the pairwise one where it is small."""
+        value, witness = lipschitz_dual(mu, nu, metric)
+        star, _ = star_kr_oracle(mu, nu, metric)
+        assert abs(value - star) <= 1e-10
+        if len(mu.weights) + len(nu.weights) <= 2 * 81:
+            oracle, _ = pairwise_kr_oracle(mu, nu, metric)
+            assert abs(value - oracle) <= 1e-10
+        attained = mu.integrate(witness) - nu.integrate(witness)
+        assert attained == pytest.approx(value, abs=1e-9)
+
+    @pytest.mark.parametrize("depth, want", [(3, 78), (4, 240), (5, 726)])
+    def test_rows_two_per_tree_edge(self, depth, want, monkeypatch):
+        """2(k + c - 1) rows: one pair per key and one per centre below the root."""
+        import scipy.optimize
+
+        cfg = load_config(CONFIGS / "random_3letter.json")
+        path = cfg.sample(17)
+        rng = np.random.default_rng(5)
+        mu, nu = (AtomicMeasure.random(cfg.fibers, path, 0, depth, rng) for _ in "ab")
+        keys = sorted(mu.weights.keys() | nu.weights.keys())
+        k = len(keys)
+        assert k == 3 ** depth
+        # centres: the cylinders of length L < D that hold two or more keys
+        prefixes = [Counter(w[:length] for w in keys) for length in range(depth)]
+        c = sum(count >= 2 for counts in prefixes for count in counts.values())
+        real, rows = scipy.optimize.linprog, []
+
+        def spy(*args, **kwargs):
+            rows.append(kwargs["A_ub"].shape[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        metric = Metric("raw", cfg.potential.r)
+        value, _ = lipschitz_dual(mu, nu, metric)
+        assert rows == [2 * (k + c - 1)] == [want]
+        # every key lies in a shared cylinder at each length < D: 2kD rows in star form
+        assert want <= star_kr_oracle(mu, nu, metric)[1] == 2 * k * depth
+        assert value == pytest.approx(wasserstein(mu, nu, metric)[0], abs=1e-8)
 
     def test_lp_cap_checked_first(self, monkeypatch):
         import scipy.optimize
