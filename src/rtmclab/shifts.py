@@ -301,7 +301,7 @@ def canonical_prefixes(fibers: FiberStructure, path: DriverPath, anchor: int,
     Each word is checked by `admits_word` against one driver-state slice per
     word length.  A shorter word continues with the least admissible tail
     after its last letter, which depends only on the length and that letter:
-    one tail each, walked along one state slice by least successors.
+    one `canonical_tail` each.
     """
     states, tails, out = {}, {}, []
     for w in words:
@@ -311,14 +311,21 @@ def canonical_prefixes(fibers: FiberStructure, path: DriverPath, anchor: int,
         if not fibers.admits_word(states[n], w):
             raise AdmissibilityError(f"word {w} not admissible at fiber {anchor}")
         if n < depth and (n, w[-1]) not in tails:
-            a, tail = w[-1], []
-            run = path.states(anchor + n - 1, anchor + depth - 1)
-            for i, (s, s_next) in enumerate(zip(run, run[1:]), start=anchor + n - 1):
-                nxt = fibers._next_letters(s, s_next, fibers._row[s][a])
-                if not nxt:
-                    raise AdmissibilityError(f"letter {a} at fiber {i} has no successor")
-                a = nxt[0]
-                tail.append(a)
-            tails[n, w[-1]] = tuple(tail)
+            tails[n, w[-1]] = canonical_tail(fibers, path, anchor + n - 1, w[-1], depth - n)
         out.append(w[:depth] if n >= depth else w + tails[n, w[-1]])
     return out
+
+
+def canonical_tail(fibers: FiberStructure, path: DriverPath, fiber: int, letter: int,
+                   n: int) -> tuple[int, ...]:
+    """The least admissible n letters after `letter` at `fiber`, one per fiber
+    fiber+1 .. fiber+n, walked along one state slice by least successors."""
+    a, tail = letter, []
+    run = path.states(fiber, fiber + n)
+    for i, (s, s_next) in enumerate(zip(run, run[1:]), start=fiber):
+        nxt = fibers._next_letters(s, s_next, fibers._row[s][a])
+        if not nxt:
+            raise AdmissibilityError(f"letter {a} at fiber {i} has no successor")
+        a = nxt[0]
+        tail.append(a)
+    return tuple(tail)

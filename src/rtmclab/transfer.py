@@ -43,24 +43,23 @@ function depth) for each predecessor a ascending, shared likewise under
 Each value sums from 0.0 in that order, bit for bit the per-word loop kept
 as the test oracle.
 
-Every measure the library builds holds its atoms as read-only arrays:
-`atoms`, a (k x depth) int64 array of admissible words, and `values`, the
-masses in atom order.  The sweep's measures, `uniform`, `random`, their
-coarsenings and the invariant measures also keep their rows in the word
-index at their fiber and depth; a dual pull-back holds the pulled letters
-joined to its source atoms, admissible by construction.  The kernels read
-the arrays: masses are sequential sums in atom order started at 0.0
-(`_mass`, the float loop that the built-in `sum` runs on CPython 3.11; 3.12
-compensates, so no array mass goes through `sum`); a function is gathered
-through the cached map from each word to the row of its prefix, or looked up
-by its prefix; cylinder sums are bincounts, in atom order, onto the prefixes
-in first-occurrence order, grouped by a stable lexicographic sort rather
-than packed into one integer, which would overflow on wide alphabets.  These
-are bit for bit the dict loops kept as test oracles.  `dual_apply` reads the
-prefix rows of an array-form source and `transport.wasserstein` sorts the
-arrays, so neither re-admits a word.  `weights` is a dict view built when
-read.  A Dirac mass, a measure from the public constructor or from JSON and
-a pull-back of atoms of mixed lengths keep the dict and those loops.
+Every measure holds its atoms as read-only arrays: `atoms`, a (k x depth)
+int64 array of admissible words, each the canonical depth-`depth` prefix of
+its point, and `values`, the masses in atom order.  The public constructor
+(and with it `dirac` and JSON) admits its keys once; the sweep's measures,
+`uniform`, `random`, their coarsenings and the invariant measures keep their
+rows in the word index at their fiber and depth instead; a dual pull-back
+holds the pulled letters joined to its source atoms, admissible by
+construction.  The kernels read the arrays and re-admit no word: masses are
+sequential sums in atom order started at 0.0 (`_mass`, the float loop that
+the built-in `sum` runs on CPython 3.11; 3.12 compensates, so no mass goes
+through `sum`); a function is gathered through the row of each atom's prefix
+in its word index; cylinder sums are bincounts, in atom order, onto the
+prefixes in first-occurrence order, grouped by a stable lexicographic sort
+rather than packed into one integer, which would overflow on wide alphabets.
+These are bit for bit the dict loops kept as test oracles.  A function
+deeper than the measure reads each atom continued by its canonical tail,
+walked once per last letter.  `weights` is a dict view built when read.
 
 A `CylinderFunction` built by its public constructor checks that its keys
 are exactly the admissible words at its depth.  The functions the library
@@ -92,7 +91,13 @@ from .errors import (
     InvariantViolation,
 )
 from .potentials import Potential, distortion_constant, fitted_kappa, variation, word_birkhoff
-from .shifts import FiberStructure, admissible_words, canonical_prefixes, word_index
+from .shifts import (
+    FiberStructure,
+    admissible_words,
+    canonical_prefixes,
+    canonical_tail,
+    word_index,
+)
 
 DEFAULT_DEPTH_CAP = 16
 
@@ -269,15 +274,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class AtomicMeasure:
     """Probability measure as weighted atoms at canonical depth-m representatives.
 
-    A measure the library builds holds its atoms as read-only arrays:
-    `atoms`, a (k x depth) int64 array of admissible words, and `values`,
-    their masses in atom order.  A measure built by `on_rows` (the sweep's,
-    `uniform`, `random`, their coarsenings and invariant measures) also
-    keeps the rows of its atoms in word_index(fibers, path, anchor, depth)
-    and reads `atoms` off that index when asked; a dual pull-back holds its
-    atoms directly.  `weights` is then a dict view built when read.  A
-    Dirac mass, a measure from the public constructor or from JSON, and a
-    pull-back of atoms of mixed lengths keep the dict and the per-atom loops.
+    The atoms are read-only arrays: `atoms`, a (k x depth) int64 array of
+    admissible words, each the canonical depth-`depth` prefix of its point,
+    and `values`, their masses in atom order.  The public constructor takes
+    word -> mass, admits each key once and merges keys that name one point.
+    A measure built by `on_rows` (the sweep's, `uniform`, `random`, their
+    coarsenings and invariant measures) keeps the rows of its atoms in
+    word_index(fibers, path, anchor, depth) and reads `atoms` off that index
+    when asked; a dual pull-back holds its atoms directly.  `weights` is a
+    dict view built when read.
     """
 
     __slots__ = ("fibers", "path", "anchor", "depth", "probability",
@@ -285,12 +290,22 @@ class AtomicMeasure:
 
     def __init__(self, fibers: FiberStructure, path: DriverPath, anchor: int, depth: int,
                  weights: dict, probability: bool = True):
+        """Atoms at the points of the keys, admissible words of at most `depth` letters;
+        keys naming one point are summed in first-occurrence order."""
+        words = list(weights)
+        for w in words:
+            if len(w) > depth:
+                raise AdmissibilityError(
+                    f"word {tuple(w)} longer than the measure depth {depth} at fiber {anchor}")
+        values = np.fromiter(weights.values(), dtype=float, count=len(words))
+        _check_weights(values, probability)
+        points = np.array(canonical_prefixes(fibers, path, anchor, words, depth),
+                          dtype=np.int64).reshape(len(words), depth)
+        atoms, values = _group(points, values)
         self.fibers, self.path, self.anchor, self.depth = fibers, path, anchor, depth
         self.probability = probability
-        self._weights = weights
-        self._index = self._rows = self._atoms = self._values = None
-        _check_weights(np.fromiter(weights.values(), dtype=float, count=len(weights)),
-                       probability)
+        self._weights = self._index = self._rows = None
+        self._atoms, self._values = _frozen(atoms), _frozen(values)
 
     @classmethod
     def _arrays(cls, fibers, path, anchor: int, depth: int, values: np.ndarray,
@@ -314,16 +329,21 @@ class AtomicMeasure:
         return cls._arrays(fibers, path, anchor, depth, values, probability,
                            index=word_index(fibers, path, anchor, depth), rows=rows)
 
+    def _with(self, values: np.ndarray, probability: bool) -> "AtomicMeasure":
+        """The same atoms with masses `values`, which have passed `_check_weights`."""
+        return AtomicMeasure._arrays(self.fibers, self.path, self.anchor, self.depth, values,
+                                     probability, self._index, self._rows, self._atoms)
+
     @property
-    def atoms(self) -> np.ndarray | None:
-        """The atoms as a read-only (k x depth) int64 array; None in dict form."""
-        if self._atoms is None and self._rows is not None:
+    def atoms(self) -> np.ndarray:
+        """The atoms as a read-only (k x depth) int64 array."""
+        if self._atoms is None:
             self._atoms = _frozen(self._index.array[self._rows])
         return self._atoms
 
     @property
-    def values(self) -> np.ndarray | None:
-        """The masses in atom order, read-only; None in dict form."""
+    def values(self) -> np.ndarray:
+        """The masses in atom order, read-only."""
         return self._values
 
     @property
@@ -338,6 +358,30 @@ class AtomicMeasure:
             self._weights = dict(zip(keys, self._values.tolist()))
         return self._weights
 
+    def prefixes(self, depth: int) -> np.ndarray:
+        """Each atom's point read to `depth` letters, in atom order: the atoms cut to
+        `depth`, or continued by their canonical tails, walked once per last letter."""
+        if depth <= self.depth:
+            return self.atoms[:, :depth]
+        last = self.atoms[:, -1]
+        letters = np.unique(last)
+        tails = np.array(
+            [canonical_tail(self.fibers, self.path, self.anchor + self.depth - 1, a,
+                            depth - self.depth) for a in letters.tolist()],
+            dtype=np.int64).reshape(len(letters), depth - self.depth)
+        return np.hstack((self.atoms, tails[np.searchsorted(letters, last)]))
+
+    def _rows_in(self, index, depth: int) -> np.ndarray:
+        """The row in `index`, the depth-`depth` words at this fiber, of each atom's
+        point read to `depth` letters."""
+        if self._index is index:
+            return self._rows
+        if self._rows is not None and depth <= self.depth:
+            return self._index.prefix_rows(index, depth)[self._rows]
+        rows = index.rows
+        return np.fromiter((rows[w] for w in map(tuple, self.prefixes(depth).tolist())),
+                           dtype=np.intp, count=len(self._values))
+
     @staticmethod
     def uniform(fibers, path, anchor: int, depth: int) -> "AtomicMeasure":
         n = len(word_index(fibers, path, anchor, depth).words)
@@ -347,7 +391,6 @@ class AtomicMeasure:
     @staticmethod
     def dirac(fibers, path, anchor: int, word: tuple[int, ...]) -> "AtomicMeasure":
         word = tuple(word)
-        canonical_prefixes(fibers, path, anchor, [word], len(word))  # validates
         return AtomicMeasure(fibers, path, anchor, len(word), {word: 1.0})
 
     @staticmethod
@@ -358,41 +401,24 @@ class AtomicMeasure:
         return AtomicMeasure.on_rows(fibers, path, anchor, depth, np.arange(n), raw)
 
     def mass(self) -> float:
-        if self._values is not None:
-            return _mass(self._values)
-        return sum(self.weights.values())
+        return _mass(self._values)
 
     def normalize(self) -> "AtomicMeasure":
-        m = self.mass()
-        if self._values is not None:
-            values = self._values / m
-            _check_weights(values, probability=True)
-            return AtomicMeasure._arrays(self.fibers, self.path, self.anchor, self.depth, values,
-                                         True, self._index, self._rows, self._atoms)
-        return AtomicMeasure(self.fibers, self.path, self.anchor, self.depth,
-                             {w: v / m for w, v in self.weights.items()})
+        values = self._values / self.mass()
+        _check_weights(values, probability=True)
+        return self._with(values, True)
 
     def _at(self, f: CylinderFunction) -> np.ndarray:
-        """f at each atom, in atom order; needs an array form and f.depth <= depth."""
-        if self._rows is None:
-            values = f.values
-            return np.array([values[w] for w in map(tuple, self._atoms[:, :f.depth].tolist())],
-                            dtype=float)
+        """f at each atom's point, in atom order."""
         short = word_index(self.fibers, self.path, self.anchor, f.depth)
         values = np.array([f.values[w] for w in short.words], dtype=float)
-        return values[self._index.prefix_rows(short, f.depth)[self._rows]]
+        return values[self._rows_in(short, f.depth)]
 
     def integrate(self, f: CylinderFunction) -> float:
         """Exact integral of a cylinder function against the atoms."""
         if f.anchor != self.anchor:
             raise AdmissibilityError("function and measure on different fibers")
-        if self._values is not None and f.depth <= self.depth:
-            return _mass(self._values * self._at(f))
-        keys = canonical_prefixes(self.fibers, self.path, self.anchor, self.weights, f.depth)
-        total = 0.0
-        for m, key in zip(self.weights.values(), keys):
-            total += m * f.values[key]
-        return total
+        return _mass(self._values * self._at(f))
 
     def _cylinders(self, depth: int, masses: np.ndarray):
         """Depth-`depth` word index, cylinder rows in first-occurrence order, their sums;
@@ -402,42 +428,36 @@ class AtomicMeasure:
         return short, rows, sums
 
     def marginal(self, depth: int, density: CylinderFunction | None = None) -> dict:
-        """Masses of the depth-`depth` cylinders (depth <= atom depth) under density * self."""
-        if depth > self.depth:
-            raise ConfigError("marginal depth exceeds atom depth")
-        if self._values is not None and depth >= 1 and (
-                density is None or density.depth <= self.depth):
-            masses = self._values if density is None else self._values * self._at(density)
-            if self._rows is not None:
-                short, rows, sums = self._cylinders(depth, masses)
-                return dict(zip([short.words[r] for r in rows.tolist()], sums.tolist()))
-            keys, sums = _group(self._atoms[:, :depth], masses)
-            return dict(zip(map(tuple, keys.tolist()), sums.tolist()))
-        out: dict = {}
-        for w, m in self.weights.items():
-            k = w[:depth]
-            out[k] = out.get(k, 0.0) + (m if density is None else m * density.value_at(w))
-        return out
+        """Masses of the depth-`depth` cylinders (1 <= depth <= atom depth) under
+        density * self."""
+        if not 1 <= depth <= self.depth:
+            raise ConfigError(f"marginal depth {depth} outside 1 .. {self.depth}")
+        masses = self._values if density is None else self._values * self._at(density)
+        if self._rows is not None:
+            short, rows, sums = self._cylinders(depth, masses)
+            return dict(zip([short.words[r] for r in rows.tolist()], sums.tolist()))
+        keys, sums = _group(self.atoms[:, :depth], masses)
+        return dict(zip(map(tuple, keys.tolist()), sums.tolist()))
 
     def coarsen(self, depth: int) -> "AtomicMeasure":
         """Sum refinement weights onto depth-`depth` canonical representatives."""
         if depth >= self.depth:
             return self
+        if depth < 1:
+            raise ConfigError(f"coarsening depth {depth} below 1")
         if self._rows is not None:
             _, rows, sums = self._cylinders(depth, self._values)
             return AtomicMeasure.on_rows(self.fibers, self.path, self.anchor, depth, rows, sums,
                                          probability=self.probability)
-        if self._values is not None and depth >= 1:
-            atoms, sums = _group(self._atoms[:, :depth], self._values)
-            _check_weights(sums, self.probability)
-            return AtomicMeasure._arrays(self.fibers, self.path, self.anchor, depth, sums,
-                                         self.probability, atoms=atoms)
-        return AtomicMeasure(self.fibers, self.path, self.anchor, depth,
-                             self.marginal(depth), probability=self.probability)
+        atoms, sums = _group(self.atoms[:, :depth], self._values)
+        _check_weights(sums, self.probability)
+        return AtomicMeasure._arrays(self.fibers, self.path, self.anchor, depth, sums,
+                                     self.probability, atoms=atoms)
 
     def cylinder_mass(self, word: tuple[int, ...]) -> float:
+        """Mass of the atoms whose points lie in the cylinder [word]."""
         word = tuple(word)
-        return sum(m for w, m in self.weights.items() if w[: len(word)] == word)
+        return _mass(self._values[(self.prefixes(len(word)) == word).all(axis=1)])
 
 
 # ---------------------------------------------------------------------------
@@ -614,9 +634,7 @@ def dual_apply(phi: Potential, mu: AtomicMeasure, n: int = 1,
 
     Output lives n fibers below the input at depth + n; the adjoint identity
     against depth-(m+n) cylinder indicators is exact by construction.  The
-    new atoms are the pulled letters joined to their source atoms, so a
-    source in array form, or a dict of atoms all `depth` letters long,
-    yields an array-form measure.
+    new atoms are the pulled letters joined to their source atoms.
     """
     if n < 0:
         raise ConfigError("dual power must be >= 0")
@@ -626,25 +644,8 @@ def dual_apply(phi: Potential, mu: AtomicMeasure, n: int = 1,
         raise DepthOverflow(f"dual pull-back beyond depth cap {max_depth}")
     fibers, path, j = mu.fibers, mu.path, mu.anchor
     d = max(phi.depth - 1, 1)
-    short = word_index(fibers, path, j, d)
-    if mu._rows is not None and d <= mu.depth:
-        # the atoms are index words, admissible by construction
-        atoms, keys = mu.atoms, mu._index.prefix_rows(short, d)[mu._rows]
-    elif mu._atoms is not None and d <= mu.depth:
-        # pulled atoms, admissible by construction: look their prefixes up
-        atoms, rows = mu._atoms, short.rows
-        keys = np.fromiter((rows[u] for u in map(tuple, atoms[:, :d].tolist())),
-                           dtype=np.intp, count=len(atoms))
-    else:
-        words = list(mu.weights)
-        keys = np.array([short.rows[u] for u in canonical_prefixes(fibers, path, j, words, d)],
-                        dtype=np.intp)
-        atoms = None
-        if all(len(w) == mu.depth for w in words):
-            atoms = np.array(words, dtype=np.int64).reshape(len(words), mu.depth)
+    keys = mu._rows_in(word_index(fibers, path, j, d), d)
     weights = mu._values
-    if weights is None:
-        weights = np.fromiter(mu.weights.values(), dtype=float, count=len(keys))
     origin = np.arange(len(keys))
     lead = np.empty((len(keys), 0), dtype=np.int64)  # letters pulled so far, newest first
     for i in range(n):
@@ -654,14 +655,8 @@ def dual_apply(phi: Potential, mu: AtomicMeasure, n: int = 1,
         _check_weights(weights)
         keys, origin = step.coarse[e], origin[src]
         lead = np.column_stack((step.letter[e], lead[src]))
-    if atoms is not None:
-        return AtomicMeasure._arrays(fibers, path, j - n, mu.depth + n, weights, False,
-                                     atoms=np.hstack((lead, atoms[origin])))
-    pulled = {
-        tuple(head) + words[o]: v
-        for head, o, v in zip(lead.tolist(), origin.tolist(), weights.tolist())
-    }
-    return AtomicMeasure(fibers, path, j - n, mu.depth + n, pulled, probability=False)
+    return AtomicMeasure._arrays(fibers, path, j - n, mu.depth + n, weights, False,
+                                 atoms=np.hstack((lead, mu.atoms[origin])))
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +766,7 @@ def _labelled(mu: AtomicMeasure) -> dict:
     if mu._rows is not None:
         labels = mu._index.labels
         return dict(zip([labels[r] for r in mu._rows.tolist()], mu._values.tolist()))
-    return {",".join(map(str, w)): v for w, v in mu.weights.items()}
+    return dict(zip([",".join(map(str, w)) for w in mu.atoms.tolist()], mu._values.tolist()))
 
 
 def _mu_sweep(phi: Potential, start: AtomicMeasure, bottom: int, depth: int,
@@ -785,13 +780,9 @@ def _mu_sweep(phi: Potential, start: AtomicMeasure, bottom: int, depth: int,
     """
     fibers, path, top = start.fibers, start.path, start.anchor
     lo, hi = window
-    if start._rows is not None and start.depth == depth:
-        rows, weights = start._rows, start._values
-    else:
-        start_rows = word_index(fibers, path, top, depth).rows
-        rows = np.array([start_rows[w] for w in start.weights], dtype=np.intp)
-        weights = np.fromiter(start.weights.values(), dtype=float, count=len(rows))
     states = path.states(bottom, top - 1 + depth)
+    # the start's rows among the words at fibers top .. top-1+depth
+    rows, weights = start._rows_in(fibers.words_over(states[top - bottom:]), depth), start._values
     lams, mus = {}, {}
     plan = None
     for j in range(top - 1, bottom - 1, -1):
@@ -934,21 +925,13 @@ def rpf_solve(
 
 def invariant_measures(triple: RpfTriple) -> dict:
     """The shift-invariant family of the normalized operator: d nu = h d mu, per fiber."""
-    fibers, path = triple.fibers, triple.path
     out = {}
     for j in range(triple.lo, triple.hi + 1):
-        mu, h = triple.mu[j], triple.h[j]
-        if mu._rows is not None and h.depth <= mu.depth:
-            # the sweep's atoms are index words, admissible by construction
-            terms = mu._values * mu._at(h)
-            out[j] = AtomicMeasure.on_rows(fibers, path, j, mu.depth, mu._rows,
-                                           terms / _mass(terms))
-            continue
-        keys = canonical_prefixes(fibers, path, j, mu.weights, h.depth)
-        weights = {w: m * h.value_at(key) for (w, m), key in zip(mu.weights.items(), keys)}
-        total = sum(weights.values())
-        out[j] = AtomicMeasure(fibers, path, j, mu.depth,
-                               {w: v / total for w, v in weights.items()})
+        mu = triple.mu[j]
+        terms = mu._values * mu._at(triple.h[j])
+        values = terms / _mass(terms)
+        _check_weights(values, probability=True)
+        out[j] = mu._with(values, True)
     return out
 
 

@@ -3,16 +3,16 @@
 The shift metric d_r and its capped rescaling depend only on the first index
 of disagreement, so both are ultrametrics: two points first differing at index
 L lie at distance g(L), g non-increasing, read off the canonical prefixes of
-points at one fiber (`Metric.levels`, one `canonical_prefixes` call per
-measure in dict form; two measures whose atoms are arrays of admissible
-words of one length are their own prefixes).  Every distance here is read
-off that cylinder tree, never from a pairwise cost matrix.  A function is
-1-Lipschitz on a support exactly when its values on each length-L cylinder
-span at most g(L).  So the closed-form Wasserstein distance, with its greedy
-optimal plan (held as its support, at most n + m - 1 entries) and explicit
-dual, is certified by that per-cylinder span check on the dual plus
-complementary slackness on the plan's support only.  The
-Kantorovich-Rubinstein side is an independent linear program (HiGHS) with
+points at one fiber (`Metric.levels`).  A measure's atoms are those
+prefixes at its own depth; a pair of unequal depths continues the shorter
+atoms by their canonical tails (`AtomicMeasure.prefixes`).  Every distance
+here is read off that cylinder tree, never from a pairwise cost matrix.  A
+function is 1-Lipschitz on a support exactly when its values on each
+length-L cylinder span at most g(L).  So the closed-form Wasserstein
+distance, with its greedy optimal plan (held as its support, at most
+n + m - 1 entries) and explicit dual, is certified by that per-cylinder span
+check on the dual plus complementary slackness on the plan's support only.
+The Kantorovich-Rubinstein side is an independent linear program (HiGHS) with
 one free centre per cylinder, written along the edges of the cylinder tree:
 2(k + c - 1) rows for k points and c centres, not one per pair of points.
 
@@ -134,16 +134,6 @@ class TransportPlan:
             raise InvariantViolation("negative transport mass")
 
 
-def _prefixes(measure: AtomicMeasure, words, depth: int) -> np.ndarray:
-    """Depth-`depth` prefixes of the canonical representatives of `words`, one row each.
-
-    Two rows are equal exactly when the points are: every head is at most
-    `depth` letters long and the canonical tails continue identically.
-    """
-    rows = canonical_prefixes(measure.fibers, measure.path, measure.anchor, words, depth)
-    return np.array(rows, dtype=np.int64).reshape(len(words), depth)
-
-
 def _common_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Length of the longest common prefix of prefix rows a[i] and b[i], row by row."""
     eq = a == b
@@ -231,7 +221,7 @@ def wasserstein(
 
     d_r and min(1, alpha d_r) depend only on the first index of disagreement,
     so both are ultrametrics.  With g(k) the distance of points first
-    differing at index k and D the longest word over both measures,
+    differing at index k and D = max(mu.depth, nu.depth),
 
         W1 = sum_{k<D} (g(k) - g(k+1))/2 * sum_{|C| = k+1} |mu(C) - nu(C)|.
 
@@ -243,29 +233,22 @@ def wasserstein(
     complementary slackness holds on the plan's support, the primal-dual gap is
     below 1e-7, and the plan cost, read on its support, is the closed-form value.
 
-    Two measures that hold their atoms as arrays of one length are ordered
-    by a lexicographic sort of those arrays, the order of the sorted words,
-    and read as their own prefixes, without re-admitting a word; any other
-    pair is sorted and read through `canonical_prefixes`.
+    The atoms of both measures, read to D letters (`AtomicMeasure.prefixes`:
+    the atoms themselves at equal depths), are ordered by a lexicographic
+    sort, the order of the sorted words, without re-admitting a word; the
+    plan's labels are the atoms at their own depths in that order.
     """
     if mu.anchor != nu.anchor:
         raise AdmissibilityError("measures on different fibers")
     if abs(mu.mass() - nu.mass()) > 1e-10:
         raise ConfigError(f"unequal total masses {mu.mass()} vs {nu.mass()}")
-    sa, ta = mu.atoms, nu.atoms
-    if sa is not None and ta is not None and sa.shape[1] == ta.shape[1]:
-        # admissible words of one length: sorted, they are their own prefixes
-        so, to = np.lexsort(sa.T[::-1]), np.lexsort(ta.T[::-1])
-        src, tgt = sa[so], ta[to]
-        swt, twt = mu.values[so], nu.values[to]
-        sw, tw = list(map(tuple, src.tolist())), list(map(tuple, tgt.tolist()))
-        depth = sa.shape[1]
-    else:
-        sw, tw = sorted(mu.weights), sorted(nu.weights)
-        swt = np.array([mu.weights[w] for w in sw])
-        twt = np.array([nu.weights[w] for w in tw])
-        depth = max(len(w) for w in sw + tw)
-        src, tgt = _prefixes(mu, sw, depth), _prefixes(nu, tw, depth)
+    depth = max(mu.depth, nu.depth)
+    src, tgt = mu.prefixes(depth), nu.prefixes(depth)
+    so, to = np.lexsort(src.T[::-1]), np.lexsort(tgt.T[::-1])
+    src, tgt = src[so], tgt[to]
+    swt, twt = mu.values[so], nu.values[to]
+    sw = list(map(tuple, src[:, :mu.depth].tolist()))
+    tw = list(map(tuple, tgt[:, :nu.depth].tolist()))
     n, m = len(sw), len(tw)
     signed = np.concatenate([swt, -twt])
     order, lcp = _tree(np.vstack([src, tgt]))
@@ -317,7 +300,8 @@ def lipschitz_dual(
     """Kantorovich-Rubinstein program: maximize int f dmu - int f dnu over 1-Lipschitz f.
 
     Solved as an independent LP (HiGHS) over the values of f on the union of
-    supports, read as depth-D prefixes, which are admissible depth-D words; it
+    supports, read as depth-D prefixes (D = max(mu.depth, nu.depth);
+    `AtomicMeasure.prefixes`), which are admissible depth-D words; it
     reads only the tree of those words and `metric.levels`, nothing of the
     closed form.  Two keys first differing at index L lie at distance g(L), g
     non-increasing, so f is 1-Lipschitz on the keys exactly when, on every
@@ -331,9 +315,9 @@ def lipschitz_dual(
     chosen top-down in both their cylinder's interval [max f - g/2, min f + g/2]
     and the parent's slack.  The witness, the first k entries of the solution,
     is extended to every word by the minimal 1-Lipschitz extension on the same
-    tree.  An equal-depth pair of array-form measures is keyed by word-index
-    rows, without re-admitting a word.  scipy is imported here, the only place
-    that needs it, so that a run of the experiments never loads it.
+    tree.  The keys are word-index rows, read without re-admitting a word.
+    scipy is imported here, the only place that needs it, so that a run of
+    the experiments never loads it.
     """
     from scipy import sparse
     from scipy.optimize import linprog
@@ -344,26 +328,16 @@ def lipschitz_dual(
         raise ConfigError(f"unequal total masses {mu.mass()} vs {nu.mass()}")
     fibers, path, anchor = mu.fibers, mu.path, mu.anchor
     depth = max(mu.depth, nu.depth)
-    sa, ta = mu.atoms, nu.atoms
-    arrays = sa is not None and ta is not None and sa.shape[1] == ta.shape[1]
-    if arrays:  # admissible words of one length, each its own key; counted past the cap
-        count = len(sa) + len(ta)
-        if count > LP_CAP:
-            count = len(np.unique(np.vstack([sa, ta]), axis=0))
-    else:
-        points = canonical_prefixes(fibers, path, anchor, [*mu.weights, *nu.weights], depth)
-        count = len(set(points))
+    count = len(mu.values) + len(nu.values)
+    if count > LP_CAP:  # the two measures may share points: count them past the cap
+        count = len(np.unique(np.vstack([mu.prefixes(depth), nu.prefixes(depth)]), axis=0))
     if count > LP_CAP:
         raise ConfigError(f"atom count {count} beyond the LP cap {LP_CAP}")
     # every key is an admissible depth-D word: the program lives on the word tree
     index = word_index(fibers, path, anchor, depth)
     words = index.words
-    if arrays:
-        leaf = np.concatenate([_index_rows(index, m) for m in (mu, nu)])
-        signed = np.concatenate([mu.values, -nu.values])
-    else:
-        leaf = np.array([index.rows[x] for x in points], dtype=np.intp)
-        signed = np.array([*mu.weights.values(), *(-w for w in nu.weights.values())])
+    leaf = np.concatenate([m._rows_in(index, depth) for m in (mu, nu)])
+    signed = np.concatenate([mu.values, -nu.values])
     keyed = np.bincount(leaf, minlength=len(words)) > 0
     k = int(np.count_nonzero(keyed))
     net = np.bincount(leaf, weights=signed, minlength=len(words))[keyed]
@@ -428,15 +402,6 @@ def lipschitz_dual(
     values = dict(zip(words, extension.tolist()))
     witness = CylinderFunction._trusted(fibers, path, anchor, depth, values)
     return value, witness
-
-
-def _index_rows(index, measure: AtomicMeasure) -> np.ndarray:
-    """The row in `index` of each atom of an array-form measure of the index's depth."""
-    if measure._index is index:
-        return measure._rows
-    rows = index.rows
-    return np.fromiter((rows[w] for w in map(tuple, measure.atoms.tolist())),
-                       dtype=np.intp, count=len(measure.values))
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,35 @@ def canonical_walk(fibers, path, anchor, word, depth):
     return tuple(letters[:depth])
 
 
+def dict_integrate(mu, f):
+    """The per-atom integral: a sequential sum from 0.0; a short atom reads its canonical tail."""
+    total = 0.0
+    for w, m in mu.weights.items():
+        if f.depth <= len(w):
+            total += m * f.values[w[: f.depth]]
+        else:
+            total += m * f.values[canonical_walk(mu.fibers, mu.path, mu.anchor, w, f.depth)]
+    return total
+
+
+def dict_marginal(mu, depth, density=None):
+    """Per-atom cylinder sums of density * mu, keys in first-occurrence order."""
+    out = {}
+    for w, m in mu.weights.items():
+        k = w[:depth]
+        out[k] = out.get(k, 0.0) + (m if density is None else m * density.value_at(w))
+    return out
+
+
+def dict_cylinder_mass(mu, word):
+    """The per-atom mass of the cylinder [word]: a sequential sum from 0.0."""
+    total = 0.0
+    for w, m in mu.weights.items():
+        if w[: len(word)] == word:
+            total += m
+    return total
+
+
 @pytest.fixture
 def stationary_path():
     return sample_path(stationary_system(), seed=1)

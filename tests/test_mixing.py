@@ -24,7 +24,14 @@ from rtmclab.transfer import (
 )
 from rtmclab.transport import certify_event, contraction_constants, return_sequences
 
-from conftest import full_shift, stationary_system, two_state_iid
+from conftest import (
+    dict_cylinder_mass,
+    dict_integrate,
+    dict_marginal,
+    full_shift,
+    stationary_system,
+    two_state_iid,
+)
 
 MAT = np.array([[0.3, 0.6], [0.7, 0.4]])  # column-stochastic 2-letter instance
 
@@ -122,11 +129,6 @@ def bits(values):
     return [struct.pack("<d", v) for v in values]
 
 
-def dict_twins(nu):
-    """The same measures without word-index rows, so every kernel runs its dict loop."""
-    return {j: AtomicMeasure(m.fibers, m.path, j, m.depth, dict(m.weights)) for j, m in nu.items()}
-
-
 class TestRowKernelParity:
     def test_joint_matches_dict_loop(self, markov_instance):
         _, path, fibers, phi, triple, tilde, nu, cert = markov_instance
@@ -141,21 +143,28 @@ class TestRowKernelParity:
                         assert list(got) == list(want)
                         assert bits(got.values()) == bits(want.values())
 
-    def test_psi_and_correlations_match_dict_measures(self, markov_instance):
+    def test_psi_and_correlations_match_dict_measures(self, markov_instance, monkeypatch):
+        """psi_mixing and correlation_decay with the measure kernels, then with the
+        per-atom dict loops in their place: the same floats."""
         _, path, fibers, phi, triple, tilde, nu, cert = markov_instance
-        twins = dict_twins(nu)
-        assert nu[0]._rows is not None and twins[0]._rows is None
-        a = psi_mixing(tilde, nu, fibers, path, depth=3, horizon=14, cert=cert)
-        b = psi_mixing(tilde, twins, fibers, path, depth=3, horizon=14, cert=cert)
-        assert [n for n, _ in a.grid] == [n for n, _ in b.grid]
-        assert bits(v for _, v in a.grid) == bits(v for _, v in b.grid)
+        assert nu[0]._rows is not None
         f_at = pattern_function(fibers, path, {(1,): 0.3, (2,): -1.1}, 1)
         g_at = pattern_function(fibers, path, {(1, 1): 1.0, (1, 2): 0.0,
                                                (2, 1): -0.5, (2, 2): 2.0}, 2)
-        a = correlation_decay(f_at, g_at, tilde, nu, fibers, path, horizon=20, cert=cert)
-        b = correlation_decay(f_at, g_at, tilde, twins, fibers, path, horizon=20, cert=cert)
-        assert bits(v for _, v in a.curve) == bits(v for _, v in b.curve)
-        assert a.forward_rows == b.forward_rows and a.backward_rows == b.backward_rows
+
+        def run():
+            return (psi_mixing(tilde, nu, fibers, path, depth=3, horizon=14, cert=cert),
+                    correlation_decay(f_at, g_at, tilde, nu, fibers, path, horizon=20, cert=cert))
+
+        a, c = run()
+        monkeypatch.setattr(AtomicMeasure, "integrate", dict_integrate)
+        monkeypatch.setattr(AtomicMeasure, "marginal", dict_marginal)
+        monkeypatch.setattr(AtomicMeasure, "cylinder_mass", dict_cylinder_mass)
+        b, d = run()
+        assert [n for n, _ in a.grid] == [n for n, _ in b.grid]
+        assert bits(v for _, v in a.grid) == bits(v for _, v in b.grid)
+        assert bits(v for _, v in c.curve) == bits(v for _, v in d.curve)
+        assert c.forward_rows == d.forward_rows and c.backward_rows == d.backward_rows
 
 
 class TestPsiMixing:

@@ -38,6 +38,9 @@ from rtmclab.transfer import (
 
 from conftest import (
     canonical_walk,
+    dict_cylinder_mass,
+    dict_integrate,
+    dict_marginal,
     full_shift,
     golden_mean_shift,
     stationary_system,
@@ -202,23 +205,47 @@ def spread_at(f, k):
     return max(max(g) - min(g) for g in groups.values())
 
 
-def dict_dual_oracle(phi, mu, n=1, max_depth=transfer.DEFAULT_DEPTH_CAP + 16):
-    """The per-atom definition of the dual pull-back, one dict entry per new atom."""
-    out = mu
-    for _ in range(n):
-        if out.depth + 1 > max_depth:
+def dict_dual_oracle(phi, mu, n=1, max_depth=transfer.DEFAULT_DEPTH_CAP + 16, weights=None):
+    """The per-atom definition of the dual pull-back, one dict entry per new atom, from
+    `weights` (by default mu.weights; its words may be shorter than mu.depth)."""
+    fibers, path = mu.fibers, mu.path
+    cur = mu.weights if weights is None else weights
+    for i in range(n):
+        if mu.depth + i + 1 > max_depth:
             raise DepthOverflow(f"dual pull-back beyond depth cap {max_depth}")
-        fibers, path, j = out.fibers, out.path, out.anchor
+        j = mu.anchor - i
         nxt: dict = {}
-        for w, m in out.weights.items():
+        for w, m in cur.items():
             for a in fibers.predecessors(path, j, w[0]):
                 full = (a,) + w
                 look = full
                 if len(look) < phi.depth:
                     look = canonical_walk(fibers, path, j - 1, full, phi.depth)
                 nxt[full] = nxt.get(full, 0.0) + math.exp(phi.value(path, j - 1, look)) * m
-        out = AtomicMeasure(fibers, path, j - 1, out.depth + 1, nxt, probability=False)
-    return out
+        cur = nxt
+    return AtomicMeasure(fibers, path, mu.anchor - n, mu.depth + n, cur, probability=False)
+
+
+def dict_pull_oracle(phi, mu, n):
+    """dual_apply's former dict path: each `weights` key looked up by the canonical walk
+    of its depth-d prefix, d the potential's locality, pulled through the step tables, and
+    the new atoms as the pulled letters joined to the keys, in a dict."""
+    fibers, path, j = mu.fibers, mu.path, mu.anchor
+    d = max(phi.depth - 1, 1)
+    words = list(mu.weights)
+    short = word_index(fibers, path, j, d).rows
+    keys = np.array([short[canonical_walk(fibers, path, j, w, d)] for w in words], dtype=np.intp)
+    weights = np.fromiter(mu.weights.values(), dtype=float, count=len(keys))
+    origin = np.arange(len(keys))
+    lead = np.empty((len(keys), 0), dtype=np.int64)
+    for i in range(n):
+        step = transfer._step_table(phi, fibers, path, j - i, d)
+        e, src = transfer._pull(step, keys)
+        weights = step.weight[e] * weights[src]
+        keys, origin = step.coarse[e], origin[src]
+        lead = np.column_stack((step.letter[e], lead[src]))
+    return {tuple(head) + words[o]: v
+            for head, o, v in zip(lead.tolist(), origin.tolist(), weights.tolist())}
 
 
 def dict_mu_sweep(phi, start, bottom, depth, window):
@@ -456,26 +483,6 @@ class TestSweepPlans:
                       depth=cfg.depths["working"], horizon=40, window=(0, 8))
         first, second = ({id(plan) for plan in plans_of(cfg.fibers)} for cfg in configs)
         assert first and second and not first & second
-
-
-def dict_integrate(mu, f):
-    """The per-atom integral: a sequential sum from 0.0; a short atom reads its canonical tail."""
-    total = 0.0
-    for w, m in mu.weights.items():
-        if f.depth <= len(w):
-            total += m * f.values[w[: f.depth]]
-        else:
-            total += m * f.values[canonical_walk(mu.fibers, mu.path, mu.anchor, w, f.depth)]
-    return total
-
-
-def dict_marginal(mu, depth, density=None):
-    """Per-atom cylinder sums of density * mu, keys in first-occurrence order."""
-    out = {}
-    for w, m in mu.weights.items():
-        k = w[:depth]
-        out[k] = out.get(k, 0.0) + (m if density is None else m * density.value_at(w))
-    return out
 
 
 def dict_invariant_measures(triple):
@@ -748,7 +755,8 @@ class TestMeasureKernelParity:
         for j in nu:
             assert nu[j]._rows is not None
             assert_same_items(nu[j].weights, want[j])
-        # measures without rows, including atoms shorter than h, run the dict loop
+        # measures from the public constructor, their atoms shorter than h: h is read
+        # at each atom's canonical tail
         twin = triple.restrict(0, 6)
         twin.mu = {j: AtomicMeasure(fibers, path, j, 1, triple.mu[j].marginal(1))
                    for j in range(0, 7)}
@@ -780,9 +788,9 @@ def test_invariant_measures_rejects_inadmissible_atom(gm):
     weights = dict(triple.mu[2].weights)
     good = next(w for w in weights if w[0] == 1)
     weights[(2, 2) + good[2:]] = weights.pop(good)
-    triple.mu[2] = AtomicMeasure(fibers, path, 2, 4, weights)
-    with pytest.raises(AdmissibilityError):
-        invariant_measures(triple)
+    # the public constructor admits every key, so no such measure reaches invariant_measures
+    with pytest.raises(AdmissibilityError, match=r"word \(2, 2, .*\) not admissible at fiber 2"):
+        AtomicMeasure(fibers, path, 2, 4, weights)
 
 
 class TestDualApply:
@@ -915,7 +923,7 @@ def dict_triple_json(triple):
     }, sort_keys=True)
 
 
-@pytest.mark.parametrize("name", ["golden_mean", "random_3letter"])
+@pytest.mark.parametrize("name", SHIPPED)
 def test_to_json_matches_dict_rendering(name):
     cfg = load_config(CONFIGS / f"{name}.json")
     fibers, path = cfg.fibers, cfg.sample(cfg.seeds[0])
@@ -927,6 +935,25 @@ def test_to_json_matches_dict_rendering(name):
     for t in (triple, restricted, back):
         assert t.to_json() == dict_triple_json(t)
     assert back.to_json() == triple.to_json()
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_cylinder_mass_matches_dict_loop(name):
+    """cylinder_mass on the atom arrays, bit for bit the per-atom loop, on every fiber of
+    one solve: the swept measures and their invariant twins, words of every length."""
+    cfg = load_config(CONFIGS / f"{name}.json")
+    fibers, path, d = cfg.fibers, cfg.sample(cfg.seeds[0]), cfg.depths["working"]
+    triple = rpf_solve(cfg.potential, fibers, path, depth=d, horizon=cfg.horizons["solve"],
+                       window=(0, 8))
+    nu = invariant_measures(triple)
+    rng = np.random.default_rng(9)
+    for j in range(0, 9):
+        for mu in (triple.mu[j], nu[j]):
+            for k in range(1, d + 1):
+                words = admissible_words(fibers, path, j, k)
+                for i in sorted(set(rng.integers(len(words), size=6).tolist())):
+                    want = dict_cylinder_mass(mu, words[i])
+                    assert bits(mu.cylinder_mass(words[i])) == bits(want), (j, words[i])
 
 
 class TestTrustedConstruction:
@@ -1008,6 +1035,7 @@ class TestRowKeyedPullBack:
                     got, want = dual_apply(phi, mu, n), dual_apply(phi, rebuilt, n)
                     assert (got.anchor, got.depth) == (want.anchor, want.depth)
                     assert_same_items(got.weights, want.weights)
+                    assert_same_items(got.weights, dict_pull_oracle(phi, mu, n))
 
     def test_row_path_admits_no_word(self, instance, request, monkeypatch):
         fibers, path, potentials = self.build(instance, request)
@@ -1038,12 +1066,6 @@ def wide_letters():
     return fibers, path
 
 
-def dict_twin(mu):
-    """The same atoms and masses as a measure in dict form."""
-    return AtomicMeasure(mu.fibers, mu.path, mu.anchor, mu.depth, dict(mu.weights),
-                         probability=mu.probability)
-
-
 def array_twin(mu):
     """The same atoms and masses in array form without rows, as a pull-back holds them."""
     return AtomicMeasure._arrays(mu.fibers, mu.path, mu.anchor, mu.depth, mu.values.copy(),
@@ -1059,7 +1081,7 @@ def assert_same_arrays(got, want):
 
 @pytest.mark.parametrize("instance", ["full2", "pattern3", "two_state", "wide"])
 class TestArrayForm:
-    """Library-built measures in (atoms, values) form against the dict loops, bit for bit."""
+    """Measures in (atoms, values) form against the dict loops, bit for bit."""
 
     def build(self, instance, request):
         fibers, path = {"pattern3": random_pattern3, "two_state": two_state_full,
@@ -1082,20 +1104,22 @@ class TestArrayForm:
                     got = dual_apply(phi, mu, n)
                     assert got._rows is None and got.atoms.shape == (len(got.values), mu.depth + n)
                     assert_same_arrays(dual_apply(phi, array_twin(mu), n), got)
-                    assert_same_arrays(dual_apply(phi, dict_twin(mu), n), got)
+                    assert_same_items(got.weights, dict_pull_oracle(phi, mu, n))
                     assert_same_items(got.weights, dict_dual_oracle(phi, mu, n).weights)
                 # a pull-back of a pull-back is the longer pull-back
                 assert_same_arrays(dual_apply(phi, dual_apply(phi, mu, 3), 3),
                                    dual_apply(phi, mu, 6))
 
-    def test_mixed_lengths_keep_the_dict(self, instance, request):
+    def test_mixed_lengths_pull_back_to_arrays(self, instance, request):
         fibers, path, potentials, rng = self.build(instance, request)
         words = admissible_words(fibers, path, 20, 3)
-        mixed = AtomicMeasure(fibers, path, 20, 3, {words[0]: 0.5, words[-1][:1]: 0.5})
+        keys = {words[0]: 0.5, words[-1][:1]: 0.5}
+        mixed = AtomicMeasure(fibers, path, 20, 3, keys)
         for phi in potentials:
             got = dual_apply(phi, mixed, 2)
-            assert got.atoms is None and got.values is None
-            assert_same_items(got.weights, dict_dual_oracle(phi, mixed, 2).weights)
+            assert got._rows is None and got.atoms.shape == (len(got.values), 5)
+            # the oracle pulls the keys as given, the letter through its canonical tail
+            assert_same_items(got.weights, dict_dual_oracle(phi, mixed, 2, weights=keys).weights)
 
     def deep_measures(self, fibers, path, potentials, rng):
         """Pull-backs to depths 3 .. 12, deeper than any word index built, raw and normalized."""
@@ -1115,11 +1139,11 @@ class TestArrayForm:
     def test_mass_and_normalize(self, instance, request):
         fibers, path, potentials, rng = self.build(instance, request)
         for name, mu in self.deep_measures(fibers, path, potentials, rng).items():
-            twin = dict_twin(mu)
-            assert bits(mu.mass()) == bits(sum(twin.weights.values())), name
-            got, want = mu.normalize(), twin.normalize()
-            assert got.atoms is not None and got.probability
-            assert_same_items(got.weights, want.weights)
+            total = sum(mu.weights.values())  # a sequential sum on CPython 3.11
+            assert bits(mu.mass()) == bits(total), name
+            got = mu.normalize()
+            assert got.probability and np.array_equal(got.atoms, mu.atoms)
+            assert_same_items(got.weights, {w: v / total for w, v in mu.weights.items()})
 
     def test_marginal_coarsen_and_integrate(self, instance, request):
         fibers, path, potentials, rng = self.build(instance, request)

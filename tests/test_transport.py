@@ -16,11 +16,12 @@ from rtmclab.errors import (
     ConvergenceError,
     InvariantViolation,
 )
-from rtmclab.potentials import constant_potential, log_matrix_potential
+from rtmclab.potentials import constant_potential, log_matrix_potential, table_potential
 from rtmclab.shifts import FiberStructure, admissible_words, canonical_prefixes, word_index
 from rtmclab.transfer import (
     AtomicMeasure,
     CylinderFunction,
+    RpfTriple,
     dual_apply,
     invariant_measures,
     normalize_potential,
@@ -28,7 +29,7 @@ from rtmclab.transfer import (
     rpf_solve,
     transfer_power,
 )
-from rtmclab import transport
+from rtmclab import shifts, transfer, transport
 from rtmclab.transport import (
     Metric,
     build_coupling,
@@ -182,7 +183,7 @@ def pairwise_kr_oracle(mu, nu, metric):
     net: dict = {}
     for measure, sign in ((mu, 1.0), (nu, -1.0)):
         words = list(measure.weights)
-        for w, key in zip(words, map(tuple, transport._prefixes(measure, words, depth).tolist())):
+        for w, key in zip(words, map(tuple, point_prefix_oracle(measure, words, depth).tolist())):
             net[key] = net.get(key, 0.0) + sign * measure.weights[w]
     keys = sorted(net)
     k = len(keys)
@@ -314,6 +315,104 @@ def greedy_plan_oracle(order, lcp, depth, weights, n, m):
     return plan
 
 
+def dict_wasserstein_oracle(mu, nu, metric):
+    """wasserstein's former dict path: the sorted `weights` keys, read through their
+    canonical walks to the longest key, the closed form and its duals on that tree, and
+    the level-by-level plan.  Returns (value, source keys, target keys, dense plan,
+    source duals, target duals, dual gap)."""
+    sw, tw = sorted(mu.weights), sorted(nu.weights)
+    swt = np.array([mu.weights[w] for w in sw])
+    twt = np.array([nu.weights[w] for w in tw])
+    depth = max(len(w) for w in sw + tw)
+    src, tgt = point_prefix_oracle(mu, sw, depth), point_prefix_oracle(nu, tw, depth)
+    n, m = len(sw), len(tw)
+    signed = np.concatenate([swt, -twt])
+    order, lcp = transport._tree(np.vstack([src, tgt]))
+    g = metric.levels(depth)
+    value = 0.0
+    f = np.zeros(n + m)
+    for k in range(depth):
+        step = float(g[k] - g[k + 1]) / 2.0
+        if step == 0.0:
+            continue
+        cyl = np.cumsum(lcp < k + 1) - 1
+        excess = np.bincount(cyl, weights=signed[order])
+        value += step * float(np.abs(excess).sum())
+        f[order] += step * np.sign(excess)[cyl]
+    plan = greedy_plan_oracle(order, lcp, depth, swt.tolist() + twt.tolist(), n, m)
+    u, v = f[:n], -f[n:]
+    return value, sw, tw, plan, u, v, abs(value - float(u @ swt + v @ twt))
+
+
+def dict_kr_oracle(mu, nu, metric):
+    """lipschitz_dual's former dict path: the `weights` keys of both measures read
+    through their canonical walks to D = max(mu.depth, nu.depth) and keyed by their
+    rows in the depth-D word index, then the program along the cylinder tree's edges
+    and the minimal extension of its witness.  Returns the value and the witness."""
+    fibers, path, anchor = mu.fibers, mu.path, mu.anchor
+    depth = max(mu.depth, nu.depth)
+    points = [tuple(x) for m in (mu, nu)
+              for x in point_prefix_oracle(m, list(m.weights), depth).tolist()]
+    index = word_index(fibers, path, anchor, depth)
+    words = index.words
+    leaf = np.array([index.rows[x] for x in points], dtype=np.intp)
+    signed = np.array([*mu.weights.values(), *(-w for w in nu.weights.values())])
+    keyed = np.bincount(leaf, minlength=len(words)) > 0
+    k = int(np.count_nonzero(keyed))
+    net = np.bincount(leaf, weights=signed, minlength=len(words))[keyed]
+    _, lcp = transport._tree(index.array)
+    cyl = np.cumsum([lcp < length for length in range(depth + 1)], axis=1) - 1
+    g = metric.levels(depth)
+    deepest = np.zeros(k, dtype=np.intp)
+    centre = np.zeros(k, dtype=np.intp)
+    lo, hi, half = [], [], []
+    n_centres = 0
+    for length in range(depth):
+        ids = cyl[length][keyed]
+        shared = np.bincount(ids) >= 2
+        inside = shared[ids]
+        if not inside.any():
+            break
+        here = np.where(inside, k + n_centres + (np.cumsum(shared) - 1)[ids], -1)
+        if length:
+            first = np.flatnonzero(inside & (np.diff(here, prepend=-1) != 0))
+            lo.append(here[first])
+            hi.append(above[first])
+            half.append(np.full(len(first), (g[length - 1] - g[length]) / 2.0))
+        deepest[inside], centre[inside] = length, here[inside]
+        n_centres += int(shared.sum())
+        above = here
+    if n_centres:
+        lo.insert(0, np.arange(k))
+        hi.insert(0, centre)
+        half.insert(0, g[deepest] / 2.0)
+    pair = sum(map(len, lo))
+    c_obj = np.concatenate([-net, np.zeros(n_centres)])
+    bounds = np.full((k + n_centres, 2), [-np.inf, np.inf])
+    bounds[0] = 0.0
+    if pair:
+        lo, hi = np.concatenate(lo), np.concatenate(hi)
+        a_ub = sparse.csc_matrix(
+            (np.tile([1.0, -1.0, -1.0, 1.0], pair),
+             (np.repeat(np.arange(2 * pair), 2),
+              np.stack([lo, hi, lo, hi], axis=1).ravel())),
+            shape=(2 * pair, k + n_centres),
+        )
+        res = linprog(c_obj, A_ub=a_ub, b_ub=np.repeat(np.concatenate(half), 2),
+                      bounds=bounds, method="highs", options=transport._LP_OPTIONS)
+    else:
+        res = linprog(c_obj, bounds=bounds, method="highs", options=transport._LP_OPTIONS)
+    assert res.success, res.message
+    f_keys = res.x[:k]
+    extension = np.full(len(words), np.inf)
+    for length, ids in enumerate(cyl):
+        least = np.full(ids[-1] + 1, np.inf)
+        np.minimum.at(least, ids[keyed], f_keys)
+        extension = np.minimum(extension, g[length] + least[ids])
+    extension[keyed] = f_keys
+    return -float(res.fun), dict(zip(words, extension.tolist()))
+
+
 def make_measure(fibers, path, anchor, depth, weights):
     words = admissible_words(fibers, path, anchor, depth)
     assert len(words) == len(weights)
@@ -403,7 +502,7 @@ def _prefix_instances():
 
 @pytest.mark.parametrize("name", ["golden", "full3_two_state", "pattern3", "uneven"])
 class TestPrefixParity:
-    """_prefixes against the per-atom point oracle: the same rows, exactly."""
+    """AtomicMeasure.prefixes against the per-atom point oracle: the same rows, exactly."""
 
     def test_mixed_length_atoms(self, name):
         fibers, path = _prefix_instances()[name]
@@ -419,22 +518,26 @@ class TestPrefixParity:
             raw = rng.random(len(pick)) + 0.05
             mu = AtomicMeasure(fibers, path, anchor, 5,
                                {w: float(x) for w, x in zip(pick, raw / raw.sum())})
-            words = list(mu.weights)
-            assert {len(w) for w in words} == {1, 2, 3, 4, 5}
+            assert {len(w) for w in pick} == {1, 2, 3, 4, 5}
+            # the atoms are the keys' depth-5 points, each point once, in key order
+            points = list(map(tuple, point_prefix_oracle(mu, pick, 5).tolist()))
+            atom = {p: i for i, p in enumerate(map(tuple, mu.atoms.tolist()))}
+            assert list(atom) == list(dict.fromkeys(points))
             for depth in (1, 3, 5, 8):  # longer, shorter and as long as the atoms
-                got = transport._prefixes(mu, words, depth)
-                want = point_prefix_oracle(mu, words, depth)
-                assert got.dtype == want.dtype and got.shape == (len(words), depth)
+                got = mu.prefixes(depth)[[atom[p] for p in points]]
+                want = point_prefix_oracle(mu, pick, depth)
+                assert got.dtype == want.dtype and got.shape == (len(pick), depth)
                 assert np.array_equal(got, want), (anchor, depth)
 
     def test_inadmissible_word_rejected(self, name):
         fibers, path = _prefix_instances()[name]
         mu = AtomicMeasure.uniform(fibers, path, -5, 2)
         bad = [admissible_words(fibers, path, -5, 2)[0], (1, 9)]
-        for prefixes in (transport._prefixes, point_prefix_oracle):
-            with pytest.raises(AdmissibilityError,
-                               match=r"word \(1, 9\) not admissible at fiber -5"):
-                prefixes(mu, bad, 4)
+        match = r"word \(1, 9\) not admissible at fiber -5"
+        with pytest.raises(AdmissibilityError, match=match):
+            AtomicMeasure(fibers, path, -5, 4, dict.fromkeys(bad, 0.5))
+        with pytest.raises(AdmissibilityError, match=match):
+            point_prefix_oracle(mu, bad, 4)
 
 
 class TestMetric:
@@ -552,28 +655,23 @@ def _array_pairs():
 
 @pytest.mark.parametrize("name", ["full3", "golden", "wide"])
 class TestArrayTransport:
-    """wasserstein on (atoms, values) arrays against the dict path, and no re-admission."""
-
-    @staticmethod
-    def dict_twin(mu):
-        return AtomicMeasure(mu.fibers, mu.path, mu.anchor, mu.depth, dict(mu.weights),
-                             probability=mu.probability)
+    """wasserstein and lipschitz_dual on (atoms, values) arrays against their former dict
+    paths, kept as oracles, and no re-admission."""
 
     def test_matches_dict_path(self, name):
         fibers, path, pairs = _array_pairs()[name]
         for mu, nu in pairs:
-            assert mu.atoms is not None and mu.atoms.shape[1] == nu.atoms.shape[1]
+            assert mu.atoms.shape[1] == nu.atoms.shape[1]
             for metric in (Metric("raw", 0.4), Metric("adjusted", 0.4, alpha=2.5)):
                 value, plan = wasserstein(mu, nu, metric)
-                want_value, want = wasserstein(self.dict_twin(mu), self.dict_twin(nu), metric)
+                want_value, sw, tw, dense, u, v, gap = dict_wasserstein_oracle(mu, nu, metric)
                 assert value.hex() == want_value.hex()
-                assert plan.source_labels == want.source_labels
-                assert plan.target_labels == want.target_labels
+                assert plan.source_labels == sw
+                assert plan.target_labels == tw
                 assert all(type(w) is tuple for w in plan.source_labels + plan.target_labels)
-                for a, b in ((plan.plan, want.plan), (plan.dual_source, want.dual_source),
-                             (plan.dual_target, want.dual_target)):
+                for a, b in ((plan.plan, dense), (plan.dual_source, u), (plan.dual_target, v)):
                     assert a.tobytes() == b.tobytes()
-                assert plan.dual_gap == want.dual_gap
+                assert plan.dual_gap == gap
 
     def test_no_word_is_admitted(self, name, monkeypatch):
         fibers, path, pairs = _array_pairs()[name]
@@ -588,11 +686,10 @@ class TestArrayTransport:
 
     def test_dual_reads_the_arrays(self, name, monkeypatch):
         """lipschitz_dual keys an equal-depth library-built pair by index rows: the same
-        program as its dict twin, float for float, and no word is re-admitted."""
+        program as its former dict path, float for float, and no word is re-admitted."""
         fibers, path, pairs = _array_pairs()[name]
         metric = Metric("adjusted", 0.4, alpha=2.5)
-        want = [lipschitz_dual(self.dict_twin(mu), self.dict_twin(nu), metric)
-                for mu, nu in pairs]
+        want = [dict_kr_oracle(mu, nu, metric) for mu, nu in pairs]
 
         def forbidden(*args):
             raise AssertionError("an atom was re-admitted")
@@ -602,7 +699,7 @@ class TestArrayTransport:
         for (mu, nu), (want_value, want_witness) in zip(pairs, want):
             value, witness = lipschitz_dual(mu, nu, metric)
             assert value.hex() == want_value.hex()
-            assert witness.values == want_witness.values
+            assert witness.values == want_witness
 
 
 class TestTreeCertificate:
@@ -1026,6 +1123,88 @@ class TestAtomDedup:
         dual, _ = lipschitz_dual(a, b, metric)
         assert value == pytest.approx(0.0, abs=1e-12)
         assert dual == pytest.approx(0.0, abs=1e-12)
+
+
+class TestOverLongAtoms:
+    """A key longer than the measure depth used to be read at full length by wasserstein
+    and cut to the depth by lipschitz_dual and coarsen, breaking the duality."""
+
+    def test_rejected_with_word_and_depth(self):
+        cfg = load_config(CONFIGS / "full_shift_iid.json")
+        path = cfg.sample(0)
+        with pytest.raises(AdmissibilityError,
+                           match=r"word \(1, 2, 2\) longer than the measure depth 1 at fiber 0"):
+            AtomicMeasure(cfg.fibers, path, 0, 1, {(1, 2, 2): 0.5, (2,): 0.5})
+
+    def test_duality_at_the_declared_depth(self):
+        cfg = load_config(CONFIGS / "full_shift_iid.json")
+        path = cfg.sample(0)
+        mu, nu = (AtomicMeasure(cfg.fibers, path, 0, 3, {word: 0.5, (2,): 0.5})
+                  for word in ((1, 2, 2), (1, 1, 1)))
+        metric = Metric("raw", 0.5)
+        value, _ = wasserstein(mu, nu, metric)
+        dual, _ = lipschitz_dual(mu, nu, metric)
+        assert value == pytest.approx(0.25, abs=1e-12)  # half the mass moves g(1) = 1/2
+        assert abs(value - dual) <= 1e-10
+        assert mu.coarsen(1).atoms.tolist() == [[1], [2]]
+
+
+class TestNoReadmission:
+    """Once a measure is built, no kernel re-admits a word."""
+
+    def test_kernels_admit_no_word(self, monkeypatch):
+        """mass, normalize, integrate, marginal, coarsen, cylinder_mass, dual_apply,
+        invariant_measures, wasserstein and lipschitz_dual on Dirac, mixed-length, JSON
+        and library-built measures, at equal and unequal depths, with functions and
+        potentials deeper and shallower than the atoms."""
+        cfg = load_config(CONFIGS / "random_3letter.json")
+        fibers, phi, path = cfg.fibers, cfg.potential, cfg.sample(cfg.seeds[0])
+        triple = rpf_solve(phi, fibers, path, depth=cfg.depths["working"],
+                           horizon=cfg.horizons["solve"], window=(0, 6))
+        back = RpfTriple.from_json(triple.to_json(), fibers, path)
+        rng = np.random.default_rng(3)
+        words = admissible_words(fibers, path, 2, 3)
+        measures = {
+            "dirac": AtomicMeasure.dirac(fibers, path, 2, words[0][:1]),
+            "mixed": AtomicMeasure(fibers, path, 2, 3, {words[0]: 0.5, words[-1][:1]: 0.5}),
+            "json": back.mu[2],
+            "sweep": triple.mu[2],
+            "random": AtomicMeasure.random(fibers, path, 2, 2, rng),
+            "pulled": dual_apply(phi, AtomicMeasure.random(fibers, path, 5, 2, rng),
+                                 3).normalize(),
+        }
+        assert sorted({mu.depth for mu in measures.values()}) == [1, 2, 3, 4, 5]
+        functions = [random_lipschitz(fibers, path, 2, k, rng, r=phi.r) for k in (1, 3, 6)]
+        tables = [{w: float(rng.normal(scale=0.4))
+                   for w in itertools.product(fibers.universe, repeat=4)}
+                  for _ in fibers.alphabets]
+        potentials = (phi, table_potential(tables, depth=4, r=0.5))  # localities 1 and 3
+        metric = Metric("adjusted", phi.r, alpha=2.0)
+
+        def forbidden(*args):
+            raise AssertionError("a word was re-admitted")
+
+        for module in (shifts, transfer, transport):
+            monkeypatch.setattr(module, "canonical_prefixes", forbidden)
+        monkeypatch.setattr(FiberStructure, "admits_word", forbidden)
+        for mu in measures.values():
+            mu.normalize().mass()
+            for f in functions:
+                mu.integrate(f)
+            for depth in range(1, mu.depth + 1):
+                mu.coarsen(depth)
+                for f in (None, *functions):
+                    mu.marginal(depth, f)
+            for word in map(tuple, mu.prefixes(mu.depth + 2).tolist()):
+                for k in range(mu.depth + 3):
+                    mu.cylinder_mass(word[:k])
+            for psi in potentials:
+                dual_apply(psi, mu, 2)
+            for other in measures.values():
+                wasserstein(mu, other, metric)
+                lipschitz_dual(mu, other, metric)
+        invariant_measures(triple)
+        invariant_measures(back)
 
 
 def _ladder_pairs():
