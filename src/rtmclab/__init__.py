@@ -13,17 +13,13 @@ from .driver import (
     DriverPath,
     DriverSystem,
     EventSpec,
-    event_frequency,
-    return_times,
     sample_path,
-    shift_path,
 )
 from .errors import (
     AdmissibilityError,
     ConfigError,
     ConvergenceError,
     DepthOverflow,
-    InsufficientReturns,
     InvariantViolation,
     RtmcError,
     WindowExhausted,
@@ -38,7 +34,6 @@ from .potentials import (
     DistortionConstants,
     Potential,
     constant_potential,
-    distortion_check,
     distortion_constant,
     fitted_kappa,
     log_matrix_potential,
@@ -54,7 +49,6 @@ from .transfer import (
     PressureEstimate,
     RpfTriple,
     dual_apply,
-    eigenvalue_ratio_curve,
     gibbs_check,
     gurevich_pressure,
     invariant_measures,

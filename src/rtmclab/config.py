@@ -69,21 +69,27 @@ class ExperimentConfig:
         return sample_path(self.system, seed=seed, max_radius=max_radius)
 
 
+def _integer(value, key: str) -> int:
+    """A count or seed as written in the config; anything but a JSON integer,
+    a bool included, is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key}: expected an integer, got {json.dumps(value)}")
+    return value
+
+
 def _section(raw: dict, name: str, defaults: dict) -> dict:
-    """A config section over its defaults; a key nothing reads is a ConfigError."""
+    """A config section over its defaults; a key nothing reads is a ConfigError,
+    and so is a value that is not an integer where the default is one."""
     values = raw.get(name, {})
     unknown = sorted(set(values) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown {name} key(s) {', '.join(unknown)}; "
                           f"known: {', '.join(sorted(defaults))}")
-    return {**defaults, **values}
-
-
-def _seed(value, key: str) -> int:
-    """A seed as written in the config; anything but a JSON integer is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key}: expected an integer, got {json.dumps(value)}")
-    return value
+    section = {**defaults, **values}
+    for key, default in defaults.items():
+        if isinstance(default, int):
+            _integer(section[key], f"{name}.{key}")
+    return section
 
 
 def _check_state_keys(raw: dict, states: tuple) -> None:
@@ -118,7 +124,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         kind=law.get("kind", "iid"),
         weights=np.asarray(law["weights"], dtype=float) if "weights" in law else None,
         matrix=np.asarray(law["matrix"], dtype=float) if "matrix" in law else None,
-        seed=_seed(drv.get("seed", 0), "driver.seed"),
+        seed=_integer(drv.get("seed", 0), "driver.seed"),
     )
     _check_state_keys(raw, system.states)
     fib = raw["fibers"]
@@ -169,7 +175,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     seeds = raw.get("seeds", [system.seed])
     if not isinstance(seeds, list):
         raise ConfigError(f"seeds: expected a list of integers, got {json.dumps(seeds)}")
-    seeds = [_seed(s, f"seeds[{i}]") for i, s in enumerate(seeds)]
+    seeds = [_integer(s, f"seeds[{i}]") for i, s in enumerate(seeds)]
     sequences = _section(raw, "sequences", _SEQUENCE_DEFAULTS)
     observables = raw.get("observables", {})
     return ExperimentConfig(

@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientReturns, WindowExhausted
+from .errors import ConfigError, WindowExhausted
 
 _BLOCK = 4096
 _STOCHASTIC_TOL = 1e-12
@@ -131,12 +131,13 @@ def _cumulative(rows) -> list[list[float]]:
     return [np.cumsum(row).tolist() for row in rows]
 
 
-class _PathCore:
-    """Shared lazy two-sided state buffer for one (system, seed).
+class DriverPath:
+    """One sampled base realization; index 0 is the reference point, index n its n-th shift.
 
-    A state is the first position of a law row's running sum above its
-    uniform, capped at the last state: `np.searchsorted(side="right")` on
-    the row, read off cached float lists by `bisect_right`.
+    States live in a lazy two-sided buffer for one (system, seed).  A state is
+    the first position of a law row's running sum above its uniform, capped at
+    the last state: `np.searchsorted(side="right")` on the row, read off
+    cached float lists by `bisect_right`.
     """
 
     __slots__ = ("system", "seed", "max_radius", "_neg", "_pos", "_ublocks", "_fwd", "_bwd")
@@ -145,15 +146,15 @@ class _PathCore:
         self.system = system
         self.seed = int(seed)
         self.max_radius = int(max_radius)
-        self._pos: list[int] = []  # states at global indices 0, 1, ...
-        self._neg: list[int] = []  # states at global indices -1, -2, ...
+        self._neg: list[int] = []  # states at indices -1, -2, ...
         self._ublocks: dict[int, np.ndarray] = {}
         # running sums of the forward law rows (one row for i.i.d.); the
         # backward rows of a Markov law are built on the first negative read
         iid = system.kind == "iid"
         self._fwd = _cumulative([system.weights] if iid else system.matrix)
         self._bwd = self._fwd if iid else None
-        self._seed_origin()
+        init = self._fwd[0] if iid else _cumulative([system.stationary()])[0]
+        self._pos: list[int] = [self._draw(init, 0)]  # states at indices 0, 1, ...
 
     def _uniform(self, g: int) -> float:
         block, off = divmod(g, _BLOCK)
@@ -167,12 +168,8 @@ class _PathCore:
     def _draw(self, cum: list[float], g: int) -> int:
         return min(bisect_right(cum, self._uniform(g)), len(cum) - 1)
 
-    def _seed_origin(self) -> None:
-        sys = self.system
-        init = self._fwd[0] if sys.kind == "iid" else _cumulative([sys.stationary()])[0]
-        self._pos.append(self._draw(init, 0))
-
-    def state(self, g: int) -> int:
+    def _grow(self, g: int) -> int:
+        """The state at index g, drawing every state between it and the buffer."""
         if abs(g) > self.max_radius:
             raise WindowExhausted(
                 f"index {g} beyond configured maximum window radius {self.max_radius}"
@@ -191,34 +188,13 @@ class _PathCore:
             neg.append(self._draw(bwd[0] if iid else bwd[cur], -len(neg) - 1))
         return neg[-g - 1]
 
-
-@dataclass
-class DriverPath:
-    """One sampled base realization; index 0 is the reference point, index n its n-th shift."""
-
-    core: _PathCore
-    origin: int = 0
-
-    @property
-    def system(self) -> DriverSystem:
-        return self.core.system
-
-    @property
-    def seed(self) -> int:
-        return self.core.seed
-
-    @property
-    def max_radius(self) -> int:
-        return self.core.max_radius
-
     def state(self, i: int) -> int:
         """Driver state index at path index i (lazily sampled)."""
-        g, core = self.origin + i, self.core
-        if 0 <= g < len(core._pos):
-            return core._pos[g]
-        if 0 < -g <= len(core._neg):
-            return core._neg[-g - 1]
-        return core.state(g)
+        if 0 <= i < len(self._pos):
+            return self._pos[i]
+        if 0 < -i <= len(self._neg):
+            return self._neg[-i - 1]
+        return self._grow(i)
 
     def states(self, lo: int, hi: int) -> tuple[int, ...]:
         """States at indices lo..hi inclusive, sliced from the materialized buffers.
@@ -229,16 +205,15 @@ class DriverPath:
         """
         if hi < lo:
             return ()
-        core = self.core
-        g_lo, g_hi = self.origin + lo, self.origin + hi
-        if -g_lo > len(core._neg) or g_hi >= len(core._pos):
-            core.state(g_lo)
-            core.state(min(g_hi, core.max_radius + 1))
-        if g_lo >= 0:
-            return tuple(core._pos[g_lo:g_hi + 1])
-        if g_hi < 0:
-            return tuple(core._neg[-g_hi - 1:-g_lo][::-1])
-        return tuple(core._neg[-g_lo - 1::-1]) + tuple(core._pos[:g_hi + 1])
+        pos, neg = self._pos, self._neg
+        if -lo > len(neg) or hi >= len(pos):
+            self._grow(lo)
+            self._grow(min(hi, self.max_radius + 1))
+        if lo >= 0:
+            return tuple(pos[lo:hi + 1])
+        if hi < 0:
+            return tuple(neg[-hi - 1:-lo][::-1])
+        return tuple(neg[-lo - 1::-1]) + tuple(pos[:hi + 1])
 
 
 def sample_path(
@@ -249,15 +224,7 @@ def sample_path(
     """The lazy two-sided driver path of the seed, readable at indices |i| <= max_radius."""
     if max_radius < 1:
         raise ConfigError(f"maximum window radius must be >= 1, got {max_radius}")
-    core = _PathCore(system, system.seed if seed is None else seed, max_radius)
-    return DriverPath(core=core, origin=0)
-
-
-def shift_path(path: DriverPath, k: int) -> DriverPath:
-    """Translate the base point by k: the result at index j reads the input at index j + k."""
-    if abs(path.origin + k) > path.max_radius:
-        raise WindowExhausted(f"shift by {k} leaves the configured maximum radius")
-    return DriverPath(core=path.core, origin=path.origin + k)
+    return DriverPath(system, system.seed if seed is None else seed, max_radius)
 
 
 @dataclass(frozen=True)
@@ -281,35 +248,3 @@ class EventSpec:
     def state_in(system: DriverSystem, labels: Iterable[str], name: str = "") -> "EventSpec":
         return EventSpec(frozenset(system.index_of(s) for s in labels),
                          name or f"state_in({sorted(labels)})")
-
-
-def return_times(
-    path: DriverPath,
-    event: EventSpec,
-    count: int,
-    direction: str = "forward",
-) -> tuple[int, ...]:
-    """Strictly increasing entrance times n >= 1 of the event at the n-th (or -n-th) shift."""
-    if count < 1:
-        raise ConfigError("count must be >= 1")
-    if direction not in ("forward", "backward"):
-        raise ConfigError(f"unknown direction {direction!r}")
-    sign = 1 if direction == "forward" else -1
-    out: list[int] = []
-    n = 1
-    limit = path.max_radius - abs(path.origin)
-    while len(out) < count:
-        if n > limit:
-            raise InsufficientReturns(
-                f"only {len(out)} of {count} returns of {event.name} within radius {limit}"
-            )
-        if event.evaluate(path, sign * n):
-            out.append(n)
-        n += 1
-    return tuple(out)
-
-
-def event_frequency(path: DriverPath, event: EventSpec, span: int) -> float:
-    """Empirical frequency of the event over indices 1..span."""
-    hits = sum(event.evaluate(path, i) for i in range(1, span + 1))
-    return hits / span

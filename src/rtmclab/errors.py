@@ -13,10 +13,6 @@ class WindowExhausted(RtmcError):
     """A driver path was asked to extend beyond its configured maximum radius."""
 
 
-class InsufficientReturns(RtmcError):
-    """Fewer event returns than requested occurred within the window bound."""
-
-
 class AdmissibilityError(RtmcError):
     """A word or prefix is not admissible along the requested fibers."""
 

@@ -106,7 +106,6 @@ def matrix_rpf(
     path: DriverPath,
     horizon: int = 128,
     window: tuple[int, int] = (0, 0),
-    tol: float = 1e-10,
 ) -> MatrixRpf:
     """Forward/backward vector-cocycle iteration with eigenvalues from pull-back masses.
 
@@ -152,11 +151,13 @@ def matrix_rpf(
         pass
     res = MatrixRpf(lo=lo, hi=hi, log_lambda={j: lams[j] for j in range(lo, hi)},
                     h=out_h, mu=out_mu, err_curve=err, fit=fit)
-    _check_eigen_equations(family, path, res, tol)
+    _check_eigen_equations(family, path, res)
     return res
 
 
-def _check_eigen_equations(family, path, res: MatrixRpf, tol: float) -> None:
+def _check_eigen_equations(family, path, res: MatrixRpf) -> None:
+    """Both eigen equations per fiber, relative to max(lambda, 1), within 1e-10."""
+    tol = 1e-10
     for j in range(res.lo, res.hi):
         a = family.slice(path, j)
         lam = res.lam(j)

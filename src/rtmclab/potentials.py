@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .driver import DriverPath
-from .errors import AdmissibilityError, ConfigError, InvariantViolation
+from .errors import AdmissibilityError, ConfigError
 from .shifts import FiberStructure, admissible_words
 
 
@@ -206,7 +206,7 @@ def distortion_constant(
     cutoff = horizon + 1
     if phi.state_keyed:
         path.state(fiber - 1)
-        lowest = -path.max_radius - 1 - path.origin
+        lowest = -path.max_radius - 1
         states = path.states(max(fiber - horizon, lowest), fiber - 1)
         kappa = [phi.kappa[s] for s in reversed(states)]
     else:
@@ -224,58 +224,6 @@ def distortion_constant(
     tail = km * r ** cutoff / (1.0 - r)
     return DistortionConstants(fiber=fiber, value=math.exp(series + tail),
                                horizon=horizon, tail_bound=tail)
-
-
-def distortion_check(
-    phi: Potential,
-    fibers: FiberStructure,
-    path: DriverPath,
-    anchor: int,
-    letters: tuple[int, ...],
-    n: int,
-    samples: int = 1000,
-    seed: int = 0,
-    horizon: int = 128,
-) -> tuple[float, float]:
-    """Bound r^(m-n) log B against the empirical Birkhoff-sum spread over pairs in [a].
-
-    The word a is `letters` from fiber `anchor`.  Returns (bound, empirical_max);
-    raises InvariantViolation when the declared kappa fails to cover the observed
-    distortion.
-    """
-    letters = tuple(letters)
-    m = len(letters)
-    if not 0 <= n <= m - phi.index + 1:
-        raise ConfigError(f"need 0 <= n <= m - index + 1 = {m - phi.index + 1}, got {n}")
-    if not fibers.admits_word(path.states(anchor, anchor + m - 1), letters):
-        raise AdmissibilityError(f"word {letters} not admissible at fiber {anchor}")
-    bound = phi.r ** (m - n) * math.log(
-        distortion_constant(phi, path, anchor + n, horizon=horizon).value
-    )
-    if n == 0:
-        return bound, 0.0
-    extra = max(phi.depth - 1, 3)
-    refinements = _refine(fibers, path, anchor, letters, extra)
-    rng = np.random.default_rng(seed)
-    if len(refinements) > samples:
-        idx = rng.choice(len(refinements), size=samples, replace=False)
-        refinements = [refinements[i] for i in idx]
-    sums = [word_birkhoff(phi, path, anchor, w, n) for w in refinements]
-    empirical = max(sums) - min(sums) if sums else 0.0
-    if empirical > bound + 1e-12:
-        raise InvariantViolation(
-            f"distortion {empirical} exceeds the declared bound {bound}: "
-            "the potential misdeclares its kappa"
-        )
-    return bound, empirical
-
-
-def _refine(fibers: FiberStructure, path: DriverPath, anchor: int, letters: tuple[int, ...],
-            extra: int) -> list[tuple[int, ...]]:
-    """All admissible extensions of the word `letters` at `anchor` by `extra` letters, sorted."""
-    n = len(letters)
-    return [letters + t for t in admissible_words(fibers, path, anchor + n, extra)
-            if fibers.admits(path, anchor + n - 1, letters[-1], t[0])]
 
 
 def summability_value(

@@ -82,7 +82,7 @@ from typing import Callable
 
 import numpy as np
 
-from .driver import DriverPath, EventSpec
+from .driver import DriverPath
 from .errors import (
     AdmissibilityError,
     ConfigError,
@@ -194,9 +194,6 @@ class CylinderFunction:
     def sub(self, other: "CylinderFunction") -> "CylinderFunction":
         return self.binary(other, lambda x, y: x - y)
 
-    def div(self, other: "CylinderFunction") -> "CylinderFunction":
-        return self.binary(other, lambda x, y: x / y)
-
     def lipschitz(self, r: float, alpha: float | None = None) -> float:
         """Exact Lipschitz constant over the fiber under d_r (alpha=None) or the capped metric.
 
@@ -292,6 +289,8 @@ class AtomicMeasure:
                  weights: dict, probability: bool = True):
         """Atoms at the points of the keys, admissible words of at most `depth` letters;
         keys naming one point are summed in first-occurrence order."""
+        if depth < 1:
+            raise ConfigError(f"measure depth must be >= 1, got {depth}")
         words = list(weights)
         for w in words:
             if len(w) > depth:
@@ -733,31 +732,24 @@ class RpfTriple:
         return json.dumps(payload, sort_keys=True)
 
     @staticmethod
-    def from_json(text: str, fibers: FiberStructure, path: DriverPath,
-                  tolerance: float = 1e-8) -> "RpfTriple":
+    def from_json(text: str, fibers: FiberStructure, path: DriverPath) -> "RpfTriple":
         raw = json.loads(text)
 
-        def parse_word(s: str) -> tuple[int, ...]:
-            return tuple(int(t) for t in s.split(","))
+        def table(name: str, j: str, tab: dict) -> tuple[int, dict]:
+            """The depth of a word table, read off its first key, and its parsed words."""
+            if not tab:
+                raise ConfigError(f"triple {name} table at fiber {j} is empty")
+            words = {tuple(int(t) for t in w.split(",")): v for w, v in tab.items()}
+            return len(next(iter(words))), words
 
-        h = {
-            int(j): CylinderFunction(
-                fibers, path, int(j), len(parse_word(next(iter(tab)))),
-                {parse_word(w): v for w, v in tab.items()},
-            )
-            for j, tab in raw["h"].items()
-        }
-        mu = {
-            int(j): AtomicMeasure(
-                fibers, path, int(j), len(parse_word(next(iter(tab)))),
-                {parse_word(w): v for w, v in tab.items()},
-            )
-            for j, tab in raw["mu"].items()
-        }
+        h = {int(j): CylinderFunction(fibers, path, int(j), *table("h", j, tab))
+             for j, tab in raw["h"].items()}
+        mu = {int(j): AtomicMeasure(fibers, path, int(j), *table("mu", j, tab))
+              for j, tab in raw["mu"].items()}
         return RpfTriple(
             fibers=fibers, path=path, lo=raw["lo"], hi=raw["hi"],
             log_lambda={int(k): v for k, v in raw["log_lambda"].items()},
-            h=h, mu=mu, tolerance=raw.get("tolerance", tolerance),
+            h=h, mu=mu, tolerance=raw.get("tolerance", 1e-8),
         )
 
 
@@ -821,20 +813,12 @@ def _mu_gap(a: AtomicMeasure, b: AtomicMeasure) -> float:
     return float(np.max(np.abs(a._values - other[a._rows])))
 
 
-def _event_true_at_or_below(path: DriverPath, event: EventSpec, j: int, floor: int) -> int:
-    for i in range(j, floor - 1, -1):
-        if event.evaluate(path, i):
-            return i
-    raise ConvergenceError(f"no return of {event.name} in [{floor}, {j}]")
-
-
 def rpf_solve(
     phi: Potential,
     fibers: FiberStructure,
     path: DriverPath,
     depth: int = 8,
     horizon: int = 128,
-    event: EventSpec | None = None,
     window: tuple[int, int] = (0, 0),
     tol: float = 1e-8,
     seed: int = 0,
@@ -855,15 +839,13 @@ def rpf_solve(
         # coarsening a pulled-back measure below the potential locality would
         # corrupt the next pull's branch weights
         raise ConfigError(f"working depth must be >= {max(phi.depth - 1, 1)}")
-    event = event or EventSpec.always()
     lo, hi = window
     if lo > hi:
         raise ConfigError("window must satisfy lo <= hi")
     rng = np.random.default_rng(seed)
 
-    h_start1 = _event_true_at_or_below(path, event, lo - horizon, lo - 4 * horizon)
-    h_start2 = _event_true_at_or_below(path, event, h_start1 - max(1, horizon // 4),
-                                       h_start1 - 4 * horizon)
+    h_start1 = lo - horizon
+    h_start2 = h_start1 - max(1, horizon // 4)
     mu_top1 = hi + horizon
     mu_top2 = hi + horizon + max(1, horizon // 4)
 
@@ -973,7 +955,7 @@ def normalize_potential(phi: Potential, triple: RpfTriple) -> Potential:
 
 
 # ---------------------------------------------------------------------------
-# pressure, Gibbs property, ratio convergence
+# pressure and the Gibbs property
 
 
 @dataclass
@@ -1132,30 +1114,3 @@ def gibbs_check(
         if not lower * (1 - 1e-9) <= ratio <= upper * (1 + 1e-9):
             violations.append((j, w, ratio, lower, upper))
     return GibbsReport(rows=rows, violations=violations, band=band, samples=len(rows))
-
-
-def eigenvalue_ratio_curve(
-    phi: Potential,
-    fibers: FiberStructure,
-    path: DriverPath,
-    horizon: int,
-    triple: RpfTriple,
-) -> list:
-    """Consecutive-iterate eigenvalue recovery: sup |L^{n+1}(1)/L^n(1 at next fiber) - lambda_0|."""
-    lam0 = triple.lam(0)
-    up = CylinderFunction.constant(fibers, path, 0, 1.0, max(phi.depth - 1, 1))
-    down = CylinderFunction.constant(fibers, path, 1, 1.0, max(phi.depth - 1, 1))
-    scale_up = scale_down = 0.0
-    curve = []
-    up = transfer_apply(phi, up)  # L^1_0(1) at fiber 1
-    for n in range(1, horizon + 1):
-        up = transfer_apply(phi, up)
-        down = transfer_apply(phi, down)
-        su, sd = up.sup_norm(), down.sup_norm()
-        scale_up += math.log(su)
-        scale_down += math.log(sd)
-        up, down = up.shift_scale(1 / su), down.shift_scale(1 / sd)
-        ratio = up.div(down).shift_scale(math.exp(scale_up - scale_down))
-        gap = ratio.shift_scale(1.0, -lam0).sup_norm()
-        curve.append((n, gap))
-    return curve

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -86,14 +87,6 @@ class Metric:
     def from_shift(self, d: float) -> float:
         """The metric value at shift distance d = d_r(x, y)."""
         return d if self.kind == "raw" else min(1.0, self.alpha * d)
-
-    def dist(self, x: tuple[int, ...], y: tuple[int, ...]) -> float:
-        """`levels` at the first disagreement of two canonical prefixes of equal length
-        read at one fiber, as one `canonical_prefixes` call returns them."""
-        if len(x) != len(y):
-            raise ConfigError(f"prefixes of lengths {len(x)} and {len(y)}")
-        k = next((i for i, (a, b) in enumerate(zip(x, y)) if a != b), len(x))
-        return float(self.levels(len(x))[k])
 
     def levels(self, depth: int) -> np.ndarray:
         """g(k) for k = 0..depth: the distance of two points that first differ at
@@ -461,25 +454,35 @@ def settle_exponent(scale: float, r: float) -> int:
     return int(math.floor(-math.log(scale) / math.log(r))) + 1
 
 
+def _next_return(origin: int, sign: int, floor: int, window: tuple[int, int],
+                 holds: Callable[[int], bool], message: str) -> int:
+    """The least step n >= floor whose target fiber origin + sign * n satisfies `holds`;
+    ConvergenceError(message) once the target leaves the window."""
+    lo, hi = window
+    n = floor
+    while lo <= origin + sign * n <= hi:
+        if holds(origin + sign * n):
+            return n
+        n += 1
+    raise ConvergenceError(message)
+
+
 def big_preimage_sequences(event: EventSpec, path: DriverPath, count: int,
                            window: tuple[int, int]) -> tuple[list, list]:
-    """Forward and backward big-preimage return sequences (2, 4, 6, ... on a full shift)."""
-    lo, hi = window
+    """Forward and backward big-preimage return sequences (2, 4, 6, ... on a full shift).
 
-    def step(j: int, sign: int) -> int:
-        n = 2
-        while not event.evaluate(path, j + sign * n):
-            n += 1
-            if not lo <= j + sign * n <= hi:
-                direction = "forward" if sign > 0 else "backward"
-                raise ConvergenceError(f"no {direction} big-preimage return in the window")
-        return n
+    Each step reads the event two fibers on before it checks the window.
+    """
+    def holds(j: int) -> bool:
+        return event.evaluate(path, j)
 
     seqs = ([], [])
-    for seq, sign in zip(seqs, (1, -1)):
+    for seq, sign, direction in zip(seqs, (1, -1), ("forward", "backward")):
         cur = 0
         for _ in range(count):
-            cur += step(sign * cur, sign)
+            j = sign * cur
+            cur += 2 if holds(j + 2 * sign) else _next_return(
+                j, sign, 3, window, holds, f"no {direction} big-preimage return in the window")
             seq.append(cur)
     return seqs
 
@@ -610,13 +613,9 @@ def certify_event(cert: ContractionCertificate, B: float, C: float) -> Contracti
 
 def _markov_n(cert: ContractionCertificate, k: int) -> int:
     """First certified-event return past the strengthened settling bound."""
-    n = max(1, settle_exponent(2.0 * cert.alpha[k], cert.r))
-    while True:
-        if k + n > cert.hi:
-            raise ConvergenceError(f"no certified-event return above fiber {k} in the window")
-        if cert.event_member.get(k + n, False):
-            return n
-        n += 1
+    return _next_return(k, 1, max(1, settle_exponent(2.0 * cert.alpha[k], cert.r)),
+                        (k, cert.hi), lambda j: cert.event_member.get(j, False),
+                        f"no certified-event return above fiber {k} in the window")
 
 
 def return_sequences(
@@ -659,15 +658,12 @@ def return_sequences(
             return min(cands)
 
         def tilde_n(j: int) -> int:
-            n = 1
-            while True:
-                if j - n < cert.lo:
-                    raise ConvergenceError("backward sequence leaves the window")
-                tgt = j - n
-                if tgt in pass_end:
-                    if n >= max(1, settle_exponent(2.0 * cert.alpha[tgt], cert.r)):
-                        return n
-                n += 1
+            def settled(t: int) -> bool:  # a passage end far enough below j to settle
+                return t in pass_end and \
+                    j - t >= max(1, settle_exponent(2.0 * cert.alpha[t], cert.r))
+
+            return _next_return(j, -1, 1, (cert.lo, j), settled,
+                                "backward sequence leaves the window")
 
         def k_increment(k_prev: int) -> int:
             nn = tilde_n(-k_prev)
@@ -851,10 +847,11 @@ def verify_main_lemma(
         if d0 == 0.0:
             skipped += 1
             continue
-        d_n = transfer_power(phi, f, n).lipschitz(phi.r, cert.alpha[k + n])
+        f_n = transfer_power(phi, f, n)
+        d_n = f_n.lipschitz(phi.r, cert.alpha[k + n])
         rows.append(("i", k, d_n, d0, 1.0))
         worst["i"] = max(worst["i"], d_n / d0)
-        d_b = transfer_power(phi, f, block).lipschitz(phi.r, cert.alpha[k + block])
+        d_b = transfer_power(phi, f_n, block - n).lipschitz(phi.r, cert.alpha[k + block])
         rows.append(("ii", k, d_b, d0, t_k))
         worst["ii"] = max(worst["ii"], d_b / d0 - t_k)  # signed slack, <= 0 when obeyed
         # (iii)/(iv): Wasserstein decay through the dual

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rtmclab.driver import DriverSystem, EventSpec, sample_path
-from rtmclab.errors import AdmissibilityError
+from rtmclab.errors import AdmissibilityError, ConfigError
 from rtmclab.shifts import BipStructure, FiberStructure
 
 
@@ -104,3 +104,13 @@ def stationary_path():
 @pytest.fixture
 def long_stationary_path():
     return sample_path(stationary_system(), seed=1, max_radius=2 ** 16)
+
+
+def metric_dist(metric, x, y):
+    """Oracle for `Metric.levels`: the metric at the first disagreement k of two
+    canonical prefixes of equal length read at one fiber, as one `canonical_prefixes`
+    call returns them, is metric.from_shift(r ** k); equal prefixes are at 0."""
+    if len(x) != len(y):
+        raise ConfigError(f"prefixes of lengths {len(x)} and {len(y)}")
+    k = next((i for i, (a, b) in enumerate(zip(x, y)) if a != b), None)
+    return 0.0 if k is None else metric.from_shift(metric.r ** k)

@@ -205,7 +205,6 @@ EXIT_CASES = [
     ("ConfigError", {"experiment": "matrices",
                      "config": {"potential": {"kind": "constant", "value": -0.5, "r": 0.2}}}, 0),
     ("WindowExhausted", {"env": {"RR_MAX_WINDOW": "50"}}, 1),
-    ("InsufficientReturns", {"raise": True}, 1),
     ("AdmissibilityError", {"config": {"pressure": {"letter": 7}}}, 1),
     ("DepthOverflow", {"raise": True}, 1),
     ("ConvergenceError", {"args": ["--horizon", "1"]}, 1),
@@ -314,6 +313,22 @@ def test_non_integer_seed_exits_2(key, value, message, tmp_path, capsys):
         raw["driver"]["seed"] = value
     else:
         raw[key] = value
+    _expect_config_error(raw, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("depths", "working", 2.5, "depths.working: expected an integer, got 2.5"),
+    ("depths", "working", "6", 'depths.working: expected an integer, got "6"'),
+    ("depths", "algebra", True, "depths.algebra: expected an integer, got true"),
+    ("horizons", "solve", 110.5, "horizons.solve: expected an integer, got 110.5"),
+    ("trials", "lemma", 4.0, "trials.lemma: expected an integer, got 4.0"),
+    ("sequences", "count", {}, "sequences.count: expected an integer, got {}"),
+], ids=["depth-float", "depth-string", "depth-bool", "horizon-float", "trials-float",
+        "count-object"])
+def test_non_integer_count_exits_2(section, key, value, message, tmp_path, capsys):
+    # each used to pass validate and end in a TypeError, in validate or in run
+    raw = json.loads((CONFIGS / "golden_mean.json").read_text())
+    raw.setdefault(section, {})[key] = value
     _expect_config_error(raw, message, tmp_path, capsys)
 
 

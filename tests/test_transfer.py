@@ -10,7 +10,13 @@ import pytest
 from rtmclab import transfer
 from rtmclab.config import load_config
 from rtmclab.driver import DriverPath, DriverSystem, EventSpec, sample_path
-from rtmclab.errors import AdmissibilityError, ConvergenceError, DepthOverflow, InvariantViolation
+from rtmclab.errors import (
+    AdmissibilityError,
+    ConfigError,
+    ConvergenceError,
+    DepthOverflow,
+    InvariantViolation,
+)
 from rtmclab.potentials import (
     Potential,
     constant_potential,
@@ -25,7 +31,6 @@ from rtmclab.transfer import (
     CylinderFunction,
     RpfTriple,
     dual_apply,
-    eigenvalue_ratio_curve,
     gibbs_check,
     gurevich_pressure,
     invariant_measures,
@@ -956,6 +961,34 @@ def test_cylinder_mass_matches_dict_loop(name):
                     assert bits(mu.cylinder_mass(words[i])) == bits(want), (j, words[i])
 
 
+class TestMalformedInput:
+    """Inputs that ended in an exception outside the package's error classes."""
+
+    @pytest.fixture(scope="class")
+    def iid(self):
+        cfg = load_config(CONFIGS / "full_shift_iid.json")
+        return cfg, cfg.sample(cfg.seeds[0])
+
+    @pytest.mark.parametrize("depth", [0, -2])
+    def test_measure_depth_below_one(self, iid, depth):
+        # an empty measure at depth 0 reached numpy's lexsort with no keys
+        cfg, path = iid
+        for weights in ({}, {(1,): 1.0}):
+            with pytest.raises(ConfigError, match=f"^measure depth must be >= 1, got {depth}$"):
+                AtomicMeasure(cfg.fibers, path, 0, depth, weights, probability=False)
+
+    @pytest.mark.parametrize("table", ["h", "mu"])
+    def test_from_json_empty_table(self, iid, table):
+        # the depth was read off the first key with a bare next()
+        cfg, path = iid
+        triple = rpf_solve(cfg.potential, cfg.fibers, path, depth=cfg.depths["working"],
+                           horizon=40, window=(0, 3))
+        raw = json.loads(triple.to_json())
+        raw[table]["2"] = {}
+        with pytest.raises(ConfigError, match=f"^triple {table} table at fiber 2 is empty$"):
+            RpfTriple.from_json(json.dumps(raw), cfg.fibers, path)
+
+
 class TestTrustedConstruction:
     """The public constructor checks keys; functions the library derives skip it."""
 
@@ -1309,13 +1342,33 @@ class TestGibbs:
             assert triple.mu[0].cylinder_mass(word) == pytest.approx(expected, abs=1e-10)
 
 
+def ratio_curve(phi, fibers, path, horizon, lam0):
+    """Consecutive-iterate eigenvalue recovery: (n, sup |L^{n+1}(1) / L^n(1) - lambda_0|),
+    the first iterate read at fiber 0 and the second at fiber 1."""
+    up = CylinderFunction.constant(fibers, path, 0, 1.0, max(phi.depth - 1, 1))
+    down = CylinderFunction.constant(fibers, path, 1, 1.0, max(phi.depth - 1, 1))
+    scale_up = scale_down = 0.0
+    curve = []
+    up = transfer_apply(phi, up)  # L^1_0(1) at fiber 1
+    for n in range(1, horizon + 1):
+        up = transfer_apply(phi, up)
+        down = transfer_apply(phi, down)
+        su, sd = up.sup_norm(), down.sup_norm()
+        scale_up += math.log(su)
+        scale_down += math.log(sd)
+        up, down = up.shift_scale(1 / su), down.shift_scale(1 / sd)
+        ratio = up.binary(down, lambda x, y: x / y).shift_scale(math.exp(scale_up - scale_down))
+        curve.append((n, ratio.shift_scale(1.0, -lam0).sup_norm()))
+    return curve
+
+
 class TestRatioConvergence:
     def test_ratio_gap_decays(self, full2):
         fibers, path = full2
         mat = np.array([[0.9, 0.2], [0.3, 0.8]])  # column sums differ, decay visible
         phi = positive_matrix_potential(fibers, mat)
         triple = rpf_solve(phi, fibers, path, depth=4, horizon=80, window=(0, 4))
-        curve = eigenvalue_ratio_curve(phi, fibers, path, horizon=45, triple=triple)
+        curve = ratio_curve(phi, fibers, path, horizon=45, lam0=triple.lam(0))
         gaps = [g for _, g in curve]
         assert gaps[0] > 1e-4  # genuinely not converged at the start
         assert gaps[-1] < 1e-10

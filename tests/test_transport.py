@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from collections import Counter
@@ -47,6 +48,7 @@ from conftest import (
     canonical_walk,
     full_shift,
     golden_mean_shift,
+    metric_dist,
     stationary_system,
     two_state_iid,
 )
@@ -137,7 +139,7 @@ def spanning_tree_transport_oracle(mu_w, nu_w, cost):
 
 
 def dense_cost(metric, a, b):
-    """metric.dist between every prefix row of a and every prefix row of b: the level
+    """metric_dist between every prefix row of a and every prefix row of b: the level
     at the first index where the two rows differ, compared letter by letter."""
     eq = a[:, None, :] == b[None, :, :]
     first = np.where(eq.all(axis=-1), a.shape[1], eq.argmin(axis=-1))
@@ -145,7 +147,7 @@ def dense_cost(metric, a, b):
 
 
 def lp_transport_oracle(mu, nu, metric):
-    """The transportation program solved by HiGHS on a cost matrix of metric.dist calls
+    """The transportation program solved by HiGHS on a cost matrix of metric_dist calls
     on the canonical walks of the atoms, all read to the longest atom.
 
     Returns the optimal value and the cost matrix, rows and columns in sorted
@@ -158,7 +160,7 @@ def lp_transport_oracle(mu, nu, metric):
     sp = [canonical_walk(mu.fibers, mu.path, mu.anchor, w, depth) for w in sw]
     tp = [canonical_walk(nu.fibers, nu.path, nu.anchor, w, depth) for w in tw]
     n, m = len(sw), len(tw)
-    cost = np.array([[metric.dist(x, y) for y in tp] for x in sp]).reshape(n, m)
+    cost = np.array([[metric_dist(metric, x, y) for y in tp] for x in sp]).reshape(n, m)
     rows, cols = [], []
     for i in range(n):
         for j in range(m):
@@ -451,7 +453,7 @@ class TestWasserstein:
             words2, weights2 = zip(*sorted(nu.weights.items()))
             pts = [canonical_walk(fibers, path, 0, w, 2) for w in words]
             pts2 = [canonical_walk(fibers, path, 0, w, 2) for w in words2]
-            cost = {(i, j): metric.dist(x, y)
+            cost = {(i, j): metric_dist(metric, x, y)
                     for i, x in enumerate(pts) for j, y in enumerate(pts2)}
             oracle = spanning_tree_transport_oracle(list(weights), list(weights2), cost)
             assert value == pytest.approx(oracle, abs=1e-10)
@@ -549,14 +551,15 @@ class TestMetric:
             Metric("adjusted", r, alpha=2.0)
 
     def test_levels_match_dist(self, full2):
+        # metric_dist is the tests' first-disagreement oracle for levels
         fibers, path = full2
         for k, y_word in enumerate([(2,), (1, 1), (1, 2, 2)]):
             x, y = canonical_prefixes(fibers, path, 0, [(1, 2, 1), y_word], 3)
             for metric in (Metric("raw", 0.3), Metric("adjusted", 0.3, alpha=4.0)):
-                assert metric.levels(3)[k] == metric.dist(x, y)
-                assert metric.levels(3)[3] == metric.dist(x, x) == 0.0
+                assert metric.levels(3)[k] == metric_dist(metric, x, y)
+                assert metric.levels(3)[3] == metric_dist(metric, x, x) == 0.0
         with pytest.raises(ConfigError, match="prefixes of lengths 3 and 1"):
-            Metric("raw", 0.3).dist((1, 2, 1), (2,))
+            metric_dist(Metric("raw", 0.3), (1, 2, 1), (2,))
 
 
 def _parity_pairs():
@@ -898,6 +901,75 @@ class TestContractionConstants:
         assert cert.u_words[0] == {1: (1,), 2: (1,)}
 
 
+class Event:
+    """A big-preimage event given by a predicate on fibers."""
+
+    def __init__(self, holds):
+        self.holds = holds
+
+    def evaluate(self, path, j):
+        return self.holds(j)
+
+
+class TestNextReturn:
+    """The one return scan: the least step n >= floor whose target origin + sign * n
+    satisfies the predicate, as long as the target lies in the window."""
+
+    def scan(self, origin, sign, floor, holds, window=(-10, 10)):
+        return transport._next_return(origin, sign, floor, window, holds, "left")
+
+    def test_forward_and_backward(self):
+        multiple = lambda j: j % 3 == 0  # noqa: E731
+        assert self.scan(0, 1, 1, multiple) == 3
+        assert self.scan(0, -1, 1, multiple) == 3
+        assert self.scan(4, 1, 1, multiple) == 2  # target 6
+        assert self.scan(4, -1, 1, multiple) == 1  # target 3
+
+    def test_floor(self):
+        multiple = lambda j: j % 3 == 0  # noqa: E731
+        assert self.scan(0, 1, 4, multiple) == 6
+        assert self.scan(0, 1, 3, multiple) == 3  # the floor itself may return
+        assert self.scan(0, -1, 2, lambda j: j in (-1, -5)) == 5
+
+    def test_window_edge(self):
+        assert self.scan(0, 1, 1, lambda j: j == 10) == 10
+        assert self.scan(0, -1, 1, lambda j: j == -10) == 10
+        for sign in (1, -1):
+            with pytest.raises(ConvergenceError, match="^left$"):
+                self.scan(0, sign, 1, lambda j: abs(j) == 11)
+        with pytest.raises(ConvergenceError, match="^left$"):  # the floor's target too
+            self.scan(9, 1, 2, lambda j: j == 11)
+
+    def test_big_preimage_edges_and_messages(self):
+        # n = 2 is read before the window is checked
+        always = Event(lambda j: True)
+        assert transport.big_preimage_sequences(always, None, 3, (-1, 1)) == \
+            ([2, 4, 6], [2, 4, 6])
+        two = Event(lambda j: j in (3, -6))
+        with pytest.raises(ConvergenceError, match="^no backward big-preimage return in "
+                                                   "the window$"):
+            transport.big_preimage_sequences(two, None, 1, (-5, 5))
+        assert transport.big_preimage_sequences(two, None, 1, (-6, 5)) == ([3], [6])
+        with pytest.raises(ConvergenceError, match="^no forward big-preimage return in "
+                                                   "the window$"):
+            transport.big_preimage_sequences(Event(lambda j: j < 0), None, 1, (-5, 5))
+
+    def test_markov_messages(self, full2_cert):
+        cert = full2_cert[-1]
+        settled = transport._markov_n(cert, 0)
+        assert cert.event_member[settled]
+        assert settled >= max(1, transport.settle_exponent(2.0 * cert.alpha[0], cert.r))
+        narrow = copy.copy(cert)
+        narrow.hi = settled - 1
+        with pytest.raises(ConvergenceError, match="^no certified-event return above "
+                                                   "fiber 0 in the window$"):
+            transport._markov_n(narrow, 0)
+        narrow = copy.copy(cert)
+        narrow.lo = -3
+        with pytest.raises(ConvergenceError, match="^backward sequence leaves the window$"):
+            return_sequences(narrow, count=1, mode="markov")
+
+
 class TestReturnSequences:
     def test_full_shift_matrix_mode_2n(self, full2_cert):
         fibers, path, phi, triple, tilde, cert = full2_cert
@@ -964,7 +1036,7 @@ class TestCoupling:
                 if plan.plan[i, j] > 0 and v[: q + 1] == w[: q + 1]:
                     diag += plan.plan[i, j]
                 if plan.plan[i, j] > 0:  # the cost, pair by pair on the atoms' prefixes
-                    cost += plan.plan[i, j] * metric.dist(v + (1,), w + (2,))
+                    cost += plan.plan[i, j] * metric_dist(metric, v + (1,), w + (2,))
         assert diag >= lower - 1e-12
         assert cost == plan.cost
         assert plan.cost <= cert.s_fiber[0] + 1e-12
@@ -1019,6 +1091,28 @@ class TestMainLemma:
         for part, fiber, observed, size, allowed in report.rows:
             if part == "iv":
                 assert observed / size <= cert.t + 1e-12
+
+    def test_block_continues_from_the_settled_function(self, full2_cert, monkeypatch):
+        # part (ii) steps on from part (i)'s L^n f: block operator steps per trial, not
+        # n + block, and the rows are bit for bit those of L^block f from scratch
+        fibers, path, phi, triple, tilde, cert = full2_cert
+        applied, drawn = [], []
+        apply, draw = transfer.transfer_apply, transport.random_lipschitz
+        monkeypatch.setattr(transfer, "transfer_apply",
+                            lambda *a: applied.append(1) or apply(*a))
+        monkeypatch.setattr(transport, "random_lipschitz",
+                            lambda *a, **k: drawn.append((a[2], draw(*a, **k))) or drawn[-1][1])
+        report = verify_main_lemma(tilde, fibers, path, cert, trials=6, seed=3,
+                                   test_fibers=list(range(-6, 6)))
+        monkeypatch.undo()
+        assert report.skipped == 0 and len(drawn) == 6
+        assert len(applied) == sum(cert.block[k] for k, _ in drawn)
+        rows = {part: [r for r in report.rows if r[0] == part] for part in ("i", "ii")}
+        for (k, f), row_i, row_ii in zip(drawn, rows["i"], rows["ii"]):
+            n, block = cert.n_step[k], cert.block[k]
+            d_n = transfer_power(tilde, f, n).lipschitz(tilde.r, cert.alpha[k + n])
+            d_b = transfer_power(tilde, f, block).lipschitz(tilde.r, cert.alpha[k + block])
+            assert row_i[2] == d_n and row_ii[2] == d_b and row_i[1] == row_ii[1] == k
 
     def test_constant_function_skipped(self, full2_cert):
         fibers, path, phi, triple, tilde, cert = full2_cert
