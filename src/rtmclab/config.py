@@ -30,7 +30,7 @@ from .potentials import (
     summability_value,
     table_potential,
 )
-from .shifts import BipStructure, FiberStructure
+from .shifts import BipStructure, FiberStructure, parse_word
 
 SCHEMA_VERSION = 1
 
@@ -69,18 +69,23 @@ class ExperimentConfig:
         return sample_path(self.system, seed=seed, max_radius=max_radius)
 
 
-def _integer(value, key: str) -> int:
-    """A count or seed as written in the config; anything but a JSON integer,
-    a bool included, is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key}: expected an integer, got {json.dumps(value)}")
+_KINDS = {"an integer": int, "a number": (int, float), "an object": dict,
+          "a list of integers": list}
+
+
+def _expect(value, key: str, kind: str):
+    """A value as written in the config; a value of another JSON kind, a bool
+    where a number is expected included, is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+        raise ConfigError(f"{key}: expected {kind}, got {json.dumps(value)}")
     return value
 
 
 def _section(raw: dict, name: str, defaults: dict) -> dict:
-    """A config section over its defaults; a key nothing reads is a ConfigError,
-    and so is a value that is not an integer where the default is one."""
-    values = raw.get(name, {})
+    """A config section over its defaults; a section that is not an object, a
+    key nothing reads and a value that is not an integer where the default is
+    one are ConfigErrors."""
+    values = _expect(raw.get(name, {}), name, "an object")
     unknown = sorted(set(values) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown {name} key(s) {', '.join(unknown)}; "
@@ -88,7 +93,7 @@ def _section(raw: dict, name: str, defaults: dict) -> dict:
     section = {**defaults, **values}
     for key, default in defaults.items():
         if isinstance(default, int):
-            _integer(section[key], f"{name}.{key}")
+            _expect(section[key], f"{name}.{key}", "an integer")
     return section
 
 
@@ -102,8 +107,28 @@ def _check_state_keys(raw: dict, states: tuple) -> None:
             raise ConfigError(f"{section}.{key}.{unknown[0]}: unknown driver state")
 
 
-def _parse_word(key: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in str(key).replace(" ", "").split(","))
+def _observables(raw: dict, universe: tuple) -> dict:
+    """Each observable f and g as its word -> value table, depth and default,
+    converted and checked on load; an undeclared one is the indicator of the
+    least letter."""
+    specs, out = _expect(raw.get("observables", {}), "observables", "an object"), {}
+    for key in ("f", "g"):
+        if key not in specs:
+            out[key] = {"values": {(a,): float(a == universe[0]) for a in universe},
+                        "depth": 1, "default": None}
+            continue
+        at = f"observables.{key}"
+        spec = _expect(specs[key], at, "an object")
+        table = _expect(spec.get("values"), f"{at}.values", "an object")
+        values = {parse_word(w, f"{at}.values"):
+                  float(_expect(v, f"{at}.values[{json.dumps(w)}]", "a number"))
+                  for w, v in table.items()}
+        default = spec.get("default")
+        if default is not None:
+            default = float(_expect(default, f"{at}.default", "a number"))
+        depth = _expect(spec.get("depth", 1), f"{at}.depth", "an integer")
+        out[key] = {"values": values, "depth": depth, "default": default}
+    return out
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -124,7 +149,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         kind=law.get("kind", "iid"),
         weights=np.asarray(law["weights"], dtype=float) if "weights" in law else None,
         matrix=np.asarray(law["matrix"], dtype=float) if "matrix" in law else None,
-        seed=_integer(drv.get("seed", 0), "driver.seed"),
+        seed=_expect(drv.get("seed", 0), "driver.seed", "an integer"),
     )
     _check_state_keys(raw, system.states)
     fib = raw["fibers"]
@@ -147,7 +172,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         potential = constant_potential(fibers, float(pot["value"]), r=r)
     elif kind == "table":
         tables = [
-            {_parse_word(k): float(v) for k, v in pot["tables"][s].items()}
+            {parse_word(k, f"potential.tables.{s}"): float(v) for k, v in pot["tables"][s].items()}
             for s in system.states
         ]
         potential = table_potential(tables, depth=int(pot["depth"]), r=r,
@@ -172,12 +197,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     depths = _section(raw, "depths", _DEPTH_DEFAULTS)
     horizons = _section(raw, "horizons", _HORIZON_DEFAULTS)
     trials = _section(raw, "trials", _TRIAL_DEFAULTS)
-    seeds = raw.get("seeds", [system.seed])
-    if not isinstance(seeds, list):
-        raise ConfigError(f"seeds: expected a list of integers, got {json.dumps(seeds)}")
-    seeds = [_integer(s, f"seeds[{i}]") for i, s in enumerate(seeds)]
+    seeds = _expect(raw.get("seeds", [system.seed]), "seeds", "a list of integers")
+    seeds = [_expect(s, f"seeds[{i}]", "an integer") for i, s in enumerate(seeds)]
     sequences = _section(raw, "sequences", _SEQUENCE_DEFAULTS)
-    observables = raw.get("observables", {})
+    observables = _observables(raw, fibers.universe)
     return ExperimentConfig(
         raw=raw, path=str(path), system=system, fibers=fibers, potential=potential,
         beta=beta, depths=depths, horizons=horizons, trials=trials, seeds=seeds,

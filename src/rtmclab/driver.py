@@ -78,6 +78,12 @@ class DriverSystem:
         """The longest run of whole driver periods at the start of `span`."""
         return span[: len(span) - len(span) % self.period]
 
+    def transitions(self) -> list[tuple[int, int]]:
+        """The (state, next state) pairs the law charges, in row-major order; an
+        i.i.d. law charges s -> t from every state s to each t of positive weight."""
+        law = np.tile(self.weights, (self.n_states, 1)) if self.kind == "iid" else self.matrix
+        return [(int(s), int(t)) for s, t in np.argwhere(law > 0)]
+
     def index_of(self, label: str) -> int:
         try:
             return self.states.index(label)

@@ -240,16 +240,9 @@ def run_matrices(p: SeedPipeline):
 
 
 def _observable(cfg: ExperimentConfig, path, key: str):
-    spec = cfg.observables.get(key)
-    if spec is None:
-        letters = cfg.fibers.universe
-        values = {(letters[0],): 1.0}
-        values.update({(a,): 0.0 for a in letters[1:]})
-        return pattern_function(cfg.fibers, path, values, 1)
-    values = {tuple(int(t) for t in k.replace(" ", "").split(",")): float(v)
-              for k, v in spec["values"].items()}
-    return pattern_function(cfg.fibers, path, values, int(spec.get("depth", 1)),
-                            default=spec.get("default"))
+    spec = cfg.observables[key]
+    return pattern_function(cfg.fibers, path, spec["values"], spec["depth"],
+                            default=spec["default"])
 
 
 def run_correlations(p: SeedPipeline):

@@ -144,11 +144,7 @@ def matrix_rpf(
         if lo + n <= hi:
             target = np.outer(out_mu[lo], out_h[lo + n])
             err.append((n, _norm_inf(prod - target)))
-    fit = None
-    try:
-        fit = fit_rate([n for n, _ in err], [e for _, e in err])
-    except ConvergenceError:
-        pass
+    fit = fit_rate([n for n, _ in err], [e for _, e in err])
     res = MatrixRpf(lo=lo, hi=hi, log_lambda={j: lams[j] for j in range(lo, hi)},
                     h=out_h, mu=out_mu, err_curve=err, fit=fit)
     _check_eigen_equations(family, path, res)
@@ -279,12 +275,8 @@ def matrix_decay_bounds(
         backward_rows.append((n, k_n, dev, envelope))
         if dev > envelope + 1e-12:
             raise InvariantViolation(f"backward deviation at k_{n} = {k_n} above 4 t^n")
-    fit = None
-    try:
-        fit = fit_rate([n for n, _, _, _ in forward_rows],
-                       [d for _, _, d, _ in forward_rows])
-    except ConvergenceError:
-        pass
+    fit = fit_rate([n for n, _, _, _ in forward_rows],
+                   [d for _, _, d, _ in forward_rows])
     return MatrixDecayReport(t=t, C=c_val, l_seq=tuple(l_seq), k_seq=tuple(k_seq),
                              forward_rows=forward_rows, backward_rows=backward_rows,
                              fit_forward=fit, nu_check=nu_check)

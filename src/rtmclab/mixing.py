@@ -141,11 +141,7 @@ def correlation_decay(
             backward_rows.append((i, k_i, abs(corr_b), envelope))
             if abs(corr_b) > envelope + 1e-12:
                 raise InvariantViolation(f"backward correlation envelope fails at k_{i}")
-    fit = None
-    try:
-        fit = fit_rate([n for n, _ in curve], [abs(v) for _, v in curve])
-    except ConvergenceError:
-        pass
+    fit = fit_rate([n for n, _ in curve], [abs(v) for _, v in curve])
     return CorrelationReport(curve=curve, forward_rows=forward_rows,
                              backward_rows=backward_rows, direct_check=direct_check,
                              fit=fit)
@@ -224,11 +220,7 @@ def psi_mixing(
                 best = max(best, joint[key] / (mass * m_w) - 1.0)
         state = nxt
         grid.append((n, best))
-    fitted = None
-    try:
-        fitted = fit_rate([n for n, _ in grid], [v for _, v in grid])["rate"]
-    except ConvergenceError:
-        pass
+    fit = fit_rate([n for n, _ in grid], [v for _, v in grid])
     envelope_rows, upgrade_rows = [], []
     c_derived = k_hat = t_tilde = c_tilde = None
     if cert is not None:
@@ -256,7 +248,8 @@ def psi_mixing(
                 if n >= k_hat:
                     upgrade_rows.append((n, v, c_tilde * t_tilde ** n))
     return MixingReport(grid=grid, algebra_depth=depth,
-                        fitted_rate=fitted, envelope_rows=envelope_rows,
+                        fitted_rate=None if fit is None else fit["rate"],
+                        envelope_rows=envelope_rows,
                         C_derived=c_derived, K_hat=k_hat, t_tilde=t_tilde,
                         C_tilde=c_tilde, upgrade_rows=upgrade_rows)
 
@@ -353,9 +346,10 @@ def _markov_comparison(phi, fibers, path, kernel, achieved, pressure) -> dict:
         raise ConfigError("comparison kernel must be square over the fiber alphabet")
     if np.any(q < 0) or np.max(np.abs(q.sum(axis=1) - 1.0)) > 1e-10:
         raise ConfigError("comparison kernel must be row-stochastic")
+    succ = fibers._succ[path.state(0)][path.state(1)]
     for i, a in enumerate(letters):
         for j, b in enumerate(letters):
-            if q[i, j] > 0 and not fibers.admits(path, 0, a, b):
+            if q[i, j] > 0 and b not in succ[a]:
                 raise ConfigError("comparison kernel charges an inadmissible transition")
     vals, vecs = np.linalg.eig(q.T)
     k = int(np.argmax(vals.real))

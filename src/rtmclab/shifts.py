@@ -1,9 +1,12 @@
 """Fibered shift spaces over a driver path.
 
 Each driver state carries an alphabet and a 0/1 transition matrix into the
-global letter universe; a word is admissible when consecutive letters are
-allowed by the matrices of consecutive fiber states.  `admits_word` checks
-that letter by letter against one slice of driver states.
+global letter universe.  `FiberStructure.build` reads the matrices once into
+one adjacency table per pair of driver states (s, t): the successors in t of
+each letter of s, and the predecessors in s of each letter of t, both
+ascending.  Every admissibility question (a pair, a word along a state slice,
+the successors or predecessors of a letter, the word enumeration, the least
+continuation and the row/column and b.i.p. checks) is a lookup there.
 
 A point enters the shift metric d_r(x, y) = r^(first disagreement), the
 Birkhoff sums of a depth-p potential and its cylinders only through a finite
@@ -11,17 +14,19 @@ prefix, so the library represents a point by its canonical prefix: a head
 word followed by the lexicographically least admissible continuation, read
 to the depth needed (`canonical_prefixes`).
 
-The admissible length-n words from fiber i depend only on the alphabets and
-0/1 matrices of the driver states at i .. i+n-1.  Each driver state belongs
-to a fiber class, the least state with the same alphabet and matrix, and the
-word index (sorted words plus a word -> row dict) is built once per window of
-classes.  It is cached on the FiberStructure under each state window that
-reads it, so a hit is one lookup: fibers whose windows carry the same
-classes, on any shift of the path, share one index.
+The admissible length-n words from fiber i depend only on the adjacency
+tables of the driver states at i .. i+n-1.  Each driver state belongs to a
+fiber class, the least state with the same successor tables (so the same
+alphabet and matrix), and the word index (sorted words plus a word -> row
+dict) is built once per window of classes.  It is cached on the
+FiberStructure under each state window that reads it, so a hit is one
+lookup: fibers whose windows carry the same classes, on any shift of the
+path, share one index.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -49,8 +54,11 @@ class FiberStructure:
     matrices: tuple[np.ndarray, ...]  # per state index, bool (|alphabet| x |universe|)
     universe: tuple[int, ...]
     bip: BipStructure | None = None
-    _row: tuple[dict, ...] = field(default=(), repr=False)
     _col: dict = field(default_factory=dict, repr=False)
+    # adjacency per state pair: _succ[s][t] maps each letter of s to its
+    # successors in t, _pred[s][t] each letter of t to its predecessors in s
+    _succ: tuple[tuple[dict, ...], ...] = field(default=(), repr=False)
+    _pred: tuple[tuple[dict, ...], ...] = field(default=(), repr=False)
     _class: tuple[int, ...] = field(default=(), repr=False)  # per state, its fiber class
     # derived tables, built once per window of fiber classes and cached under
     # every driver-state window that reads them: word indices here, step
@@ -87,20 +95,25 @@ class FiberStructure:
                     f"= ({len(letters)}, {len(universe)}), got {m.shape}"
                 )
             mats.append(m.copy())
-        rows = tuple({a: i for i, a in enumerate(letters)} for letters in per_state_alpha)
-        classes = tuple(
-            next(t for t in range(s + 1) if per_state_alpha[t] == per_state_alpha[s]
-                 and np.array_equal(mats[t], mats[s]))
-            for s in range(len(mats)))
+        succ, pred = [], []
+        for mat, letters in zip(mats, per_state_alpha):
+            subs = [mat[:, [col[b] for b in nxt]].tolist() for nxt in per_state_alpha]
+            succ.append(tuple({a: tuple(b for b, ok in zip(nxt, row) if ok)
+                               for a, row in zip(letters, sub)}
+                              for sub, nxt in zip(subs, per_state_alpha)))
+            pred.append(tuple({b: tuple(a for a, ok in zip(letters, column) if ok)
+                               for b, column in zip(nxt, zip(*sub))}
+                              for sub, nxt in zip(subs, per_state_alpha)))
         fs = FiberStructure(
             alphabets=tuple(per_state_alpha),
             matrices=tuple(mats),
             universe=universe,
             bip=bip,
         )
-        object.__setattr__(fs, "_row", rows)
         object.__setattr__(fs, "_col", col)
-        object.__setattr__(fs, "_class", classes)
+        object.__setattr__(fs, "_succ", tuple(succ))
+        object.__setattr__(fs, "_pred", tuple(pred))
+        object.__setattr__(fs, "_class", tuple(map(succ.index, succ)))
         return fs
 
     # -- admissibility primitives ---------------------------------------------------
@@ -115,27 +128,24 @@ class FiberStructure:
 
     def admits_word(self, states: tuple[int, ...], letters: tuple[int, ...]) -> bool:
         """Whether `letters` is admissible read along `states`, one driver state per letter."""
-        if not letters:
+        # every table of a state is keyed by that state's alphabet
+        if not letters or letters[0] not in self._succ[states[0]][0]:
             return False
-        s, row = states[0], self._row[states[0]].get(letters[0])
-        for s_next, b in zip(states[1:], letters[1:]):
-            nxt = self._row[s_next].get(b)
-            if row is None or nxt is None or not self.matrices[s][row, self._col[b]]:
+        for s, t, a, b in zip(states, states[1:], letters, letters[1:]):
+            if b not in self._succ[s][t][a]:
                 return False
-            s, row = s_next, nxt
-        return row is not None
+        return True
 
     def successors(self, path: DriverPath, i: int, a: int) -> tuple[int, ...]:
         """Admissible letters at fiber i+1 following letter a at fiber i (sorted)."""
-        s = path.state(i)
-        row = self._row[s].get(a)
-        if row is None:
+        table = self._succ[path.state(i)]
+        if a not in table[0]:
             raise AdmissibilityError(f"letter {a} not in the fiber-{i} alphabet")
-        return self._next_letters(s, path.state(i + 1), row)
+        return table[path.state(i + 1)][a]
 
-    def _next_letters(self, s: int, s_next: int, row: int) -> tuple[int, ...]:
-        mask = self.matrices[s][row]
-        return tuple(b for b in self.alphabets[s_next] if mask[self._col[b]])
+    def predecessors(self, path: DriverPath, i: int, b: int) -> tuple[int, ...]:
+        """Letters at fiber i-1 that may precede letter b of fiber i (sorted)."""
+        return self._pred[path.state(i - 1)][path.state(i)][b]
 
     def classes(self, states: tuple[int, ...]) -> tuple[int, ...]:
         """The fiber class of each state of a driver-state window."""
@@ -155,43 +165,26 @@ class FiberStructure:
                 if len(classes) == 1:
                     words = tuple((a,) for a in self.alphabets[classes[0]])
                 else:
-                    s, s_next = classes[-2], classes[-1]
-                    rows = self._row[s]
-                    words = tuple(
-                        p + (b,)
-                        for p in self.words_over(classes[:-1]).words
-                        for b in self._next_letters(s, s_next, rows[p[-1]])
-                    )
+                    succ = self._succ[classes[-2]][classes[-1]]
+                    words = tuple(p + (b,) for p in self.words_over(classes[:-1]).words
+                                  for b in succ[p[-1]])
                 index = WordIndex(words, {w: i for i, w in enumerate(words)})
                 self._words[classes] = index
             self._words[states] = index
         return index
 
-    def predecessors(self, path: DriverPath, i: int, b: int) -> tuple[int, ...]:
-        """Letters at fiber i-1 that may precede letter b at fiber i (sorted)."""
-        s_prev = path.state(i - 1)
-        cj = self._col[b]
-        mat = self.matrices[s_prev]
-        return tuple(a for a in self.alphabets[s_prev] if mat[self._row[s_prev][a], cj])
-
     def validate_rows_columns(self, system: DriverSystem) -> list[str]:
         """Row/column positivity along every positive-probability driver transition."""
         problems = []
-        for s in range(system.n_states):
-            for s_next in _possible_next(system, s):
-                sub = self.matrices[s][:, [self._col[a] for a in self.alphabets[s_next]]]
-                for i, letter in enumerate(self.alphabets[s]):
-                    if not sub[i].any():
-                        problems.append(
-                            f"letter {letter} of state {system.states[s]} has no successor "
-                            f"in state {system.states[s_next]} (zero row)"
-                        )
-                for j, letter in enumerate(self.alphabets[s_next]):
-                    if not sub[:, j].any():
-                        problems.append(
-                            f"letter {letter} of state {system.states[s_next]} has no "
-                            f"predecessor in state {system.states[s]} (zero column)"
-                        )
+        for s, t in system.transitions():
+            problems.extend(
+                f"letter {a} of state {system.states[s]} has no successor "
+                f"in state {system.states[t]} (zero row)"
+                for a, nxt in self._succ[s][t].items() if not nxt)
+            problems.extend(
+                f"letter {b} of state {system.states[t]} has no "
+                f"predecessor in state {system.states[s]} (zero column)"
+                for b, prev in self._pred[s][t].items() if not prev)
         return problems
 
     def validate_bip(self, system: DriverSystem) -> list[str]:
@@ -200,42 +193,19 @@ class FiberStructure:
             return ["no b.i.p. structure declared"]
         problems = []
         mediators = self.bip.letters
-        for s_cur in range(system.n_states):
-            marked_bp = self.bip.omega_bp.holds(s_cur)
-            marked_bi = self.bip.omega_bi.holds(s_cur)
-            if not (marked_bp or marked_bi):
-                continue
-            for s_prev in _possible_prev(system, s_cur):
-                mat = self.matrices[s_prev]
-                if marked_bp:
-                    med_rows = [self._row[s_prev][b] for b in mediators if b in self._row[s_prev]]
-                    for a in self.alphabets[s_cur]:
-                        if not any(mat[r, self._col[a]] for r in med_rows):
-                            problems.append(
-                                f"bp state {system.states[s_cur]}: letter {a} has no mediator "
-                                f"predecessor from state {system.states[s_prev]}"
-                            )
-                if marked_bi:
-                    med_cols = [self._col[b] for b in mediators if b in self._row[s_cur]]
-                    for a in self.alphabets[s_prev]:
-                        if not any(mat[self._row[s_prev][a], c] for c in med_cols):
-                            problems.append(
-                                f"bi state {system.states[s_cur]}: letter {a} of state "
-                                f"{system.states[s_prev]} has no mediator successor"
-                            )
+        # by current state, then by previous state
+        for s_prev, s_cur in sorted(system.transitions(), key=lambda st: st[::-1]):
+            if self.bip.omega_bp.holds(s_cur):
+                problems.extend(
+                    f"bp state {system.states[s_cur]}: letter {a} has no mediator "
+                    f"predecessor from state {system.states[s_prev]}"
+                    for a, prev in self._pred[s_prev][s_cur].items() if mediators.isdisjoint(prev))
+            if self.bip.omega_bi.holds(s_cur):
+                problems.extend(
+                    f"bi state {system.states[s_cur]}: letter {a} of state "
+                    f"{system.states[s_prev]} has no mediator successor"
+                    for a, nxt in self._succ[s_prev][s_cur].items() if mediators.isdisjoint(nxt))
         return problems
-
-
-def _possible_next(system: DriverSystem, s: int) -> list[int]:
-    if system.kind == "iid":
-        return [t for t in range(system.n_states) if system.weights[t] > 0]
-    return [t for t in range(system.n_states) if system.matrix[s, t] > 0]
-
-
-def _possible_prev(system: DriverSystem, s: int) -> list[int]:
-    if system.kind == "iid":
-        return [t for t in range(system.n_states) if system.weights[t] > 0]
-    return [t for t in range(system.n_states) if system.matrix[t, s] > 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,6 +248,16 @@ class WordIndex:
                                count=len(self.words))
             self._prefix[k] = rows
         return rows
+
+
+def parse_word(label: str, where: str) -> tuple[int, ...]:
+    """The word written as `label`, its letters joined by commas as in
+    `WordIndex.labels`; any other label is a ConfigError at `where`."""
+    try:
+        return tuple(int(t) for t in str(label).replace(" ", "").split(","))
+    except ValueError:
+        raise ConfigError(f"{where}: expected comma-separated integer letters, "
+                          f"got {json.dumps(label)}") from None
 
 
 def word_index(fibers: FiberStructure, path: DriverPath, start: int, n: int) -> WordIndex:
@@ -323,7 +303,7 @@ def canonical_tail(fibers: FiberStructure, path: DriverPath, fiber: int, letter:
     a, tail = letter, []
     run = path.states(fiber, fiber + n)
     for i, (s, s_next) in enumerate(zip(run, run[1:]), start=fiber):
-        nxt = fibers._next_letters(s, s_next, fibers._row[s][a])
+        nxt = fibers._succ[s][s_next][a]
         if not nxt:
             raise AdmissibilityError(f"letter {a} at fiber {i} has no successor")
         a = nxt[0]

@@ -96,6 +96,7 @@ from .shifts import (
     admissible_words,
     canonical_prefixes,
     canonical_tail,
+    parse_word,
     word_index,
 )
 
@@ -255,12 +256,11 @@ def _group(prefixes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
     ranked = prefixes[order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    firsts = order[new]  # a stable sort puts each group's first atom first
-    rank = np.empty(len(firsts), dtype=np.intp)
-    rank[np.argsort(firsts)] = np.arange(len(firsts))
     group = np.empty(len(order), dtype=np.intp)
-    group[order] = rank[np.cumsum(new) - 1]
-    return prefixes[np.sort(firsts)], np.bincount(group, weights=values, minlength=len(firsts))
+    group[order] = np.cumsum(new) - 1  # groups numbered in lexicographic order
+    uniq, sums = _coarsen(group, values)
+    # a stable sort puts each group's first atom first
+    return prefixes[order[new][uniq]], sums
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -487,9 +487,10 @@ def _forward_table(phi: Potential, fibers: FiberStructure, path: DriverPath,
         shared = _class_key(fibers, key) if key is not None else None
         table = fibers._steps.get(shared)
         if table is None:
+            pred = fibers._pred[path.state(j)][path.state(j + 1)]
             table = tuple(
                 (w, tuple((math.exp(phi.value(path, j, (a,) + w)), ((a,) + w)[:m])
-                          for a in fibers.predecessors(path, j + 1, w[0])))
+                          for a in pred[w[0]]))
                 for w in admissible_words(fibers, path, j + 1, d))
         if key is not None:
             fibers._steps[key] = fibers._steps[shared] = table
@@ -570,9 +571,10 @@ def _step_table(phi: Potential, fibers: FiberStructure, path: DriverPath,
         step = fibers._steps.get(shared)
         if step is None:
             target = word_index(fibers, path, j - 1, d).rows
+            pred = fibers._pred[path.state(j - 1)][path.state(j)]
             ptr, letter, weight, coarse = [0], [], [], []
             for w in word_index(fibers, path, j, d).words:
-                for a in fibers.predecessors(path, j, w[0]):
+                for a in pred[w[0]]:
                     full = (a,) + w
                     letter.append(a)
                     weight.append(math.exp(phi.value(path, j - 1, full)))
@@ -734,12 +736,15 @@ class RpfTriple:
     @staticmethod
     def from_json(text: str, fibers: FiberStructure, path: DriverPath) -> "RpfTriple":
         raw = json.loads(text)
+        for key in ("lo", "hi", "log_lambda", "h", "mu"):
+            if key not in raw:
+                raise ConfigError(f"triple misses the {key!r} key")
 
         def table(name: str, j: str, tab: dict) -> tuple[int, dict]:
             """The depth of a word table, read off its first key, and its parsed words."""
             if not tab:
                 raise ConfigError(f"triple {name} table at fiber {j} is empty")
-            words = {tuple(int(t) for t in w.split(",")): v for w, v in tab.items()}
+            words = {parse_word(w, f"triple {name} table at fiber {j}"): v for w, v in tab.items()}
             return len(next(iter(words))), words
 
         h = {int(j): CylinderFunction(fibers, path, int(j), *table("h", j, tab))

@@ -506,43 +506,35 @@ def _passage(
     if bip is None:
         raise ConfigError("no b.i.p. structure declared")
     mediators = bip.letters
-    reach = {o}
     if o not in fibers.alphabet(path, q):
         raise AdmissibilityError(f"marked letter {o} not in the fiber-{q} alphabet")
-    reach_by_level = [reach]
-    m = None
+    reach_by_level, succ = [{o}], []  # succ[t]: successors from fiber q+t to q+t+1
+    s, m = path.state(q), None
     for n in range(1, _PASSAGE_SCAN + 1):
-        reach = {b for a in reach for b in fibers.successors(path, q + n - 1, a)}
-        reach_by_level.append(reach)
-        if not bip.omega_bp.evaluate(path, q + n):
-            continue
-        final = reach_by_level[n - 1] & mediators
-        if all(
-            any(fibers.admits(path, q + n - 1, j, x0) for j in final)
-            for x0 in fibers.alphabet(path, q + n)
-        ):
-            m = n
-            break
+        s_next = path.state(q + n)
+        succ.append(fibers._succ[s][s_next])
+        reach_by_level.append({b for a in reach_by_level[-1] for b in succ[-1][a]})
+        if bip.omega_bp.holds(s_next):
+            final = reach_by_level[n - 1] & mediators
+            pred = fibers._pred[s][s_next]
+            if all(not final.isdisjoint(prev) for prev in pred.values()):
+                m = n
+                break
+        s = s_next
     if m is None:
         raise ConvergenceError(
             f"no big-preimage passage from fiber {q} within {_PASSAGE_SCAN} steps"
         )
     words = {}
-    for x0 in fibers.alphabet(path, q + m):
-        allowed = [
-            {j for j in reach_by_level[m - 1] & mediators
-             if fibers.admits(path, q + m - 1, j, x0)}
-        ]
+    for x0, prev in pred.items():
+        # allowed[t]: the letters at fiber q+t that reach x0 through the family
+        allowed = [final.intersection(prev)]
         for t in range(m - 2, -1, -1):
-            allowed.insert(0, {
-                a for a in reach_by_level[t]
-                if any(fibers.admits(path, q + t, a, b) for b in allowed[0])
-            })
+            allowed.insert(0, {a for a in reach_by_level[t]
+                               if not allowed[0].isdisjoint(succ[t][a])})
         word = [o]
         for t in range(1, m):
-            word.append(min(
-                b for b in allowed[t] if fibers.admits(path, q + t - 1, word[-1], b)
-            ))
+            word.append(min(allowed[t].intersection(succ[t - 1][word[-1]])))
         words[x0] = tuple(word)
     c_min = math.inf
     tail_depth = max(phi.depth - 1, 1)
@@ -735,10 +727,8 @@ def build_coupling(
     heads = canonical_prefixes(fibers, path, k + l, [x, y], max(tail_depth, len(x), len(y)))
 
     def branches(head: tuple[int, ...]) -> tuple[list, np.ndarray, np.ndarray]:
-        vs = [
-            v for v in admissible_words(fibers, path, k, l)
-            if fibers.admits(path, k + l - 1, v[-1], head[0])
-        ]
+        prev = fibers.predecessors(path, k + l, head[0])
+        vs = [v for v in admissible_words(fibers, path, k, l) if v[-1] in prev]
         weights = np.array([
             math.exp(word_birkhoff(phi, path, k, (v + head)[: l + phi.depth - 1], l))
             for v in vs
@@ -751,10 +741,8 @@ def build_coupling(
     xi = {v: i for i, v in enumerate(xv)}
     yi = {v: i for i, v in enumerate(yv)}
 
-    settle = [
-        v1 for v1 in admissible_words(fibers, path, k, n)
-        if fibers.admits(path, k + n - 1, v1[-1], o)
-    ]
+    prev = fibers.predecessors(path, q, o)
+    settle = [v1 for v1 in admissible_words(fibers, path, k, n) if v1[-1] in prev]
     q_diag = {}
     for v1 in settle:
         worst = math.inf
@@ -958,21 +946,11 @@ def verify_decay(
             raise InvariantViolation(
                 f"backward decay envelope fails at k_{i} = {k_i}: {gap_b} > {bound}"
             )
-    fit_all = fit_forward = None
-    empirical_s = None
-    rate_flag = True
-    try:
-        fit_all = fit_rate([n for n, _ in curve], [g for _, g in curve])
-        empirical_s = fit_all["rate"]
-    except ConvergenceError:
-        pass
-    try:
-        fit_forward = fit_rate(
-            [i for i, _, _, _ in forward_rows], [g for _, _, g, _ in forward_rows]
-        )
-        rate_flag = math.log(fit_forward["rate"]) <= math.log(cert.t) + _RATE_SLACK
-    except ConvergenceError:
-        pass
+    fit_all = fit_rate([n for n, _ in curve], [g for _, g in curve])
+    fit_forward = fit_rate([i for i, _, _, _ in forward_rows], [g for _, _, g, _ in forward_rows])
+    empirical_s = None if fit_all is None else fit_all["rate"]
+    rate_flag = fit_forward is None or (
+        math.log(fit_forward["rate"]) <= math.log(cert.t) + _RATE_SLACK)
     return DecayReport(curve=curve, forward_rows=forward_rows,
                        backward_rows=backward_rows, fit_all=fit_all,
                        fit_forward=fit_forward, rate_flag=rate_flag,

@@ -332,6 +332,62 @@ def test_non_integer_count_exits_2(section, key, value, message, tmp_path, capsy
     _expect_config_error(raw, message, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("section", ["depths", "horizons", "trials", "sequences"])
+def test_non_object_section_exits_2(section, tmp_path, capsys):
+    # set(values) raised TypeError: 'int' object is not iterable
+    raw = json.loads((CONFIGS / "golden_mean.json").read_text())
+    raw[section] = 5
+    _expect_config_error(raw, f"{section}: expected an object, got 5", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"f": {"values": {"1": "x"}}}, 'observables.f.values["1"]: expected a number, got "x"'),
+    ({"f": {"values": {"1": True}}}, 'observables.f.values["1"]: expected a number, got true'),
+    ({"g": {"values": {"x,1": 1.0}}},
+     'observables.g.values: expected comma-separated integer letters, got "x,1"'),
+    ({"f": {"values": {"1": 1.0}, "default": "0"}},
+     'observables.f.default: expected a number, got "0"'),
+    ({"f": {"values": {"1": 1.0}, "depth": 1.5}},
+     "observables.f.depth: expected an integer, got 1.5"),
+    ({"g": {"depth": 1}}, "observables.g.values: expected an object, got null"),
+    ({"f": [1]}, "observables.f: expected an object, got [1]"),
+    ([], "observables: expected an object, got []"),
+], ids=["value-string", "value-bool", "word", "default", "depth", "no-values", "spec",
+        "section"])
+def test_bad_observable_exits_2(edit, message, tmp_path, capsys):
+    # each passed validate; correlations then raised a bare Python exception,
+    # or, for the depth, truncated it to 1
+    raw = json.loads((CONFIGS / "golden_mean.json").read_text())
+    raw["observables"] = edit
+    _expect_config_error(raw, message, tmp_path, capsys)
+
+
+def test_observables_are_converted_on_load(tmp_path):
+    raw = json.loads((CONFIGS / "markov_2letter.json").read_text())
+    raw["observables"]["g"] = {"depth": 2, "values": {"1, 2": 3, "2,1": -0.5}, "default": 1}
+    path = tmp_path / "obs.json"
+    path.write_text(json.dumps(raw))
+    cfg = load_config(path)
+    assert cfg.observables == {
+        "f": {"values": {(1,): 1.0, (2,): 0.0}, "depth": 1, "default": None},
+        "g": {"values": {(1, 2): 3.0, (2, 1): -0.5}, "depth": 2, "default": 1.0},
+    }
+    assert cfg.raw == raw  # the config hash covers the file as written
+    # an undeclared observable is the indicator of the least letter
+    undeclared = {"values": {(1,): 1.0, (2,): 0.0}, "depth": 1, "default": None}
+    assert load_config(CONFIGS / "golden_mean.json").observables == {"f": undeclared,
+                                                                     "g": undeclared}
+
+
+def test_bad_table_potential_word_exits_2(tmp_path, capsys):
+    # the word was parsed by a bare int(), which raised ValueError
+    raw = json.loads((CONFIGS / "golden_mean.json").read_text())
+    raw["potential"] = {"kind": "table", "depth": 1, "r": 0.3, "kappa": [0.0],
+                        "tables": {"a": {"1": -0.5, "two": -0.9}}}
+    _expect_config_error(raw, 'potential.tables.a: expected comma-separated integer letters, '
+                         'got "two"', tmp_path, capsys)
+
+
 @pytest.mark.parametrize("section, key", [
     ("fibers", "alphabets"), ("fibers", "matrices"), ("potential", "matrices"),
 ])

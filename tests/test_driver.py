@@ -351,3 +351,24 @@ class TestLaw:
     def test_iid_law_has_period_one(self):
         assert iid([0.0, 1.0]).period == 1
         assert iid([1.0]).period == 1
+
+
+class TestTransitions:
+    def test_iid_law_charges_every_state_to_each_positive_weight(self):
+        # the zero-weight state s1 is never a next state, but is a previous one
+        assert iid([0.5, 0.0, 0.5]).transitions() == [
+            (0, 0), (0, 2), (1, 0), (1, 2), (2, 0), (2, 2)]
+
+    def test_markov_law_charges_its_positive_entries_in_row_major_order(self):
+        law = markov([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.6, 0.0, 0.4]])
+        assert law.transitions() == [(0, 0), (0, 1), (1, 2), (2, 0), (2, 2)]
+        assert all(type(s) is int and type(t) is int for s, t in law.transitions())
+
+    def test_transitions_match_the_law_entry_by_entry(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 3, 4):
+            m = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+            m[np.arange(n), (np.arange(n) + 1) % n] += 0.1  # a cycle keeps it irreducible
+            law = markov(m / m.sum(axis=1, keepdims=True))
+            assert law.transitions() == [(s, t) for s in range(n) for t in range(n)
+                                         if law.matrix[s, t] > 0]

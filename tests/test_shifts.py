@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtmclab.config import load_config
-from rtmclab.driver import sample_path
+from rtmclab.driver import DriverSystem, EventSpec, sample_path
 from rtmclab.errors import AdmissibilityError, ConfigError, WindowExhausted
 from rtmclab.shifts import (
+    BipStructure,
     FiberStructure,
     admissible_words,
     canonical_prefixes,
@@ -433,7 +434,155 @@ class TestAdjustedMetric:
             assert d - 1e-15 <= dbar <= 3.0 * d + 1e-15
 
 
+def adjacency_oracle(fibers, s, t):
+    """Successors in t of each letter of s and predecessors in s of each letter
+    of t, read entry by entry off the 0/1 matrix of s, in alphabet order."""
+    allowed = lambda a, b: bool(fibers.matrices[s][fibers.alphabets[s].index(a),
+                                                   fibers.universe.index(b)])
+    return ([(a, tuple(b for b in fibers.alphabets[t] if allowed(a, b)))
+             for a in fibers.alphabets[s]],
+            [(b, tuple(a for a in fibers.alphabets[s] if allowed(a, b)))
+             for b in fibers.alphabets[t]])
+
+
+def random_fibers(rng, n_states):
+    """Random alphabets over letters 1..4 (some letters missing from some
+    states) and 0/1 patterns with one zero row and one zero column each."""
+    labels = "abc"[:n_states]
+    system = DriverSystem(states=tuple(labels), kind="iid",
+                          weights=np.full(n_states, 1.0 / n_states))
+    alphabets = {s: sorted(rng.choice(np.arange(1, 5), size=rng.integers(1, 5),
+                                      replace=False).tolist()) for s in labels}
+    universe = sorted(set().union(*alphabets.values()))
+    matrices = {}
+    for s in labels:
+        m = (rng.random((len(alphabets[s]), len(universe))) < 0.6).astype(int)
+        m[rng.integers(len(m))] = 0
+        m[:, rng.integers(len(universe))] = 0
+        matrices[s] = m.tolist()
+    return system, FiberStructure.build(system, alphabets, matrices)
+
+
+class TestAdjacencyTables:
+    @pytest.mark.parametrize("n_states", [2, 3])
+    def test_tables_match_the_matrices(self, n_states):
+        rng = np.random.default_rng(n_states)
+        for _ in range(40):
+            _, fibers = random_fibers(rng, n_states)
+            for s, t in itertools.product(range(n_states), repeat=2):
+                succ, pred = adjacency_oracle(fibers, s, t)
+                assert list(fibers._succ[s][t].items()) == succ
+                assert list(fibers._pred[s][t].items()) == pred
+
+    def test_fiber_class_is_the_least_state_with_equal_data(self):
+        rng = np.random.default_rng(11)
+        seen = set()
+        for _ in range(60):
+            _, fibers = random_fibers(rng, 3)
+            want = tuple(
+                next(t for t in range(3) if fibers.alphabets[t] == fibers.alphabets[s]
+                     and np.array_equal(fibers.matrices[t], fibers.matrices[s]))
+                for s in range(3))
+            assert fibers._class == want
+            seen.add(want)
+        assert len(seen) > 1
+
+
+def mutated_pattern(law):
+    """Three driver states with sparse 0/1 patterns, zero rows and columns and
+    mediators missing from some alphabets, under a Markov or an i.i.d. law."""
+    states = ("a", "b", "c")
+    if law == "markov":
+        system = DriverSystem(states=states, kind="markov", matrix=np.array(
+            [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.6, 0.0, 0.4]]))
+        return system, FiberStructure.build(
+            system, alphabets={"a": [1, 2, 3], "b": [1, 2], "c": [2, 3]},
+            matrices={"a": [[1, 0, 0], [0, 0, 1], [0, 1, 0]], "b": [[0, 1, 1], [0, 0, 0]],
+                      "c": [[1, 0, 0], [0, 0, 1]]},
+            bip=BipStructure(letters=frozenset({1, 3}),
+                             omega_bp=EventSpec.state_in(system, ["a", "c"]),
+                             omega_bi=EventSpec.state_in(system, ["a", "b", "c"])))
+    system = DriverSystem(states=states, kind="iid", weights=np.array(law))
+    return system, FiberStructure.build(
+        system, alphabets={"a": [1, 2], "b": [2, 3], "c": [1, 3]},
+        matrices={"a": [[1, 0, 0], [0, 1, 1]], "b": [[0, 0, 1], [1, 0, 0]],
+                  "c": [[0, 0, 0], [1, 1, 0]]},
+        bip=BipStructure(letters=frozenset({2}), omega_bp=EventSpec.always("bp"),
+                         omega_bi=EventSpec.state_in(system, ["b"])))
+
+
 class TestValidation:
+    @pytest.mark.parametrize("law, rows_columns, bip", [
+        ("markov", [
+            "letter 2 of state a has no successor in state b (zero row)",
+            "letter 2 of state b has no successor in state c (zero row)",
+            "letter 2 of state a has no predecessor in state c (zero column)",
+            "letter 2 of state c has no successor in state c (zero row)",
+            "letter 2 of state c has no predecessor in state c (zero column)",
+        ], [
+            "bp state a: letter 3 has no mediator predecessor from state a",
+            "bi state a: letter 3 of state a has no mediator successor",
+            "bp state a: letter 1 has no mediator predecessor from state c",
+            "bp state a: letter 2 has no mediator predecessor from state c",
+            "bi state b: letter 2 of state a has no mediator successor",
+            "bi state b: letter 3 of state a has no mediator successor",
+            "bi state c: letter 2 of state b has no mediator successor",
+            "bp state c: letter 2 has no mediator predecessor from state c",
+            "bi state c: letter 2 of state c has no mediator successor",
+        ]),
+        ([0.25, 0.25, 0.5], [
+            "letter 1 of state a has no successor in state b (zero row)",
+            "letter 2 of state b has no successor in state a (zero row)",
+            "letter 2 of state a has no predecessor in state b (zero column)",
+            "letter 3 of state b has no successor in state b (zero row)",
+            "letter 2 of state b has no predecessor in state b (zero column)",
+            "letter 1 of state c has no successor in state a (zero row)",
+            "letter 1 of state c has no successor in state b (zero row)",
+            "letter 3 of state b has no predecessor in state c (zero column)",
+            "letter 1 of state c has no successor in state c (zero row)",
+            "letter 3 of state c has no predecessor in state c (zero column)",
+        ], [
+            "bp state a: letter 1 has no mediator predecessor from state a",
+            "bp state a: letter 1 has no mediator predecessor from state b",
+            "bp state a: letter 2 has no mediator predecessor from state b",
+            "bp state a: letter 1 has no mediator predecessor from state c",
+            "bp state a: letter 2 has no mediator predecessor from state c",
+            "bi state b: letter 1 of state a has no mediator successor",
+            "bp state b: letter 2 has no mediator predecessor from state b",
+            "bi state b: letter 2 of state b has no mediator successor",
+            "bi state b: letter 3 of state b has no mediator successor",
+            "bp state b: letter 2 has no mediator predecessor from state c",
+            "bp state b: letter 3 has no mediator predecessor from state c",
+            "bi state b: letter 1 of state c has no mediator successor",
+            "bp state c: letter 1 has no mediator predecessor from state a",
+            "bp state c: letter 1 has no mediator predecessor from state b",
+            "bp state c: letter 1 has no mediator predecessor from state c",
+            "bp state c: letter 3 has no mediator predecessor from state c",
+        ]),
+        # state b has weight 0: pairs into b are not charged, pairs out of b are
+        ([0.5, 0.0, 0.5], [
+            "letter 2 of state b has no successor in state a (zero row)",
+            "letter 2 of state a has no predecessor in state b (zero column)",
+            "letter 1 of state c has no successor in state a (zero row)",
+            "letter 1 of state c has no successor in state c (zero row)",
+            "letter 3 of state c has no predecessor in state c (zero column)",
+        ], [
+            "bp state a: letter 1 has no mediator predecessor from state a",
+            "bp state a: letter 1 has no mediator predecessor from state b",
+            "bp state a: letter 2 has no mediator predecessor from state b",
+            "bp state a: letter 1 has no mediator predecessor from state c",
+            "bp state a: letter 2 has no mediator predecessor from state c",
+            "bp state c: letter 1 has no mediator predecessor from state a",
+            "bp state c: letter 1 has no mediator predecessor from state b",
+            "bp state c: letter 1 has no mediator predecessor from state c",
+            "bp state c: letter 3 has no mediator predecessor from state c",
+        ]),
+    ], ids=["markov", "iid", "iid-zero-weight"])
+    def test_messages_on_mutated_patterns(self, law, rows_columns, bip):
+        system, fibers = mutated_pattern(law)
+        assert fibers.validate_rows_columns(system) == rows_columns
+        assert fibers.validate_bip(system) == bip
+
     def test_row_column_positivity_flags(self):
         system = stationary_system()
         fibers = FiberStructure.build(

@@ -988,6 +988,31 @@ class TestMalformedInput:
         with pytest.raises(ConfigError, match=f"^triple {table} table at fiber 2 is empty$"):
             RpfTriple.from_json(json.dumps(raw), cfg.fibers, path)
 
+    @pytest.mark.parametrize("table", ["h", "mu"])
+    def test_from_json_non_integer_letter(self, iid, table):
+        # the label was parsed by a bare int(), which raised ValueError
+        cfg, path = iid
+        triple = rpf_solve(cfg.potential, cfg.fibers, path, depth=cfg.depths["working"],
+                           horizon=40, window=(0, 3))
+        raw = json.loads(triple.to_json())
+        words = raw[table]["2"]
+        words["x,1"] = words.pop(next(iter(words)))
+        message = (f'^triple {table} table at fiber 2: expected comma-separated integer '
+                   'letters, got "x,1"$')
+        with pytest.raises(ConfigError, match=message):
+            RpfTriple.from_json(json.dumps(raw), cfg.fibers, path)
+
+    @pytest.mark.parametrize("key", ["lo", "hi", "log_lambda", "h", "mu"])
+    def test_from_json_missing_key(self, iid, key):
+        # the key was read by a bare subscript, which raised KeyError
+        cfg, path = iid
+        triple = rpf_solve(cfg.potential, cfg.fibers, path, depth=cfg.depths["working"],
+                           horizon=40, window=(0, 3))
+        raw = json.loads(triple.to_json())
+        del raw[key]
+        with pytest.raises(ConfigError, match=f"^triple misses the '{key}' key$"):
+            RpfTriple.from_json(json.dumps(raw), cfg.fibers, path)
+
 
 class TestTrustedConstruction:
     """The public constructor checks keys; functions the library derives skip it."""
