@@ -37,7 +37,6 @@ from .potentials import (
     distortion_constant,
     fitted_kappa,
     log_matrix_potential,
-    summability_value,
     table_potential,
     variation,
     word_birkhoff,
@@ -55,6 +54,7 @@ from .transfer import (
     normalize_potential,
     random_lipschitz,
     rpf_solve,
+    summability_value,
     transfer_apply,
     transfer_power,
 )

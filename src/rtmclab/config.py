@@ -27,10 +27,10 @@ from .potentials import (
     constant_potential,
     fitted_kappa,
     log_matrix_potential,
-    summability_value,
     table_potential,
 )
 from .shifts import BipStructure, FiberStructure, parse_word
+from .transfer import summability_value
 
 SCHEMA_VERSION = 1
 
@@ -157,39 +157,42 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if "bip" in fib:
         b = fib["bip"]
         bip = BipStructure(
-            letters=frozenset(int(x) for x in b["I"]),
+            letters=frozenset(_expect(x, f"fibers.bip.I[{i}]", "an integer")
+                              for i, x in enumerate(b["I"])),
             omega_bp=EventSpec.state_in(system, b.get("omega_bp", []), name="omega_bp"),
             omega_bi=EventSpec.state_in(system, b.get("omega_bi", []), name="omega_bi"),
         )
     fibers = FiberStructure.build(system, fib["alphabets"], fib["matrices"], bip=bip)
     pot = raw["potential"]
     kind = pot.get("kind", "table")
-    r = float(pot.get("r", 0.49))
+    r = float(_expect(pot.get("r", 0.49), "potential.r", "a number"))
     if kind == "log_matrix":
         weights = [np.asarray(pot["matrices"][s], dtype=float) for s in system.states]
         potential = log_matrix_potential(fibers, weights, r=r)
     elif kind == "constant":
-        potential = constant_potential(fibers, float(pot["value"]), r=r)
+        value = float(_expect(pot.get("value"), "potential.value", "a number"))
+        potential = constant_potential(fibers, value, r=r)
     elif kind == "table":
         tables = [
-            {parse_word(k, f"potential.tables.{s}"): float(v) for k, v in pot["tables"][s].items()}
+            {parse_word(k, f"potential.tables.{s}"):
+             float(_expect(v, f"potential.tables.{s}[{json.dumps(k)}]", "a number"))
+             for k, v in pot["tables"][s].items()}
             for s in system.states
         ]
-        potential = table_potential(tables, depth=int(pot["depth"]), r=r,
-                                    index=int(pot.get("index", 2)),
-                                    kappa=pot.get("kappa"))
+        depth = _expect(pot.get("depth"), "potential.depth", "an integer")
+        index = _expect(pot.get("index", 2), "potential.index", "an integer")
+        potential = table_potential(tables, depth=depth, r=r, index=index, kappa=pot.get("kappa"))
         if "kappa" not in pot:
             probe = sample_path(system, seed=system.seed)
             kappas = [0.0] * system.n_states
             for i in range(-32, 32):
                 s = probe.state(i)
                 kappas[s] = max(kappas[s], fitted_kappa(potential, fibers, probe, i))
-            potential = table_potential(tables, depth=int(pot["depth"]), r=r,
-                                        index=int(pot.get("index", 2)), kappa=kappas)
+            potential = table_potential(tables, depth=depth, r=r, index=index, kappa=kappas)
     else:
         raise ConfigError(f"unknown potential kind {kind!r}")
     metric = raw.get("metric", {})
-    beta = float(metric.get("beta", 0.5))
+    beta = float(_expect(metric.get("beta", 0.5), "metric.beta", "a number"))
     if not 0 < beta < 1:
         raise ConfigError("beta must lie in (0, 1)")
     if not 0 < r < 1:
@@ -205,7 +208,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw=raw, path=str(path), system=system, fibers=fibers, potential=potential,
         beta=beta, depths=depths, horizons=horizons, trials=trials, seeds=seeds,
         sequences=sequences, observables=observables,
-        pressure_letter=int(raw.get("pressure", {}).get("letter", min(fibers.universe))),
+        pressure_letter=_expect(raw.get("pressure", {}).get("letter", min(fibers.universe)),
+                                "pressure.letter", "an integer"),
         comparison_kernel=raw.get("equilibrium", {}).get("comparison_kernel"),
         name=raw.get("name", path.stem),
     )

@@ -22,8 +22,13 @@ from .matrices import (
     matrix_rpf,
 )
 from .mixing import correlation_decay, equilibrium_gap, pattern_function, psi_mixing
-from .potentials import summability_value
-from .transfer import gurevich_pressure, invariant_measures, normalize_potential, rpf_solve
+from .transfer import (
+    gurevich_pressure,
+    invariant_measures,
+    normalize_potential,
+    rpf_solve,
+    summability_value,
+)
 from .transport import (
     certify_event,
     contraction_constants,

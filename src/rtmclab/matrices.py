@@ -19,9 +19,9 @@ import numpy as np
 from .driver import DriverPath
 from .errors import ConfigError, ConvergenceError, InvariantViolation
 from .fitting import fit_rate
-from .potentials import Potential, log_matrix_potential, summability_value
+from .potentials import Potential, log_matrix_potential
 from .shifts import FiberStructure
-from .transfer import RpfTriple
+from .transfer import RpfTriple, summability_value
 from .transport import big_preimage_sequences
 
 _norm_inf = lambda m: float(np.max(np.abs(m)))

@@ -336,7 +336,8 @@ def equilibrium_gap(
 
 def _markov_comparison(phi, fibers, path, kernel, achieved, pressure) -> dict:
     """Entropy + integral of a declared invariant Markov kernel (stationary case)."""
-    if phi.state_keyed and len(set(path.state(i) for i in range(-8, 8))) != 1:
+    one_table = not phi.state_keyed or all(t == phi.tables[0] for t in phi.tables)
+    if len(set(fibers._class)) != 1 or not one_table:
         raise ConfigError("comparison kernels need a stationary (single-state) instance")
     if phi.depth > 2:
         raise ConfigError("comparison kernels support potentials of depth <= 2")

@@ -11,7 +11,7 @@ tail bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -34,6 +34,8 @@ class Potential:
     fiber_tables: dict | None = None  # per path fiber: word -> value
     fiber_kappa: dict | None = None
     fiber_range: tuple[int, int] | None = None  # inclusive fiber validity range
+    # the operator's step tables over this potential, cached by transfer
+    _steps: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.depth < 1:
@@ -225,17 +227,3 @@ def distortion_constant(
     return DistortionConstants(fiber=fiber, value=math.exp(series + tail),
                                horizon=horizon, tail_bound=tail)
 
-
-def summability_value(
-    phi: Potential, fibers: FiberStructure, path: DriverPath, span: int
-) -> float:
-    """Empirical mean of |log L_{theta^-1 omega}(1)| along the path (finiteness probe)."""
-    total = 0.0
-    for i in range(span):
-        words = admissible_words(fibers, path, i, max(phi.depth, 2))
-        sums: dict[tuple, float] = {}
-        for w in words:
-            key = w[1:]
-            sums[key] = sums.get(key, 0.0) + math.exp(phi.value(path, i, w))
-        total += max(abs(math.log(v)) for v in sums.values())
-    return total / span

@@ -60,11 +60,10 @@ class FiberStructure:
     _succ: tuple[tuple[dict, ...], ...] = field(default=(), repr=False)
     _pred: tuple[tuple[dict, ...], ...] = field(default=(), repr=False)
     _class: tuple[int, ...] = field(default=(), repr=False)  # per state, its fiber class
-    # derived tables, built once per window of fiber classes and cached under
-    # every driver-state window that reads them: word indices here, step
-    # tables in transfer; both live and die with this structure
+    # word indices, built once per window of fiber classes and cached under
+    # every driver-state window that reads them; the operator's step tables
+    # live on the potential they weigh
     _words: dict = field(default_factory=dict, repr=False)
-    _steps: dict = field(default_factory=dict, repr=False)
 
     @staticmethod
     def build(

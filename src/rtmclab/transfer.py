@@ -7,22 +7,25 @@ on depth-m cylinders and measures are atomic at canonical representatives,
 both actions are exact finite sums, and the adjoint identity holds to float
 accumulation error.
 
-One dual step is a fixed sparse map between word sets (higher-block recoding):
-for a depth-d source word w at fiber j it lists the predecessor letters a in
-ascending order, the branch weight exp(phi) at aw and the row of aw's depth-d
-prefix at fiber j-1.  For a state-keyed potential it reads the potential's
-table at the driver state at j-1 and the alphabets and 0/1 matrices at
-j-1 .. j-1+d, so it is built once per (potential, d, state at j-1, fiber
-classes at j .. j-1+d) and cached on the FiberStructure next to the word
-index, under every driver-state window that reads it; fiber-keyed
-potentials build it per fiber.  `dual_apply` uses it at the potential's
-locality d = max(p-1, 1) (a short atom is looked up by its canonical depth-d
-prefix), the measure sweep of `rpf_solve` at the working depth.  Both run on
-(row, weight) vectors and keep the atom order of the per-atom definition:
-source atoms in insertion order, predecessors ascending; masses are
-sequential sums in that order, and coarsening sums onto output atoms in
-first-occurrence order.  The floats are therefore bit for bit those of the
-dict loop kept as the test oracle.
+One step is a fixed sparse map between word sets (higher-block recoding),
+read forward by the operator and backward by its dual: for each depth-d
+word w at fiber j+1 it lists the predecessor letters a ascending, the
+branch weight exp(phi) at aw and the row of aw's depth-d prefix at fiber j.
+It reads the potential at fiber j and the alphabets and 0/1 matrices at
+j .. j+d, so it is built once per (potential, d, state at j, fiber classes
+at j+1 .. j+d), and once per fiber for a fiber-keyed potential.  It is
+cached on the potential under every driver-state window that reads it, and
+freed with it.  `transfer_apply` reads it at its output depth through a
+tuple view per function depth m: per w, (exp(phi) at aw, aw cut to m) for
+each a; each value sums from 0.0 in that order.  `dual_apply` reads it at
+the potential's locality d = max(p-1, 1) (a short atom is looked up by its
+canonical depth-d prefix), the measure sweep of `rpf_solve` at the working
+depth.  Both run on (row, weight) vectors and keep the atom order of the
+per-atom definition: source atoms in insertion order, predecessors
+ascending; masses are sequential sums in that order, and coarsening sums
+onto output atoms in first-occurrence order.  The floats of all three are
+therefore bit for bit those of the per-word and per-atom loops kept as test
+oracles.
 
 Where the sweep's atoms go in one step depends only on the step table and
 the order of the source rows, and a solve's row orders settle within a few
@@ -35,13 +38,6 @@ the driver states of its whole span once.  A step is then one
 gather-multiply and one bincount, the same floats as pulling and coarsening
 afresh (kept as the test oracle `sweep_oracle`).  `dual_apply` keeps no
 plans: its row sets vary per call.
-
-`transfer_apply` reads a forward twin in plain tuples (its functions hold few
-values): per output word w at fiber j+1, (exp(phi) at aw, aw cut to the
-function depth) for each predecessor a ascending, shared likewise under
-(potential, both depths, state at j, classes at j+1 .. j+output depth).
-Each value sums from 0.0 in that order, bit for bit the per-word loop kept
-as the test oracle.
 
 Every measure holds its atoms as read-only arrays: `atoms`, a (k x depth)
 int64 array of admissible words, each the canonical depth-`depth` prefix of
@@ -463,45 +459,79 @@ class AtomicMeasure:
 # the operator and its dual
 
 
-def _class_key(fibers: FiberStructure, key: tuple) -> tuple:
-    """The key that shares a step table cached under `key` = (phi, depths, state
-    window): the window's first state, the potential's own fiber, then the
-    fiber classes of the rest.  Windows with one class key read the same
-    fiber data and the same potential table; the class key is itself a
-    key of that form, and equals `key` on a one-class window."""
-    *head, states = key
-    return (*head, states[:1] + fibers.classes(states[1:]))
+@dataclass(frozen=True, eq=False)
+class _Step:
+    """One operator step between fibers j and j+1, over every admissible depth-d word at j+1.
 
-
-def _forward_table(phi: Potential, fibers: FiberStructure, path: DriverPath,
-                   j: int, d: int, m: int) -> tuple:
-    """The forward step from fiber j: (w, ((exp(phi(aw)), (aw)[:m]), ...)) per
-    depth-d word w at fiber j+1, for depth-m functions; needs d >= max(m-1, p-1).
-
-    A state-keyed potential's table is cached on the fibers under (phi, d, m,
-    driver states j .. j+d) and shared under its `_class_key`.
+    Source row r, the row of words[r], owns the entries ptr[r] <= e < ptr[r+1],
+    one per predecessor letter a in ascending order: letter[e] is a, weight[e]
+    is exp(phi) at a words[r], and coarse[e] is the row of its depth-d prefix
+    among the depth-d words at fiber j.  `plans` memoizes the measure sweep's
+    `_Plan` per source row order (the rows' bytes), `views` the `forward`
+    view per function depth.
     """
-    key = (phi, d, m, path.states(j, j + d)) if phi.state_keyed else None
-    table = fibers._steps.get(key)
-    if table is None:
-        shared = _class_key(fibers, key) if key is not None else None
-        table = fibers._steps.get(shared)
-        if table is None:
-            pred = fibers._pred[path.state(j)][path.state(j + 1)]
-            table = tuple(
-                (w, tuple((math.exp(phi.value(path, j, (a,) + w)), ((a,) + w)[:m])
-                          for a in pred[w[0]]))
-                for w in admissible_words(fibers, path, j + 1, d))
-        if key is not None:
-            fibers._steps[key] = fibers._steps[shared] = table
-    return table
+
+    words: tuple
+    ptr: np.ndarray
+    letter: np.ndarray
+    weight: np.ndarray
+    coarse: np.ndarray
+    plans: dict = field(default_factory=dict, init=False, repr=False)
+    views: dict = field(default_factory=dict, init=False, repr=False)
+
+    def forward(self, m: int) -> tuple:
+        """(w, ((exp(phi) at aw, (aw)[:m]), ...)) per source word w, its predecessors a
+        ascending, for depth-m functions (m <= d + 1); the weights are `weight`'s floats."""
+        view = self.views.get(m)
+        if view is None:
+            ptr, letter, weight = self.ptr.tolist(), self.letter.tolist(), self.weight.tolist()
+            view = self.views[m] = tuple(
+                (w, tuple((weight[e], ((letter[e],) + w)[:m]) for e in range(ptr[r], ptr[r + 1])))
+                for r, w in enumerate(self.words))
+        return view
+
+
+def _step(phi: Potential, fibers: FiberStructure, path: DriverPath, j: int, d: int,
+          states: tuple | None = None) -> _Step:
+    """The step between fibers j and j+1 for depth-d words; needs d >= phi.depth - 1.
+
+    It reads the potential at fiber j and the fiber data at j .. j+d, so it is
+    cached on the potential under (fibers, d, driver states j .. j+d), with j
+    before the states for a fiber-keyed potential, and shared under the class
+    window: the first state, then the fiber classes of the rest, which fix
+    the same potential table and fiber data.  A caller that holds the states
+    passes them as `states`.
+    """
+    if states is None:
+        states = path.states(j, j + d)
+    key = (fibers, d, states) if phi.state_keyed else (fibers, d, j, states)
+    step = phi._steps.get(key)
+    if step is None:
+        shared = key[:-1] + (states[:1] + fibers.classes(states[1:]),)
+        step = phi._steps.get(shared)
+        if step is None:
+            words = fibers.words_over(states[1:]).words
+            target = fibers.words_over(states[:d]).rows
+            pred = fibers._pred[states[0]][states[1]]
+            ptr, letter, weight, coarse = [0], [], [], []
+            for w in words:
+                for a in pred[w[0]]:
+                    full = (a,) + w
+                    letter.append(a)
+                    weight.append(math.exp(phi.value(path, j, full)))
+                    coarse.append(target[full[:d]])
+                ptr.append(len(letter))
+            step = _Step(words, np.array(ptr, dtype=np.intp), np.array(letter, dtype=np.int64),
+                         np.array(weight, dtype=float), np.array(coarse, dtype=np.intp))
+        phi._steps[key] = phi._steps[shared] = step
+    return step
 
 
 def transfer_apply(phi: Potential, f: CylinderFunction) -> CylinderFunction:
     """One operator step: (L f)(x) = sum over letters a with a x admissible of e^phi(ax) f(ax)."""
     out_depth = max(f.depth - 1, phi.depth - 1, 1)
     values, out = f.values, {}
-    for w, branches in _forward_table(phi, f.fibers, f.path, f.anchor, out_depth, f.depth):
+    for w, branches in _step(phi, f.fibers, f.path, f.anchor, out_depth).forward(f.depth):
         total = 0.0
         for weight, key in branches:
             total += weight * values[key]
@@ -518,22 +548,17 @@ def transfer_power(phi: Potential, f: CylinderFunction, n: int) -> CylinderFunct
     return f
 
 
-@dataclass(frozen=True, eq=False)
-class _Step:
-    """One dual step from fiber j to fiber j-1 over every admissible depth-d word at j.
-
-    Source row r owns the entries ptr[r] <= e < ptr[r+1], one per predecessor
-    letter in ascending order: the new atom starts with letter[e], weight[e]
-    is exp(phi) at it, and coarse[e] is the row of its depth-d prefix among
-    the depth-d words at fiber j-1.  `plans` memoizes the measure sweep's
-    `_Plan` per source row order (the rows' bytes).
-    """
-
-    ptr: np.ndarray
-    letter: np.ndarray
-    weight: np.ndarray
-    coarse: np.ndarray
-    plans: dict = field(default_factory=dict, repr=False)
+def summability_value(phi: Potential, fibers: FiberStructure, path: DriverPath,
+                      span: int) -> float:
+    """Mean over fibers 0 .. span-1 of max |log L(1)|, the operator from each fiber on
+    the constant 1 (a finiteness probe).  A word without predecessors, which the
+    row/column check reports, carries no branch and is left out."""
+    total = 0.0
+    for i in range(span):
+        one = transfer_apply(phi, CylinderFunction.constant(fibers, path, i, 1.0))
+        total += max((abs(math.log(v)) for v in one.values.values() if v > 0.0),
+                     default=math.inf)
+    return total / span
 
 
 @dataclass(frozen=True)
@@ -550,41 +575,6 @@ class _Plan:
     first: np.ndarray
     n: int
     after: dict = field(default_factory=dict, repr=False, compare=False)
-
-
-def _step_table(phi: Potential, fibers: FiberStructure, path: DriverPath,
-                j: int, d: int, states: tuple | None = None) -> _Step:
-    """The step table at fiber j for depth-d sources; needs d >= phi.depth - 1.
-
-    A state-keyed potential's table depends only on the potential's table at
-    the driver state at j-1 and on the fiber data at j-1 .. j-1+d, so it is
-    cached on the fibers under (phi, d, driver states j-1 .. j-1+d) and
-    shared under its `_class_key`.  A caller that holds those states passes
-    them as `states`.
-    """
-    key = None
-    if phi.state_keyed:
-        key = (phi, d, path.states(j - 1, j - 1 + d) if states is None else states)
-    step = fibers._steps.get(key)
-    if step is None:
-        shared = _class_key(fibers, key) if key is not None else None
-        step = fibers._steps.get(shared)
-        if step is None:
-            target = word_index(fibers, path, j - 1, d).rows
-            pred = fibers._pred[path.state(j - 1)][path.state(j)]
-            ptr, letter, weight, coarse = [0], [], [], []
-            for w in word_index(fibers, path, j, d).words:
-                for a in pred[w[0]]:
-                    full = (a,) + w
-                    letter.append(a)
-                    weight.append(math.exp(phi.value(path, j - 1, full)))
-                    coarse.append(target[full[:d]])
-                ptr.append(len(letter))
-            step = _Step(np.array(ptr, dtype=np.intp), np.array(letter, dtype=np.int64),
-                         np.array(weight, dtype=float), np.array(coarse, dtype=np.intp))
-        if key is not None:
-            fibers._steps[key] = fibers._steps[shared] = step
-    return step
 
 
 def _pull(step: _Step, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -650,7 +640,7 @@ def dual_apply(phi: Potential, mu: AtomicMeasure, n: int = 1,
     origin = np.arange(len(keys))
     lead = np.empty((len(keys), 0), dtype=np.int64)  # letters pulled so far, newest first
     for i in range(n):
-        step = _step_table(phi, fibers, path, j - i, d)
+        step = _step(phi, fibers, path, j - i - 1, d)
         e, src = _pull(step, keys)
         weights = step.weight[e] * weights[src]
         _check_weights(weights)
@@ -740,21 +730,31 @@ class RpfTriple:
             if key not in raw:
                 raise ConfigError(f"triple misses the {key!r} key")
 
-        def table(name: str, j: str, tab: dict) -> tuple[int, dict]:
+        def fibered(name: str) -> dict:
+            """The table `name` with its fiber keys read as integers."""
+            out = {}
+            for j, v in raw[name].items():
+                try:
+                    out[int(j)] = v
+                except ValueError:
+                    raise ConfigError(f"triple {name} table: expected integer fiber keys, "
+                                      f"got {json.dumps(j)}") from None
+            return out
+
+        def table(name: str, j: int, tab: dict) -> tuple[int, dict]:
             """The depth of a word table, read off its first key, and its parsed words."""
             if not tab:
                 raise ConfigError(f"triple {name} table at fiber {j} is empty")
             words = {parse_word(w, f"triple {name} table at fiber {j}"): v for w, v in tab.items()}
             return len(next(iter(words))), words
 
-        h = {int(j): CylinderFunction(fibers, path, int(j), *table("h", j, tab))
-             for j, tab in raw["h"].items()}
-        mu = {int(j): AtomicMeasure(fibers, path, int(j), *table("mu", j, tab))
-              for j, tab in raw["mu"].items()}
+        h = {j: CylinderFunction(fibers, path, j, *table("h", j, tab))
+             for j, tab in fibered("h").items()}
+        mu = {j: AtomicMeasure(fibers, path, j, *table("mu", j, tab))
+              for j, tab in fibered("mu").items()}
         return RpfTriple(
             fibers=fibers, path=path, lo=raw["lo"], hi=raw["hi"],
-            log_lambda={int(k): v for k, v in raw["log_lambda"].items()},
-            h=h, mu=mu, tolerance=raw.get("tolerance", 1e-8),
+            log_lambda=fibered("log_lambda"), h=h, mu=mu, tolerance=raw.get("tolerance", 1e-8),
         )
 
 
@@ -784,7 +784,7 @@ def _mu_sweep(phi: Potential, start: AtomicMeasure, bottom: int, depth: int,
     plan = None
     for j in range(top - 1, bottom - 1, -1):
         window_states = states[j - bottom:j - bottom + depth + 1]  # fibers j .. j+depth
-        step = _step_table(phi, fibers, path, j + 1, depth, window_states)
+        step = _step(phi, fibers, path, j, depth, window_states)
         if plan is None:
             plan = _plan(step, rows)
         else:
@@ -950,8 +950,10 @@ def normalize_potential(phi: Potential, triple: RpfTriple) -> Potential:
     for j in range(lo, hi):
         out.fiber_kappa[j] = fitted_kappa(out, fibers, path, j)
     for j in range(lo, hi - 1):
-        one = CylinderFunction.constant(fibers, path, j, 1.0, max(p_new - 1, 1))
-        gap = transfer_apply(out, one).shift_scale(1.0, -1.0).sup_norm()
+        step = _step(out, fibers, path, j, max(p_new - 1, 1))
+        weight, ptr = step.weight.tolist(), step.ptr.tolist()
+        # L(1) at each word is the sum of its branch weights
+        gap = max(abs(sum(weight[a:b]) - 1.0) for a, b in zip(ptr, ptr[1:]))
         if gap > 1e-8:
             raise InvariantViolation(
                 f"normalized operator fails L(1)=1 at fiber {j}: gap {gap:g}"

@@ -388,6 +388,37 @@ def test_bad_table_potential_word_exits_2(tmp_path, capsys):
                          'got "two"', tmp_path, capsys)
 
 
+TABLE_POTENTIAL = {"kind": "table", "depth": 1, "r": 0.3, "index": 1, "kappa": [0.0],
+                   "tables": {"a": {"1": -0.5, "2": -0.9}}}
+
+
+@pytest.mark.parametrize("stem, edit, message", [
+    ("golden_mean", lambda raw: raw.update(potential={
+        **TABLE_POTENTIAL, "tables": {"a": {"1": -0.5, "2": "x"}}}),
+     'potential.tables.a["2"]: expected a number, got "x"'),
+    ("golden_mean", lambda raw: raw["potential"].update(r="x"),
+     'potential.r: expected a number, got "x"'),
+    ("golden_mean", lambda raw: raw.update(potential={**TABLE_POTENTIAL, "depth": "x"}),
+     'potential.depth: expected an integer, got "x"'),
+    ("golden_mean", lambda raw: raw.update(potential={**TABLE_POTENTIAL, "index": "x"}),
+     'potential.index: expected an integer, got "x"'),
+    ("constant_full_shift", lambda raw: raw["potential"].update(value="x"),
+     'potential.value: expected a number, got "x"'),
+    ("golden_mean", lambda raw: raw["metric"].update(beta="x"),
+     'metric.beta: expected a number, got "x"'),
+    ("golden_mean", lambda raw: raw.update(pressure={"letter": "x"}),
+     'pressure.letter: expected an integer, got "x"'),
+    ("full_shift_iid", lambda raw: raw["fibers"]["bip"].update(I=[1, "x"]),
+     'fibers.bip.I[1]: expected an integer, got "x"'),
+], ids=["table-value", "r", "depth", "index", "constant-value", "beta", "pressure-letter",
+        "bip-letter"])
+def test_bad_config_scalar_exits_2(stem, edit, message, tmp_path, capsys):
+    # each was converted by a bare float() or int(), which raised ValueError
+    raw = json.loads((CONFIGS / f"{stem}.json").read_text())
+    edit(raw)
+    _expect_config_error(raw, message, tmp_path, capsys)
+
+
 @pytest.mark.parametrize("section, key", [
     ("fibers", "alphabets"), ("fibers", "matrices"), ("potential", "matrices"),
 ])

@@ -1,11 +1,17 @@
+import functools
+import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rtmclab.config import load_config
 from rtmclab.driver import sample_path
+from rtmclab.errors import ConfigError
 from rtmclab.mixing import (
+    _markov_comparison,
     correlation_decay,
     equilibrium_gap,
     pattern_function,
@@ -33,6 +39,7 @@ from conftest import (
     two_state_iid,
 )
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MAT = np.array([[0.3, 0.6], [0.7, 0.4]])  # column-stochastic 2-letter instance
 
 
@@ -244,3 +251,27 @@ class TestEquilibrium:
         fine = refined_invariant(nu, tilde, 0, nu[0].depth + 3)
         for w, m in nu[0].weights.items():
             assert fine.cylinder_mass(w) == pytest.approx(m, abs=1e-12)
+
+    @pytest.mark.parametrize("law, same_data, stationary", [
+        ([0.99, 0.01], False, False),  # the path sits in one state near 0, not throughout
+        ([0.5, 0.5], True, True),  # two states with one fiber class and one table
+    ], ids=["two-tables", "one-table"])
+    def test_comparison_reads_stationarity_off_the_instance(self, law, same_data, stationary,
+                                                            tmp_path):
+        raw = json.loads((CONFIGS / "full_shift_iid.json").read_text())
+        raw["driver"]["law"]["weights"] = law
+        if same_data:
+            raw["potential"]["matrices"]["b"] = raw["potential"]["matrices"]["a"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        cfg = load_config(cfg_path)
+        path = cfg.sample(1)
+        assert set(path.states(-400, 400)) == {0, 1}
+        compare = functools.partial(_markov_comparison, cfg.potential, cfg.fibers, path,
+                                    [[0.5, 0.5], [0.5, 0.5]], 0.0, 0.0)
+        if stationary:
+            integral = sum(0.25 * math.log(p) for p in (0.3, 0.6, 0.7, 0.4))
+            assert compare()["kernel_value"] == pytest.approx(math.log(2) + integral)
+        else:
+            with pytest.raises(ConfigError, match="stationary"):
+                compare()

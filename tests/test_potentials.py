@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +18,12 @@ from rtmclab.potentials import (
     distortion_constant,
     fitted_kappa,
     log_matrix_potential,
-    summability_value,
     table_potential,
     variation,
     word_birkhoff,
 )
 from rtmclab.shifts import admissible_words, canonical_prefixes
+from rtmclab.transfer import summability_value
 
 from conftest import full_shift, stationary_system
 
@@ -316,3 +317,28 @@ class TestSummability:
         fibers, path = full2
         phi = constant_potential(fibers, 0.0)
         assert summability_value(phi, fibers, path, span=5) == pytest.approx(math.log(2), rel=1e-12)
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_matches_dict_oracle(self, name):
+        # L(1) read through transfer_apply sums the same exp terms in the same
+        # order as the per-word loop, so the probe keeps its bits
+        cfg = load_config(CONFIGS / f"{name}.json")
+        for seed in (0, 1, 5, 17, 37, 101):
+            path = cfg.sample(seed)
+            got = summability_value(cfg.potential, cfg.fibers, path, span=64)
+            want = dict_summability_oracle(cfg.potential, cfg.fibers, path, span=64)
+            assert struct.pack("<d", got) == struct.pack("<d", want), (name, seed)
+
+
+def dict_summability_oracle(phi, fibers, path, span):
+    """The per-word loop: each admissible word w at fiber i adds exp(phi(w)) to the
+    sum at w[1:], from 0.0 in word order; the mean of max |log| over the fibers."""
+    total = 0.0
+    for i in range(span):
+        words = admissible_words(fibers, path, i, max(phi.depth, 2))
+        sums = {}
+        for w in words:
+            key = w[1:]
+            sums[key] = sums.get(key, 0.0) + math.exp(phi.value(path, i, w))
+        total += max(abs(math.log(v)) for v in sums.values())
+    return total / span

@@ -1,7 +1,11 @@
+import dataclasses
+import gc
 import itertools
 import json
 import math
 import struct
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -244,7 +248,7 @@ def dict_pull_oracle(phi, mu, n):
     origin = np.arange(len(keys))
     lead = np.empty((len(keys), 0), dtype=np.int64)
     for i in range(n):
-        step = transfer._step_table(phi, fibers, path, j - i, d)
+        step = transfer._step(phi, fibers, path, j - i - 1, d)
         e, src = transfer._pull(step, keys)
         weights = step.weight[e] * weights[src]
         keys, origin = step.coarse[e], origin[src]
@@ -398,7 +402,7 @@ def sweep_oracle(phi, start, bottom, depth, window):
     weights = np.fromiter(start.weights.values(), dtype=float, count=len(rows))
     lams, mus = {}, {}
     for j in range(top - 1, bottom - 1, -1):
-        step = transfer._step_table(phi, fibers, path, j + 1, depth)
+        step = transfer._step(phi, fibers, path, j, depth)
         e, src = transfer._pull(step, rows)
         pulled = step.weight[e] * weights[src]
         transfer._check_weights(pulled)
@@ -413,10 +417,14 @@ def sweep_oracle(phi, start, bottom, depth, window):
     return lams, mus
 
 
-def plans_of(fibers):
-    """Every memoized sweep plan on the structure's step tables, once each."""
-    steps = {id(s): s for s in fibers._steps.values() if isinstance(s, transfer._Step)}
-    return [plan for step in steps.values() for plan in step.plans.values()]
+def steps_of(phi):
+    """The step tables cached on a potential, once each."""
+    return list({id(s): s for s in phi._steps.values()}.values())
+
+
+def plans_of(phi):
+    """Every memoized sweep plan on the potential's step tables, once each."""
+    return [plan for step in steps_of(phi) for plan in step.plans.values()]
 
 
 SHIPPED = sorted(p.stem for p in CONFIGS.glob("*.json"))
@@ -477,16 +485,16 @@ class TestSweepPlans:
             rpf_solve(cfg.potential, cfg.fibers, cfg.sample(cfg.seeds[0]),
                       depth=cfg.depths["working"], horizon=cfg.horizons["solve"],
                       window=(0, 24))
-            counts[name] = len(plans_of(cfg.fibers))
+            counts[name] = len(plans_of(cfg.potential))
         assert all(1 <= n <= 16 for n in counts.values()), counts
 
     def test_no_plan_is_shared_across_structures(self):
-        # both structures stay alive, so equal ids would mean one shared plan
+        # both configs stay alive, so equal ids would mean one shared plan
         configs = [load_config(CONFIGS / "full_shift_iid.json") for _ in range(2)]
         for cfg in configs:
             rpf_solve(cfg.potential, cfg.fibers, cfg.sample(cfg.seeds[0]),
                       depth=cfg.depths["working"], horizon=40, window=(0, 8))
-        first, second = ({id(plan) for plan in plans_of(cfg.fibers)} for cfg in configs)
+        first, second = ({id(plan) for plan in plans_of(cfg.potential)} for cfg in configs)
         assert first and second and not first & second
 
 
@@ -600,10 +608,16 @@ class TestForwardParity:
         triple = rpf_solve(phi, fibers, path, depth=4, horizon=40, window=(0, 12))
         tilde = normalize_potential(phi, triple)
         assert not tilde.state_keyed
-        before = len(fibers._steps)
+        before = dict(tilde._steps)  # normalize_potential's L(1) checks
         for j in (0, 3, 7):
             self.assert_parity(tilde, forward_functions(fibers, path, j, rng))
-        assert len(fibers._steps) == before  # fiber-keyed tables are rebuilt, not cached
+        # fiber-keyed tables are cached on the potential under their fiber, and
+        # a second pass over the same fibers reads them without a rebuild
+        tables = dict(tilde._steps)
+        assert {key[2] for key in tables.keys() - before.keys()} == {0, 1, 2, 3, 4, 5, 7, 8, 9}
+        for j in (0, 3, 7):
+            self.assert_parity(tilde, forward_functions(fibers, path, j, rng))
+        assert tilde._steps == tables
 
 
 def test_forward_cache_is_shared_across_fibers():
@@ -613,12 +627,12 @@ def test_forward_cache_is_shared_across_fibers():
     cfg = load_config(CONFIGS / "markov_2letter.json")
     assert cfg.system.n_states == 1
     path = cfg.sample(cfg.seeds[0])
-    steps = cfg.fibers._steps
+    steps = cfg.potential._steps
 
     def solve(window):
         rpf_solve(cfg.potential, cfg.fibers, path, depth=cfg.depths["working"],
                   horizon=60, window=window)
-        return len(steps), sum(isinstance(v, tuple) for v in steps.values())
+        return len(steps), sum(len(step.views) for step in steps_of(cfg.potential))
 
     before = len(steps)
     total, forward = solve((-20, 20))
@@ -633,9 +647,11 @@ class TestClassKeyedSteps:
 
     @staticmethod
     def cold(cfg):
-        """A freshly built FiberStructure of the config, with empty caches."""
+        """A freshly built FiberStructure of the config and a copy of its potential,
+        both with empty caches."""
         raw = cfg.raw["fibers"]
-        return FiberStructure.build(cfg.system, raw["alphabets"], raw["matrices"])
+        return (FiberStructure.build(cfg.system, raw["alphabets"], raw["matrices"]),
+                dataclasses.replace(cfg.potential))
 
     def test_equal_class_windows_share_steps(self):
         cfg = load_config(CONFIGS / "full_shift_iid.json")
@@ -643,12 +659,12 @@ class TestClassKeyedSteps:
         d = cfg.depths["working"]
         shared = {}
         for j in range(-40, 40):
-            state = path.state(j - 1)
-            step = transfer._step_table(phi, fibers, path, j, d)
-            forward = transfer._forward_table(phi, fibers, path, j - 1, d, d)
+            state = path.state(j)
+            step = transfer._step(phi, fibers, path, j, d)
+            forward = step.forward(d)
             first_step, first_forward = shared.setdefault(state, (step, forward))
             assert first_step is step and first_forward is forward
-        assert len({path.states(j - 1, j - 1 + d) for j in range(-40, 40)}) > 2
+        assert len({path.states(j, j + d) for j in range(-40, 40)}) > 2
         # the two states' potential tables differ, and so do their steps
         (a, fa), (b, fb) = shared[0], shared[1]
         assert a is not b and not np.array_equal(a.weight, b.weight)
@@ -661,7 +677,7 @@ class TestClassKeyedSteps:
         rpf_solve(cfg.potential, cfg.fibers, path, depth=cfg.depths["working"],
                   horizon=40, window=(0, 8))
         states = {}
-        for key, table in cfg.fibers._steps.items():
+        for key, table in cfg.potential._steps.items():
             states.setdefault(id(table), set()).add(key[-1][0])
         assert all(len(s) == 1 for s in states.values())
 
@@ -673,13 +689,13 @@ class TestClassKeyedSteps:
         fibers, phi, path = cfg.fibers, cfg.potential, cfg.sample(cfg.seeds[0])
         for d, m in ((1, 1), (4, 3), (5, 5)):
             for j in range(-12, 12):
-                cold = self.cold(cfg)
-                step = transfer._step_table(phi, fibers, path, j, d)
-                fresh = transfer._step_table(phi, cold, path, j, d)
+                cold, cold_phi = self.cold(cfg)
+                step = transfer._step(phi, fibers, path, j, d)
+                fresh = transfer._step(cold_phi, cold, path, j, d)
+                assert step.words == fresh.words
                 for field_name in ("ptr", "letter", "weight", "coarse"):
                     assert np.array_equal(getattr(step, field_name), getattr(fresh, field_name))
-                assert (transfer._forward_table(phi, fibers, path, j, d, m)
-                        == transfer._forward_table(phi, cold, path, j, d, m))
+                assert step.forward(m) == fresh.forward(m)
 
     def test_solve_builds_at_most_one_step_per_potential_state(self):
         cfg = load_config(CONFIGS / "full_shift_iid.json")
@@ -687,10 +703,66 @@ class TestClassKeyedSteps:
         rpf_solve(cfg.potential, cfg.fibers, path, depth=cfg.depths["working"],
                   horizon=cfg.horizons["solve"], window=(0, 24))
         distinct = {}
-        for key, table in cfg.fibers._steps.items():
-            if isinstance(table, transfer._Step):
-                distinct.setdefault(key[:2], set()).add(id(table))
+        for key, table in cfg.potential._steps.items():
+            distinct.setdefault(key[:2], set()).add(id(table))
         assert distinct and all(len(ids) <= 2 for ids in distinct.values())
+
+
+class TestOneStepTable:
+    """The operator and its dual read one step table per (potential, depth, window)."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        """A list that grows by one entry per step table built."""
+        built, real = [], transfer._Step
+
+        def spy(*args):
+            built.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(transfer, "_Step", spy)
+        return built
+
+    @pytest.mark.parametrize("name", ["full_shift_iid", "random_3letter", "periodic_2_3letter"])
+    def test_one_build_per_window(self, name, monkeypatch):
+        # at the potential's locality d the operator, the dual and a depth-d
+        # sweep all read the steps between fibers j and j+1 at depth d
+        cfg = load_config(CONFIGS / f"{name}.json")
+        fibers, phi, path = cfg.fibers, cfg.potential, cfg.sample(cfg.seeds[0])
+        d = max(phi.depth - 1, 1)
+        reads, value = Counter(), Potential.value
+
+        def spy(self, path, fiber, prefix):
+            reads[fiber, tuple(prefix[:self.depth])] += 1
+            return value(self, path, fiber, prefix)
+
+        monkeypatch.setattr(Potential, "value", spy)
+        built = self.count_builds(monkeypatch)
+        for j in range(20):
+            transfer_apply(phi, CylinderFunction.constant(fibers, path, j, 1.0, d))
+            dual_apply(phi, AtomicMeasure.uniform(fibers, path, j + 1, d))
+        transfer._mu_sweep(phi, AtomicMeasure.uniform(fibers, path, 20, d), 0, d, (0, 0))
+        windows = {(s[:1] + fibers.classes(s[1:])) for s in
+                   (path.states(j, j + d) for j in range(20))}
+        assert reads and max(reads.values()) == 1  # each branch weight is computed once
+        assert len(built) == len(windows) == len(steps_of(phi))
+
+    def test_fiber_keyed_table_is_built_once_and_freed_with_its_potential(self, monkeypatch):
+        fibers, path = two_state_full()
+        phi = random_log_matrix(fibers, np.random.default_rng(32))
+        triple = rpf_solve(phi, fibers, path, depth=4, horizon=40, window=(0, 12))
+        tilde = normalize_potential(phi, triple)  # reads L(1) at depth 1 on fibers 0 .. 10
+        built = self.count_builds(monkeypatch)
+        f = CylinderFunction.constant(fibers, path, 5, 1.0, 3)
+        for _ in range(2):
+            transfer_apply(tilde, f)  # output depth 2
+        dual_apply(tilde, AtomicMeasure.uniform(fibers, path, 6, 1))
+        assert len(built) == 1
+        ref = weakref.ref(transfer._step(tilde, fibers, path, 5, 2))
+        assert len(built) == 1 and ref() is not None
+        del tilde
+        gc.collect()
+        assert ref() is None
 
 
 @pytest.mark.parametrize("instance", ["full2", "gm", "pattern3", "two_state"])
@@ -999,6 +1071,18 @@ class TestMalformedInput:
         words["x,1"] = words.pop(next(iter(words)))
         message = (f'^triple {table} table at fiber 2: expected comma-separated integer '
                    'letters, got "x,1"$')
+        with pytest.raises(ConfigError, match=message):
+            RpfTriple.from_json(json.dumps(raw), cfg.fibers, path)
+
+    @pytest.mark.parametrize("table", ["h", "mu", "log_lambda"])
+    def test_from_json_non_integer_fiber_key(self, iid, table):
+        # the fiber key was parsed by a bare int(), which raised ValueError
+        cfg, path = iid
+        triple = rpf_solve(cfg.potential, cfg.fibers, path, depth=cfg.depths["working"],
+                           horizon=40, window=(0, 3))
+        raw = json.loads(triple.to_json())
+        raw[table]["x"] = raw[table].pop("1")
+        message = f'^triple {table} table: expected integer fiber keys, got "x"$'
         with pytest.raises(ConfigError, match=message):
             RpfTriple.from_json(json.dumps(raw), cfg.fibers, path)
 
