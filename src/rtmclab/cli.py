@@ -75,8 +75,10 @@ def _run_one(cfg: ExperimentConfig, experiment: str, seed: int, out_dir: str,
             continue
         summary[name] = report
         failed = failed or not report.get("passed", True)
-        for fname, text in tables.pop("_files", {}).items():
-            (out / f"{fname}_seed{seed}.json").write_text(text + "\n")
+        for fname, chunks in tables.pop("_files", {}).items():
+            with (out / f"{fname}_seed{seed}.json").open("w") as fh:
+                fh.writelines(chunks)  # written as they come
+                fh.write("\n")
         for table_name, (columns, rows) in tables.items():
             _write_csv(out / f"{table_name}_seed{seed}.csv", note, columns, rows)
     (out / f"report_seed{seed}.json").write_text(

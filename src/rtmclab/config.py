@@ -70,7 +70,7 @@ class ExperimentConfig:
 
 
 _KINDS = {"an integer": int, "a number": (int, float), "an object": dict,
-          "a list of integers": list}
+          "a list": list, "a list of integers": list}
 
 
 def _expect(value, key: str, kind: str):
@@ -79,6 +79,41 @@ def _expect(value, key: str, kind: str):
     if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
         raise ConfigError(f"{key}: expected {kind}, got {json.dumps(value)}")
     return value
+
+
+def _entries(value, key: str, kind: str, dims: int = 1):
+    """A list (of lists, for dims 2) as written in the config, each entry checked
+    by `_expect` under its path, e.g. `potential.matrices.a[1][0]`."""
+    _expect(value, key, "a list")
+    for i, v in enumerate(value):
+        if dims > 1:
+            _entries(v, f"{key}[{i}]", kind, dims - 1)
+        else:
+            _expect(v, f"{key}[{i}]", kind)
+    return value
+
+
+def _finite(value, key: str):
+    """A JSON number that is neither NaN nor infinite."""
+    if not math.isfinite(_expect(value, key, "a number")):
+        raise ConfigError(f"{key}: expected a finite number, got {json.dumps(value)}")
+    return value
+
+
+def _kernel(raw: dict):
+    """The equilibrium comparison kernel, null or a square list of finite numbers."""
+    kernel = _expect(raw.get("equilibrium", {}), "equilibrium", "an object").get(
+        "comparison_kernel")
+    if kernel is None:
+        return None
+    key = "equilibrium.comparison_kernel"
+    for i, row in enumerate(_entries(kernel, key, "a number", dims=2)):
+        if len(row) != len(kernel):
+            raise ConfigError(f"{key}: expected a square list of lists, got {len(kernel)} "
+                              f"rows and {len(row)} entries in row {i}")
+        for k, v in enumerate(row):
+            _finite(v, f"{key}[{i}][{k}]")
+    return kernel
 
 
 def _section(raw: dict, name: str, defaults: dict) -> dict:
@@ -147,8 +182,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     system = DriverSystem(
         states=tuple(drv.get("states", [])),
         kind=law.get("kind", "iid"),
-        weights=np.asarray(law["weights"], dtype=float) if "weights" in law else None,
-        matrix=np.asarray(law["matrix"], dtype=float) if "matrix" in law else None,
+        weights=(np.asarray(_entries(law["weights"], "driver.law.weights", "a number"),
+                            dtype=float) if "weights" in law else None),
+        matrix=(np.asarray(_entries(law["matrix"], "driver.law.matrix", "a number", dims=2),
+                           dtype=float) if "matrix" in law else None),
         seed=_expect(drv.get("seed", 0), "driver.seed", "an integer"),
     )
     _check_state_keys(raw, system.states)
@@ -162,12 +199,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
             omega_bp=EventSpec.state_in(system, b.get("omega_bp", []), name="omega_bp"),
             omega_bi=EventSpec.state_in(system, b.get("omega_bi", []), name="omega_bi"),
         )
+    if isinstance(fib.get("alphabets"), dict):
+        for label, letters in fib["alphabets"].items():
+            _entries(letters, f"fibers.alphabets.{label}", "an integer")
     fibers = FiberStructure.build(system, fib["alphabets"], fib["matrices"], bip=bip)
     pot = raw["potential"]
     kind = pot.get("kind", "table")
     r = float(_expect(pot.get("r", 0.49), "potential.r", "a number"))
     if kind == "log_matrix":
-        weights = [np.asarray(pot["matrices"][s], dtype=float) for s in system.states]
+        weights = [np.asarray(_entries(pot["matrices"][s], f"potential.matrices.{s}",
+                                       "a number", dims=2), dtype=float)
+                   for s in system.states]
         potential = log_matrix_potential(fibers, weights, r=r)
     elif kind == "constant":
         value = float(_expect(pot.get("value"), "potential.value", "a number"))
@@ -181,7 +223,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         ]
         depth = _expect(pot.get("depth"), "potential.depth", "an integer")
         index = _expect(pot.get("index", 2), "potential.index", "an integer")
-        potential = table_potential(tables, depth=depth, r=r, index=index, kappa=pot.get("kappa"))
+        kappa = pot.get("kappa")
+        if kappa is not None:
+            _entries(kappa, "potential.kappa", "a number")
+        potential = table_potential(tables, depth=depth, r=r, index=index, kappa=kappa)
         if "kappa" not in pot:
             probe = sample_path(system, seed=system.seed)
             kappas = [0.0] * system.n_states
@@ -203,6 +248,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     seeds = _expect(raw.get("seeds", [system.seed]), "seeds", "a list of integers")
     seeds = [_expect(s, f"seeds[{i}]", "an integer") for i, s in enumerate(seeds)]
     sequences = _section(raw, "sequences", _SEQUENCE_DEFAULTS)
+    for key in ("B", "C"):
+        if sequences[key] is not None:
+            _finite(sequences[key], f"sequences.{key}")
     observables = _observables(raw, fibers.universe)
     return ExperimentConfig(
         raw=raw, path=str(path), system=system, fibers=fibers, potential=potential,
@@ -210,7 +258,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         sequences=sequences, observables=observables,
         pressure_letter=_expect(raw.get("pressure", {}).get("letter", min(fibers.universe)),
                                 "pressure.letter", "an integer"),
-        comparison_kernel=raw.get("equilibrium", {}).get("comparison_kernel"),
+        comparison_kernel=_kernel(raw),
         name=raw.get("name", path.stem),
     )
 

@@ -151,7 +151,7 @@ def run_rpf(p: SeedPipeline):
     ]
     return report, {
         "rpf_fibers": (("fiber", "log_lambda", "residual", "h_mass"), rows),
-        "_files": {"rpf_triple": triple.to_json()},
+        "_files": {"rpf_triple": triple.json_chunks()},
     }
 
 

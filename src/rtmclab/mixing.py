@@ -300,9 +300,8 @@ def equilibrium_gap(
     curve = []
     h_vals = {}
     for n in returns:
-        refined = refined_invariant(nu, tilde, 0, n)
-        masses = refined.marginal(n)
-        h_n = -sum(m * math.log(m) for m in masses.values() if m > 0)
+        masses = refined_invariant(nu, tilde, 0, n).marginal_masses(n)
+        h_n = -sum(m * math.log(m) for m in masses.tolist() if m > 0)
         h_vals[n] = h_n
         curve.append((n, h_n / n))
     est = (h_vals[n2] - h_vals[n1]) / (n2 - n1)

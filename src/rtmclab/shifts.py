@@ -213,7 +213,8 @@ class WordIndex:
 
     What is derived from the words alone is derived once per index: the row
     of each word's prefix (`prefix_rows`), each word's "a,b,..." label
-    (`labels`), which is how a word is written in a JSON triple, and the
+    (`labels`), which is how a word is written in a JSON triple, the rows in
+    the order of their labels (`label_order`), and the
     words as one int64 array (`array`), which is how a measure built on the
     index holds its atoms.
     """
@@ -226,6 +227,12 @@ class WordIndex:
     def labels(self) -> tuple[str, ...]:
         """Each word as its letters joined by commas, in row order."""
         return tuple(",".join(map(str, w)) for w in self.words)
+
+    @cached_property
+    def label_order(self) -> np.ndarray:
+        """The rows sorted by their labels as strings, the order of a JSON table's keys."""
+        return np.array(sorted(range(len(self.words)), key=self.labels.__getitem__),
+                        dtype=np.intp)
 
     @cached_property
     def array(self) -> np.ndarray:

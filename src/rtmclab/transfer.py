@@ -62,11 +62,19 @@ are exactly the admissible words at its depth.  The functions the library
 derives (`constant`, `indicator`, `random_lipschitz`, `map`, `refine`,
 `binary`, `transfer_apply`) take their keys from a word index or from a
 function already checked, and skip that check.  A triple's JSON writes each
-swept atom through its word index's labels.
+swept atom through its word index's labels, one fiber's table at a time
+(`json_chunks`), so the whole text is never held; a triple read back builds
+a measure whose words are exactly its word index's on that index's rows, in
+the file's order.
 
 The eigenproblem solver recovers the eigenvalue cocycle from the masses of
 successive dual steps, the eigenfunction from backward-started forward sweeps,
 and certifies convergence by the agreement of two independently started runs.
+Only the first measure sweep keeps its measures: the certifying second sweep
+compares each window fiber with the first sweep's measure as it passes it and
+keeps only that gap and its log masses, so one working-depth measure table is
+alive at a time.  `invariant_measures` is a read-only mapping over the window
+that builds each d nu = h d mu when it is first read, with the same checks.
 """
 
 from __future__ import annotations
@@ -74,7 +82,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable, Mapping
 
 import numpy as np
 
@@ -249,9 +257,11 @@ def _group(prefixes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
     integer, so any letters and lengths group exactly.
     """
     order = np.lexsort(prefixes.T[::-1])
-    ranked = prefixes[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for column in prefixes.T:  # one column at a time: no sorted copy of the prefixes
+        ranked = column[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
     group = np.empty(len(order), dtype=np.intp)
     group[order] = np.cumsum(new) - 1  # groups numbered in lexicographic order
     uniq, sums = _coarsen(group, values)
@@ -425,14 +435,25 @@ class AtomicMeasure:
     def marginal(self, depth: int, density: CylinderFunction | None = None) -> dict:
         """Masses of the depth-`depth` cylinders (1 <= depth <= atom depth) under
         density * self."""
+        words, sums = self._marginal(depth, density)
+        return dict(zip(words, sums.tolist()))
+
+    def marginal_masses(self, depth: int) -> np.ndarray:
+        """The values of `marginal(depth)` in its order, without their words."""
+        return self._marginal(depth, None, words=False)[1]
+
+    def _marginal(self, depth: int, density: CylinderFunction | None,
+                  words: bool = True) -> tuple[list | None, np.ndarray]:
+        """The depth-`depth` cylinders in first-occurrence order, as words (None
+        unless `words`), and their masses under density * self."""
         if not 1 <= depth <= self.depth:
             raise ConfigError(f"marginal depth {depth} outside 1 .. {self.depth}")
         masses = self._values if density is None else self._values * self._at(density)
         if self._rows is not None:
             short, rows, sums = self._cylinders(depth, masses)
-            return dict(zip([short.words[r] for r in rows.tolist()], sums.tolist()))
+            return ([short.words[r] for r in rows.tolist()] if words else None), sums
         keys, sums = _group(self.atoms[:, :depth], masses)
-        return dict(zip(map(tuple, keys.tolist()), sums.tolist()))
+        return (list(map(tuple, keys.tolist())) if words else None), sums
 
     def coarsen(self, depth: int) -> "AtomicMeasure":
         """Sum refinement weights onto depth-`depth` canonical representatives."""
@@ -637,17 +658,22 @@ def dual_apply(phi: Potential, mu: AtomicMeasure, n: int = 1,
     d = max(phi.depth - 1, 1)
     keys = mu._rows_in(word_index(fibers, path, j, d), d)
     weights = mu._values
-    origin = np.arange(len(keys))
-    lead = np.empty((len(keys), 0), dtype=np.int64)  # letters pulled so far, newest first
+    pulls = []  # per step: the letter of each new atom and the position of its source
     for i in range(n):
         step = _step(phi, fibers, path, j - i - 1, d)
         e, src = _pull(step, keys)
         weights = step.weight[e] * weights[src]
         _check_weights(weights)
-        keys, origin = step.coarse[e], origin[src]
-        lead = np.column_stack((step.letter[e], lead[src]))
-    return AtomicMeasure._arrays(fibers, path, j - n, mu.depth + n, weights, False,
-                                 atoms=np.hstack((lead, mu.atoms[origin])))
+        keys = step.coarse[e]
+        pulls.append((step.letter[e], src))
+    # column c holds the letter pulled by step n-1-c, read back through the later sources
+    atoms = np.empty((len(weights), n + mu.depth), dtype=np.int64)
+    at = np.arange(len(weights))
+    for c, (letter, src) in enumerate(reversed(pulls)):
+        atoms[:, c] = letter[at]
+        at = src[at]
+    atoms[:, n:] = mu.atoms[at]
+    return AtomicMeasure._arrays(fibers, path, j - n, mu.depth + n, weights, False, atoms=atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -709,19 +735,29 @@ class RpfTriple:
             if self.residual(phi, j) > self.tolerance:
                 raise InvariantViolation(f"eigen residual at fiber {j} above tolerance")
 
+    def json_chunks(self):
+        """The text of `to_json`, one fiber's table per chunk, as it is written.
+
+        The chunks join to `json.dumps` of the whole payload with sorted keys:
+        each table is dumped alone, its labels in sorted order, and the fiber
+        keys are sorted as the strings JSON writes.
+        """
+        def tables(items: dict, table):
+            for n, j in enumerate(sorted(items, key=str)):
+                yield f'{", " if n else ""}{json.dumps(str(j))}: ' + json.dumps(table(items[j]))
+            yield "}, "
+
+        yield '{"h": {'
+        yield from tables(self.h, lambda f: dict(sorted(
+            (",".join(map(str, w)), v) for w, v in f.values.items())))
+        log_lambda = {str(k): v for k, v in self.log_lambda.items()}
+        yield (f'"hi": {json.dumps(self.hi)}, "lo": {json.dumps(self.lo)}, '
+               f'"log_lambda": {json.dumps(log_lambda, sort_keys=True)}, "mu": {{')
+        yield from tables(self.mu, _labelled)
+        yield f'"tolerance": {json.dumps(self.tolerance)}}}'
+
     def to_json(self) -> str:
-        payload = {
-            "lo": self.lo,
-            "hi": self.hi,
-            "tolerance": self.tolerance,
-            "log_lambda": {str(k): v for k, v in sorted(self.log_lambda.items())},
-            "h": {
-                str(j): {",".join(map(str, w)): v for w, v in sorted(f.values.items())}
-                for j, f in sorted(self.h.items())
-            },
-            "mu": {str(j): _labelled(m) for j, m in sorted(self.mu.items())},
-        }
-        return json.dumps(payload, sort_keys=True)
+        return "".join(self.json_chunks())
 
     @staticmethod
     def from_json(text: str, fibers: FiberStructure, path: DriverPath) -> "RpfTriple":
@@ -748,10 +784,21 @@ class RpfTriple:
             words = {parse_word(w, f"triple {name} table at fiber {j}"): v for w, v in tab.items()}
             return len(next(iter(words))), words
 
+        def measure(j: int, tab: dict) -> AtomicMeasure:
+            """The measure on the rows of its word index when its words are exactly
+            the index's, in table order, as the public constructor orders them."""
+            depth, words = table("mu", j, tab)
+            rows = word_index(fibers, path, j, depth).rows
+            if len(words) != len(rows) or not all(w in rows for w in words):
+                return AtomicMeasure(fibers, path, j, depth, words)
+            return AtomicMeasure.on_rows(
+                fibers, path, j, depth,
+                np.fromiter((rows[w] for w in words), dtype=np.intp, count=len(words)),
+                np.fromiter(words.values(), dtype=float, count=len(words)))
+
         h = {j: CylinderFunction(fibers, path, j, *table("h", j, tab))
              for j, tab in fibered("h").items()}
-        mu = {j: AtomicMeasure(fibers, path, j, *table("mu", j, tab))
-              for j, tab in fibered("mu").items()}
+        mu = {j: measure(j, tab) for j, tab in fibered("mu").items()}
         return RpfTriple(
             fibers=fibers, path=path, lo=raw["lo"], hi=raw["hi"],
             log_lambda=fibered("log_lambda"), h=h, mu=mu, tolerance=raw.get("tolerance", 1e-8),
@@ -759,20 +806,32 @@ class RpfTriple:
 
 
 def _labelled(mu: AtomicMeasure) -> dict:
-    """The measure as label -> mass; `json.dumps(sort_keys=True)` orders it."""
-    if mu._rows is not None:
-        labels = mu._index.labels
-        return dict(zip([labels[r] for r in mu._rows.tolist()], mu._values.tolist()))
-    return dict(zip([",".join(map(str, w)) for w in mu.atoms.tolist()], mu._values.tolist()))
+    """The measure as label -> mass, the labels sorted as strings; a measure on rows
+    reads them in its word index's label order."""
+    if mu._rows is None:
+        return dict(sorted(zip([",".join(map(str, w)) for w in mu.atoms.tolist()],
+                               mu._values.tolist())))
+    index = mu._index
+    masses = np.empty(len(index.words))
+    masses[mu._rows] = mu._values
+    order = index.label_order
+    if len(mu._rows) < len(order):
+        held = np.zeros(len(order), dtype=bool)
+        held[mu._rows] = True
+        order = order[held[order]]
+    labels = index.labels
+    return dict(zip([labels[r] for r in order.tolist()], masses[order].tolist()))
 
 
 def _mu_sweep(phi: Potential, start: AtomicMeasure, bottom: int, depth: int,
-              window: tuple[int, int]) -> tuple[dict, dict]:
+              window: tuple[int, int], against: dict | None = None) -> tuple[dict, dict]:
     """Pull, renormalize and coarsen from start.anchor down to `bottom`.
 
-    Returns the log masses at every fiber passed and the depth-`depth`
-    measures on the window only.  The driver states of the whole sweep are
-    read once; each step takes its table key and word index from them, and
+    Returns the log masses at every fiber passed and, on the window only,
+    the depth-`depth` measures; or, given `against` (another sweep's
+    measures on the window), each fiber's `_mu_gap` to them, so that no
+    second measure is kept.  The driver states of the whole sweep are read
+    once; each step takes its table key and word index from them, and
     reaches its plan from the step before.
     """
     fibers, path, top = start.fibers, start.path, start.anchor
@@ -780,7 +839,7 @@ def _mu_sweep(phi: Potential, start: AtomicMeasure, bottom: int, depth: int,
     states = path.states(bottom, top - 1 + depth)
     # the start's rows among the words at fibers top .. top-1+depth
     rows, weights = start._rows_in(fibers.words_over(states[top - bottom:]), depth), start._values
-    lams, mus = {}, {}
+    lams, out = {}, {}
     plan = None
     for j in range(top - 1, bottom - 1, -1):
         window_states = states[j - bottom:j - bottom + depth + 1]  # fibers j .. j+depth
@@ -802,19 +861,22 @@ def _mu_sweep(phi: Potential, start: AtomicMeasure, bottom: int, depth: int,
         weights = np.bincount(plan.coarse, weights=pulled, minlength=plan.n)[rows]
         _check_weights(weights, probability=True)
         if lo <= j <= hi:
-            mus[j] = AtomicMeasure._arrays(fibers, path, j, depth, weights, True,
-                                           fibers.words_over(window_states[:depth]), rows)
-    return lams, mus
+            if against is None:
+                out[j] = AtomicMeasure._arrays(fibers, path, j, depth, weights, True,
+                                               fibers.words_over(window_states[:depth]), rows)
+            else:
+                out[j] = _mu_gap(against[j], rows, weights)
+    return lams, out
 
 
-def _mu_gap(a: AtomicMeasure, b: AtomicMeasure) -> float:
-    """Largest |a - b| over a's atoms, b read as 0 off its own; two sweep measures of one fiber.
+def _mu_gap(a: AtomicMeasure, rows: np.ndarray, values: np.ndarray) -> float:
+    """Largest |a - b| over a's atoms, b read as 0 off its own; b is another sweep's
+    measure at a's fiber, given as its `rows` in a's word index and their `values`.
 
-    The atoms are rows of one word index, so b scatters densely onto it; a
-    maximum is exact in any order.
+    b scatters densely onto the index; a maximum is exact in any order.
     """
     other = np.zeros(len(a._index.words))
-    other[b._rows] = b._values
+    other[rows] = values
     return float(np.max(np.abs(a._values - other[a._rows])))
 
 
@@ -856,11 +918,11 @@ def rpf_solve(
 
     lam1, mus1 = _mu_sweep(phi, AtomicMeasure.uniform(fibers, path, mu_top1, depth),
                            h_start2, depth, window)
-    # only lambda_gap and mu_gap read the second sweep, both on [lo, hi]
-    lam2, mus2 = _mu_sweep(phi, AtomicMeasure.random(fibers, path, mu_top2, depth, rng),
-                           lo, depth, window)
-
-    mu_gaps = {j: _mu_gap(mus1[j], mus2[j]) for j in range(lo, hi + 1)}
+    # only lambda_gap and mu_gap read the second sweep, both on [lo, hi], so it
+    # keeps its log masses and its gaps to the first sweep's measures
+    lam2, gaps = _mu_sweep(phi, AtomicMeasure.random(fibers, path, mu_top2, depth, rng),
+                           lo, depth, window, against=mus1)
+    mu_gaps = {j: gaps[j] for j in range(lo, hi + 1)}
 
     def h_sweep(start: int, init: CylinderFunction):
         hs = {start: init}
@@ -910,16 +972,43 @@ def rpf_solve(
     return triple
 
 
-def invariant_measures(triple: RpfTriple) -> dict:
-    """The shift-invariant family of the normalized operator: d nu = h d mu, per fiber."""
-    out = {}
-    for j in range(triple.lo, triple.hi + 1):
-        mu = triple.mu[j]
-        terms = mu._values * mu._at(triple.h[j])
-        values = terms / _mass(terms)
-        _check_weights(values, probability=True)
-        out[j] = mu._with(values, True)
-    return out
+class _InvariantFamily(Mapping):
+    """fiber -> nu_j, d nu_j = h_j d mu_j normalized, over the triple's window, read-only.
+
+    Each nu_j is built on its first read and kept; its masses pass the same
+    unit-mass check as when every fiber was built at once, so a nu_j that
+    fails it raises where it is read.
+    """
+
+    def __init__(self, triple: RpfTriple):
+        self._triple, self._window, self._built = triple, range(triple.lo, triple.hi + 1), {}
+
+    def __getitem__(self, j: int) -> AtomicMeasure:
+        nu = self._built.get(j)
+        if nu is None:
+            if j not in self._window:
+                raise KeyError(j)
+            mu = self._triple.mu[j]
+            terms = mu._values * mu._at(self._triple.h[j])
+            values = terms / _mass(terms)
+            _check_weights(values, probability=True)
+            nu = self._built[j] = mu._with(values, True)
+        return nu
+
+    def __contains__(self, j) -> bool:
+        return j in self._window
+
+    def __iter__(self):
+        return iter(self._window)
+
+    def __len__(self) -> int:
+        return len(self._window)
+
+
+def invariant_measures(triple: RpfTriple) -> Mapping:
+    """The shift-invariant family of the normalized operator: d nu = h d mu, per fiber
+    of the triple's window, each built when first read."""
+    return _InvariantFamily(triple)
 
 
 def normalize_potential(phi: Potential, triple: RpfTriple) -> Potential:

@@ -419,6 +419,73 @@ def test_bad_config_scalar_exits_2(stem, edit, message, tmp_path, capsys):
     _expect_config_error(raw, message, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("stem, edit, message", [
+    ("golden_mean", lambda raw: raw.update(potential={**TABLE_POTENTIAL, "kappa": ["x"]}),
+     'potential.kappa[0]: expected a number, got "x"'),
+    ("golden_mean", lambda raw: raw.update(potential={**TABLE_POTENTIAL, "kappa": 0.5}),
+     "potential.kappa: expected a list, got 0.5"),
+    ("golden_mean", lambda raw: raw["potential"]["matrices"]["a"][1].__setitem__(0, "x"),
+     'potential.matrices.a[1][0]: expected a number, got "x"'),
+    ("golden_mean", lambda raw: raw["potential"]["matrices"]["a"].__setitem__(1, 5),
+     "potential.matrices.a[1]: expected a list, got 5"),
+    ("golden_mean", lambda raw: raw["driver"]["law"].update(weights=["x"]),
+     'driver.law.weights[0]: expected a number, got "x"'),
+    ("random_3letter", lambda raw: raw["driver"]["law"]["matrix"][0].__setitem__(1, "x"),
+     'driver.law.matrix[0][1]: expected a number, got "x"'),
+    ("golden_mean", lambda raw: raw["fibers"]["alphabets"]["a"].__setitem__(1, "x"),
+     'fibers.alphabets.a[1]: expected an integer, got "x"'),
+], ids=["kappa-entry", "kappa-scalar", "matrix-entry", "matrix-row", "law-weight",
+        "law-matrix", "alphabet-letter"])
+def test_bad_config_entry_exits_2(stem, edit, message, tmp_path, capsys):
+    # each entry was converted by a bare float(), int() or np.asarray, which raised
+    raw = json.loads((CONFIGS / f"{stem}.json").read_text())
+    edit(raw)
+    _expect_config_error(raw, message, tmp_path, capsys)
+
+
+KERNEL = "equilibrium.comparison_kernel"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw["equilibrium"]["comparison_kernel"][0].__setitem__(1, "x"),
+     f'{KERNEL}[0][1]: expected a number, got "x"'),
+    (lambda raw: raw["equilibrium"]["comparison_kernel"][1].__setitem__(0, float("nan")),
+     f"{KERNEL}[1][0]: expected a finite number, got NaN"),
+    (lambda raw: raw["equilibrium"]["comparison_kernel"].pop(),
+     f"{KERNEL}: expected a square list of lists, got 1 rows and 2 entries in row 0"),
+    (lambda raw: raw["equilibrium"].update(comparison_kernel=[0.5, 0.5]),
+     f"{KERNEL}[0]: expected a list, got 0.5"),
+    (lambda raw: raw.update(equilibrium=[]), "equilibrium: expected an object, got []"),
+    (lambda raw: raw["sequences"].update(B=[]), "sequences.B: expected a number, got []"),
+    (lambda raw: raw["sequences"].update(C="x"), 'sequences.C: expected a number, got "x"'),
+    (lambda raw: raw["sequences"].update(B=float("inf")),
+     "sequences.B: expected a finite number, got Infinity"),
+], ids=["kernel-entry", "kernel-nan", "kernel-ragged", "kernel-flat", "equilibrium",
+        "B-list", "C-string", "B-infinite"])
+def test_run_time_config_holes_exit_2(edit, message, tmp_path, capsys):
+    # each passed validate; `run` then ended in a traceback in _markov_comparison or
+    # certify_event, or, for the ragged kernel, skipped equilibrium
+    raw = json.loads((CONFIGS / "markov_2letter.json").read_text())
+    edit(raw)
+    _expect_config_error(raw, message, tmp_path, capsys)
+    path = tmp_path / "bad.json"
+    for experiment in ("equilibrium", "contract"):
+        assert main(["run", str(path), experiment, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_null_sequence_thresholds_and_kernel_load(tmp_path):
+    raw = json.loads((CONFIGS / "markov_2letter.json").read_text())
+    raw["sequences"].update(B=None, C=2)
+    raw["equilibrium"]["comparison_kernel"] = None
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(raw))
+    cfg = load_config(path)
+    assert (cfg.sequences["B"], cfg.sequences["C"], cfg.comparison_kernel) == (None, 2, None)
+    assert load_config(CONFIGS / "markov_2letter.json").comparison_kernel == [[0.5, 0.5],
+                                                                              [0.5, 0.5]]
+
+
 @pytest.mark.parametrize("section, key", [
     ("fibers", "alphabets"), ("fibers", "matrices"), ("potential", "matrices"),
 ])

@@ -257,8 +257,9 @@ def dict_pull_oracle(phi, mu, n):
             for head, o, v in zip(lead.tolist(), origin.tolist(), weights.tolist())}
 
 
-def dict_mu_sweep(phi, start, bottom, depth, window):
-    """The per-atom measure sweep of rpf_solve: oracle pull, renormalize, coarsen."""
+def dict_mu_sweep(phi, start, bottom, depth, window, against=None):
+    """The per-atom measure sweep of rpf_solve: oracle pull, renormalize, coarsen; given
+    `against`, each window fiber's per-atom gap to it in place of the measure."""
     lams, mus = {}, {}
     cur = start
     for j in range(start.anchor - 1, bottom - 1, -1):
@@ -267,7 +268,10 @@ def dict_mu_sweep(phi, start, bottom, depth, window):
         lams[j] = math.log(mass)
         cur = AtomicMeasure(cur.fibers, cur.path, j, pulled.depth,
                             {w: v / mass for w, v in pulled.weights.items()}).coarsen(depth)
-        mus[j] = cur
+        if against is None:
+            mus[j] = cur
+        elif window[0] <= j <= window[1]:
+            mus[j] = dict_mu_gap(against[j], cur)
     return lams, mus
 
 
@@ -854,7 +858,7 @@ class TestMeasureKernelParity:
         assert len(sweeps[2][top - 1].weights) < len(sweeps[0][top - 1].weights)
         for j in range(0, top):
             for a, b in itertools.permutations([s[j] for s in sweeps], 2):
-                assert bits(transfer._mu_gap(a, b)) == bits(dict_mu_gap(a, b))
+                assert bits(transfer._mu_gap(a, b._rows, b._values)) == bits(dict_mu_gap(a, b))
 
 
 def test_invariant_measures_rejects_inadmissible_atom(gm):
@@ -1008,10 +1012,167 @@ def test_to_json_matches_dict_rendering(name):
                        horizon=40, window=(-2, 6))
     restricted = triple.restrict(0, 4)
     back = RpfTriple.from_json(triple.to_json(), fibers, path)
-    assert triple.mu[0]._rows is not None and back.mu[0]._rows is None
+    assert triple.mu[0]._rows is not None and back.mu[0]._rows is not None
     for t in (triple, restricted, back):
         assert t.to_json() == dict_triple_json(t)
     assert back.to_json() == triple.to_json()
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_json_chunks_hold_one_table_each(name):
+    cfg = load_config(CONFIGS / f"{name}.json")
+    fibers, path = cfg.fibers, cfg.sample(cfg.seeds[0])
+    triple = rpf_solve(cfg.potential, fibers, path, depth=cfg.depths["working"],
+                       horizon=40, window=(-12, 12))
+    chunks = list(triple.json_chunks())
+    assert "".join(chunks) == triple.to_json() == dict_triple_json(triple)
+    # one chunk per fiber table, and no chunk opens a second table
+    assert len(chunks) == len(triple.h) + len(triple.mu) + 5
+    assert max(chunk.count('{"') for chunk in chunks) == 1
+
+
+def test_json_sorts_multi_digit_labels():
+    """Labels of letters 10 and up sort as strings ("10,1" before "2,1"), not as words,
+    for measures on all of their index's rows, on some of them and on atoms."""
+    system = stationary_system()
+    path = sample_path(system, seed=1, max_radius=2 ** 16)
+    fibers = full_shift(system, 11)
+    phi = positive_matrix_potential(fibers, np.linspace(0.5, 1.5, 121).reshape(11, 11))
+    triple = rpf_solve(phi, fibers, path, depth=2, horizon=30, window=(0, 3))
+    index = triple.mu[1]._index
+    assert not np.array_equal(index.label_order, np.arange(len(index.words)))
+    rng = np.random.default_rng(5)
+    keep = np.sort(rng.choice(len(index.words), size=40, replace=False))[::-1]
+    raw = rng.random(40)
+    triple.mu[1] = AtomicMeasure.on_rows(fibers, path, 1, 2, keep, raw / raw.sum())
+    triple.mu[2] = dual_apply(phi, AtomicMeasure.dirac(fibers, path, 3, (10,)), 1).normalize()
+    assert triple.mu[2]._rows is None
+    chunks = list(triple.json_chunks())
+    assert "".join(chunks) == triple.to_json() == dict_triple_json(triple)
+    back = RpfTriple.from_json(triple.to_json(), fibers, path)
+    assert back.mu[0]._rows is not None and back.mu[1]._rows is None
+    assert back.to_json() == triple.to_json()
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_read_back_measures_keep_their_rows(name):
+    """A read-back measure whose words are its index's holds rows in the file's
+    atom order: the atoms and masses of the public constructor, the same integrals
+    bit for bit, and the solved measure's masses word by word."""
+    cfg = load_config(CONFIGS / f"{name}.json")
+    fibers, path = cfg.fibers, cfg.sample(cfg.seeds[0])
+    triple = rpf_solve(cfg.potential, fibers, path, depth=cfg.depths["working"],
+                       horizon=40, window=(-2, 6))
+    back = RpfTriple.from_json(triple.to_json(), fibers, path)
+    rng = np.random.default_rng(8)
+    for j in range(-2, 7):
+        mu = back.mu[j]
+        twin = AtomicMeasure(fibers, path, j, mu.depth, dict(mu.weights))
+        assert mu._rows is not None and mu._index is triple.mu[j]._index
+        assert np.array_equal(mu.atoms, twin.atoms)
+        assert [bits(v) for v in mu.values] == [bits(v) for v in twin.values]
+        assert {w: bits(v) for w, v in mu.weights.items()} == {
+            w: bits(v) for w, v in triple.mu[j].weights.items()}
+        functions = {**parity_functions(fibers, path, j, rng), "h": triple.h[j]}
+        for fname, f in functions.items():
+            want = dict_integrate(mu, f)
+            assert bits(mu.integrate(f)) == bits(twin.integrate(f)) == bits(want), fname
+            assert mu.integrate(f) == pytest.approx(triple.mu[j].integrate(f), rel=1e-12,
+                                                    abs=1e-15)
+    # a table that is not exactly its index's words goes through the public constructor
+    raw = json.loads(triple.to_json())
+    raw["mu"]["2"].pop(next(iter(raw["mu"]["2"])))
+    total = sum(raw["mu"]["2"].values())
+    raw["mu"]["2"] = {w: v / total for w, v in raw["mu"]["2"].items()}
+    assert RpfTriple.from_json(json.dumps(raw), fibers, path).mu[2]._rows is None
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_solve_builds_one_window_measure_per_fiber(name, monkeypatch):
+    """The certifying sweep keeps gaps and log masses, not a second measure table."""
+    cfg = load_config(CONFIGS / f"{name}.json")
+    path = cfg.sample(cfg.seeds[0])
+    built = Counter()
+    arrays = AtomicMeasure._arrays.__func__
+
+    def spy(cls, fibers, path, anchor, *args, **kwargs):
+        built[anchor] += 1
+        return arrays(cls, fibers, path, anchor, *args, **kwargs)
+
+    monkeypatch.setattr(AtomicMeasure, "_arrays", classmethod(spy))
+    triple = rpf_solve(cfg.potential, cfg.fibers, path, depth=cfg.depths["working"],
+                       horizon=40, window=(-5, 5))
+    assert {j: built[j] for j in range(-5, 6)} == dict.fromkeys(range(-5, 6), 1)
+    assert list(triple.diagnostics["mu_gap"]) == list(range(-5, 6))
+
+
+class TestLazyInvariantMeasures:
+    """invariant_measures builds each nu_j on its first read, bit for bit the eager family."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        cfg = load_config(CONFIGS / "random_3letter.json")
+        path = cfg.sample(cfg.seeds[0])
+        return rpf_solve(cfg.potential, cfg.fibers, path, depth=cfg.depths["working"],
+                         horizon=40, window=(-6, 6))
+
+    def test_builds_only_what_is_read(self, solved, monkeypatch):
+        built = []
+        with_ = AtomicMeasure._with
+
+        def spy(mu, values, probability):
+            built.append(mu.anchor)
+            return with_(mu, values, probability)
+
+        monkeypatch.setattr(AtomicMeasure, "_with", spy)
+        nu, want = invariant_measures(solved), dict_invariant_measures(solved)
+        assert built == []
+        for j in (3, -6, 3, 6, -6):
+            assert_same_items(nu[j].weights, want[j])
+            assert nu[j] is nu[j]
+        assert built == [3, -6, 6]
+
+    def test_window_and_read_only(self, solved):
+        nu = invariant_measures(solved)
+        window = list(range(-6, 7))
+        assert list(nu) == list(nu.keys()) == window and len(nu) == 13
+        assert all(j in nu for j in window)
+        assert not any(j in nu for j in (-7, 7, "0", None))
+        assert nu.get(7) is None
+        with pytest.raises(KeyError):
+            nu[7]
+        with pytest.raises(TypeError):
+            nu[0] = solved.mu[0]
+        assert [j for j, _ in nu.items()] == window
+
+    def test_failed_check_raises_on_read(self, solved):
+        bad = solved.restrict(-6, 6)
+        h = bad.h[2]
+        first = next(iter(h.values))
+        bad.h = {**bad.h, 2: CylinderFunction._trusted(
+            h.fibers, h.path, 2, h.depth,
+            {w: (-v if w == first else v) for w, v in h.values.items()})}
+        nu = invariant_measures(bad)
+        nu[1], nu[3]
+        with pytest.raises(ConfigError, match="negative atom weight"):
+            nu[2]
+
+
+@pytest.mark.parametrize("instance", ["full2", "gm", "pattern3", "two_state"])
+def test_marginal_masses_are_the_marginal_values(instance, request):
+    fibers, path = (request.getfixturevalue(instance) if instance in ("full2", "gm")
+                    else random_pattern3() if instance == "pattern3" else two_state_full())
+    rng = np.random.default_rng(23)
+    phi = random_log_matrix(fibers, rng)
+    triple = rpf_solve(phi, fibers, path, depth=4, horizon=40, window=(0, 8))
+    pulled = dual_apply(phi, triple.mu[8].coarsen(1), 6).normalize()
+    for mu in (triple.mu[2], triple.mu[2].coarsen(3), pulled):
+        for depth in range(1, mu.depth + 1):
+            want = list(mu.marginal(depth).values())
+            assert [bits(v) for v in mu.marginal_masses(depth).tolist()] == [
+                bits(v) for v in want]
+    with pytest.raises(ConfigError, match="marginal depth 5 outside 1 .. 4"):
+        triple.mu[2].marginal_masses(5)
 
 
 @pytest.mark.parametrize("name", SHIPPED)
