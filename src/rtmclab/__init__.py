@@ -27,6 +27,7 @@ from .errors import (
 from .shifts import (
     BipStructure,
     FiberStructure,
+    Metric,
     admissible_words,
     canonical_prefixes,
 )
@@ -62,7 +63,6 @@ from .transport import (
     ContractionCertificate,
     DecayReport,
     LemmaReport,
-    Metric,
     TransportPlan,
     build_coupling,
     certify_event,

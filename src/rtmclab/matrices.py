@@ -24,6 +24,7 @@ from .shifts import FiberStructure
 from .transfer import RpfTriple, summability_value
 from .transport import big_preimage_sequences
 
+CONDITION_SPAN = 64  # fibers 0 .. CONDITION_SPAN - 1 probed by condition_report
 _norm_inf = lambda m: float(np.max(np.abs(m)))
 
 
@@ -67,11 +68,12 @@ class RandomMatrixFamily:
             self._slices[s, s_next] = step
         return step
 
-    def condition_report(self, path: DriverPath, span: int = 64) -> dict:
-        """Summability-condition probes: entry ratios before mediator fibers, column logs."""
+    def condition_report(self, path: DriverPath) -> dict:
+        """Summability probes on fibers 0 .. CONDITION_SPAN - 1: entry ratios before
+        mediator fibers, column logs."""
         bip = self.fibers.bip
         ratio_sup = 0.0
-        for j in range(span):
+        for j in range(CONDITION_SPAN):
             if bip is not None and not (
                 bip.omega_bi.evaluate(path, j + 1) or bip.omega_bp.evaluate(path, j + 1)
             ):
@@ -81,7 +83,7 @@ class RandomMatrixFamily:
                 pos = row[row > 0]
                 if len(pos) and row.max() > 0:
                     ratio_sup = max(ratio_sup, float(row.max() / pos.min()))
-        col_log = summability_value(self.potential(), self.fibers, path, span)
+        col_log = summability_value(self.potential(), self.fibers, path, CONDITION_SPAN)
         return {"entry_ratio_sup": ratio_sup, "column_log_mean": col_log}
 
 

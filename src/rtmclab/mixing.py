@@ -18,7 +18,7 @@ from .driver import DriverPath, EventSpec
 from .errors import ConfigError, ConvergenceError, InvariantViolation
 from .fitting import fit_rate
 from .potentials import Potential, distortion_constant
-from .shifts import FiberStructure, admissible_words
+from .shifts import FiberStructure, Metric, admissible_words
 from .transfer import (
     AtomicMeasure,
     CylinderFunction,
@@ -28,6 +28,8 @@ from .transfer import (
     transfer_power,
 )
 from .transport import ContractionCertificate
+
+DIRECT_LAGS = 3  # lags of the correlation curve recomputed by direct integration
 
 
 def pattern_function(fibers: FiberStructure, path: DriverPath, values: dict,
@@ -85,12 +87,11 @@ def correlation_decay(
     path: DriverPath,
     horizon: int,
     cert: ContractionCertificate | None = None,
-    direct_upto: int = 3,
 ) -> CorrelationReport:
     """Exact correlation curve of two observable families under the invariant measures.
 
     f_at/g_at map a fiber index to a cylinder function; f is centered fiberwise.
-    The curve is int L^n(f) g dnu at the target fiber; for n <= direct_upto the
+    The curve is int L^n(f) g dnu at the target fiber; for n <= DIRECT_LAGS the
     same number is recomputed by direct integration over refined cylinders.
     """
     f0 = f_at(0)
@@ -102,7 +103,7 @@ def correlation_decay(
         gn = g_at(n)
         curve.append((n, nu[n].integrate(g_run.mul(gn))))
     direct_check = []
-    for n in range(1, min(direct_upto, horizon) + 1):
+    for n in range(1, min(DIRECT_LAGS, horizon) + 1):
         gn = g_at(n)
         need = n + gn.depth
         refined = refined_invariant(nu, phi, 0, max(need, f0.depth))
@@ -118,7 +119,8 @@ def correlation_decay(
     if cert is not None:
         cert.require_event()
         gaps = dict(curve)
-        d0 = f0.lipschitz(phi.r)
+        raw = Metric("raw", phi.r)
+        d0 = f0.lipschitz(raw)
         for i, l_i in enumerate(cert.l_seq, start=1):
             if l_i > horizon:
                 break
@@ -137,7 +139,7 @@ def correlation_decay(
             fb = fb.shift_scale(1.0, -nu[-k_i].integrate(fb))
             pushed = transfer_power(phi, fb, k_i)
             corr_b = nu[0].integrate(pushed.mul(g0))
-            envelope = 4.0 * b0 * cert.t ** i * fb.lipschitz(phi.r) * g0_abs_mass
+            envelope = 4.0 * b0 * cert.t ** i * fb.lipschitz(raw) * g0_abs_mass
             backward_rows.append((i, k_i, abs(corr_b), envelope))
             if abs(corr_b) > envelope + 1e-12:
                 raise InvariantViolation(f"backward correlation envelope fails at k_{i}")

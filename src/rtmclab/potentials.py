@@ -19,7 +19,7 @@ import numpy as np
 
 from .driver import DriverPath
 from .errors import AdmissibilityError, ConfigError
-from .shifts import FiberStructure, admissible_words
+from .shifts import FiberStructure, admissible_words, prefix_spread
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,11 +70,6 @@ class Potential:
             raise AdmissibilityError(
                 f"prefix {prefix[: self.depth]} has no value at fiber {fiber}"
             ) from None
-
-    def kappa_at(self, path: DriverPath, fiber: int) -> float:
-        if self.state_keyed:
-            return self.kappa[path.state(fiber)]
-        return self.fiber_kappa[fiber]
 
     def kappa_bound(self) -> float:
         """Upper bound on kappa over all fibers (for tail certificates)."""
@@ -146,10 +141,8 @@ def variation(phi: Potential, n: int, fibers: FiberStructure, path: DriverPath,
     if phi.depth <= n:
         return 0.0
     table = phi.table_at(path, fiber)
-    groups: dict[tuple, list[float]] = {}
-    for w in admissible_words(fibers, path, fiber, phi.depth):
-        groups.setdefault(w[:n], []).append(table[w])
-    return max((max(g) - min(g) for g in groups.values()), default=0.0)
+    words = admissible_words(fibers, path, fiber, phi.depth)
+    return prefix_spread(zip(words, map(table.__getitem__, words)), n)
 
 
 def fitted_kappa(

@@ -12,7 +12,8 @@ A point enters the shift metric d_r(x, y) = r^(first disagreement), the
 Birkhoff sums of a depth-p potential and its cylinders only through a finite
 prefix, so the library represents a point by its canonical prefix: a head
 word followed by the lexicographically least admissible continuation, read
-to the depth needed (`canonical_prefixes`).
+to the depth needed (`canonical_prefixes`).  `Metric` is d_r or its capped
+rescaling, the one metric of transport and Lipschitz constants alike.
 
 The admissible length-n words from fiber i depend only on the adjacency
 tables of the driver states at i .. i+n-1.  Each driver state belongs to a
@@ -35,6 +36,32 @@ import numpy as np
 
 from .driver import DriverPath, DriverSystem, EventSpec
 from .errors import AdmissibilityError, ConfigError
+
+
+@dataclass(frozen=True)
+class Metric:
+    """Distance of two points at one fiber: raw d_r or min(1, alpha d_r)."""
+
+    kind: str  # "raw" | "adjusted"
+    r: float
+    alpha: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("raw", "adjusted"):
+            raise ConfigError(f"unknown metric kind {self.kind!r}")
+        if not 0 < self.r < 1:
+            raise ConfigError("metric parameter r must lie in (0, 1)")
+        if self.kind == "adjusted" and self.alpha < 1.0:
+            raise ConfigError("adjusted metric needs alpha >= 1")
+
+    def from_shift(self, d: float) -> float:
+        """The metric value at shift distance d = d_r(x, y)."""
+        return d if self.kind == "raw" else min(1.0, self.alpha * d)
+
+    def levels(self, depth: int) -> np.ndarray:
+        """g(k) for k = 0..depth: the distance of two points that first differ at
+        index k, with g(depth) = 0 for points equal through `depth` letters."""
+        return np.array([self.from_shift(self.r ** k) for k in range(depth)] + [0.0])
 
 
 @dataclass(frozen=True)
@@ -120,10 +147,6 @@ class FiberStructure:
     def alphabet(self, path: DriverPath, i: int) -> tuple[int, ...]:
         """Letters available at fiber i."""
         return self.alphabets[path.state(i)]
-
-    def admits(self, path: DriverPath, i: int, a: int, b: int) -> bool:
-        """Whether the pair a (fiber i) -> b (fiber i+1) is admissible."""
-        return self.admits_word(path.states(i, i + 1), (a, b))
 
     def admits_word(self, states: tuple[int, ...], letters: tuple[int, ...]) -> bool:
         """Whether `letters` is admissible read along `states`, one driver state per letter."""
@@ -278,6 +301,15 @@ def admissible_words(
 ) -> tuple[tuple[int, ...], ...]:
     """All admissible length-n letter blocks from fiber `start`, lexicographically sorted."""
     return word_index(fibers, path, start, n).words
+
+
+def prefix_spread(items, n: int) -> float:
+    """The largest spread max - min of the values of (word, value) pairs that
+    share their depth-n prefix; 0.0 for no pairs."""
+    groups: dict[tuple, list[float]] = {}
+    for w, v in items:
+        groups.setdefault(w[:n], []).append(v)
+    return max((max(g) - min(g) for g in groups.values()), default=0.0)
 
 
 def canonical_prefixes(fibers: FiberStructure, path: DriverPath, anchor: int,

@@ -61,7 +61,8 @@ A `CylinderFunction` built by its public constructor checks that its keys
 are exactly the admissible words at its depth.  The functions the library
 derives (`constant`, `indicator`, `random_lipschitz`, `map`, `refine`,
 `binary`, `transfer_apply`) take their keys from a word index or from a
-function already checked, and skip that check.  A triple's JSON writes each
+function already checked, and skip that check.  `lipschitz` reads the
+`Metric` of the transport programs.  A triple's JSON writes each
 swept atom through its word index's labels, one fiber's table at a time
 (`json_chunks`), so the whole text is never held; a triple read back builds
 a measure whose words are exactly its word index's on that index's rows, in
@@ -97,10 +98,12 @@ from .errors import (
 from .potentials import Potential, distortion_constant, fitted_kappa, variation, word_birkhoff
 from .shifts import (
     FiberStructure,
+    Metric,
     admissible_words,
     canonical_prefixes,
     canonical_tail,
     parse_word,
+    prefix_spread,
     word_index,
 )
 
@@ -199,31 +202,27 @@ class CylinderFunction:
     def sub(self, other: "CylinderFunction") -> "CylinderFunction":
         return self.binary(other, lambda x, y: x - y)
 
-    def lipschitz(self, r: float, alpha: float | None = None) -> float:
-        """Exact Lipschitz constant over the fiber under d_r (alpha=None) or the capped metric.
+    def lipschitz(self, metric: Metric) -> float:
+        """Exact Lipschitz constant over the fiber under `metric`.
 
-        Uses prefix grouping: for each split depth j the worst spread within a
-        common depth-j prefix, divided by the metric value at disagreement j.
+        For each split depth j, the worst spread within a common depth-j prefix
+        divided by metric.from_shift(r ** j), the scale `Metric.levels` reads.
         """
         best = 0.0
         for j in range(self.depth):
-            scale = r ** j if alpha is None else min(1.0, alpha * r ** j)
-            groups: dict[tuple, list[float]] = {}
-            for w, v in self.values.items():
-                groups.setdefault(w[:j], []).append(v)
-            spread = max((max(g) - min(g)) for g in groups.values())
+            spread = prefix_spread(self.values.items(), j)
             if spread > 0:
-                best = max(best, spread / scale)
+                best = max(best, spread / metric.from_shift(metric.r ** j))
         return best
 
 
 def random_lipschitz(fibers, path, anchor: int, depth: int, rng,
-                     r: float, alpha: float | None = None) -> CylinderFunction:
-    """Random cylinder function rescaled to Lipschitz constant 1 (under the chosen metric)."""
+                     metric: Metric) -> CylinderFunction:
+    """Random cylinder function rescaled to Lipschitz constant 1 under `metric`."""
     words = admissible_words(fibers, path, anchor, depth)
     f = CylinderFunction._trusted(fibers, path, anchor, depth,
                                   {w: float(rng.normal()) for w in words})
-    d = f.lipschitz(r, alpha)
+    d = f.lipschitz(metric)
     return f.shift_scale(1.0 / d) if d > 0 else f
 
 
@@ -242,9 +241,10 @@ def _mass(terms: np.ndarray) -> float:
 
 def _check_weights(weights: np.ndarray, probability: bool = False) -> None:
     """Nonnegative atoms and, for a probability measure, unit mass."""
-    if (weights < -1e-15).any():
-        raise ConfigError("negative atom weight")
-    if probability and abs(_mass(weights) - 1.0) > 1e-10:
+    # each test is the negation of the passing condition, so a NaN fails it
+    if not (weights >= -1e-15).all():
+        raise ConfigError("NaN atom weight" if np.isnan(weights).any() else "negative atom weight")
+    if probability and not abs(_mass(weights) - 1.0) <= 1e-10:
         raise ConfigError(f"atom weights sum to {_mass(weights)!r}, not 1")
 
 
@@ -697,10 +697,6 @@ class RpfTriple:
     def lam(self, j: int) -> float:
         return math.exp(self.log_lambda[j])
 
-    def log_cocycle(self, j: int, n: int) -> float:
-        """log Lambda_n starting at fiber j."""
-        return sum(self.log_lambda[j + i] for i in range(n))
-
     def residual(self, phi: Potential, j: int) -> float:
         """||L h_j - lambda_j h_{j+1}||_inf / ||h_{j+1}||_inf."""
         lh = transfer_apply(phi, self.h[j])
@@ -1130,10 +1126,6 @@ class GibbsReport:
     band: dict  # fiber -> dict with E, E_cyl, B, slack, F
     samples: int
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def gibbs_check(
     triple: RpfTriple,
@@ -1203,7 +1195,8 @@ def gibbs_check(
             continue
         x = canonical_prefixes(fibers, path, j - k, [w], k + phi.depth - 1)[0]
         s_k = word_birkhoff(phi, path, j - k, x, k)
-        ratio = mass * math.exp(triple.log_cocycle(j - k, k) - s_k)
+        log_cocycle = sum(triple.log_lambda[j - k + i] for i in range(k))  # log Lambda_k
+        ratio = mass * math.exp(log_cocycle - s_k)
         f_j = band[j]["F"]
         lower, upper = 1.0 / f_j, f_j
         rows.append((j, w, ratio, lower, upper))

@@ -44,7 +44,7 @@ from .errors import (
 )
 from .fitting import fit_rate
 from .potentials import Potential, distortion_constant, word_birkhoff
-from .shifts import FiberStructure, admissible_words, canonical_prefixes, word_index
+from .shifts import FiberStructure, Metric, admissible_words, canonical_prefixes, word_index
 from .transfer import (
     AtomicMeasure,
     CylinderFunction,
@@ -68,32 +68,6 @@ _LP_OPTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Metric:
-    """Distance used by the transport programs: raw d_r or the capped alpha-rescaling."""
-
-    kind: str  # "raw" | "adjusted"
-    r: float
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("raw", "adjusted"):
-            raise ConfigError(f"unknown metric kind {self.kind!r}")
-        if not 0 < self.r < 1:
-            raise ConfigError("metric parameter r must lie in (0, 1)")
-        if self.kind == "adjusted" and self.alpha < 1.0:
-            raise ConfigError("adjusted metric needs alpha >= 1")
-
-    def from_shift(self, d: float) -> float:
-        """The metric value at shift distance d = d_r(x, y)."""
-        return d if self.kind == "raw" else min(1.0, self.alpha * d)
-
-    def levels(self, depth: int) -> np.ndarray:
-        """g(k) for k = 0..depth: the distance of two points that first differ at
-        index k, with g(depth) = 0 for points equal through `depth` letters."""
-        return np.array([self.from_shift(self.r ** k) for k in range(depth)] + [0.0])
-
-
 @dataclass(eq=False)
 class TransportPlan:
     """A feasible transport held as its support, with its cost and dual certificate:
@@ -108,13 +82,6 @@ class TransportPlan:
     dual_source: np.ndarray | None = None
     dual_target: np.ndarray | None = None
     dual_gap: float | None = None
-
-    @property
-    def plan(self) -> np.ndarray:
-        """The dense sources x targets array of the plan, built on each read."""
-        dense = np.zeros((len(self.source_labels), len(self.target_labels)))
-        np.add.at(dense, (self.rows, self.cols), self.mass)
-        return dense
 
     def check_marginals(self, mu_w: np.ndarray, nu_w: np.ndarray, tol: float = 1e-10) -> None:
         out = np.bincount(self.rows, weights=self.mass, minlength=len(mu_w))
@@ -830,16 +797,16 @@ def verify_main_lemma(
         block = cert.block[k]
         t_k = cert.t_fiber[k]
         # (i)/(ii): Lipschitz decay through the operator
-        f = random_lipschitz(fibers, path, k, depth, rng, phi.r, cert.alpha[k])
-        d0 = f.lipschitz(phi.r, cert.alpha[k])
+        f = random_lipschitz(fibers, path, k, depth, rng, cert.metric_at(k))
+        d0 = f.lipschitz(cert.metric_at(k))
         if d0 == 0.0:
             skipped += 1
             continue
         f_n = transfer_power(phi, f, n)
-        d_n = f_n.lipschitz(phi.r, cert.alpha[k + n])
+        d_n = f_n.lipschitz(cert.metric_at(k + n))
         rows.append(("i", k, d_n, d0, 1.0))
         worst["i"] = max(worst["i"], d_n / d0)
-        d_b = transfer_power(phi, f_n, block - n).lipschitz(phi.r, cert.alpha[k + block])
+        d_b = transfer_power(phi, f_n, block - n).lipschitz(cert.metric_at(k + block))
         rows.append(("ii", k, d_b, d0, t_k))
         worst["ii"] = max(worst["ii"], d_b / d0 - t_k)  # signed slack, <= 0 when obeyed
         # (iii)/(iv): Wasserstein decay through the dual
@@ -905,10 +872,11 @@ def verify_decay(
     if horizon < 6:
         raise ConfigError("horizon too short to fit a rate (>= 6 points required)")
     rng = np.random.default_rng(seed)
+    raw = Metric("raw", phi.r)
     if f is None:
-        f = random_lipschitz(fibers, path, 0, max(phi.depth - 1, 1), rng, phi.r)
+        f = random_lipschitz(fibers, path, 0, max(phi.depth - 1, 1), rng, raw)
     mean0 = nu[0].integrate(f)
-    d0 = f.lipschitz(phi.r)
+    d0 = f.lipschitz(raw)
     curve = []
     g = f
     sup_prev = math.inf
@@ -935,8 +903,8 @@ def verify_decay(
     for i, k_i in enumerate(cert.k_seq, start=1):
         if -k_i < cert.lo or -k_i not in nu:
             break
-        fb = random_lipschitz(fibers, path, -k_i, max(phi.depth - 1, 1), rng, phi.r)
-        d_b = fb.lipschitz(phi.r)
+        fb = random_lipschitz(fibers, path, -k_i, max(phi.depth - 1, 1), rng, raw)
+        d_b = fb.lipschitz(raw)
         mean_b = nu[-k_i].integrate(fb)
         g_b = transfer_power(phi, fb, k_i)
         gap_b = g_b.shift_scale(1.0, -mean_b).sup_norm()

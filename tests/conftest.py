@@ -67,6 +67,18 @@ def canonical_walk(fibers, path, anchor, word, depth):
     return tuple(letters[:depth])
 
 
+def admits(fibers, path, i, a, b):
+    """Whether the pair a (fiber i) -> b (fiber i+1) is admissible."""
+    return fibers.admits_word(path.states(i, i + 1), (a, b))
+
+
+def dense_plan(plan):
+    """The sources x targets array of a transport plan held as its support."""
+    dense = np.zeros((len(plan.source_labels), len(plan.target_labels)))
+    np.add.at(dense, (plan.rows, plan.cols), plan.mass)
+    return dense
+
+
 def dict_integrate(mu, f):
     """The per-atom integral: a sequential sum from 0.0; a short atom reads its canonical tail."""
     total = 0.0

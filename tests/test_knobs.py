@@ -1,5 +1,6 @@
 """No knob that nothing reads: every optional parameter of a function in src/
-is passed by some call in src/ or tests/.
+is passed by some call in src/ or tests/, and one that only tests pass is on
+TEST_ONLY with the reason a test needs it.
 
 Calls are resolved by name alone (`f(...)` and `obj.f(...)` both name f; a
 class call names its `__init__`), so two functions of one name share their
@@ -16,6 +17,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rtmclab"
 
+# "function.parameter" (a method as "Class.method.parameter") -> why only tests pass it
+TEST_ONLY = {
+    "main.argv": "the console script reads sys.argv; tests call main in-process",
+    "rpf_solve.tol": "tests force ConvergenceError",
+    "distortion_constant.horizon": "tests of the certified tail bound",
+    "verify_main_lemma.test_fibers": "tests pin the trial fibers",
+    "AtomicMeasure.__init__.probability": "tests build measures whose mass is not 1",
+    "CylinderFunction.indicator.depth": "tests read an indicator deeper than its word",
+    "verify_decay.f": "tests pass their own observable",
+    "gibbs_check.samples": "acceptance 6 samples 10,000 cylinders",
+    "gibbs_check.seed": "tests draw other samples",
+    "EventSpec.always.name": "tests name the events they build",
+}
+
 
 def _trees(*dirs):
     for d in dirs:
@@ -24,7 +39,8 @@ def _trees(*dirs):
 
 
 def optional_parameters(path, tree):
-    """(call name, parameter, position or None, where) per parameter with a default.
+    """(call name, parameter, position or None, "function.parameter") per parameter
+    with a default, a method's function named "Class.method".
 
     A method's position counts `self`/`cls`, which a call through an attribute
     (or, for `__init__`, any call of the class) passes implicitly.
@@ -44,12 +60,12 @@ def optional_parameters(path, tree):
         positional = args.posonlyargs + args.args
         bound = bool(positional) and positional[0].arg in ("self", "cls")
         implicit = "always" if node.name == "__init__" else "attribute" if bound else "never"
-        where = f"{path.name}:{node.lineno} {node.name}"
+        qualname = f"{owner[id(node)]}.{node.name}" if id(node) in owner else node.name
         for i in range(len(positional) - len(args.defaults), len(positional)):
-            yield name, positional[i].arg, (i, implicit), where
+            yield name, positional[i].arg, (i, implicit), f"{qualname}.{positional[i].arg}"
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                yield name, arg.arg, None, where
+                yield name, arg.arg, None, f"{qualname}.{arg.arg}"
 
 
 def _spelled_dicts(tree) -> dict:
@@ -109,15 +125,19 @@ def unset_knobs(src_dir, *call_dirs):
         for call in calls(tree):
             uses[call[0]].append(call)
     return sorted(
-        f"{where}: {param}"
+        key
         for path, tree in _trees(src_dir)
-        for name, param, position, where in optional_parameters(path, tree)
+        for name, param, position, key in optional_parameters(path, tree)
         if not any(passes(c, param, position) for c in uses[name])
     )
 
 
 def test_every_optional_parameter_is_passed():
     assert unset_knobs(SRC, SRC, ROOT / "tests") == []
+
+
+def test_only_listed_parameters_are_passed_by_tests_alone():
+    assert unset_knobs(SRC, SRC) == sorted(TEST_ONLY)
 
 
 def test_the_scan_sees_an_unset_knob(tmp_path):
@@ -130,5 +150,6 @@ def test_the_scan_sees_an_unset_knob(tmp_path):
         "    def fill(self, x, y=0):\n        return solve(x, depth=3)\n"
     )
     (tests / "t.py").write_text("kw = dict(size=1)\nsolve(1, 2)\nBox(**kw).fill(4, 5)\n")
-    assert sorted(line.split(": ")[1] for line in unset_knobs(src, src, tests)) == \
-        ["scale", "tol"]
+    assert unset_knobs(src, src, tests) == ["Box.__init__.scale", "solve.tol"]
+    # b and y are set by the test alone
+    assert unset_knobs(src, src) == ["Box.__init__.scale", "Box.fill.y", "solve.b", "solve.tol"]

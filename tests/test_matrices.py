@@ -108,7 +108,7 @@ class TestMatrixRpf:
         system, path = stat_path
         fibers = full_shift(system, 2)
         fam = RandomMatrixFamily(fibers, (np.array([[0.3, 0.6], [0.7, 0.4]]),))
-        rep = fam.condition_report(path, span=16)
+        rep = fam.condition_report(path)
         assert rep["entry_ratio_sup"] == pytest.approx(0.6 / 0.3, rel=1e-12)
         assert rep["column_log_mean"] == pytest.approx(0.0, abs=1e-12)
 

@@ -11,6 +11,7 @@ from rtmclab.config import load_config
 from rtmclab.driver import sample_path
 from rtmclab.errors import ConfigError
 from rtmclab.mixing import (
+    DIRECT_LAGS,
     _markov_comparison,
     correlation_decay,
     equilibrium_gap,
@@ -116,9 +117,8 @@ class TestCorrelationDecay:
         f_at = pattern_function(fibers, path, {(1,): 0.3, (2,): -1.1}, 1)
         g_at = pattern_function(fibers, path, {(1, 1): 1.0, (1, 2): 0.0,
                                                (2, 1): -0.5, (2, 2): 2.0}, 2)
-        rep = correlation_decay(f_at, g_at, tilde, nu, fibers, path, horizon=6,
-                                direct_upto=3)
-        assert len(rep.direct_check) == 3
+        rep = correlation_decay(f_at, g_at, tilde, nu, fibers, path, horizon=6)
+        assert len(rep.direct_check) == DIRECT_LAGS == 3
         for _, via_identity, direct in rep.direct_check:
             assert via_identity == pytest.approx(direct, abs=1e-11)
 

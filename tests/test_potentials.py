@@ -25,7 +25,7 @@ from rtmclab.potentials import (
 from rtmclab.shifts import admissible_words, canonical_prefixes
 from rtmclab.transfer import summability_value
 
-from conftest import full_shift, stationary_system
+from conftest import admits, full_shift, stationary_system
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = sorted(p.stem for p in CONFIGS.glob("*.json"))
@@ -172,12 +172,17 @@ class TestDistortionConstant:
         assert abs(d50.value - d200.value) < 1e-12
 
 
+def kappa_at(phi, path, fiber):
+    """kappa at one fiber, read off the potential's own table."""
+    return phi.kappa[path.state(fiber)] if phi.state_keyed else phi.fiber_kappa[fiber]
+
+
 def distortion_oracle(phi, path, fiber, horizon=128):
-    """B read one kappa term at a time through `kappa_at`, as first written."""
+    """B read one kappa term at a time, as first written."""
     series, cutoff = 0.0, horizon + 1
     for i in range(1, horizon + 1):
         try:
-            series += phi.kappa_at(path, fiber - i) * phi.r ** i
+            series += kappa_at(phi, path, fiber - i) * phi.r ** i
         except KeyError:
             cutoff = i
             break
@@ -226,7 +231,7 @@ def birkhoff_spread(phi, fibers, path, anchor, letters, n):
     if n == 0:
         return bound, 0.0
     tails = [t for t in admissible_words(fibers, path, anchor + m, max(phi.depth - 1, 3))
-             if fibers.admits(path, anchor + m - 1, letters[-1], t[0])]
+             if admits(fibers, path, anchor + m - 1, letters[-1], t[0])]
     sums = [word_birkhoff(phi, path, anchor, letters + t, n) for t in tails]
     return bound, max(sums) - min(sums)
 

@@ -18,9 +18,12 @@ from rtmclab.shifts import (
     canonical_prefixes,
     word_index,
 )
+import rtmclab
+from rtmclab import shifts, transport
 from rtmclab.transport import Metric
 
 from conftest import (
+    admits,
     canonical_walk,
     full_shift,
     golden_mean_shift,
@@ -32,12 +35,16 @@ from conftest import (
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+def test_metric_is_one_type():
+    assert rtmclab.Metric is transport.Metric is shifts.Metric
+
+
 def brute_force_words(fibers, path, start, n):
     """Independent enumeration oracle: filter the full product by pairwise admissibility."""
     alphabets = [fibers.alphabet(path, start + i) for i in range(n)]
     out = []
     for cand in itertools.product(*alphabets):
-        if all(fibers.admits(path, start + i, cand[i], cand[i + 1]) for i in range(n - 1)):
+        if all(admits(fibers, path, start + i, cand[i], cand[i + 1]) for i in range(n - 1)):
             out.append(cand)
     return sorted(out)
 
@@ -389,8 +396,8 @@ class TestShiftMetric:
         words3 = admissible_words(fibers, path, 3, 3)
         prefix = (1, 2)  # admissible block ending at letter 2... 2->1 only
         for wx, wy in itertools.combinations(words3, 2):
-            if not fibers.admits(path, 2, prefix[-1], wx[0]) or \
-               not fibers.admits(path, 2, prefix[-1], wy[0]):
+            if not admits(fibers, path, 2, prefix[-1], wx[0]) or \
+               not admits(fibers, path, 2, prefix[-1], wy[0]):
                 continue
             x, y = prefixes(fibers, path, wx, wy, anchor=3)
             tx, ty = prefixes(fibers, path, prefix + x, prefix + y, anchor=1)

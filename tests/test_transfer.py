@@ -29,7 +29,7 @@ from rtmclab.potentials import (
     table_potential,
     word_birkhoff,
 )
-from rtmclab.shifts import FiberStructure, admissible_words, word_index
+from rtmclab.shifts import FiberStructure, Metric, admissible_words, word_index
 from rtmclab.transfer import (
     AtomicMeasure,
     CylinderFunction,
@@ -46,6 +46,7 @@ from rtmclab.transfer import (
 )
 
 from conftest import (
+    admits,
     canonical_walk,
     dict_cylinder_mass,
     dict_integrate,
@@ -81,7 +82,7 @@ def brute_preimage_sum(phi, fibers, path, f, x_word, n):
     """Oracle: direct sum over enumerated admissible preimage words."""
     total = 0.0
     for v in admissible_words(fibers, path, f.anchor, n):
-        if not fibers.admits(path, f.anchor + n - 1, v[-1], x_word[0]):
+        if not admits(fibers, path, f.anchor + n - 1, v[-1], x_word[0]):
             continue
         y = canonical_walk(fibers, path, f.anchor, v + tuple(x_word),
                            max(f.depth, n + 2, n + phi.depth - 1))
@@ -123,8 +124,8 @@ class TestTransferApply:
         fibers, path = full2
         phi = positive_matrix_potential(fibers, [[0.5, 0.2], [0.5, 0.8]])
         rng = np.random.default_rng(0)
-        f = random_lipschitz(fibers, path, 0, 3, rng, r=0.5)
-        g = random_lipschitz(fibers, path, 0, 3, rng, r=0.5)
+        f = random_lipschitz(fibers, path, 0, 3, rng, Metric("raw", 0.5))
+        g = random_lipschitz(fibers, path, 0, 3, rng, Metric("raw", 0.5))
         combo = f.binary(g, lambda a, b: 2.0 * a - 0.5 * b)
         lhs = transfer_apply(phi, combo)
         rhs = transfer_apply(phi, f).binary(transfer_apply(phi, g),
@@ -142,7 +143,7 @@ def direct_power_oracle(phi, f, n):
     for w in admissible_words(fibers, path, j + n, out_depth):
         total = 0.0
         for v in admissible_words(fibers, path, j, n):
-            if not fibers.admits(path, j + n - 1, v[-1], w[0]):
+            if not admits(fibers, path, j + n - 1, v[-1], w[0]):
                 continue
             full = v + w  # length n + out_depth covers the Birkhoff block and f's depth
             total += math.exp(word_birkhoff(phi, path, j, full, n)) * f.values[full[: f.depth]]
@@ -172,7 +173,7 @@ class TestTransferPower:
         words2 = admissible_words(fibers, path, 0, 2)
         phi = table_potential([{w: float(rng.normal(scale=0.3)) for w in words2}],
                               depth=2, r=0.5)
-        f = random_lipschitz(fibers, path, 0, 3, rng, r=0.5)
+        f = random_lipschitz(fibers, path, 0, 3, rng, Metric("raw", 0.5))
         for n in (1, 2, 3, 4):
             a = transfer_power(phi, f, n)
             b = direct_power_oracle(phi, f, n)
@@ -182,7 +183,7 @@ class TestTransferPower:
         fibers, path = full2
         phi = positive_matrix_potential(fibers, [[0.4, 0.1], [0.6, 0.9]])
         rng = np.random.default_rng(2)
-        f = random_lipschitz(fibers, path, 0, 3, rng, r=0.49)
+        f = random_lipschitz(fibers, path, 0, 3, rng, Metric("raw", 0.49))
         sup0 = f.sup_norm()
         g = f
         for n in range(1, 6):
@@ -195,7 +196,7 @@ class TestTransferPower:
         phi = positive_matrix_potential(fibers, [[0.4, 0.1], [0.6, 0.9]], r=0.5)
         rng = np.random.default_rng(9)
         for n in (1, 2, 3):
-            f = random_lipschitz(fibers, path, 0, 4, rng, r=0.5)
+            f = random_lipschitz(fibers, path, 0, 4, rng, Metric("raw", 0.5))
             g = transfer_power(phi, f, n)
             b = distortion_constant(phi, path, n).value
             kappa_f = max(
@@ -901,7 +902,7 @@ class TestDualApply:
         mu = AtomicMeasure.random(fibers, path, n, 2, rng)
         pulled = dual_apply(phi, mu, n)
         for _ in range(20):
-            f = random_lipschitz(fibers, path, 0, 3, rng, r=0.5)
+            f = random_lipschitz(fibers, path, 0, 3, rng, Metric("raw", 0.5))
             lhs = pulled.integrate(f)
             rhs = mu.integrate(transfer_power(phi, f, n))
             assert lhs == pytest.approx(rhs, abs=1e-12, rel=1e-12)
@@ -1210,6 +1211,18 @@ class TestMalformedInput:
             with pytest.raises(ConfigError, match=f"^measure depth must be >= 1, got {depth}$"):
                 AtomicMeasure(cfg.fibers, path, 0, depth, weights, probability=False)
 
+    # NaN compared False under both weight checks, so a NaN mass passed them
+    def test_nan_masses_rejected_by_the_constructor(self):
+        cfg = load_config(CONFIGS / "golden_mean.json")
+        path = cfg.sample(cfg.seeds[0])
+        nan = float("nan")
+        with pytest.raises(ConfigError, match="^NaN atom weight$"):
+            AtomicMeasure(cfg.fibers, path, 0, 1, {(1,): nan, (2,): nan})
+
+    def test_nan_mass_rejected_without_a_unit_mass_check(self):
+        with pytest.raises(ConfigError, match="^NaN atom weight$"):
+            transfer._check_weights(np.array([0.5, float("nan")]), probability=False)
+
     @pytest.mark.parametrize("table", ["h", "mu"])
     def test_from_json_empty_table(self, iid, table):
         # the depth was read off the first key with a bare next()
@@ -1290,7 +1303,7 @@ class TestTrustedConstruction:
         checked = []
         monkeypatch.setattr(CylinderFunction, "__post_init__", lambda f: checked.append(f))
         rng = np.random.default_rng(6)
-        f = random_lipschitz(fibers, path, 3, 2, rng, r=phi.r)
+        f = random_lipschitz(fibers, path, 3, 2, rng, Metric("raw", phi.r))
         letter = admissible_words(fibers, path, 3, 1)[-1]
         g = CylinderFunction.indicator(fibers, path, 3, letter, 3)
         derived = {
@@ -1527,10 +1540,11 @@ class TestNormalizePotential:
         triple = rpf_solve(phi, fibers, path, depth=4, horizon=80, window=(0, 6))
         tilde = normalize_potential(phi, triple)
         rng = np.random.default_rng(4)
-        f = random_lipschitz(fibers, path, 0, 3, rng, r=0.49)
+        f = random_lipschitz(fibers, path, 0, 3, rng, Metric("raw", 0.49))
         n = 3
         lhs = transfer_power(tilde, f, n)
-        lhs = lhs.mul(triple.h[n]).shift_scale(math.exp(triple.log_cocycle(0, n)))
+        log_cocycle = sum(triple.log_lambda[i] for i in range(n))  # log Lambda_n at fiber 0
+        lhs = lhs.mul(triple.h[n]).shift_scale(math.exp(log_cocycle))
         rhs = transfer_power(phi, f.mul(triple.h[0]), n)
         assert lhs.sub(rhs).sup_norm() <= 1e-10 * max(1.0, rhs.sup_norm())
 
@@ -1581,7 +1595,7 @@ class TestGibbs:
         phi = Potential(depth=1, r=0.5, index=1, tables=tables, kappa=(0.0, 0.0))
         triple = rpf_solve(phi, fibers, path, depth=5, horizon=60, window=(0, 8))
         report = gibbs_check(triple, phi, depth=4, samples=300, seed=1)
-        assert report.ok
+        assert not report.violations
         for _, _, ratio, _, _ in report.rows:
             assert ratio == pytest.approx(1.0, abs=1e-8)
 
@@ -1590,7 +1604,7 @@ class TestGibbs:
         phi = positive_matrix_potential(fibers, [[0.3, 0.6], [0.7, 0.4]])
         triple = rpf_solve(phi, fibers, path, depth=6, horizon=80, window=(0, 10))
         report = gibbs_check(triple, phi, depth=5, samples=500, seed=3)
-        assert report.ok
+        assert not report.violations
         assert all(math.isfinite(r[2]) and r[2] > 0 for r in report.rows)
 
     def test_markov_ratio_matches_closed_form(self, full2):
@@ -1643,3 +1657,63 @@ class TestRatioConvergence:
         assert gaps[0] > 1e-4  # genuinely not converged at the start
         assert gaps[-1] < 1e-10
         assert gaps[-1] <= gaps[2]
+
+
+def lipschitz_oracle(f, r, alpha=None):
+    """The Lipschitz constant as written before it read a `Metric`: the scale at
+    split depth j is r ** j, capped as min(1, alpha r ** j) when alpha is given."""
+    best = 0.0
+    for j in range(f.depth):
+        scale = r ** j if alpha is None else min(1.0, alpha * r ** j)
+        spread = spread_at(f, j)
+        if spread > 0:
+            best = max(best, spread / scale)
+    return best
+
+
+class TestLipschitzMetric:
+    """`lipschitz(Metric)` and `random_lipschitz(..., Metric)` against the former
+    (r, alpha) formula, bit for bit, where the cap min(1, .) binds and where not."""
+
+    ALPHAS = (None, 1.0, 1.0 + 1e-12, 1.0 + 2 ** -40, 1.7, 50.0, 1e6)
+
+    @pytest.mark.parametrize("name", ["golden_mean", "random_3letter"])
+    def test_matches_the_former_formula(self, name):
+        cfg = load_config(CONFIGS / f"{name}.json")
+        path = cfg.sample(cfg.seeds[0])
+        rng = np.random.default_rng(41)
+        for r in (cfg.potential.r, 0.3, 0.9):
+            for anchor in (-5, 0, 3):
+                for depth in (1, 2, 3, 4):
+                    words = admissible_words(cfg.fibers, path, anchor, depth)
+                    f = CylinderFunction(cfg.fibers, path, anchor, depth,
+                                         {w: float(rng.normal()) for w in words})
+                    for alpha in self.ALPHAS:
+                        metric = Metric("raw", r) if alpha is None else \
+                            Metric("adjusted", r, alpha)
+                        assert bits(f.lipschitz(metric)) == bits(lipschitz_oracle(f, r, alpha))
+
+    @pytest.mark.parametrize("name", ["golden_mean", "random_3letter"])
+    def test_random_lipschitz_draws_the_former_function(self, name):
+        cfg = load_config(CONFIGS / f"{name}.json")
+        path = cfg.sample(cfg.seeds[0])
+        r = cfg.potential.r
+        for alpha in self.ALPHAS:
+            metric = Metric("raw", r) if alpha is None else Metric("adjusted", r, alpha)
+            f = random_lipschitz(cfg.fibers, path, 2, 3, np.random.default_rng(7), metric)
+            rng = np.random.default_rng(7)
+            words = admissible_words(cfg.fibers, path, 2, 3)
+            want = {w: float(rng.normal()) for w in words}
+            d = lipschitz_oracle(CylinderFunction(cfg.fibers, path, 2, 3, want), r, alpha)
+            want = {w: v * (1.0 / d) for w, v in want.items()}
+            assert list(f.values) == list(want)
+            assert [bits(v) for v in f.values.values()] == [bits(v) for v in want.values()]
+
+    def test_the_cap_binds(self):
+        cfg = load_config(CONFIGS / "golden_mean.json")
+        path = cfg.sample(cfg.seeds[0])
+        f = CylinderFunction.indicator(cfg.fibers, path, 0, (1, 1), 2)
+        r = cfg.potential.r
+        # the worst ratio sits at split depth 1, where the scale is min(1, alpha r)
+        assert f.lipschitz(Metric("adjusted", r, 1e6)) == 1.0
+        assert f.lipschitz(Metric("adjusted", r, 1.0)) == 1.0 / r

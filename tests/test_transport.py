@@ -46,6 +46,7 @@ from rtmclab.transport import (
 
 from conftest import (
     canonical_walk,
+    dense_plan,
     full_shift,
     golden_mean_shift,
     metric_dist,
@@ -435,7 +436,7 @@ class TestWasserstein:
         y = AtomicMeasure.dirac(fibers, path, 0, (1, 2))
         value, plan = wasserstein(x, y, Metric("raw", 0.5))
         assert value == pytest.approx(0.5, abs=1e-12)
-        assert plan.plan.shape == (1, 1)
+        assert dense_plan(plan).shape == (1, 1)
         value2, _ = wasserstein(x, y, Metric("adjusted", 0.5, alpha=4.0))
         assert value2 == pytest.approx(1.0, abs=1e-12)
 
@@ -596,13 +597,14 @@ class TestClosedFormParity:
         assert abs(value - lp_value) <= 1e-9
         swt = np.array([mu.weights[w] for w in plan.source_labels])
         twt = np.array([nu.weights[w] for w in plan.target_labels])
-        assert np.abs(plan.plan.sum(axis=1) - swt).max() <= 1e-12
-        assert np.abs(plan.plan.sum(axis=0) - twt).max() <= 1e-12
-        assert plan.plan.min() >= 0.0
-        assert float((plan.plan * cost).sum()) == pytest.approx(value, abs=1e-12)
+        dense = dense_plan(plan)
+        assert np.abs(dense.sum(axis=1) - swt).max() <= 1e-12
+        assert np.abs(dense.sum(axis=0) - twt).max() <= 1e-12
+        assert dense.min() >= 0.0
+        assert float((dense * cost).sum()) == pytest.approx(value, abs=1e-12)
         slack = cost - plan.dual_source[:, None] - plan.dual_target[None, :]
         assert slack.min() >= -1e-12
-        assert np.abs(slack[plan.plan > 1e-12]).max(initial=0.0) <= 1e-12
+        assert np.abs(slack[dense > 1e-12]).max(initial=0.0) <= 1e-12
 
     @pytest.mark.parametrize("mu,nu,metric", _parity_pairs())
     def test_matches_lp_oracle(self, mu, nu, metric):
@@ -625,7 +627,7 @@ class TestClosedFormParity:
         metric = Metric("adjusted", 0.5, alpha=2.0)
         (v1, p1), (v2, p2) = wasserstein(mu, nu, metric), wasserstein(mu, nu, metric)
         assert v1 == v2
-        assert p1.plan.tobytes() == p2.plan.tobytes()
+        assert dense_plan(p1).tobytes() == dense_plan(p2).tobytes()
 
 
 def _array_pairs():
@@ -672,7 +674,8 @@ class TestArrayTransport:
                 assert plan.source_labels == sw
                 assert plan.target_labels == tw
                 assert all(type(w) is tuple for w in plan.source_labels + plan.target_labels)
-                for a, b in ((plan.plan, dense), (plan.dual_source, u), (plan.dual_target, v)):
+                for a, b in ((dense_plan(plan), dense), (plan.dual_source, u),
+                             (plan.dual_target, v)):
                     assert a.tobytes() == b.tobytes()
                 assert plan.dual_gap == gap
 
@@ -765,7 +768,7 @@ class TestSupportPlan:
         (order, lcp, depth, weights, n), = calls
         m = len(plan.target_labels)
         want = greedy_plan_oracle(order, lcp, depth, list(weights), n, m)
-        assert plan.plan.tobytes() == want.tobytes()
+        assert dense_plan(plan).tobytes() == want.tobytes()
         assert len(plan.mass) <= n + m - 1
         assert len(set(zip(plan.rows.tolist(), plan.cols.tolist()))) == len(plan.mass)
 
@@ -801,7 +804,7 @@ class TestSupportPlan:
         fibers, path, phi, triple, tilde, cert = full2_cert
         plan = build_coupling((1,), (2,), tilde, cert, fiber=0)
         assert (plan.mass > 0).all()
-        dense = plan.plan
+        dense = dense_plan(plan)
         assert np.array_equal(np.flatnonzero(dense), plan.rows * dense.shape[1] + plan.cols)
 
 
@@ -819,7 +822,7 @@ class TestDuality:
         metric = Metric("raw", 0.5)
         value, witness = lipschitz_dual(x, y, metric)
         assert value == pytest.approx(1.0, abs=1e-10)
-        assert witness.lipschitz(0.5) <= 1.0 + 1e-9
+        assert witness.lipschitz(metric) <= 1.0 + 1e-9
 
     def test_strong_duality_random_pairs(self, full2):
         fibers, path = full2
@@ -1031,12 +1034,13 @@ class TestCoupling:
         # recompute the diagonal mass from the plan: pairs within the settled radius
         metric = cert.metric_at(0)
         diag = cost = 0.0
+        dense = dense_plan(plan)
         for i, v in enumerate(plan.source_labels):
             for j, w in enumerate(plan.target_labels):
-                if plan.plan[i, j] > 0 and v[: q + 1] == w[: q + 1]:
-                    diag += plan.plan[i, j]
-                if plan.plan[i, j] > 0:  # the cost, pair by pair on the atoms' prefixes
-                    cost += plan.plan[i, j] * metric_dist(metric, v + (1,), w + (2,))
+                if dense[i, j] > 0 and v[: q + 1] == w[: q + 1]:
+                    diag += dense[i, j]
+                if dense[i, j] > 0:  # the cost, pair by pair on the atoms' prefixes
+                    cost += dense[i, j] * metric_dist(metric, v + (1,), w + (2,))
         assert diag >= lower - 1e-12
         assert cost == plan.cost
         assert plan.cost <= cert.s_fiber[0] + 1e-12
@@ -1059,12 +1063,13 @@ class TestCoupling:
         cert = contraction_constants(tilde, fibers, path, beta=0.5, window=(-10, 10))
         cert = certify_event(cert, B=1.0, C=0.5)
         plan = build_coupling((1,), (2,), tilde, cert, fiber=0)
-        assert plan.plan.sum() == pytest.approx(1.0, abs=1e-12)
+        dense = dense_plan(plan)
+        assert dense.sum() == pytest.approx(1.0, abs=1e-12)
         # hand enumeration of the four branches (weight 1/4 each): the mediator
         # construction rides mass 1/2 on equal-branch pairs (v1, 1); the product
         # remainder adds 2 x 1/8 more on equal branches, 1/8 on each crossing
         same = sum(
-            plan.plan[i, j]
+            dense[i, j]
             for i, v in enumerate(plan.source_labels)
             for j, w in enumerate(plan.target_labels)
             if v == w
@@ -1110,14 +1115,14 @@ class TestMainLemma:
         rows = {part: [r for r in report.rows if r[0] == part] for part in ("i", "ii")}
         for (k, f), row_i, row_ii in zip(drawn, rows["i"], rows["ii"]):
             n, block = cert.n_step[k], cert.block[k]
-            d_n = transfer_power(tilde, f, n).lipschitz(tilde.r, cert.alpha[k + n])
-            d_b = transfer_power(tilde, f, block).lipschitz(tilde.r, cert.alpha[k + block])
+            d_n = transfer_power(tilde, f, n).lipschitz(cert.metric_at(k + n))
+            d_b = transfer_power(tilde, f, block).lipschitz(cert.metric_at(k + block))
             assert row_i[2] == d_n and row_ii[2] == d_b and row_i[1] == row_ii[1] == k
 
     def test_constant_function_skipped(self, full2_cert):
         fibers, path, phi, triple, tilde, cert = full2_cert
         f = CylinderFunction.constant(fibers, path, 0, 3.0, 2)
-        assert f.lipschitz(0.2, cert.alpha[0]) == 0.0
+        assert f.lipschitz(Metric("adjusted", 0.2, cert.alpha[0])) == 0.0
 
 
 class TestVerifyDecay:
@@ -1268,7 +1273,8 @@ class TestNoReadmission:
                                  3).normalize(),
         }
         assert sorted({mu.depth for mu in measures.values()}) == [1, 2, 3, 4, 5]
-        functions = [random_lipschitz(fibers, path, 2, k, rng, r=phi.r) for k in (1, 3, 6)]
+        functions = [random_lipschitz(fibers, path, 2, k, rng, Metric("raw", phi.r))
+                     for k in (1, 3, 6)]
         tables = [{w: float(rng.normal(scale=0.4))
                    for w in itertools.product(fibers.universe, repeat=4)}
                   for _ in fibers.alphabets]
