@@ -133,7 +133,7 @@ def main(argv=None) -> int:
         return 2
 
     max_radius = os.environ.get("RR_MAX_WINDOW", str(DEFAULT_MAX_RADIUS))
-    if not max_radius.isdigit() or int(max_radius) < 1:
+    if not (max_radius.isascii() and max_radius.isdigit()) or int(max_radius) < 1:
         print(f"config error: RR_MAX_WINDOW must be a positive integer, got {max_radius!r}",
               file=sys.stderr)
         return 2

@@ -1,13 +1,13 @@
 """Experiment configuration: a versioned JSON schema and its validation.
 
 One file declares the driver law, the fiber structure with its mediator data,
-the potential, metric parameters, depths, horizons and seeds; a key of the
-depths, horizons, trials or sequences section that nothing reads is rejected
-on load.  validate()
-performs the structural checks (stochasticity, row/column positivity, big
-images/preimages, empirical summability, stationary event frequency,
-positive depths, a working depth between the potential's locality and the
-cap, positive horizons, non-negative seeds) without running any experiment.
+the potential, metric parameters, depths, horizons and seeds.  load_config
+checks the raw JSON against SCHEMA, its shape, before building anything from
+it.  validate_config performs the structural checks (stochasticity, row/column
+positivity, big images/preimages, empirical summability, stationary event
+frequency, positive depths, a working depth between the potential's locality
+and the cap, positive horizons, non-negative seeds) without running any
+experiment.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .driver import DEFAULT_MAX_RADIUS, DriverSystem, EventSpec, sample_path
 from .errors import ConfigError
@@ -69,101 +68,139 @@ class ExperimentConfig:
         return sample_path(self.system, seed=seed, max_radius=max_radius)
 
 
-_KINDS = {"an integer": int, "a number": (int, float), "an object": dict,
-          "a list": list, "a list of integers": list}
+# A schema node is a JSON kind, named as messages name it; [node], a list of
+# entries of that node, whose rows have one length if they are lists; (None,
+# node), null or that node; or a dict of an object's keys.  A dict keyed by
+# STATE has one entry per declared driver state and no other key, a dict keyed
+# by WORD a comma-separated word per key.
+NUMBER, FINITE, INTEGER, STRING = "a number", "a finite number", "an integer", "a string"
+STATE, WORD = "<state>", "<word>"
+_TYPES = {NUMBER: (int, float), FINITE: (int, float), INTEGER: int, STRING: str}
+# the largest JSON integer the program reads: as a float, or as a 64-bit integer
+_BOUNDS = {NUMBER: sys.float_info.max, FINITE: sys.float_info.max, INTEGER: 2 ** 63 - 1}
+_LISTS = {INTEGER: "a list of integers", STRING: "a list of strings"}
+_CLOSED = ("depths", "horizons", "trials", "sequences")  # a key nothing reads is an error
+_SQUARE = ("equilibrium.comparison_kernel",)  # as many entries in each row as rows
+_DEFAULT_KIND = "table"  # the kind of a potential that names none
 
 
-def _expect(value, key: str, kind: str):
-    """A value as written in the config; a value of another JSON kind, a bool
-    where a number is expected included, is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
-        raise ConfigError(f"{key}: expected {kind}, got {json.dumps(value)}")
-    return value
+@dataclass(frozen=True)
+class Required:
+    """A key the config must give; with `kind`, only a potential of that kind must."""
+
+    node: object
+    kind: str | None = None
 
 
-def _entries(value, key: str, kind: str, dims: int = 1):
-    """A list (of lists, for dims 2) as written in the config, each entry checked
-    by `_expect` under its path, e.g. `potential.matrices.a[1][0]`."""
-    _expect(value, key, "a list")
-    for i, v in enumerate(value):
-        if dims > 1:
-            _entries(v, f"{key}[{i}]", kind, dims - 1)
-        else:
-            _expect(v, f"{key}[{i}]", kind)
-    return value
+SCHEMA = {
+    "name": STRING,
+    "driver": Required({
+        "states": Required([STRING]),
+        "law": {"kind": STRING, "weights": [NUMBER], "matrix": [[NUMBER]]},
+        "seed": INTEGER,
+    }),
+    "fibers": Required({
+        "alphabets": Required({STATE: [INTEGER]}),
+        "matrices": Required({STATE: [[INTEGER]]}),
+        "bip": {"I": Required([INTEGER]), "omega_bp": [STRING], "omega_bi": [STRING]},
+    }),
+    "potential": Required({
+        "kind": STRING,
+        "r": NUMBER,
+        "matrices": Required({STATE: [[NUMBER]]}, "log_matrix"),
+        "value": Required(NUMBER, "constant"),
+        "tables": Required({STATE: {WORD: NUMBER}}, "table"),
+        "depth": Required(INTEGER, "table"),
+        "index": INTEGER,
+        "kappa": (None, [NUMBER]),
+    }),
+    "metric": {"beta": NUMBER},
+    "depths": dict.fromkeys(_DEPTH_DEFAULTS, INTEGER),
+    "horizons": dict.fromkeys(_HORIZON_DEFAULTS, INTEGER),
+    "trials": dict.fromkeys(_TRIAL_DEFAULTS, INTEGER),
+    "seeds": [INTEGER],
+    "sequences": {"mode": STRING, "count": INTEGER, "B": (None, FINITE), "C": (None, FINITE)},
+    "observables": dict.fromkeys("fg", {"values": Required({WORD: NUMBER}),
+                                        "default": (None, NUMBER), "depth": INTEGER}),
+    "pressure": {"letter": INTEGER},
+    "equilibrium": {"comparison_kernel": (None, [[FINITE]])},
+}
 
 
-def _finite(value, key: str):
-    """A JSON number that is neither NaN nor infinite."""
-    if not math.isfinite(_expect(value, key, "a number")):
-        raise ConfigError(f"{key}: expected a finite number, got {json.dumps(value)}")
-    return value
+def _check(value, node, at: str, raw: dict) -> None:
+    """Check `value`, found at path `at` of `raw`, against a schema node; a value of
+    another JSON kind, a bool where a number is expected included, is a ConfigError."""
+    if isinstance(node, Required):
+        node = node.node
+    if isinstance(node, tuple):
+        if value is not None:
+            _check(value, node[1], at, raw)
+        return
+    square = at in _SQUARE
+    if isinstance(node, dict):
+        kind, ok = "an object", isinstance(value, dict)
+    elif isinstance(node, list):
+        kind = (f"a {'square' if square else 'rectangular'} list of lists"
+                if isinstance(node[0], list) else _LISTS.get(node[0], "a list"))
+        ok = isinstance(value, list)
+    else:
+        kind = NUMBER if node == FINITE else node
+        ok = isinstance(value, _TYPES[node]) and not isinstance(value, bool)
+        if ok and isinstance(value, int):
+            ok = abs(value) <= _BOUNDS[node]
+    if not ok or node == FINITE and not math.isfinite(value):
+        raise ConfigError(f"{at or 'config'}: expected {node if ok else kind}, "
+                          f"got {json.dumps(value)}")
+    if isinstance(node, dict):
+        _check_object(value, node, at, raw)
+    elif isinstance(node, list):
+        for i, entry in enumerate(value):
+            _check(entry, node[0], f"{at}[{i}]", raw)
+            if isinstance(node[0], list) and len(entry) != len(value if square else value[0]):
+                got = (f"{len(value)} rows and {len(entry)} entries in row {i}" if square
+                       else json.dumps(value))
+                raise ConfigError(f"{at}: expected {kind}, got {got}")
 
 
-def _kernel(raw: dict):
-    """The equilibrium comparison kernel, null or a square list of finite numbers."""
-    kernel = _expect(raw.get("equilibrium", {}), "equilibrium", "an object").get(
-        "comparison_kernel")
-    if kernel is None:
-        return None
-    key = "equilibrium.comparison_kernel"
-    for i, row in enumerate(_entries(kernel, key, "a number", dims=2)):
-        if len(row) != len(kernel):
-            raise ConfigError(f"{key}: expected a square list of lists, got {len(kernel)} "
-                              f"rows and {len(row)} entries in row {i}")
-        for k, v in enumerate(row):
-            _finite(v, f"{key}[{i}][{k}]")
-    return kernel
-
-
-def _section(raw: dict, name: str, defaults: dict) -> dict:
-    """A config section over its defaults; a section that is not an object, a
-    key nothing reads and a value that is not an integer where the default is
-    one are ConfigErrors."""
-    values = _expect(raw.get(name, {}), name, "an object")
-    unknown = sorted(set(values) - set(defaults))
-    if unknown:
-        raise ConfigError(f"unknown {name} key(s) {', '.join(unknown)}; "
-                          f"known: {', '.join(sorted(defaults))}")
-    section = {**defaults, **values}
-    for key, default in defaults.items():
-        if isinstance(default, int):
-            _expect(section[key], f"{name}.{key}", "an integer")
-    return section
-
-
-def _check_state_keys(raw: dict, states: tuple) -> None:
-    """Every per-state table is keyed by states the driver declares."""
-    for section, key in (("fibers", "alphabets"), ("fibers", "matrices"),
-                         ("potential", "matrices"), ("potential", "tables")):
-        table = raw[section].get(key)
-        unknown = sorted(set(table) - set(states)) if isinstance(table, dict) else ()
+def _check_object(value: dict, node: dict, at: str, raw: dict) -> None:
+    """An object's keys, the required ones present, and the config's schema version."""
+    if not at and value.get("schema") != SCHEMA_VERSION:
+        raise ConfigError(f"config schema must be {SCHEMA_VERSION}, got {value.get('schema')!r}")
+    if WORD in node:
+        for word, entry in value.items():
+            parse_word(word, at)
+            _check(entry, node[WORD], f"{at}[{json.dumps(word)}]", raw)
+        return
+    if STATE in node:
+        states = raw["driver"]["states"]
+        unknown = sorted(set(value) - set(states))
         if unknown:
-            raise ConfigError(f"{section}.{key}.{unknown[0]}: unknown driver state")
+            raise ConfigError(f"{at}.{unknown[0]}: unknown driver state")
+        node = {state: Required(node[STATE]) for state in states}
+    unknown = sorted(set(value) - set(node)) if at in _CLOSED else ()
+    if unknown:
+        raise ConfigError(f"unknown {at} key(s) {', '.join(unknown)}; "
+                          f"known: {', '.join(sorted(node))}")
+    for key, child in node.items():
+        path = f"{at}.{key}" if at else key
+        if key in value:
+            _check(value[key], child, path, raw)
+        elif isinstance(child, Required) and child.kind in (None, value.get("kind", _DEFAULT_KIND)):
+            if not at:
+                raise ConfigError(f"config misses the {key!r} section")
+            _check(None, child, path, raw)
 
 
 def _observables(raw: dict, universe: tuple) -> dict:
     """Each observable f and g as its word -> value table, depth and default,
-    converted and checked on load; an undeclared one is the indicator of the
-    least letter."""
-    specs, out = _expect(raw.get("observables", {}), "observables", "an object"), {}
-    for key in ("f", "g"):
-        if key not in specs:
-            out[key] = {"values": {(a,): float(a == universe[0]) for a in universe},
-                        "depth": 1, "default": None}
-            continue
-        at = f"observables.{key}"
-        spec = _expect(specs[key], at, "an object")
-        table = _expect(spec.get("values"), f"{at}.values", "an object")
-        values = {parse_word(w, f"{at}.values"):
-                  float(_expect(v, f"{at}.values[{json.dumps(w)}]", "a number"))
-                  for w, v in table.items()}
-        default = spec.get("default")
-        if default is not None:
-            default = float(_expect(default, f"{at}.default", "a number"))
-        depth = _expect(spec.get("depth", 1), f"{at}.depth", "an integer")
-        out[key] = {"values": values, "depth": depth, "default": default}
-    return out
+    converted on load; an undeclared one is the indicator of the least letter."""
+    least = {"values": {str(a): float(a == universe[0]) for a in universe}}
+    specs = {key: raw.get("observables", {}).get(key, least) for key in ("f", "g")}
+    return {key: {"values": {parse_word(w, f"observables.{key}.values"): float(v)
+                             for w, v in spec["values"].items()},
+                  "depth": spec.get("depth", 1),
+                  "default": None if spec.get("default") is None else float(spec["default"])}
+            for key, spec in specs.items()}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -172,61 +209,30 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if raw.get("schema") != SCHEMA_VERSION:
-        raise ConfigError(f"config schema must be {SCHEMA_VERSION}, got {raw.get('schema')!r}")
-    for key in ("driver", "fibers", "potential"):
-        if key not in raw:
-            raise ConfigError(f"config misses the {key!r} section")
-    drv = raw["driver"]
+    _check(raw, SCHEMA, "", raw)  # before anything is built from it
+    drv, fib, pot = raw["driver"], raw["fibers"], raw["potential"]
     law = drv.get("law", {})
-    system = DriverSystem(
-        states=tuple(drv.get("states", [])),
-        kind=law.get("kind", "iid"),
-        weights=(np.asarray(_entries(law["weights"], "driver.law.weights", "a number"),
-                            dtype=float) if "weights" in law else None),
-        matrix=(np.asarray(_entries(law["matrix"], "driver.law.matrix", "a number", dims=2),
-                           dtype=float) if "matrix" in law else None),
-        seed=_expect(drv.get("seed", 0), "driver.seed", "an integer"),
+    system = DriverSystem(states=tuple(drv["states"]), kind=law.get("kind", "iid"),
+                          weights=law.get("weights"), matrix=law.get("matrix"),
+                          seed=drv.get("seed", 0))
+    b = fib.get("bip")
+    bip = None if b is None else BipStructure(
+        letters=frozenset(b["I"]),
+        omega_bp=EventSpec.state_in(system, b.get("omega_bp", []), name="omega_bp"),
+        omega_bi=EventSpec.state_in(system, b.get("omega_bi", []), name="omega_bi"),
     )
-    _check_state_keys(raw, system.states)
-    fib = raw["fibers"]
-    bip = None
-    if "bip" in fib:
-        b = fib["bip"]
-        bip = BipStructure(
-            letters=frozenset(_expect(x, f"fibers.bip.I[{i}]", "an integer")
-                              for i, x in enumerate(b["I"])),
-            omega_bp=EventSpec.state_in(system, b.get("omega_bp", []), name="omega_bp"),
-            omega_bi=EventSpec.state_in(system, b.get("omega_bi", []), name="omega_bi"),
-        )
-    if isinstance(fib.get("alphabets"), dict):
-        for label, letters in fib["alphabets"].items():
-            _entries(letters, f"fibers.alphabets.{label}", "an integer")
     fibers = FiberStructure.build(system, fib["alphabets"], fib["matrices"], bip=bip)
-    pot = raw["potential"]
-    kind = pot.get("kind", "table")
-    r = float(_expect(pot.get("r", 0.49), "potential.r", "a number"))
+    kind = pot.get("kind", _DEFAULT_KIND)
+    r = float(pot.get("r", 0.49))
     if kind == "log_matrix":
-        weights = [np.asarray(_entries(pot["matrices"][s], f"potential.matrices.{s}",
-                                       "a number", dims=2), dtype=float)
-                   for s in system.states]
-        potential = log_matrix_potential(fibers, weights, r=r)
+        potential = log_matrix_potential(fibers, [pot["matrices"][s] for s in system.states], r=r)
     elif kind == "constant":
-        value = float(_expect(pot.get("value"), "potential.value", "a number"))
-        potential = constant_potential(fibers, value, r=r)
+        potential = constant_potential(fibers, pot["value"], r=r)
     elif kind == "table":
-        tables = [
-            {parse_word(k, f"potential.tables.{s}"):
-             float(_expect(v, f"potential.tables.{s}[{json.dumps(k)}]", "a number"))
-             for k, v in pot["tables"][s].items()}
-            for s in system.states
-        ]
-        depth = _expect(pot.get("depth"), "potential.depth", "an integer")
-        index = _expect(pot.get("index", 2), "potential.index", "an integer")
-        kappa = pot.get("kappa")
-        if kappa is not None:
-            _entries(kappa, "potential.kappa", "a number")
-        potential = table_potential(tables, depth=depth, r=r, index=index, kappa=kappa)
+        tables = [{parse_word(k, f"potential.tables.{s}"): v
+                   for k, v in pot["tables"][s].items()} for s in system.states]
+        depth, index = pot["depth"], pot.get("index", 2)
+        potential = table_potential(tables, depth=depth, r=r, index=index, kappa=pot.get("kappa"))
         if "kappa" not in pot:
             probe = sample_path(system, seed=system.seed)
             kappas = [0.0] * system.n_states
@@ -236,29 +242,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
             potential = table_potential(tables, depth=depth, r=r, index=index, kappa=kappas)
     else:
         raise ConfigError(f"unknown potential kind {kind!r}")
-    metric = raw.get("metric", {})
-    beta = float(_expect(metric.get("beta", 0.5), "metric.beta", "a number"))
+    beta = float(raw.get("metric", {}).get("beta", 0.5))
     if not 0 < beta < 1:
         raise ConfigError("beta must lie in (0, 1)")
-    if not 0 < r < 1:
-        raise ConfigError("r must lie in (0, 1)")
-    depths = _section(raw, "depths", _DEPTH_DEFAULTS)
-    horizons = _section(raw, "horizons", _HORIZON_DEFAULTS)
-    trials = _section(raw, "trials", _TRIAL_DEFAULTS)
-    seeds = _expect(raw.get("seeds", [system.seed]), "seeds", "a list of integers")
-    seeds = [_expect(s, f"seeds[{i}]", "an integer") for i, s in enumerate(seeds)]
-    sequences = _section(raw, "sequences", _SEQUENCE_DEFAULTS)
-    for key in ("B", "C"):
-        if sequences[key] is not None:
-            _finite(sequences[key], f"sequences.{key}")
-    observables = _observables(raw, fibers.universe)
     return ExperimentConfig(
         raw=raw, path=str(path), system=system, fibers=fibers, potential=potential,
-        beta=beta, depths=depths, horizons=horizons, trials=trials, seeds=seeds,
-        sequences=sequences, observables=observables,
-        pressure_letter=_expect(raw.get("pressure", {}).get("letter", min(fibers.universe)),
-                                "pressure.letter", "an integer"),
-        comparison_kernel=_kernel(raw),
+        beta=beta, depths={**_DEPTH_DEFAULTS, **raw.get("depths", {})},
+        horizons={**_HORIZON_DEFAULTS, **raw.get("horizons", {})},
+        trials={**_TRIAL_DEFAULTS, **raw.get("trials", {})},
+        seeds=list(raw.get("seeds", [system.seed])),
+        sequences={**_SEQUENCE_DEFAULTS, **raw.get("sequences", {})},
+        observables=_observables(raw, fibers.universe),
+        pressure_letter=raw.get("pressure", {}).get("letter", min(fibers.universe)),
+        comparison_kernel=raw.get("equilibrium", {}).get("comparison_kernel"),
         name=raw.get("name", path.stem),
     )
 

@@ -59,6 +59,7 @@ LP_CAP = 4096
 _PASSAGE_SCAN = 64  # steps searched for a big-preimage passage
 _RATE_SLACK = 0.05  # allowed excess of the forward fitted log-rate over log t
 _CERT_TOL = 1e-9  # transport certificate: dual feasibility, support, plan cost
+_MARGINAL_TOL = 1e-10  # a plan's row and column sums against its two measures
 # the Kantorovich-Rubinstein program is degenerate (its bounds are a few half
 # levels g(L)/2, each shared by many rows), so HiGHS runs at tighter
 # feasibility tolerances than its defaults
@@ -83,14 +84,14 @@ class TransportPlan:
     dual_target: np.ndarray | None = None
     dual_gap: float | None = None
 
-    def check_marginals(self, mu_w: np.ndarray, nu_w: np.ndarray, tol: float = 1e-10) -> None:
+    def check_marginals(self, mu_w: np.ndarray, nu_w: np.ndarray) -> None:
         out = np.bincount(self.rows, weights=self.mass, minlength=len(mu_w))
-        if np.max(np.abs(out - mu_w)) > tol:
+        if np.max(np.abs(out - mu_w)) > _MARGINAL_TOL:
             raise InvariantViolation("transport plan row sums differ from the source weights")
         into = np.bincount(self.cols, weights=self.mass, minlength=len(nu_w))
-        if np.max(np.abs(into - nu_w)) > tol:
+        if np.max(np.abs(into - nu_w)) > _MARGINAL_TOL:
             raise InvariantViolation("transport plan column sums differ from the target weights")
-        if self.mass.min(initial=0.0) < -tol:
+        if self.mass.min(initial=0.0) < -_MARGINAL_TOL:
             raise InvariantViolation("negative transport mass")
 
 
@@ -520,7 +521,8 @@ def contraction_constants(
 ) -> ContractionCertificate:
     """All per-fiber coupling constants for a normalized potential on a window.
 
-    The marked letter of each fiber is the least letter of its alphabet.
+    The marked letter of each fiber is the least letter of its alphabet.  A
+    window on which no fiber has a big-preimage passage is a ConvergenceError.
     """
     if not 0 < beta < 1:
         raise ConfigError("beta must lie in (0, 1)")
@@ -542,6 +544,8 @@ def contraction_constants(
         cert.m_step[q] = m
         cert.u_words[q] = words
         cert.C[q] = c_min
+    if not cert.C:
+        raise ConvergenceError(f"no fiber of the window [{lo}, {hi}] has a big-preimage passage")
     for k in range(lo, hi + 1):
         q = k + cert.n_step[k]
         if q in cert.m_step and q in cert.B:
@@ -743,7 +747,7 @@ def build_coupling(
         cost += w * d
     out = TransportPlan(source_labels=xv, target_labels=yv, rows=i, cols=j, mass=mass,
                         cost=cost)
-    out.check_marginals(xw, yw, tol=1e-10)
+    out.check_marginals(xw, yw)
     if diag_mass < cert.C[q] / cert.B[q] - 1e-12:
         raise InvariantViolation("diagonal mass below the certified C/B bound")
     if k in cert.s_fiber and cost > cert.s_fiber[k] + 1e-12:

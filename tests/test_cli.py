@@ -503,6 +503,63 @@ def test_unknown_table_state_exits_2(tmp_path, capsys):
     _expect_config_error(raw, "potential.tables.z: unknown driver state", tmp_path, capsys)
 
 
+@pytest.mark.parametrize("stem, edit, message", [
+    ("golden_mean", lambda raw: raw["driver"].update(law=[1]),
+     "driver.law: expected an object, got [1]"),
+    ("golden_mean", lambda raw: raw.update(metric="x"), 'metric: expected an object, got "x"'),
+    ("full_shift_iid", lambda raw: raw["fibers"].update(bip=-1),
+     "fibers.bip: expected an object, got -1"),
+    ("full_shift_iid", lambda raw: raw["fibers"]["bip"].pop("I"),
+     "fibers.bip.I: expected a list of integers, got null"),
+    ("golden_mean", lambda raw: raw["potential"].pop("kind"),
+     "potential.tables: expected an object, got null"),
+    ("random_3letter", lambda raw: raw["driver"]["law"]["matrix"].__setitem__(1, [1]),
+     "driver.law.matrix: expected a rectangular list of lists, got [[0.7, 0.3], [1]]"),
+    ("golden_mean", lambda raw: raw["fibers"]["matrices"]["a"].__setitem__(1, [1]),
+     "fibers.matrices.a: expected a rectangular list of lists, got [[1, 1], [1]]"),
+    ("golden_mean", lambda raw: raw["driver"].update(states=[{}]),
+     "driver.states[0]: expected a string, got {}"),
+    ("golden_mean", lambda raw: raw["fibers"]["bip"].update(omega_bp=True),
+     "fibers.bip.omega_bp: expected a list of strings, got true"),
+    ("golden_mean", lambda raw: raw["fibers"].update(alphabets=None),
+     "fibers.alphabets: expected an object, got null"),
+    ("full_shift_iid", lambda raw: raw["fibers"]["matrices"].pop("b"),
+     "fibers.matrices.b: expected a rectangular list of lists, got null"),
+    ("golden_mean", lambda raw: raw["metric"].update(beta=10 ** 400),
+     f"metric.beta: expected a number, got {10 ** 400}"),
+    ("golden_mean", lambda raw: raw["fibers"]["alphabets"]["a"].__setitem__(1, 2 ** 64),
+     f"fibers.alphabets.a[1]: expected an integer, got {2 ** 64}"),
+], ids=["law-list", "metric-string", "bip-negative", "no-bip-letters", "no-potential-kind",
+        "ragged-law", "ragged-pattern", "state-object", "omega-bool", "alphabets-null",
+        "no-state-pattern", "beta-beyond-float", "letter-beyond-64-bits"])
+def test_schema_mismatch_exits_2(stem, edit, message, tmp_path, capsys):
+    # each ended `validate` in a Python traceback: an AttributeError, KeyError,
+    # TypeError, ValueError or OverflowError in load_config, FiberStructure.build
+    # or EventSpec.state_in
+    raw = json.loads((CONFIGS / f"{stem}.json").read_text())
+    edit(raw)
+    _expect_config_error(raw, message, tmp_path, capsys)
+
+
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    # raw.get raised AttributeError on a JSON list
+    _expect_config_error([1], "config: expected an object, got [1]", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("experiment", ["contract", "mixing", "correlations"])
+def test_empty_big_preimage_event_fails_the_run(experiment, tmp_path):
+    # validate warns of the zero frequency; the run used to end in a ValueError
+    # from min() over the empty table of passage constants
+    raw = json.loads((CONFIGS / "constant_full_shift.json").read_text())
+    raw["fibers"]["bip"]["omega_bp"] = []
+    path, out = tmp_path / "never.json", tmp_path / "out"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), experiment, "--out-dir", str(out)]) == 1
+    entry = json.loads((out / "report_seed1.json").read_text())[experiment]
+    assert entry == {"passed": False, "error_class": "ConvergenceError",
+                     "error": "no fiber of the window [-80, 80] has a big-preimage passage"}
+
+
 def test_seed_override_stays_out_of_the_config_hash(tmp_path):
     heads = {}
     for name, flags in {"plain": [], "seed": ["--seed", "5"]}.items():
@@ -542,7 +599,7 @@ def test_working_depth_below_locality_is_a_violation(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
-@pytest.mark.parametrize("value", ["0", "many"])
+@pytest.mark.parametrize("value", ["0", "many", "\u00b2"])
 def test_bad_window_cap_exits_2(value, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RR_MAX_WINDOW", value)
     assert main(["run", str(CONFIGS / "golden_mean.json"), "rpf",
