@@ -74,10 +74,15 @@ class ExperimentConfig:
 # STATE has one entry per declared driver state and no other key, a dict keyed
 # by WORD a comma-separated word per key.
 NUMBER, FINITE, INTEGER, STRING = "a number", "a finite number", "an integer", "a string"
+# a potential value v weighs a branch by e^v, which must be a float
+_LOG_MAX = math.log(sys.float_info.max)
+LOG_WEIGHT = f"a number at most {_LOG_MAX!r}"
 STATE, WORD = "<state>", "<word>"
-_TYPES = {NUMBER: (int, float), FINITE: (int, float), INTEGER: int, STRING: str}
+_TYPES = {NUMBER: (int, float), FINITE: (int, float), LOG_WEIGHT: (int, float), INTEGER: int,
+          STRING: str}
 # the largest JSON integer the program reads: as a float, or as a 64-bit integer
-_BOUNDS = {NUMBER: sys.float_info.max, FINITE: sys.float_info.max, INTEGER: 2 ** 63 - 1}
+_BOUNDS = {NUMBER: sys.float_info.max, FINITE: sys.float_info.max,
+           LOG_WEIGHT: sys.float_info.max, INTEGER: 2 ** 63 - 1}
 _LISTS = {INTEGER: "a list of integers", STRING: "a list of strings"}
 _CLOSED = ("depths", "horizons", "trials", "sequences")  # a key nothing reads is an error
 _SQUARE = ("equilibrium.comparison_kernel",)  # as many entries in each row as rows
@@ -108,8 +113,8 @@ SCHEMA = {
         "kind": STRING,
         "r": NUMBER,
         "matrices": Required({STATE: [[NUMBER]]}, "log_matrix"),
-        "value": Required(NUMBER, "constant"),
-        "tables": Required({STATE: {WORD: NUMBER}}, "table"),
+        "value": Required(LOG_WEIGHT, "constant"),
+        "tables": Required({STATE: {WORD: LOG_WEIGHT}}, "table"),
         "depth": Required(INTEGER, "table"),
         "index": INTEGER,
         "kappa": (None, [NUMBER]),
@@ -144,11 +149,12 @@ def _check(value, node, at: str, raw: dict) -> None:
                 if isinstance(node[0], list) else _LISTS.get(node[0], "a list"))
         ok = isinstance(value, list)
     else:
-        kind = NUMBER if node == FINITE else node
+        kind = NUMBER if node in (FINITE, LOG_WEIGHT) else node
         ok = isinstance(value, _TYPES[node]) and not isinstance(value, bool)
         if ok and isinstance(value, int):
             ok = abs(value) <= _BOUNDS[node]
-    if not ok or node == FINITE and not math.isfinite(value):
+    if (not ok or node == FINITE and not math.isfinite(value)
+            or node == LOG_WEIGHT and value > _LOG_MAX):
         raise ConfigError(f"{at or 'config'}: expected {node if ok else kind}, "
                           f"got {json.dumps(value)}")
     if isinstance(node, dict):
@@ -233,6 +239,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
                    for k, v in pot["tables"][s].items()} for s in system.states]
         depth, index = pot["depth"], pot.get("index", 2)
         potential = table_potential(tables, depth=depth, r=r, index=index, kappa=pot.get("kappa"))
+        # every word admissible along a state window the law charges has a value in
+        # the table of the window's first state
+        successors = {}
+        for s, t in system.transitions():
+            successors.setdefault(s, []).append(t)
+        windows = [(s,) for s in range(system.n_states)]
+        for _ in range(depth - 1):
+            windows = [w + (t,) for w in windows for t in successors.get(w[-1], ())]
+        for window in windows:
+            missing = set(fibers.words_over(window).words) - tables[window[0]].keys()
+            if missing:
+                raise ConfigError(f"potential.tables.{system.states[window[0]]}: no value for "
+                                  f"the admissible word {','.join(map(str, min(missing)))}")
         if "kappa" not in pot:
             probe = sample_path(system, seed=system.seed)
             kappas = [0.0] * system.n_states

@@ -14,7 +14,9 @@ n + m - 1 entries) and explicit dual, is certified by that per-cylinder span
 check on the dual plus complementary slackness on the plan's support only.
 The Kantorovich-Rubinstein side is an independent linear program (HiGHS) with
 one free centre per cylinder, written along the edges of the cylinder tree:
-2(k + c - 1) rows for k points and c centres, not one per pair of points.
+2(k + c - 1) rows for k points and c centres, not one per pair of points.  It
+goes to the HiGHS bindings that scipy ships in one direct call, because
+scipy's `linprog` wrapper around them cost more than the solve.
 
 On top sit the coupling constants: per-fiber distortion products B and scales
 alpha = B/beta, metric-settling exponents n, big-preimage passage lengths m
@@ -253,6 +255,47 @@ def wasserstein(
     return value, out
 
 
+def _highs(cost: np.ndarray, lo: np.ndarray, hi: np.ndarray, half: np.ndarray,
+           bounds: np.ndarray) -> tuple[float, np.ndarray]:
+    """Minimize cost @ x over bounds[:, 0] <= x <= bounds[:, 1] subject to
+    |x[lo[e]] - x[hi[e]]| <= half[e] for each edge e, by one call into the HiGHS
+    bindings that scipy ships, at `_LP_OPTIONS` with output off.  Returns the
+    optimal value and x; any model status but optimal is a ConvergenceError.
+
+    Edge e gives rows 2e (x[lo] - x[hi] <= half) and 2e + 1 (x[hi] - x[lo] <=
+    half), each holding exactly +1 and -1, so the matrix is passed row-wise.
+    scipy is imported here, the only place that needs it, so that a run of the
+    experiments never loads it.
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    rows = 2 * len(lo)
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(cost)
+    lp.num_row_ = lp.a_matrix_.num_row_ = rows
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.ascontiguousarray(bounds[:, 0])
+    lp.col_upper_ = np.ascontiguousarray(bounds[:, 1])
+    lp.row_lower_ = np.full(rows, -np.inf)
+    lp.row_upper_ = np.repeat(half, 2)
+    lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = np.arange(0, 2 * rows + 1, 2)
+    lp.a_matrix_.index_ = np.stack([lo, hi, lo, hi], axis=1).ravel()
+    lp.a_matrix_.value_ = np.tile([1.0, -1.0, -1.0, 1.0], len(lo))
+    options = highs.HighsOptions()
+    options.output_flag = False
+    for name, value in _LP_OPTIONS.items():
+        setattr(options, name, value)
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise ConvergenceError(f"dual LP failed: {solver.modelStatusToString(status)}")
+    return solver.getInfo().objective_function_value, np.array(solver.getSolution().col_value)
+
+
 def lipschitz_dual(
     mu: AtomicMeasure,
     nu: AtomicMeasure,
@@ -277,12 +320,11 @@ def lipschitz_dual(
     and the parent's slack.  The witness, the first k entries of the solution,
     is extended to every word by the minimal 1-Lipschitz extension on the same
     tree.  The keys are word-index rows, read without re-admitting a word.
-    scipy is imported here, the only place that needs it, so that a run of
-    the experiments never loads it.
+    The program goes to HiGHS's bindings directly (`_highs`): scipy's
+    `linprog` wrapper, which cleans and converts the inputs again and
+    reads per-column marginals this certificate never uses, cost more
+    than the solve itself.
     """
-    from scipy import sparse
-    from scipy.optimize import linprog
-
     if mu.anchor != nu.anchor:
         raise AdmissibilityError("measures on different fibers")
     if abs(mu.mass() - nu.mass()) > 1e-10:
@@ -309,7 +351,8 @@ def lipschitz_dual(
     # rows |lo - hi| <= half: each key to its deepest centre, each centre to its parent
     deepest = np.zeros(k, dtype=np.intp)  # length of each key's deepest centre
     centre = np.zeros(k, dtype=np.intp)  # that centre's variable
-    lo, hi, half = [], [], []
+    # a single key has no centre and no row
+    lo, hi, half = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
     n_centres = 0
     for length in range(depth):
         ids = cyl[length][keyed]
@@ -331,27 +374,13 @@ def lipschitz_dual(
         lo.insert(0, np.arange(k))
         hi.insert(0, centre)
         half.insert(0, g[deepest] / 2.0)
-    pair = sum(map(len, lo))
     c_obj = np.concatenate([-net, np.zeros(n_centres)])
     bounds = np.full((k + n_centres, 2), [-np.inf, np.inf])
     bounds[0] = 0.0  # pin one value, the rest free
-    if pair:
-        lo, hi = np.concatenate(lo), np.concatenate(hi)
-        # rows lo - hi <= half and hi - lo <= half, interleaved edge by edge
-        a_ub = sparse.csc_matrix(
-            (np.tile([1.0, -1.0, -1.0, 1.0], pair),
-             (np.repeat(np.arange(2 * pair), 2),
-              np.stack([lo, hi, lo, hi], axis=1).ravel())),
-            shape=(2 * pair, k + n_centres),
-        )
-        res = linprog(c_obj, A_ub=a_ub, b_ub=np.repeat(np.concatenate(half), 2),
-                      bounds=bounds, method="highs", options=_LP_OPTIONS)
-    else:
-        res = linprog(c_obj, bounds=bounds, method="highs", options=_LP_OPTIONS)
-    if not res.success:
-        raise ConvergenceError(f"dual LP failed: {res.message}")
-    value = -float(res.fun)
-    f_keys = res.x[:k]
+    fun, x = _highs(c_obj, np.concatenate(lo), np.concatenate(hi), np.concatenate(half),
+                    bounds)
+    value = -fun
+    f_keys = x[:k]
     # the least g(L) + min f over w's length-L cylinder is min_x f(x) + g(lcp(w, x)),
     # float for float, since g is non-increasing and float addition is monotone
     extension = np.full(len(words), np.inf)
@@ -575,7 +604,11 @@ def certify_event(cert: ContractionCertificate, B: float, C: float) -> Contracti
 
 
 def _markov_n(cert: ContractionCertificate, k: int) -> int:
-    """First certified-event return past the strengthened settling bound."""
+    """First certified-event return past the strengthened settling bound; a scan from a
+    fiber k past the certificate window is a ConvergenceError."""
+    if not cert.lo <= k <= cert.hi:
+        raise ConvergenceError(f"certified-event return scan from fiber {k}, "
+                               f"past the window [{cert.lo}, {cert.hi}]")
     return _next_return(k, 1, max(1, settle_exponent(2.0 * cert.alpha[k], cert.r)),
                         (k, cert.hi), lambda j: cert.event_member.get(j, False),
                         f"no certified-event return above fiber {k} in the window")

@@ -163,8 +163,9 @@ def test_zero_frequency_event_warns(tmp_path, capsys):
     assert any("frequency 0" in w for w in out["warnings"])
 
 
-def test_table_potential_config_with_fitted_kappa(tmp_path):
-    raw = {
+def _depth3_table():
+    """A one-state full shift on two letters with a depth-3 table potential, no kappa."""
+    return {
         "schema": 1,
         "name": "table-kind",
         "driver": {"states": ["a"], "law": {"kind": "iid", "weights": [1.0]}, "seed": 2},
@@ -182,6 +183,10 @@ def test_table_potential_config_with_fitted_kappa(tmp_path):
         },
         "seeds": [2],
     }
+
+
+def test_table_potential_config_with_fitted_kappa(tmp_path):
+    raw = _depth3_table()
     p = tmp_path / "table.json"
     p.write_text(json.dumps(raw))
     cfg = load_config(p)
@@ -529,13 +534,19 @@ def test_unknown_table_state_exits_2(tmp_path, capsys):
      f"metric.beta: expected a number, got {10 ** 400}"),
     ("golden_mean", lambda raw: raw["fibers"]["alphabets"]["a"].__setitem__(1, 2 ** 64),
      f"fibers.alphabets.a[1]: expected an integer, got {2 ** 64}"),
+    ("constant_full_shift", lambda raw: raw["potential"].update(value=2 ** 64),
+     f"potential.value: expected a number at most 709.782712893384, got {2 ** 64}"),
+    ("golden_mean", lambda raw: raw.update(potential={
+        **TABLE_POTENTIAL, "tables": {"a": {"1": -0.5, "2": 710}}}),
+     'potential.tables.a["2"]: expected a number at most 709.782712893384, got 710'),
 ], ids=["law-list", "metric-string", "bip-negative", "no-bip-letters", "no-potential-kind",
         "ragged-law", "ragged-pattern", "state-object", "omega-bool", "alphabets-null",
-        "no-state-pattern", "beta-beyond-float", "letter-beyond-64-bits"])
+        "no-state-pattern", "beta-beyond-float", "letter-beyond-64-bits", "value-exp-overflows",
+        "table-exp-overflows"])
 def test_schema_mismatch_exits_2(stem, edit, message, tmp_path, capsys):
     # each ended `validate` in a Python traceback: an AttributeError, KeyError,
-    # TypeError, ValueError or OverflowError in load_config, FiberStructure.build
-    # or EventSpec.state_in
+    # TypeError, ValueError or OverflowError in load_config, FiberStructure.build,
+    # EventSpec.state_in or, for a potential value, transfer._step's math.exp
     raw = json.loads((CONFIGS / f"{stem}.json").read_text())
     edit(raw)
     _expect_config_error(raw, message, tmp_path, capsys)
@@ -558,6 +569,34 @@ def test_empty_big_preimage_event_fails_the_run(experiment, tmp_path):
     entry = json.loads((out / "report_seed1.json").read_text())[experiment]
     assert entry == {"passed": False, "error_class": "ConvergenceError",
                      "error": "no fiber of the window [-80, 80] has a big-preimage passage"}
+
+
+@pytest.mark.parametrize("kappa", [None, [0.5]])
+def test_table_missing_a_word_exits_2(kappa, tmp_path, capsys):
+    # without kappa, fitting it ended `validate` in a KeyError from prefix_spread;
+    # with it, the summability probe named the word but not the state
+    raw = _depth3_table()
+    del raw["potential"]["tables"]["a"]["2,2,2"]
+    if kappa is not None:
+        raw["potential"]["kappa"] = kappa
+    _expect_config_error(raw, "potential.tables.a: no value for the admissible word 2,2,2",
+                         tmp_path, capsys)
+
+
+@pytest.mark.parametrize("experiment", ["contract", "mixing", "correlations"])
+def test_return_scan_past_the_window_fails_the_run(experiment, tmp_path):
+    # a kappa that understates the table's variation settles slowly enough that
+    # the markov return scan read cert.alpha past the window: a KeyError
+    raw = _depth3_table()
+    raw["potential"]["kappa"] = [0.1]
+    raw["potential"]["tables"]["a"].update({"1,1,1": 0, "2,1,1": 1.5})
+    path, out = tmp_path / "understated.json", tmp_path / "out"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), experiment, "--out-dir", str(out)]) == 1
+    entry = json.loads((out / "report_seed2.json").read_text())[experiment]
+    assert entry == {"passed": False, "error_class": "ConvergenceError",
+                     "error": "certified-event return scan from fiber 81, "
+                              "past the window [-80, 80]"}
 
 
 def test_seed_override_stays_out_of_the_config_hash(tmp_path):

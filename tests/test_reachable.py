@@ -27,6 +27,7 @@ ALLOWED = {
     "transport.build_coupling": "the paper's explicit coupling (ROADMAP item 3)",
     "transport.lipschitz_dual": "the Kantorovich-Rubinstein certificate of W1 "
                                 "(acceptance 1, the duality_r3 workload)",
+    "transport._highs": "read by `lipschitz_dual` only",
     "transfer.RpfTriple.from_json": "public reader of a written triple",
     "transfer.RpfTriple.to_json": "public writer; runs stream the triple through json_chunks",
     "transfer.AtomicMeasure.__init__": "public constructor; runs build measures on word rows",

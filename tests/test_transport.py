@@ -176,6 +176,22 @@ def lp_transport_oracle(mu, nu, metric):
     return float(res.fun), cost
 
 
+def linprog_highs(cost, lo, hi, half, bounds):
+    """transport._highs through public linprog: the same rows, as a sparse A_ub, and the
+    same options; a failed solve raises ConvergenceError with linprog's message."""
+    pair = len(lo)
+    a_ub = sparse.csc_matrix(
+        (np.tile([1.0, -1.0, -1.0, 1.0], pair),
+         (np.repeat(np.arange(2 * pair), 2), np.stack([lo, hi, lo, hi], axis=1).ravel())),
+        shape=(2 * pair, len(cost)),
+    )
+    res = linprog(cost, A_ub=a_ub, b_ub=np.repeat(half, 2), bounds=bounds, method="highs",
+                  options=transport._LP_OPTIONS)
+    if not res.success:
+        raise ConvergenceError(f"dual LP failed: {res.message}")
+    return res.fun, res.x
+
+
 def pairwise_kr_oracle(mu, nu, metric):
     """The Kantorovich-Rubinstein program with one row pair per pair of keys:
     f_i - f_j <= d_ij and f_j - f_i <= d_ij over the union of supports, solved by
@@ -1401,11 +1417,25 @@ class TestCylinderProgram:
         attained = mu.integrate(witness) - nu.integrate(witness)
         assert attained == pytest.approx(value, abs=1e-9)
 
+    @pytest.mark.parametrize("mu,nu,metric", _parity_pairs() + _kr_instances() + _ladder_pairs())
+    def test_matches_linprog(self, mu, nu, metric, monkeypatch):
+        """The direct HiGHS call gives, float for float, the value and witness that
+        public linprog (method highs, at _LP_OPTIONS) gives on the same program."""
+        value, witness = lipschitz_dual(mu, nu, metric)
+        monkeypatch.setattr(transport, "_highs", linprog_highs)
+        want_value, want_witness = lipschitz_dual(mu, nu, metric)
+        assert value.hex() == want_value.hex()
+        assert witness.values == want_witness.values
+
+    def test_failed_solve_names_the_status(self):
+        """|x0 - x1| <= -1 is infeasible: the HiGHS model status is in the message."""
+        with pytest.raises(ConvergenceError, match="^dual LP failed: Infeasible$"):
+            transport._highs(np.array([1.0, 0.0]), np.array([0]), np.array([1]),
+                             np.array([-1.0]), np.array([[0.0, 0.0], [-np.inf, np.inf]]))
+
     @pytest.mark.parametrize("depth, want", [(3, 78), (4, 240), (5, 726)])
     def test_rows_two_per_tree_edge(self, depth, want, monkeypatch):
         """2(k + c - 1) rows: one pair per key and one per centre below the root."""
-        import scipy.optimize
-
         cfg = load_config(CONFIGS / "random_3letter.json")
         path = cfg.sample(17)
         rng = np.random.default_rng(5)
@@ -1416,13 +1446,13 @@ class TestCylinderProgram:
         # centres: the cylinders of length L < D that hold two or more keys
         prefixes = [Counter(w[:length] for w in keys) for length in range(depth)]
         c = sum(count >= 2 for counts in prefixes for count in counts.values())
-        real, rows = scipy.optimize.linprog, []
+        real, rows = transport._highs, []
 
-        def spy(*args, **kwargs):
-            rows.append(kwargs["A_ub"].shape[0])
-            return real(*args, **kwargs)
+        def spy(cost, lo, hi, half, bounds):
+            rows.append(2 * len(lo))
+            return real(cost, lo, hi, half, bounds)
 
-        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        monkeypatch.setattr(transport, "_highs", spy)
         metric = Metric("raw", cfg.potential.r)
         value, _ = lipschitz_dual(mu, nu, metric)
         assert rows == [2 * (k + c - 1)] == [want]
@@ -1431,8 +1461,6 @@ class TestCylinderProgram:
         assert value == pytest.approx(wasserstein(mu, nu, metric)[0], abs=1e-8)
 
     def test_lp_cap_checked_first(self, monkeypatch):
-        import scipy.optimize
-
         cfg = load_config(CONFIGS / "random_3letter.json")
         path = cfg.sample(17)
         rng = np.random.default_rng(5)
@@ -1443,15 +1471,12 @@ class TestCylinderProgram:
             raise AssertionError("ran before the LP cap was checked")
 
         monkeypatch.setattr(transport, "LP_CAP", 10)
-        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
-        for name in ("admissible_words", "word_index"):
+        for name in ("admissible_words", "word_index", "_highs"):
             monkeypatch.setattr(transport, name, refuse, raising=False)
         with pytest.raises(ConfigError, match="atom count 27 beyond the LP cap 10"):
             lipschitz_dual(mu, nu, Metric("raw", cfg.potential.r))
 
     def test_rows_at_most_2kD(self, monkeypatch):
-        import scipy.optimize
-
         cfg = load_config(CONFIGS / "random_3letter.json")
         path = cfg.sample(17)
         rng = np.random.default_rng(5)
@@ -1459,13 +1484,13 @@ class TestCylinderProgram:
         mu, nu = (AtomicMeasure.random(cfg.fibers, path, 0, depth, rng) for _ in "ab")
         k = len(mu.weights.keys() | nu.weights.keys())
         assert k == 243
-        real, rows = scipy.optimize.linprog, []
+        real, rows = transport._highs, []
 
-        def spy(*args, **kwargs):
-            rows.append(kwargs["A_ub"].shape[0])
-            return real(*args, **kwargs)
+        def spy(cost, lo, hi, half, bounds):
+            rows.append(2 * len(lo))
+            return real(cost, lo, hi, half, bounds)
 
-        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        monkeypatch.setattr(transport, "_highs", spy)
         metric = Metric("raw", cfg.potential.r)
         value, _ = lipschitz_dual(mu, nu, metric)
         assert len(rows) == 1 and rows[0] <= 2 * k * depth
