@@ -698,12 +698,14 @@ class RpfTriple:
         return math.exp(self.log_lambda[j])
 
     def residual(self, phi: Potential, j: int) -> float:
-        """||L h_j - lambda_j h_{j+1}||_inf / ||h_{j+1}||_inf."""
+        """||L h_j - lambda_j h_{j+1}||_inf / (lambda_j ||h_{j+1}||_inf), which a
+        constant added to the potential leaves alone: it scales L and lambda_j
+        alike."""
         lh = transfer_apply(phi, self.h[j])
         target = self.h[j + 1].refine(lh.depth) if self.h[j + 1].depth < lh.depth else self.h[j + 1]
         lh = lh.refine(target.depth)
         gap = max(abs(lh.values[w] - self.lam(j) * target.values[w]) for w in lh.values)
-        return gap / target.sup_norm()
+        return gap / (self.lam(j) * target.sup_norm())
 
     def restrict(self, lo: int, hi: int) -> "RpfTriple":
         """The same eigendata and gap curves on the sub-window [lo, hi]."""

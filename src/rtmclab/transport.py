@@ -16,7 +16,9 @@ The Kantorovich-Rubinstein side is an independent linear program (HiGHS) with
 one free centre per cylinder, written along the edges of the cylinder tree:
 2(k + c - 1) rows for k points and c centres, not one per pair of points.  It
 goes to the HiGHS bindings that scipy ships in one direct call, because
-scipy's `linprog` wrapper around them cost more than the solve.
+scipy's `linprog` wrapper around them cost more than the solve; their
+extension module is loaded alone, since importing the `scipy.optimize`
+package around it costs some 40 MiB more.
 
 On top sit the coupling constants: per-fiber distortion products B and scales
 alpha = B/beta, metric-settling exponents n, big-preimage passage lengths m
@@ -264,10 +266,36 @@ def _highs(cost: np.ndarray, lo: np.ndarray, hi: np.ndarray, half: np.ndarray,
 
     Edge e gives rows 2e (x[lo] - x[hi] <= half) and 2e + 1 (x[hi] - x[lo] <=
     half), each holding exactly +1 and -1, so the matrix is passed row-wise.
-    scipy is imported here, the only place that needs it, so that a run of the
-    experiments never loads it.
+
+    The bindings are scipy's extension module `scipy.optimize._highspy._core`,
+    loaded here on the first call (a run of the experiments never loads it)
+    from scipy's package directory by itself: importing it by name would run
+    `scipy/optimize/__init__.py`, which loads some 320 scipy modules (about
+    43 MiB and 0.5 s) this call never reads, against about 3 MiB and 5 ms for
+    the extension alone.  It is registered in `sys.modules` under its full
+    name, so a later `import scipy.optimize` reuses it, and one already there
+    is used as it is.
     """
-    from scipy.optimize._highspy import _core as highs
+    import sys
+
+    name = "scipy.optimize._highspy._core"
+    highs = sys.modules.get(name)
+    if highs is None:
+        import importlib.machinery
+        import importlib.util
+        import os
+
+        scipy = importlib.util.find_spec("scipy")  # locates scipy without running it
+        if scipy is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        where = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy")
+        spec = importlib.machinery.PathFinder.find_spec(name, [where])
+        if spec is None:
+            raise ModuleNotFoundError(f"no HiGHS extension module '_core' in {where}",
+                                      name=name)
+        highs = importlib.util.module_from_spec(spec)
+        sys.modules[name] = highs
+        spec.loader.exec_module(highs)
 
     rows = 2 * len(lo)
     lp = highs.HighsLp()

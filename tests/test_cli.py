@@ -650,10 +650,75 @@ def test_missing_config_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "none.json"), "rpf"]) == 2
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only lipschitz_dual, which imports it on its first call
-    probe = "import sys, rtmclab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    src = Path(__file__).resolve().parent.parent / "src"
+def _fresh(probe: str) -> str:
+    """Standard output of `probe` run in a fresh interpreter on `src/`, tests importable."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert done.stdout.strip() == "[]"
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    return done.stdout.strip()
+
+
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def _kr_probe(tail: str) -> str:
+    """A probe that defines `solved()`: one lipschitz_dual call per random_3letter pair
+    at depths 3-5, raw and adjusted, as float.hex strings of value and witness; then
+    `tail`."""
+    return f"""
+import json, sys
+import numpy as np
+from rtmclab import transport
+from rtmclab.config import load_config
+from rtmclab.transfer import AtomicMeasure
+cfg = load_config({str(CONFIGS / "random_3letter.json")!r})
+path, rng, r = cfg.sample(17), np.random.default_rng(23), cfg.potential.r
+pairs = [(AtomicMeasure.random(cfg.fibers, path, 0, depth, rng),
+          AtomicMeasure.random(cfg.fibers, path, 0, depth, rng), metric)
+         for depth in (3, 4, 5)
+         for metric in (transport.Metric("raw", r), transport.Metric("adjusted", r, alpha=2.0))]
+
+def solved():
+    out = []
+    for mu, nu, metric in pairs:
+        value, witness = transport.lipschitz_dual(mu, nu, metric)
+        out.append([value.hex()] + [v.hex() for v in witness.values.values()])
+    return out
+{tail}"""
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only lipschitz_dual, which loads its HiGHS extension on the first call
+    assert _fresh(f"import sys, rtmclab.cli; print({SCIPY_LOADED})") == "[]"
+
+
+def test_kr_certificate_loads_the_highs_extension_alone():
+    # importing the extension by name ran scipy.optimize's __init__: ~320 modules, +43 MiB
+    loaded = json.loads(_fresh(_kr_probe(f"""
+solved()
+print(json.dumps({SCIPY_LOADED}))
+""")))
+    assert "scipy.optimize._highspy._core" in loaded
+    assert [m for m in loaded if not m.startswith("scipy.optimize._highspy._core")] == []
+
+
+def test_linprog_after_the_kr_certificate_solves_the_same_program():
+    # scipy.optimize imported second reuses the extension module _highs registered
+    first, then = json.loads(_fresh(_kr_probe("""
+first = solved()
+assert "scipy.optimize" not in sys.modules
+from test_transport import linprog_highs
+transport._highs = linprog_highs
+print(json.dumps([first, solved()]))
+""")))
+    assert len(first) == 6 and first == then
+
+
+def test_kr_certificate_after_scipy_optimize_reuses_its_extension():
+    assert _fresh(_kr_probe("""
+import scipy.optimize
+core = sys.modules["scipy.optimize._highspy._core"]
+solved()
+print(sys.modules["scipy.optimize._highspy._core"] is core)
+""")) == "True"
